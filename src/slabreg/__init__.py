@@ -23,12 +23,12 @@ from .bounds import (
 )
 from .data import Dataset, load_labeled_csv, load_unlabeled_csv
 from .dictionary import (
-    build_explicit,
-    build_gaussian_kernel,
-    build_haar,
-    build_kernel_pca,
-    build_multiscale_gaussian,
-    build_trigonometric,
+    ExplicitMatrix,
+    GaussianKernel,
+    Haar,
+    KernelPCA,
+    MultiscaleGaussian,
+    Trigonometric,
     from_spec as dictionary_from_spec,
 )
 from .errors import BudgetError, ConfigError, DataError, NumericalError, SlabregError

@@ -18,7 +18,7 @@ back to the documented observable majorants ("deployment" mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
@@ -54,22 +54,22 @@ class BoundSpec:
             raise ConfigError(f"unknown bound variant {self.variant!r}; choose from {VARIANTS}")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.B is not None and not self.B >= 0.0:
-            raise ConfigError(f"B must be >= 0, got {self.B}")
-        if self.sigma2 is not None and not self.sigma2 >= 0.0:
-            raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if self.B is not None and not 0.0 <= self.B < inf:
+            raise ConfigError(f"B must be finite and >= 0, got {self.B}")
+        if self.sigma2 is not None and not 0.0 <= self.sigma2 < inf:
+            raise ConfigError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.subexp is not None:
             pairs = tuple((float(a), float(b)) for a, b in self.subexp)
             for rate, bound in pairs:
-                if not rate > 0.0:
-                    raise ConfigError(f"subexp rate must be > 0, got {rate}")
-                if not bound >= 1.0:
-                    raise ConfigError(f"subexp bound must be >= 1, got {bound}")
+                if not 0.0 < rate < inf:
+                    raise ConfigError(f"subexp rate must be finite and > 0, got {rate}")
+                if not 1.0 <= bound < inf:
+                    raise ConfigError(f"subexp bound must be finite and >= 1, got {bound}")
             object.__setattr__(self, "subexp", pairs)
         if self.y_subexp is not None:
             b_y, big = (float(v) for v in self.y_subexp)
-            if not (b_y > 0.0 and big >= 1.0):
-                raise ConfigError(f"y_subexp needs b_y > 0 and B_y >= 1, got {self.y_subexp}")
+            if not (0.0 < b_y < inf and 1.0 <= big < inf):
+                raise ConfigError(f"y_subexp needs finite b_y > 0 and B_y >= 1, got {self.y_subexp}")
             object.__setattr__(self, "y_subexp", (b_y, big))
 
     @property

@@ -125,11 +125,6 @@ def _loo_arguments(config, family):
     return None, None
 
 
-def _kappa(config, n_train):
-    kappa = config.get("kappa")
-    return None if kappa is None else float(kappa)
-
-
 def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
     lines = [
         f"stopped_at: {model.stopped_at}",
@@ -161,7 +156,7 @@ def cmd_fit(args) -> int:
         family,
         mom,
         spec,
-        kappa=_kappa(config, ds.n_train),
+        kappa=config.get("kappa"),
         schedule=config.get("schedule", "GreedyMax"),
         loo_index=loo_index,
         features_per_point=fpp,
@@ -212,7 +207,7 @@ def cmd_transduce(args) -> int:
         family,
         mom,
         spec,
-        kappa=_kappa(config, n),
+        kappa=config.get("kappa"),
         schedule=config.get("schedule", "GreedyMax"),
         seed=config["seed"],
     )

@@ -47,10 +47,14 @@ class Dataset:
             )
         if y.shape != (self.n_train,):
             raise DataError(f"labels must have shape ({self.n_train},), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise DataError(f"non-finite label at index {int(np.argmin(np.isfinite(y)))}")
         if self.hidden_y is not None:
             h = np.asarray(self.hidden_y, dtype=float)
             if h.shape != (self.n_test,):
                 raise DataError(f"hidden labels must have shape ({self.n_test},), got {h.shape}")
+            if not np.all(np.isfinite(h)):
+                raise DataError(f"non-finite hidden label at index {int(np.argmin(np.isfinite(h)))}")
             object.__setattr__(self, "hidden_y", h)
 
     @property

@@ -273,6 +273,11 @@ class KernelPCA(FeatureDictionary):
         if eigenvalues is not None and eigenvectors is not None:
             self.eigenvalues = np.asarray(eigenvalues, dtype=float)
             self.eigenvectors = np.asarray(eigenvectors, dtype=float)
+            if self.eigenvectors.shape != (n, top) or self.eigenvalues.shape != (top,):
+                raise ConfigError(
+                    f"kernel PCA spec needs eigenvectors of shape {(n, top)} and eigenvalues "
+                    f"of shape {(top,)}, got {self.eigenvectors.shape} and {self.eigenvalues.shape}"
+                )
             return
         K = self._gram()
         try:
@@ -365,30 +370,6 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
-
-
-def build_trigonometric(m: int) -> Trigonometric:
-    return Trigonometric(m)
-
-
-def build_haar(levels: int) -> Haar:
-    return Haar(levels)
-
-
-def build_multiscale_gaussian(centers, scales) -> MultiscaleGaussian:
-    return MultiscaleGaussian(centers, scales)
-
-
-def build_gaussian_kernel(centers, scale) -> GaussianKernel:
-    return GaussianKernel(centers, scale)
-
-
-def build_kernel_pca(points, kernel: dict, top: int) -> KernelPCA:
-    return KernelPCA(points, kernel, top)
-
-
-def build_explicit(values) -> ExplicitMatrix:
-    return ExplicitMatrix(values)
 
 
 def from_spec(spec: dict) -> FeatureDictionary:

@@ -325,36 +325,30 @@ def _ols_loglog(ns, medians):
 
 
 def _per_feature_excess_inductive(model: SyntheticModel, centers: np.ndarray) -> np.ndarray:
-    """Excess risk of each recentred one-feature fit over its best predictor,
-    from the exact risk oracle (padded truth, orthonormal moments)."""
+    """Excess risk of each recentred one-feature fit over its best predictor.
+
+    Under orthonormal moments this is (center_k - f_k)^2, with the truth f
+    padded or truncated to the m features.
+    """
     m = centers.shape[0]
     truth = np.zeros(m)
     upto = min(m, model.size)
     truth[:upto] = model.coefficients[:upto]
-    out = np.empty(m)
-    basis = np.zeros(m)
-    for k in range(m):
-        basis[:] = 0.0
-        basis[k] = centers[k]
-        best = basis.copy()
-        best[k] = truth[k]
-        out[k] = exact_excess_risk(model, basis) - exact_excess_risk(model, best)
-    return out
+    return (centers - truth) ** 2
 
 
-def _transductive_event(features, data, moments, radius):
-    """Whether every feature's test-risk excess is within its radius."""
-    n = data.n_train
-    test = features[n:]
-    v = moments.diag
+def _per_feature_excess_transductive(features, data, stats, moments) -> np.ndarray:
+    """Test-risk excess of each recentred one-feature fit, from the hidden labels."""
+    test = features[data.n_train :]
     num = (test * data.hidden_y[:, None]).sum(axis=0)
     den = (test**2).sum(axis=0)
     alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    train = features[:n]
-    center_num = (train * data.y[:, None]).mean(axis=0)
-    centers = np.where(v > 0, center_num / np.where(v > 0, v, 1.0), 0.0)
-    excess = v * (centers - alpha2) ** 2
-    return bool(np.all(excess <= radius.beta * (1 + 1e-12) + 1e-15)), excess
+    return moments.diag * (slab_centers(stats, moments) - alpha2) ** 2
+
+
+def _covered(excess, radius) -> bool:
+    """Whether every feature's excess is within its radius."""
+    return bool(np.all(excess <= radius.beta * (1 + 1e-12) + 1e-15))
 
 
 def _auto_bound_spec(variant, model, epsilon, mode="auto", family_m=None):
@@ -425,19 +419,15 @@ def coverage_study(
         stats = compute_stats(features, data)
         if transductive:
             moments = empirical_test_moments(features, n_train, k_test)
-            radius = compute_radius(spec, stats, moments)
-            event, _ = _transductive_event(features, data, moments, radius)
+            excess = _per_feature_excess_transductive(features, data, stats, moments)
         else:
             moments = exact_moments(family)
-            radius = compute_radius(spec, stats, moments)
-            centers = slab_centers(stats, moments)
-            excess = _per_feature_excess_inductive(model, centers)
-            event = bool(np.all(excess <= radius.beta * (1 + 1e-12) + 1e-15))
+            excess = _per_feature_excess_inductive(model, slab_centers(stats, moments))
         return {
             "N": n_train,
             "replicate": r,
             "mse": None,
-            "coverage_event": bool(event),
+            "coverage_event": _covered(excess, compute_radius(spec, stats, moments)),
             "seed": int(seeds[r]),
         }
 
@@ -582,13 +572,12 @@ def transductive_experiment(
         zero_mse = float(np.mean(hidden**2))
         chain_ok = _chain_holds(fit, test_feats, hidden)
         stats = compute_stats(features, data)
-        radius = compute_radius(spec, stats, moments)
-        event, _ = _transductive_event(features, data, moments, radius)
+        excess = _per_feature_excess_transductive(features, data, stats, moments)
         return {
             "N": n_train,
             "replicate": r,
             "mse": mse,
-            "coverage_event": bool(event),
+            "coverage_event": _covered(excess, compute_radius(spec, stats, moments)),
             "seed": int(seeds[r]),
             "chain_ok": bool(chain_ok),
             "zero_mse": zero_mse,

@@ -156,13 +156,24 @@ def project_feature(coefficients, k: int, centers, moments: DesignMoments, radiu
     """
     c = np.array(coefficients, dtype=float, copy=True)
     gamma = residual_gamma(c, k, centers, moments)
-    tau = float(radius.tau[k])
+    record = _project(c, k, gamma, float(radius.tau[k]), float(moments.diag[k]), n=1)
+    return c, 0.0 if record is None else record.delta
+
+
+def _project(c, k: int, gamma: float, tau: float, v: float, n: int):
+    """The projection step: soft threshold coordinate k of c in place.
+
+    gamma is feature k's residual at c, computed by the caller. The
+    coefficient moves by sgn(gamma) (|gamma| - tau)_+; the returned record
+    (step number n) carries the squared movement v (|gamma| - tau)_+^2, or
+    None when c already lies in the slab.
+    """
     over = abs(gamma) - tau
     if over <= 0.0:
-        return c, 0.0
+        return None
     step = math.copysign(over, gamma)
     c[k] += step
-    return c, float(moments.diag[k]) * over * over
+    return IterationRecord(n=n, feature=k + 1, gamma=gamma, tau=tau, delta=v * over * over, update=step)
 
 
 def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
@@ -175,28 +186,26 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
     if not np.any(active):
         warnings.warn("all features are degenerate; returning the zero model", stacklevel=3)
         return c, trace
+
+    def apply(k, gamma):
+        record = _project(c, k, gamma, float(tau[k]), float(v[k]), len(trace) + 1)
+        if record is None:
+            return 0.0
+        trace.append(record)
+        return record.delta
+
     if schedule == "GreedyMax":
+        # Project onto the slab with the largest movement; stop when that
+        # movement drops below kappa.
         safe_v = np.where(active, v, 1.0)
         for _ in range(max_iterations):
             gamma = np.where(active, centers - (c @ g) / safe_v, 0.0)
             over = np.abs(gamma) - tau
             delta = np.where(active & (over > 0.0), safe_v * over * over, 0.0)
             best = int(np.argmax(delta))
-            best_delta = float(delta[best])
-            if best_delta > 0.0:
-                step = math.copysign(float(over[best]), float(gamma[best]))
-                c[best] += step
-                trace.append(
-                    IterationRecord(
-                        n=len(trace) + 1,
-                        feature=best + 1,
-                        gamma=float(gamma[best]),
-                        tau=float(tau[best]),
-                        delta=best_delta,
-                        update=step,
-                    )
-                )
-            if best_delta < kappa:
+            if delta[best] > 0.0:
+                apply(best, float(gamma[best]))
+            if delta[best] < kappa:
                 return c, trace
         raise NumericalError(f"selection did not terminate within {max_iterations} iterations")
     # RoundRobin: cycle the features in index order, applying every positive
@@ -205,23 +214,7 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
     for visit in range(max_iterations):
         k = visit % m
         if active[k]:
-            gamma = float(centers[k]) - float(g[:, k] @ c) / float(v[k])
-            over = abs(gamma) - float(tau[k])
-            if over > 0.0:
-                delta = float(v[k]) * over * over
-                step = math.copysign(over, gamma)
-                c[k] += step
-                pass_best = max(pass_best, delta)
-                trace.append(
-                    IterationRecord(
-                        n=len(trace) + 1,
-                        feature=k + 1,
-                        gamma=gamma,
-                        tau=float(tau[k]),
-                        delta=delta,
-                        update=step,
-                    )
-                )
+            pass_best = max(pass_best, apply(k, float(centers[k]) - float(g[:, k] @ c) / float(v[k])))
         if k == m - 1:
             if pass_best < kappa:
                 return c, trace
@@ -251,8 +244,7 @@ def run_selection(
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     n = data.n_train
-    if kappa is None:
-        kappa = 1.0 / (2.0 * n)
+    kappa = 1.0 / (2.0 * n) if kappa is None else float(kappa)
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
     features = dictionary.evaluate(data.x)

@@ -14,7 +14,7 @@ import pytest
 
 from slabreg import bounds, data, experiments as ex, selector
 from slabreg.cli import main as cli_main
-from slabreg.dictionary import build_multiscale_gaussian, build_trigonometric
+from slabreg.dictionary import MultiscaleGaussian, Trigonometric
 from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments
 
 
@@ -28,7 +28,7 @@ def test_c1_soft_threshold_equivalence():
     n, m = 256, 16
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + 0.4 * np.cos(4 * np.pi * x[:, 0]) + rng.normal(0, 0.3, n)
-    family = build_trigonometric(m)
+    family = Trigonometric(m)
     ds = data.Dataset(x=x, y=y, n_train=n)
     mom = exact_moments(family)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
@@ -140,7 +140,7 @@ def test_c6_variance_bound_beats_basic_on_low_variance_features():
     for seed in range(5):
         rng = np.random.default_rng(600 + seed)
         x = rng.uniform(size=(2 * n, 1))
-        family = build_multiscale_gaussian(rng.uniform(0.2, 0.8, size=(8, 1)), [0.5, 1.0])
+        family = MultiscaleGaussian(rng.uniform(0.2, 0.8, size=(8, 1)), [0.5, 1.0])
         y_all = 1.0 + rng.uniform(-0.05, 0.05, size=2 * n)
         ds = data.Dataset(x=x, y=y_all[:n], n_train=n, k_test=1, hidden_y=y_all[n:])
         feats = family.evaluate(x)

@@ -407,6 +407,23 @@ def test_bound_spec_validation():
         bounds.BoundSpec("TrGeneralK", 0.1, subexp=((1.0, 0.5),))
 
 
+@pytest.mark.parametrize(
+    "variant,constants",
+    [
+        ("IndExact", {"B": math.inf, "sigma2": 1.0}),
+        ("IndExact", {"B": math.nan, "sigma2": 1.0}),
+        ("IndExact", {"B": 1.0, "sigma2": math.inf}),
+        ("TrGeneralK", {"subexp": ((math.inf, 2.0),)}),
+        ("TrGeneralK", {"subexp": ((1.0, math.inf),)}),
+        ("TrFirstOrder", {"y_subexp": (math.inf, 2.0)}),
+        ("TrFirstOrder", {"y_subexp": (1.0, math.inf)}),
+    ],
+)
+def test_bound_spec_rejects_infinite_constants(variant, constants):
+    with pytest.raises(ConfigError, match="finite"):
+        bounds.BoundSpec(variant, 0.1, **constants)
+
+
 def test_bound_spec_json_roundtrip():
     spec = bounds.BoundSpec(
         "TrGeneralK", 0.25, B=1.5, subexp=((1.0, 2.0), (0.5, 4.0)), y_subexp=(0.3, 2.0)

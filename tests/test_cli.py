@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from slabreg import bounds, data, selector
+from slabreg import bounds, data, experiments, selector
 from slabreg.cli import main
 from slabreg.dictionary import from_spec as dict_from_spec
 from slabreg.moments import empirical_test_moments
@@ -227,6 +227,85 @@ def test_experiment_threads_byte_identical(tmp_path):
         assert run_cli(["experiment", "--config", config, "--out", out, "--threads", threads]) == 0
         blobs[threads] = (out / "report.csv").read_bytes()
     assert blobs[1] == blobs[4]
+
+
+def _rate_sobolev_direct():
+    model = experiments.sobolev_model(
+        smoothness=1.0, size=512, scale=1.0, noise=experiments.NoiseSpec("uniform", 0.05)
+    )
+    return experiments.rate_experiment(model, [64, 128, 256, 512], replicates=2, seed=0, threads=2, sigma_scale=1.0)
+
+
+def _coverage_direct():
+    model = experiments.sobolev_model(smoothness=1.0, size=128, noise=experiments.NoiseSpec("gaussian", 0.3))
+    return experiments.coverage_study("IndExact", model, 128, 64, 0.25, replicates=100, seed=0, threads=2)
+
+
+def _transductive_direct():
+    model = experiments.sobolev_model(smoothness=1.0, size=16, noise=experiments.NoiseSpec("uniform", 0.2))
+    return experiments.transductive_experiment(
+        model, 256, 1, 16, variant="TrBasicBounded", epsilon=0.1, replicates=20, seed=0, threads=2
+    )
+
+
+STUDY_CONFIGS = {
+    "rate-sobolev": (
+        {
+            "kind": "rate-sobolev",
+            "model": {"kind": "sobolev", "smoothness": 1.0, "scale": 1.0, "noise": {"kind": "uniform", "scale": 0.05}},
+            "grid": [64, 128, 256, 512],
+            "replicates": 2,
+            "sigma_scale": 1.0,
+            "seed": 0,
+            "threads": 2,
+        },
+        _rate_sobolev_direct,
+    ),
+    "coverage": (
+        {
+            "kind": "coverage",
+            "variant": "IndExact",
+            "N": 128,
+            "m": 64,
+            "epsilon": 0.25,
+            "model": {"kind": "sobolev", "smoothness": 1.0, "size": 128, "noise": {"kind": "gaussian", "scale": 0.3}},
+            "replicates": 100,
+            "seed": 0,
+            "threads": 2,
+        },
+        _coverage_direct,
+    ),
+    "transductive": (
+        {
+            "kind": "transductive",
+            "variant": "TrBasicBounded",
+            "N": 256,
+            "k_test": 1,
+            "m": 16,
+            "epsilon": 0.1,
+            "model": {"kind": "sobolev", "smoothness": 1.0, "size": 16, "noise": {"kind": "uniform", "scale": 0.2}},
+            "replicates": 20,
+            "seed": 0,
+            "threads": 2,
+        },
+        _transductive_direct,
+    ),
+}
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_CONFIGS))
+def test_experiment_config_reproduces_library_study(tmp_path, study):
+    """The README's study configs run the same computation as the library calls."""
+    config, direct = STUDY_CONFIGS[study]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    expected = json.loads(json.dumps(direct().to_json_dict()))
+    assert report["rows"] == expected["rows"]
+    # the study's own config holds the truth and noise, which coverage rows alone may not reveal
+    assert report["config"] == expected["config"]
 
 
 def test_experiment_budget_exceeded_exits_5(tmp_path, capsys):

@@ -18,51 +18,51 @@ def midpoint_gram(family, n_points):
 
 
 def test_trigonometric_constant_feature():
-    assert fd.build_trigonometric(1).evaluate([0.3]).tolist() == [[1.0]]
+    assert fd.Trigonometric(1).evaluate([0.3]).tolist() == [[1.0]]
 
 
 def test_trigonometric_at_zero():
-    row = fd.build_trigonometric(3).evaluate([0.0])[0]
+    row = fd.Trigonometric(3).evaluate([0.0])[0]
     assert row == pytest.approx([1.0, math.sqrt(2.0), 0.0], abs=1e-15)
 
 
 def test_trigonometric_gram_is_identity_quadrature_oracle():
-    g = midpoint_gram(fd.build_trigonometric(3), 10**6)
+    g = midpoint_gram(fd.Trigonometric(3), 10**6)
     assert np.max(np.abs(g - np.eye(3))) <= 1e-3
 
 
 def test_haar_mother_wavelet_signs():
-    vals = fd.build_haar(0).evaluate([[0.25], [0.75]])
+    vals = fd.Haar(0).evaluate([[0.25], [0.75]])
     assert vals[0, 1] == 1.0
     assert vals[1, 1] == -1.0
 
 
 def test_haar_size():
-    assert fd.build_haar(1).m == 4
+    assert fd.Haar(1).m == 4
 
 
 def test_haar_montecarlo_gram_oracle():
     rng = np.random.default_rng(7)
     x = rng.uniform(size=10**5)
-    family = fd.build_haar(2)
+    family = fd.Haar(2)
     feats = family.evaluate(x)
     g = feats.T @ feats / x.size
     assert np.max(np.abs(g - np.eye(family.m))) <= 2e-2
 
 
 def test_haar_gram_exact_on_dyadic_midpoints():
-    family = fd.build_haar(3)
+    family = fd.Haar(3)
     g = midpoint_gram(family, 2 ** (family.levels + 1))
     assert np.max(np.abs(g - np.eye(family.m))) < 1e-12
 
 
 def test_multiscale_center_hit_is_one():
-    family = fd.build_multiscale_gaussian([[0.4, -1.0]], [3.0])
+    family = fd.MultiscaleGaussian([[0.4, -1.0]], [3.0])
     assert family.evaluate([[0.4, -1.0]])[0, 0] == 1.0
 
 
 def test_multiscale_plugin_value():
-    family = fd.build_multiscale_gaussian([[0.0]], [2.0])
+    family = fd.MultiscaleGaussian([[0.0]], [2.0])
     assert family.evaluate([[1.0]])[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -70,13 +70,13 @@ def test_multiscale_size_matches_centers_times_scales():
     rng = np.random.default_rng(0)
     centers = rng.normal(size=(11, 2))
     scales = [2.0, 4.0, 8.0]
-    assert fd.build_multiscale_gaussian(centers, scales).m == 33
+    assert fd.MultiscaleGaussian(centers, scales).m == 33
 
 
 def test_multiscale_hand_matrix_oracle():
     centers = np.array([[0.0], [1.0]])
     scales = [1.0, 4.0]
-    family = fd.build_multiscale_gaussian(centers, scales)
+    family = fd.MultiscaleGaussian(centers, scales)
     pts = np.array([[0.0], [0.5], [2.0]])
     got = family.evaluate(pts)
     expected = np.empty((3, 4))
@@ -89,25 +89,25 @@ def test_multiscale_hand_matrix_oracle():
 
 def test_multiscale_rejects_bad_parameters():
     with pytest.raises(ConfigError):
-        fd.build_multiscale_gaussian([], [1.0])
+        fd.MultiscaleGaussian([], [1.0])
     with pytest.raises(ConfigError):
-        fd.build_multiscale_gaussian([[0.0]], [0.0])
+        fd.MultiscaleGaussian([[0.0]], [0.0])
 
 
 def test_gaussian_values_in_unit_interval():
     rng = np.random.default_rng(3)
-    family = fd.build_multiscale_gaussian(rng.normal(size=(5, 3)), [0.5, 2.0])
+    family = fd.MultiscaleGaussian(rng.normal(size=(5, 3)), [0.5, 2.0])
     vals = family.evaluate(rng.normal(size=(40, 3)))
     assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
 
 def test_kernel_pca_rank_one():
-    family = fd.build_kernel_pca([[1.0], [1.0]], {"kind": "linear"}, top=2)
+    family = fd.KernelPCA([[1.0], [1.0]], {"kind": "linear"}, top=2)
     np.testing.assert_allclose(family.eigenvalues, [2.0, 0.0], atol=1e-12)
 
 
 def test_kernel_pca_identity_kernel_indicators():
-    family = fd.build_kernel_pca(
+    family = fd.KernelPCA(
         [[0.0], [1.0], [2.0]], {"kind": "explicit", "matrix": np.eye(3).tolist()}, top=3
     )
     np.testing.assert_allclose(family.eigenvalues, np.ones(3), atol=1e-12)
@@ -120,7 +120,7 @@ def test_kernel_pca_identity_kernel_indicators():
 def test_kernel_pca_reconstruction_oracle():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(5, 2))
-    family = fd.build_kernel_pca(pts, {"kind": "gaussian", "gamma": 1.3}, top=5)
+    family = fd.KernelPCA(pts, {"kind": "gaussian", "gamma": 1.3}, top=5)
     K = np.exp(-0.65 * ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     recon = (family.eigenvectors * family.eigenvalues) @ family.eigenvectors.T
     assert np.max(np.abs(recon - K)) <= 1e-10
@@ -129,7 +129,7 @@ def test_kernel_pca_reconstruction_oracle():
 def test_kernel_pca_eigen_identities():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(7, 1))
-    family = fd.build_kernel_pca(pts, {"kind": "gaussian", "gamma": 2.0}, top=7)
+    family = fd.KernelPCA(pts, {"kind": "gaussian", "gamma": 2.0}, top=7)
     E = family.eigenvectors
     np.testing.assert_allclose(E.T @ E, np.eye(7), atol=1e-10)
     K = np.exp(-1.0 * (pts - pts.T) ** 2)
@@ -140,18 +140,18 @@ def test_kernel_pca_eigen_identities():
 def test_kernel_pca_rejects_indefinite_kernel():
     K = [[1.0, 2.0], [2.0, 1.0]]
     with pytest.raises(NumericalError, match="eigenvalue"):
-        fd.build_kernel_pca([[0.0], [1.0]], {"kind": "explicit", "matrix": K}, top=2)
+        fd.KernelPCA([[0.0], [1.0]], {"kind": "explicit", "matrix": K}, top=2)
 
 
 def test_evaluate_domain_violation_names_point():
     with pytest.raises(DataError, match="point 1"):
-        fd.build_trigonometric(2).evaluate([[0.5], [1.5]])
+        fd.Trigonometric(2).evaluate([[0.5], [1.5]])
     with pytest.raises(DataError, match="point 0"):
-        fd.build_haar(1).evaluate([[-0.1]])
+        fd.Haar(1).evaluate([[-0.1]])
 
 
 def test_evaluate_trivials():
-    assert fd.build_trigonometric(1).evaluate([[0.1], [0.5], [0.9]]).tolist() == [[1.0]] * 3
+    assert fd.Trigonometric(1).evaluate([[0.1], [0.5], [0.9]]).tolist() == [[1.0]] * 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -160,8 +160,8 @@ def test_multiscale_permutation_equivariance(n, pyrandom):
     rng = np.random.default_rng(pyrandom.randrange(2**32))
     pts = rng.normal(size=(n, 2))
     perm = rng.permutation(n)
-    base = fd.build_multiscale_gaussian(pts, [1.0, 3.0])
-    permuted = fd.build_multiscale_gaussian(pts[perm], [1.0, 3.0])
+    base = fd.MultiscaleGaussian(pts, [1.0, 3.0])
+    permuted = fd.MultiscaleGaussian(pts[perm], [1.0, 3.0])
     np.testing.assert_allclose(
         base.evaluate(pts[perm]), permuted.evaluate(pts[perm]), rtol=0, atol=0
     )
@@ -174,14 +174,14 @@ def test_kernel_pca_permutation_equivariance(n, pyrandom):
     rng = np.random.default_rng(pyrandom.randrange(2**32))
     pts = rng.normal(size=(n, 1))
     perm = rng.permutation(n)
-    base = fd.build_kernel_pca(pts, {"kind": "gaussian", "gamma": 0.7}, top=min(3, n))
-    permuted = fd.build_kernel_pca(pts[perm], {"kind": "gaussian", "gamma": 0.7}, top=min(3, n))
+    base = fd.KernelPCA(pts, {"kind": "gaussian", "gamma": 0.7}, top=min(3, n))
+    permuted = fd.KernelPCA(pts[perm], {"kind": "gaussian", "gamma": 0.7}, top=min(3, n))
     probe = rng.normal(size=(5, 1))
     np.testing.assert_allclose(base.evaluate(probe), permuted.evaluate(probe), atol=1e-8)
 
 
 def test_montecarlo_gram_error_shrinks_with_samples():
-    family = fd.build_trigonometric(4)
+    family = fd.Trigonometric(4)
     errs = {}
     for M in (10**4, 10**6):
         x = np.random.default_rng(11).uniform(size=M)
@@ -204,11 +204,11 @@ def test_degenerate_column_flagging():
 @pytest.mark.parametrize(
     "family",
     [
-        fd.build_trigonometric(5),
-        fd.build_haar(2),
-        fd.build_multiscale_gaussian([[0.1], [0.9]], [1.0, 2.0]),
-        fd.build_kernel_pca(np.linspace(0, 1, 6)[:, None], {"kind": "gaussian", "gamma": 1.0}, top=4),
-        fd.build_explicit([[1.0, 2.0], [3.0, 4.0]]),
+        fd.Trigonometric(5),
+        fd.Haar(2),
+        fd.MultiscaleGaussian([[0.1], [0.9]], [1.0, 2.0]),
+        fd.KernelPCA(np.linspace(0, 1, 6)[:, None], {"kind": "gaussian", "gamma": 1.0}, top=4),
+        fd.ExplicitMatrix([[1.0, 2.0], [3.0, 4.0]]),
     ],
 )
 def test_spec_roundtrip_evaluates_identically(family):
@@ -222,14 +222,26 @@ def test_spec_roundtrip_evaluates_identically(family):
     np.testing.assert_array_equal(rebuilt.evaluate(pts), family.evaluate(pts))
 
 
+@pytest.mark.parametrize(
+    "field,shape",
+    [("eigenvectors", (6, 2)), ("eigenvectors", (5, 3)), ("eigenvalues", (2,))],
+)
+def test_kernel_pca_spec_shapes_checked(field, shape):
+    family = fd.KernelPCA(np.linspace(0, 1, 6)[:, None], {"kind": "gaussian", "gamma": 1.0}, top=3)
+    spec = json.loads(json.dumps(family.spec()))
+    spec["parameters"][field] = np.asarray(spec["parameters"][field])[tuple(slice(n) for n in shape)].tolist()
+    with pytest.raises(ConfigError, match="shape"):
+        fd.from_spec(spec)
+
+
 def test_explicit_matrix_row_count_guard():
-    family = fd.build_explicit([[1.0], [2.0]])
+    family = fd.ExplicitMatrix([[1.0], [2.0]])
     with pytest.raises(DataError):
         family.evaluate([[0.0], [0.0], [0.0]])
 
 
 def test_evaluation_deterministic_to_the_bit():
-    family = fd.build_kernel_pca(
+    family = fd.KernelPCA(
         np.random.default_rng(2).uniform(size=(8, 2)), {"kind": "gaussian", "gamma": 1.1}, top=5
     )
     pts = np.random.default_rng(3).uniform(size=(13, 2))

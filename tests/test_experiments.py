@@ -142,6 +142,38 @@ def test_coverage_rejects_ind_svm():
         ex.coverage_study("IndSvm", model, 64, 16, 0.25, replicates=100, seed=1)
 
 
+def reference_per_feature_excess(model, centers):
+    """The per-feature excess as first written: 2m calls of the exact risk oracle."""
+    m = centers.shape[0]
+    truth = np.zeros(m)
+    upto = min(m, model.size)
+    truth[:upto] = model.coefficients[:upto]
+    out = np.empty(m)
+    basis = np.zeros(m)
+    for k in range(m):
+        basis[:] = 0.0
+        basis[k] = centers[k]
+        best = basis.copy()
+        best[k] = truth[k]
+        out[k] = ex.exact_excess_risk(model, basis) - ex.exact_excess_risk(model, best)
+    return out
+
+
+@pytest.mark.parametrize("size,m", [(64, 16), (64, 64), (16, 64), (4096, 256)])
+def test_per_feature_excess_closed_form_matches_oracle_loop(size, m):
+    model = small_sobolev(size=size)
+    rng = np.random.default_rng(size + m)
+    for _ in range(5):
+        centers = model.coefficients[: min(size, m)].tolist() + [0.0] * max(m - size, 0)
+        centers = np.asarray(centers) + rng.normal(0.0, 0.1, size=m)
+        np.testing.assert_allclose(
+            ex._per_feature_excess_inductive(model, centers),
+            reference_per_feature_excess(model, centers),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
 def test_coverage_needs_replicates():
     with pytest.raises(ConfigError, match="replicates"):
         ex.coverage_study("IndExact", small_sobolev(), 64, 16, 0.25, replicates=50, seed=1)

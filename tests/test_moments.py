@@ -10,23 +10,23 @@ from slabreg.errors import ConfigError, DataError, NumericalError
 
 
 def test_exact_trig_identity():
-    mom = dm.exact_moments(fd.build_trigonometric(4))
+    mom = dm.exact_moments(fd.Trigonometric(4))
     np.testing.assert_array_equal(mom.gram, np.eye(4))
     assert mom.provenance == "Exact"
 
 
 def test_exact_haar_identity():
-    np.testing.assert_array_equal(dm.exact_moments(fd.build_haar(1)).gram, np.eye(4))
+    np.testing.assert_array_equal(dm.exact_moments(fd.Haar(1)).gram, np.eye(4))
 
 
 def test_exact_rejects_kernel_kind():
-    family = fd.build_multiscale_gaussian([[0.5]], [1.0])
+    family = fd.MultiscaleGaussian([[0.5]], [1.0])
     with pytest.raises(ConfigError, match="monte_carlo"):
         dm.exact_moments(family)
 
 
 def test_montecarlo_single_sample_rank_one():
-    family = fd.build_trigonometric(3)
+    family = fd.Trigonometric(3)
     mom = dm.monte_carlo_moments(family, dm.uniform_sampler(), 1, seed=4)
     x = np.random.default_rng(np.random.SeedSequence(4)).uniform(0, 1, size=(1, 1))
     phi = family.evaluate(x)[0]
@@ -34,27 +34,27 @@ def test_montecarlo_single_sample_rank_one():
 
 
 def test_montecarlo_trig_clt_tolerance():
-    mom = dm.monte_carlo_moments(fd.build_trigonometric(3), dm.uniform_sampler(), 10**6, seed=0)
+    mom = dm.monte_carlo_moments(fd.Trigonometric(3), dm.uniform_sampler(), 10**6, seed=0)
     assert np.max(np.abs(mom.gram - np.eye(3))) <= 5e-3
     assert mom.detail == {"n_samples": 10**6, "seed": 0}
 
 
 def test_montecarlo_two_seed_concordance():
-    family = fd.build_multiscale_gaussian([[0.2], [0.8]], [2.0])
+    family = fd.MultiscaleGaussian([[0.2], [0.8]], [2.0])
     a = dm.monte_carlo_moments(family, dm.uniform_sampler(), 10**5, seed=1)
     b = dm.monte_carlo_moments(family, dm.uniform_sampler(), 10**5, seed=2)
     assert np.max(np.abs(a.gram - b.gram)) <= 2e-2
 
 
 def test_montecarlo_deterministic_given_seed():
-    family = fd.build_trigonometric(3)
+    family = fd.Trigonometric(3)
     a = dm.monte_carlo_moments(family, dm.uniform_sampler(), 5000, seed=9)
     b = dm.monte_carlo_moments(family, dm.uniform_sampler(), 5000, seed=9)
     np.testing.assert_array_equal(a.gram, b.gram)
 
 
 def test_montecarlo_variance_halves_when_samples_double():
-    family = fd.build_trigonometric(3)
+    family = fd.Trigonometric(3)
     entry = []
     for M in (2000, 4000):
         vals = [

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from slabreg import bounds, selector
 from slabreg.data import Dataset
-from slabreg.dictionary import build_haar, build_trigonometric
-from slabreg.errors import ConfigError, NumericalError
+from slabreg.dictionary import ExplicitMatrix, Haar, Trigonometric
+from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments
 
 
@@ -110,7 +111,7 @@ def test_projection_membership_under_correlated_gram():
 def fit_trig(y, n, m=8, eps=0.1, schedule="GreedyMax", seed=0, **spec_kwargs):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, 1))
-    family = build_trigonometric(m)
+    family = Trigonometric(m)
     ds = Dataset(x=x, y=np.asarray(y, dtype=float), n_train=n)
     mom = exact_moments(family)
     spec_kwargs.setdefault("B", 2.0)
@@ -145,7 +146,7 @@ def test_roundrobin_second_pass_is_noop():
     y = 1.0 + rng.normal(0, 0.3, size=n)
     model, stats, mom, spec = fit_trig(y, n, m=6, schedule="RoundRobin", seed=4)
     # replay: warm start from the fitted coefficients must change nothing
-    family = build_trigonometric(6)
+    family = Trigonometric(6)
     ds = Dataset(x=np.random.default_rng(4).uniform(size=(n, 1)), y=y, n_train=n)
     again = selector.run_selection(
         ds, family, mom, spec, schedule="RoundRobin", warm_start=model.coefficients
@@ -159,7 +160,7 @@ def test_greedy_first_pick_matches_bruteforce_argmax():
     n = 256
     x = rng.uniform(size=(n, 1))
     y = np.cos(2 * np.pi * x[:, 0]) * 2.0 + rng.normal(0, 0.1, size=n)
-    family = build_trigonometric(8)
+    family = Trigonometric(8)
     ds = Dataset(x=x, y=y, n_train=n)
     mom = exact_moments(family)
     spec = bounds.BoundSpec("IndExact", 0.1, B=2.5, sigma2=0.05)
@@ -179,7 +180,7 @@ def test_trace_deltas_meet_kappa_except_final_probe():
     n = 128
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + 0.5 * np.cos(4 * np.pi * x[:, 0]) + rng.normal(0, 0.2, n)
-    family = build_trigonometric(10)
+    family = Trigonometric(10)
     ds = Dataset(x=x, y=y, n_train=n)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.4)
     model = selector.run_selection(ds, family, exact_moments(family), spec)
@@ -206,7 +207,7 @@ def test_termination_within_movement_budget():
     n = 64
     x = rng.uniform(size=(n, 1))
     y = rng.normal(size=n) * 2.0
-    family = build_trigonometric(12)
+    family = Trigonometric(12)
     ds = Dataset(x=x, y=y, n_train=n)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     model = selector.run_selection(ds, family, exact_moments(family), spec)
@@ -220,7 +221,7 @@ def test_iteration_cap_is_an_error():
     n = 64
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) * 3.0
-    family = build_trigonometric(6)
+    family = Trigonometric(6)
     ds = Dataset(x=x, y=y, n_train=n)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     with pytest.raises(NumericalError, match="terminate"):
@@ -228,7 +229,7 @@ def test_iteration_cap_is_an_error():
 
 
 def test_all_degenerate_warns_and_returns_zero_model():
-    family = build_trigonometric(2)
+    family = Trigonometric(2)
     n = 16
     ds = Dataset(x=np.zeros((n, 1)), y=np.ones(n), n_train=n)
     # zero design moments for every feature
@@ -241,7 +242,7 @@ def test_all_degenerate_warns_and_returns_zero_model():
 
 
 def test_kappa_range_enforced():
-    family = build_trigonometric(2)
+    family = Trigonometric(2)
     ds = Dataset(x=np.full((4, 1), 0.3), y=np.ones(4), n_train=4)
     spec = bounds.BoundSpec("IndExact", 0.1, B=1.0, sigma2=1.0)
     with pytest.raises(ConfigError, match="kappa"):
@@ -249,7 +250,7 @@ def test_kappa_range_enforced():
 
 
 def test_predict_trivials():
-    family = build_trigonometric(3)
+    family = Trigonometric(3)
     model = selector.SelectionModel(
         coefficients=np.zeros(3),
         trace=(),
@@ -274,7 +275,7 @@ def test_predict_trivials():
 
 def test_predict_direct_sum_oracle():
     rng = np.random.default_rng(23)
-    family = build_haar(1)
+    family = Haar(1)
     c = rng.normal(size=4)
     model = selector.SelectionModel(
         coefficients=c,
@@ -335,7 +336,7 @@ def test_model_json_roundtrip_bit_stable():
     n = 64
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + rng.normal(0, 0.1, n)
-    family = build_trigonometric(6)
+    family = Trigonometric(6)
     ds = Dataset(x=x, y=y, n_train=n)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     model = selector.run_selection(ds, family, exact_moments(family), spec, seed=5)
@@ -353,7 +354,7 @@ def test_transductive_fit_shares_engine():
     x = rng.uniform(size=(2 * n, 1))
     f = np.cos(2 * np.pi * x[:, 0])
     y = f + rng.uniform(-0.2, 0.2, size=2 * n)
-    family = build_trigonometric(8)
+    family = Trigonometric(8)
     feats = family.evaluate(x)
     ds = Dataset(x=x, y=y[:n], n_train=n, k_test=1, hidden_y=y[n:])
     mom = empirical_test_moments(feats, n, 1)
@@ -367,8 +368,132 @@ def test_variant_geometry_mismatch_is_config_error():
     rng = np.random.default_rng(41)
     n = 32
     x = rng.uniform(size=(n, 1))
-    family = build_trigonometric(4)
+    family = Trigonometric(4)
     ds = Dataset(x=x, y=np.ones(n), n_train=n)
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=1.0)
     with pytest.raises(ConfigError, match="geometry"):
         selector.run_selection(ds, family, exact_moments(family), spec)
+
+
+def reference_iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
+    """The projection loop as first written, one copy of the step per schedule."""
+    g = moments.gram
+    v = moments.diag
+    tau = radius.tau
+    m = centers.shape[0]
+    c = np.zeros(m) if warm_start is None else np.array(warm_start, dtype=float, copy=True)
+    trace = []
+    if not np.any(active):
+        return c, trace
+    if schedule == "GreedyMax":
+        safe_v = np.where(active, v, 1.0)
+        for _ in range(max_iterations):
+            gamma = np.where(active, centers - (c @ g) / safe_v, 0.0)
+            over = np.abs(gamma) - tau
+            delta = np.where(active & (over > 0.0), safe_v * over * over, 0.0)
+            best = int(np.argmax(delta))
+            best_delta = float(delta[best])
+            if best_delta > 0.0:
+                step = math.copysign(float(over[best]), float(gamma[best]))
+                c[best] += step
+                trace.append(
+                    selector.IterationRecord(
+                        n=len(trace) + 1,
+                        feature=best + 1,
+                        gamma=float(gamma[best]),
+                        tau=float(tau[best]),
+                        delta=best_delta,
+                        update=step,
+                    )
+                )
+            if best_delta < kappa:
+                return c, trace
+        raise NumericalError("reference loop did not terminate")
+    pass_best = 0.0
+    for visit in range(max_iterations):
+        k = visit % m
+        if active[k]:
+            gamma = float(centers[k]) - float(g[:, k] @ c) / float(v[k])
+            over = abs(gamma) - float(tau[k])
+            if over > 0.0:
+                delta = float(v[k]) * over * over
+                step = math.copysign(over, gamma)
+                c[k] += step
+                pass_best = max(pass_best, delta)
+                trace.append(
+                    selector.IterationRecord(
+                        n=len(trace) + 1,
+                        feature=k + 1,
+                        gamma=gamma,
+                        tau=float(tau[k]),
+                        delta=delta,
+                        update=step,
+                    )
+                )
+        if k == m - 1:
+            if pass_best < kappa:
+                return c, trace
+            pass_best = 0.0
+    raise NumericalError("reference loop did not terminate")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("geometry", ["identity", "dense", "degenerate", "empirical_test"])
+@pytest.mark.parametrize("schedule", selector.SCHEDULES)
+def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, seed):
+    rng = np.random.default_rng(1000 + seed)
+    n, m = 2048, 7
+    k_test = 1 if geometry == "empirical_test" else 0
+    feats = rng.normal(size=((k_test + 1) * n, m))
+    if geometry == "degenerate":
+        feats[:n, 2] = 0.0  # zero training moment
+    truth = rng.normal(0.0, 1.0, size=m)
+    y_all = feats @ truth + rng.normal(0.0, 0.3, size=feats.shape[0])
+    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], n_train=n, k_test=k_test,
+                 hidden_y=y_all[n:] if k_test else None)
+    if geometry == "identity":
+        mom = DesignMoments(np.eye(m), "Exact")
+    elif geometry == "empirical_test":
+        mom = empirical_test_moments(feats, n, k_test)
+    else:
+        a = rng.normal(size=(2 * m, m))
+        gram = a.T @ a / (2 * m)
+        if geometry == "degenerate":
+            gram[5, :] = gram[:, 5] = 0.0  # zero design moment
+        mom = DesignMoments(gram, "UserSupplied")
+    spec = (
+        bounds.BoundSpec("TrFirstOrder", 0.2)
+        if k_test
+        else bounds.BoundSpec("IndVarFirstOrder", 0.2)
+    )
+    warm_start = rng.normal(0.0, 0.1, size=m) if warm else None
+    family = ExplicitMatrix(feats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = selector.run_selection(ds, family, mom, spec, schedule=schedule, warm_start=warm_start)
+    stats = bounds.compute_stats(feats, ds)
+    radius = bounds.compute_radius(spec, stats, mom)
+    centers = bounds.slab_centers(stats, mom)
+    active = ~mom.degenerate & ~stats.train_degenerate
+    c, trace = reference_iterate(
+        centers, mom, radius, model.kappa, schedule, active, selector.DEFAULT_MAX_ITERATIONS, warm_start
+    )
+    assert model.stopped_at >= 1
+    assert model.coefficients.tobytes() == c.tobytes()
+    assert [r.to_json_dict() for r in model.trace] == [r.to_json_dict() for r in trace]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["y", "hidden_y"])
+def test_non_finite_label_is_data_error_not_zero_model(field, bad):
+    n = 16
+    x = np.linspace(0.0, 1.0, 2 * n)[:, None]
+    y = np.sin(2 * np.pi * x[:, 0])
+    labels = {"y": y[:n].copy(), "hidden_y": y[n:].copy()}
+    labels[field][3] = bad
+    family = Trigonometric(4)
+    mom = empirical_test_moments(family.evaluate(x), n, 1)
+    spec = bounds.BoundSpec("TrFirstOrder", 0.1)
+    with pytest.raises(DataError, match="non-finite"):
+        selector.run_selection(Dataset(x=x, n_train=n, k_test=1, **labels), family, mom, spec)
