@@ -246,7 +246,7 @@ def _bounds_table(config):
     else:
         ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
     family_matrix = family.evaluate(ds.x)
-    stats = bounds.compute_stats(family_matrix, ds)
+    stats = bounds.compute_stats(family_matrix, ds, [spec.variant for spec in specs])
     rows = []
     columns = {}
     for spec in specs:
@@ -298,6 +298,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# Sample size N and dictionary size m of the studies that have no grid, when
+# the config gives none.
+STUDY_SIZES = {"coverage": {"N": 128, "m": 64}, "transductive": {"N": 64, "m": 32}}
+
+
+def _study_size(config, key):
+    return config.get(key, STUDY_SIZES[config["kind"]][key])
+
+
+def _default_truth_size(config) -> int:
+    """Coefficients of a sobolev truth whose config gives no ``size``: the
+    largest grid size for rate runs, max(N, m) for the other studies."""
+    if config["kind"] in STUDY_SIZES:
+        return max(_study_size(config, "N"), _study_size(config, "m"))
+    return max(config["grid"])
+
+
 def _experiment_model(config) -> experiments.SyntheticModel:
     spec = config.get("model")
     if spec is not None:
@@ -309,7 +326,7 @@ def _experiment_model(config) -> experiments.SyntheticModel:
         if kind == "sobolev":
             return experiments.sobolev_model(
                 smoothness=spec.get("smoothness", 1.0),
-                size=spec.get("size", max(config.get("grid", [4096]))),
+                size=spec.get("size", _default_truth_size(config)),
                 scale=spec.get("scale", 1.0),
                 noise=noise,
             )
@@ -322,7 +339,7 @@ def _experiment_model(config) -> experiments.SyntheticModel:
                 seed=spec.get("seed", 0),
             )
         raise ConfigError(f"unknown model kind {kind!r}")
-    return experiments.sobolev_model(size=max(config.get("grid", [4096])))
+    return experiments.sobolev_model(size=_default_truth_size(config))
 
 
 def cmd_experiment(args) -> int:
@@ -356,8 +373,8 @@ def cmd_experiment(args) -> int:
         report = experiments.coverage_study(
             config.get("variant", "IndExact"),
             model,
-            n_train=config.get("N", 128),
-            m=config.get("m", 64),
+            n_train=_study_size(config, "N"),
+            m=_study_size(config, "m"),
             epsilon=config.get("epsilon", 0.25),
             replicates=config.get("replicates", 500),
             seed=seed,
@@ -368,9 +385,9 @@ def cmd_experiment(args) -> int:
         model = _experiment_model(config)
         report = experiments.transductive_experiment(
             model,
-            n_train=config.get("N", 64),
+            n_train=_study_size(config, "N"),
             k_test=config.get("k_test", 1),
-            m=config.get("m", 32),
+            m=_study_size(config, "m"),
             variant=config.get("variant", "TrBasicBounded"),
             epsilon=config.get("epsilon", 0.1),
             replicates=config.get("replicates", 100),

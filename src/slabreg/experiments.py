@@ -416,7 +416,7 @@ def coverage_study(
     def one(r):
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
         features = family.evaluate(data.x)
-        stats = compute_stats(features, data)
+        stats = compute_stats(features, data, (spec.variant,))
         if transductive:
             moments = empirical_test_moments(features, n_train, k_test)
             excess = _per_feature_excess_transductive(features, data, stats, moments)
@@ -571,7 +571,7 @@ def transductive_experiment(
         mse = float(np.mean((hidden - preds) ** 2))
         zero_mse = float(np.mean(hidden**2))
         chain_ok = _chain_holds(fit, test_feats, hidden)
-        stats = compute_stats(features, data)
+        stats = compute_stats(features, data, (spec.variant,))
         excess = _per_feature_excess_transductive(features, data, stats, moments)
         return {
             "N": n_train,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,14 @@ class DesignMoments:
     @property
     def degenerate(self) -> np.ndarray:
         return self.diag <= 0.0
+
+    @cached_property
+    def identity(self) -> bool:
+        """Whether the Gram is exactly the identity: every diagonal entry is
+        exactly 1.0 and the matrix has exactly m nonzero entries. Derived
+        from the matrix once, whatever its provenance, so an identity loaded
+        from a user file counts too."""
+        return bool(np.all(self.diag == 1.0) and np.count_nonzero(self.gram) == self.m)
 
     def spec(self) -> dict:
         return {"provenance": self.provenance, **self.detail}

@@ -177,6 +177,10 @@ def _project(c, k: int, gamma: float, tau: float, v: float, n: int):
 
 
 def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
+    # Under the identity Gram, c @ g and g[:, k] @ c have one nonzero term of
+    # weight exactly 1.0, so reading c directly gives the same values bitwise
+    # (orthonormal-design soft thresholding).
+    identity = moments.identity
     g = moments.gram
     v = moments.diag
     tau = radius.tau
@@ -199,7 +203,7 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
         # movement drops below kappa.
         safe_v = np.where(active, v, 1.0)
         for _ in range(max_iterations):
-            gamma = np.where(active, centers - (c @ g) / safe_v, 0.0)
+            gamma = np.where(active, centers - (c if identity else c @ g) / safe_v, 0.0)
             over = np.abs(gamma) - tau
             delta = np.where(active & (over > 0.0), safe_v * over * over, 0.0)
             best = int(np.argmax(delta))
@@ -214,7 +218,8 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
     for visit in range(max_iterations):
         k = visit % m
         if active[k]:
-            pass_best = max(pass_best, apply(k, float(centers[k]) - float(g[:, k] @ c) / float(v[k])))
+            interaction = c[k] if identity else g[:, k] @ c
+            pass_best = max(pass_best, apply(k, float(centers[k]) - float(interaction) / float(v[k])))
         if k == m - 1:
             if pass_best < kappa:
                 return c, trace
@@ -252,7 +257,7 @@ def run_selection(
         raise ConfigError(
             f"dictionary has {features.shape[1]} features but moments cover {moments.m}"
         )
-    stats = compute_stats(features, data)
+    stats = compute_stats(features, data, (spec.variant,))
     if spec.transductive != (moments.provenance == "EmpiricalTest"):
         raise ConfigError(
             f"bound variant {spec.variant} and moments provenance {moments.provenance} "
@@ -267,8 +272,6 @@ def run_selection(
     coeffs, trace = _iterate(
         centers, moments, radius, kappa, schedule, active, max_iterations, warm_start
     )
-    gram = moments.gram
-    orthonormal = bool(gram.shape[0] == gram.shape[1] and np.array_equal(gram, np.eye(gram.shape[0])))
     return SelectionModel(
         coefficients=coeffs,
         trace=tuple(trace),
@@ -278,7 +281,7 @@ def run_selection(
         schedule=schedule,
         dictionary=dictionary,
         moments_provenance=moments.provenance,
-        orthonormal_design=orthonormal,
+        orthonormal_design=moments.identity,
         seed=seed,
     )
 

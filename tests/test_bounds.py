@@ -439,3 +439,105 @@ def test_alpha_hat_and_centers():
     assert bounds.normalization_ratio(stats, mom)[0] == pytest.approx(0.5)
     # center = C * alpha_hat = mean(theta y) / v = 1 / 2
     assert bounds.slab_centers(stats, mom)[0] == pytest.approx(0.5)
+
+
+ALL_CONSTANTS = {"B": 3.0, "sigma2": 0.5, "subexp": ((1.0, 3.0),), "y_subexp": (0.5, 2.0)}
+
+
+def radius_case(variant, k_test, labels, seed=21):
+    """Data, moments and radius arguments for one variant, with every constant set."""
+    rng = np.random.default_rng(seed)
+    n, m = 64, 4
+    feats = rng.normal(size=((k_test + 1) * n, m))
+    y_all = rng.normal(size=(k_test + 1) * n)
+    ds = Dataset(
+        x=np.zeros((feats.shape[0], 1)),
+        y=y_all[:n],
+        n_train=n,
+        k_test=k_test,
+        hidden_y=y_all[n:] if labels else None,
+    )
+    spec = bounds.BoundSpec(variant, 0.1, **ALL_CONSTANTS)
+    if spec.transductive:
+        mom = empirical_test_moments(feats, n, k_test)
+    else:
+        mom = DesignMoments(feats[:n].T @ feats[:n] / n, "EmpiricalAll")
+    loo = {"loo_index": np.arange(m)} if variant == "IndSvm" else {}
+    return feats, ds, spec, mom, loo
+
+
+RADIUS_CASES = [
+    (variant, k_test, labels)
+    for variant in bounds.VARIANTS
+    for k_test in ((1, 2) if variant == "TrGeneralK" else (1,) if variant.startswith("Tr") else (0, 1, 2))
+    for labels in ((False, True) if k_test else (False,))
+]
+
+
+@pytest.mark.parametrize("variant,k_test,labels", RADIUS_CASES)
+def test_declared_needs_radius_equals_all_variants_radius(variant, k_test, labels):
+    feats, ds, spec, mom, loo = radius_case(variant, k_test, labels)
+    full = bounds.compute_radius(spec, bounds.compute_stats(feats, ds), mom, **loo)
+    own_stats = bounds.compute_stats(feats, ds, (variant,))
+    own = bounds.compute_radius(spec, own_stats, mom, **loo)
+    assert own.beta.tobytes() == full.beta.tobytes()
+    assert own.tau.tobytes() == full.tau.tobytes()
+    assert own.observables["mode"] == full.observables["mode"]
+    assert own_stats.has_test_labels == labels
+    unread = {"train_mean_sq_ysq", "train_var_ty", "train_ty", *bounds.FOURTH_MOMENTS}
+    unread -= set(bounds.VARIANT_TABLE[variant].reads)
+    assert all(getattr(own_stats, name) is None for name in unread)
+
+
+def test_transductive_modes_follow_hidden_labels_not_computed_fields():
+    feats, ds, spec, mom, _ = radius_case("TrGeneralK", 1, labels=True)
+    stats = bounds.compute_stats(feats, ds, ("TrGeneralK",))
+    assert stats.has_test_labels and stats.test_sum_t4y4 is None
+    feats, ds, spec, mom, _ = radius_case("TrFirstOrder", 1, labels=False)
+    stats = bounds.compute_stats(feats, ds, ("TrFirstOrder",))
+    assert not stats.has_test_labels
+    assert bounds.compute_radius(spec, stats, mom).observables["mode"] == "deployment"
+
+
+# For each variant, a variant whose statistics lack at least one of its inputs.
+LACKING = {
+    "IndExact": "IndVarFirstOrder",
+    "IndVarFirstOrder": "IndExact",
+    "IndSvm": "IndExact",
+    "TrBasicBounded": "TrGeneralK",
+    "TrFirstOrder": "TrBasicBounded",
+    "TrVariance": "TrGeneralK",
+    "TrGeneralK": "TrBasicBounded",
+}
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_radius_without_its_statistics_is_config_error(variant):
+    feats, ds, spec, mom, loo = radius_case(variant, 0 if variant.startswith("Ind") else 1, labels=True)
+    for computed_for in ((LACKING[variant],), ()):
+        stats = bounds.compute_stats(feats, ds, computed_for)
+        missing = [name for name in bounds.VARIANT_TABLE[variant].reads if getattr(stats, name) is None]
+        assert missing
+        with pytest.raises(ConfigError, match=f"{variant} reads {missing[0]}"):
+            bounds.compute_radius(spec, stats, mom, **loo)
+
+
+def test_compute_stats_rejects_unknown_variant():
+    feats, ds, _, _, _ = radius_case("IndExact", 0, labels=False)
+    with pytest.raises(ConfigError, match="unknown bound variant"):
+        bounds.compute_stats(feats, ds, ("IndExcat",))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fourth_powers_match_pow_form(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 512, 64
+    feats = rng.normal(size=(2 * n, m))
+    y_all = rng.normal(size=2 * n)
+    ds = Dataset(x=np.zeros((2 * n, 1)), y=y_all[:n], n_train=n, k_test=1, hidden_y=y_all[n:])
+    stats = bounds.compute_stats(feats, ds, ("TrFirstOrder",))
+    train, test = feats[:n], feats[n:]
+    np.testing.assert_allclose(stats.train_mean_t4y4, ((train * y_all[:n, None]) ** 4).mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(stats.train_mean_t4, (train**4).mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(stats.test_sum_t4, (test**4).sum(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(stats.test_sum_t4y4, ((test * y_all[n:, None]) ** 4).sum(axis=0), rtol=1e-14)

@@ -308,6 +308,30 @@ def test_experiment_config_reproduces_library_study(tmp_path, study):
     assert report["config"] == expected["config"]
 
 
+@pytest.mark.parametrize(
+    "kind,sizes,truth_size",
+    [
+        ("coverage", {"N": 48, "m": 8}, 48),
+        ("coverage", {"N": 16, "m": 40}, 40),
+        ("transductive", {}, 64),
+    ],
+)
+def test_experiment_truth_size_defaults_to_study_size(tmp_path, kind, sizes, truth_size):
+    """Without a `size`, a coverage or transductive truth has max(N, m) coefficients."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": kind,
+        **sizes,
+        "replicates": 100,
+        "epsilon": 0.25,
+        "model": {"kind": "sobolev", "noise": {"kind": "uniform", "scale": 0.2}},
+    }))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", config, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["config"]["model"]["coefficients"]) == truth_size
+
+
 def test_experiment_budget_exceeded_exits_5(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -384,6 +408,22 @@ def test_fit_with_user_gram_file(tmp_path, train_csv):
     assert code == 0
     model = json.loads((out / "model.json").read_text())
     assert model["moments_provenance"] == "UserSupplied"
+
+
+@pytest.mark.parametrize("off_diagonal,orthonormal", [("0.0", True), ("1e-300", False)])
+def test_fit_user_gram_file_orthonormal_flag(tmp_path, train_csv, off_diagonal, orthonormal):
+    gram = tmp_path / "gram.csv"
+    gram.write_text(f"1.0,{off_diagonal}\n{off_diagonal},1.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": str(train_csv),
+        "dictionary": {"kind": "Trigonometric", "m": 2},
+        "moments": {"kind": "file", "path": str(gram)},
+        "bound": {"variant": "IndExact", "epsilon": 0.1, "B": 1.5, "sigma2": 0.04},
+    }))
+    assert run_cli(["fit", "--config", config, "--out", tmp_path / "run"]) == 0
+    model = json.loads((tmp_path / "run" / "model.json").read_text())
+    assert model["orthonormal_design"] is orthonormal
 
 
 def test_fit_ind_svm_with_train_point_centers(tmp_path):

@@ -169,3 +169,35 @@ def test_degenerate_diag_flagged():
     with pytest.warns(UserWarning, match="degenerate"):
         mom = dm.empirical_test_moments(feats, n_train=2, k_test=1)
     assert mom.degenerate.tolist() == [True, False]
+
+
+def _identity_with_tiny_off_diagonal():
+    g = np.eye(4)
+    g[0, 2] = 1e-300
+    return g
+
+
+def test_identity_structure_of_exact_moments():
+    assert dm.exact_moments(fd.Trigonometric(5)).identity
+    assert dm.exact_moments(fd.Haar(2)).identity
+
+
+@pytest.mark.parametrize(
+    "gram,identity",
+    [
+        (np.eye(4), True),
+        (2.0 * np.eye(4), False),
+        (_identity_with_tiny_off_diagonal(), False),
+        (np.diag([1.0, 1.0, 0.0, 1.0]), False),
+        (np.ones((1, 1)), True),
+    ],
+)
+def test_identity_structure_is_exact(gram, identity):
+    assert dm.DesignMoments(gram, "UserSupplied").identity is identity
+
+
+def test_identity_structure_of_user_gram_file(tmp_path):
+    path = tmp_path / "gram.csv"
+    for gram, identity in ((np.eye(3), True), (_identity_with_tiny_off_diagonal(), False)):
+        np.savetxt(path, gram, delimiter=",")
+        assert dm.load_gram_csv(path).identity is identity

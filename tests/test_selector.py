@@ -497,3 +497,47 @@ def test_non_finite_label_is_data_error_not_zero_model(field, bad):
     spec = bounds.BoundSpec("TrFirstOrder", 0.1)
     with pytest.raises(DataError, match="non-finite"):
         selector.run_selection(Dataset(x=x, n_train=n, k_test=1, **labels), family, mom, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    geometry=st.sampled_from(["identity", "dense"]),
+    eps=st.floats(0.05, 0.9),
+    noise=st.floats(0.0, 2.0),
+)
+def test_greedy_stop_leaves_every_active_movement_below_kappa(seed, m, geometry, eps, noise):
+    """At a GreedyMax stop, v_k (|gamma_k| - tau_k)_+^2 < kappa for every active k,
+    with gamma_k from the dense formula centers - (c @ G) / v.
+
+    The stop test sees the point before the last, sub-kappa projection (the
+    trace's final probe) is applied, so the property is checked there."""
+    rng = np.random.default_rng(seed)
+    n = 64
+    feats = rng.normal(size=(n, m))
+    y = feats @ rng.normal(size=m) + noise * rng.normal(size=n)
+    ds = Dataset(x=np.arange(n, dtype=float), y=y, n_train=n)
+    if geometry == "identity":
+        gram = np.eye(m)
+    else:
+        a = rng.normal(size=(2 * m, m))
+        gram = a.T @ a / (2 * m)
+    mom = DesignMoments(gram, "UserSupplied")
+    spec = bounds.BoundSpec("IndVarFirstOrder", eps)
+    model = selector.run_selection(ds, ExplicitMatrix(feats), mom, spec)
+    assert model.orthonormal_design is (geometry == "identity")
+    stats = bounds.compute_stats(feats, ds, (spec.variant,))
+    radius = bounds.compute_radius(spec, stats, mom)
+    centers = bounds.slab_centers(stats, mom)
+    active = ~mom.degenerate & ~stats.train_degenerate
+    records = model.trace
+    if records and records[-1].delta < model.kappa:
+        records = records[:-1]
+    c = np.zeros(m)
+    for record in records:
+        c[record.feature - 1] += record.update
+    v = mom.diag
+    gamma = centers - (c @ mom.gram) / v
+    movement = v * np.maximum(np.abs(gamma) - radius.tau, 0.0) ** 2
+    assert np.all(movement[active] < model.kappa)
