@@ -143,12 +143,6 @@ class FeatureStats:
         return self.train_mean_sq <= 0.0
 
 
-def _square_in_place(a: np.ndarray) -> np.ndarray:
-    """Square a temporary array in place. Squaring a square is about 19 times
-    faster than numpy's generic pow path for ``a**4``."""
-    return np.square(a, out=a)
-
-
 def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> FeatureStats:
     """Split a full ((k+1)N, m) feature matrix and accumulate the statistics
     that the given bound variants read.
@@ -194,18 +188,15 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
     if "train_mean_t4" in reads:
         out["train_mean_t4"] = (t2**2).mean(axis=0)
         if data.k_test > 0:
-            out["test_sum_t4"] = _square_in_place(test**2).sum(axis=0)
+            out["test_sum_t4"] = (test**4).sum(axis=0)
     mean_sq = t2.mean(axis=0)
-    del t2  # freed before ty**2 is made, so no more N x m arrays live at once than before
-    if reads & {"train_var_ty", "train_mean_t4y4"}:
-        ty2 = ty**2
-        if "train_var_ty" in reads:
-            out["train_var_ty"] = np.maximum(ty2.mean(axis=0) - mean_ty**2, 0.0)
-        if "train_mean_t4y4" in reads:
-            out["train_mean_t4y4"] = _square_in_place(ty2).mean(axis=0)
-            if has_test_labels:
-                test_ty2 = _square_in_place(test * data.hidden_y[:, None])
-                out["test_sum_t4y4"] = _square_in_place(test_ty2).sum(axis=0)
+    del t2  # free t2 before the powers of ty are made
+    if "train_var_ty" in reads:
+        out["train_var_ty"] = np.maximum((ty**2).mean(axis=0) - mean_ty**2, 0.0)
+    if "train_mean_t4y4" in reads:
+        out["train_mean_t4y4"] = (ty**4).mean(axis=0)
+        if has_test_labels:
+            out["test_sum_t4y4"] = ((test * data.hidden_y[:, None]) ** 4).sum(axis=0)
     if "train_ty" in reads:
         out["train_ty"] = ty
     return FeatureStats(

@@ -526,18 +526,3 @@ def test_compute_stats_rejects_unknown_variant():
     feats, ds, _, _, _ = radius_case("IndExact", 0, labels=False)
     with pytest.raises(ConfigError, match="unknown bound variant"):
         bounds.compute_stats(feats, ds, ("IndExcat",))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_fourth_powers_match_pow_form(seed):
-    rng = np.random.default_rng(seed)
-    n, m = 512, 64
-    feats = rng.normal(size=(2 * n, m))
-    y_all = rng.normal(size=2 * n)
-    ds = Dataset(x=np.zeros((2 * n, 1)), y=y_all[:n], n_train=n, k_test=1, hidden_y=y_all[n:])
-    stats = bounds.compute_stats(feats, ds, ("TrFirstOrder",))
-    train, test = feats[:n], feats[n:]
-    np.testing.assert_allclose(stats.train_mean_t4y4, ((train * y_all[:n, None]) ** 4).mean(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(stats.train_mean_t4, (train**4).mean(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(stats.test_sum_t4, (test**4).sum(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(stats.test_sum_t4y4, ((test * y_all[n:, None]) ** 4).sum(axis=0), rtol=1e-14)
