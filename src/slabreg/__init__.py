@@ -15,11 +15,13 @@ from .bounds import (
     BoundSpec,
     ConfidenceRadius,
     FeatureStats,
+    Slabs,
     alpha_hat,
     compute_radius,
     compute_stats,
     normalization_ratio,
     slab_centers,
+    slab_setup,
 )
 from .data import Dataset, load_labeled_csv, load_unlabeled_csv
 from .dictionary import (
@@ -46,7 +48,6 @@ from .experiments import (
 )
 from .moments import (
     DesignMoments,
-    empirical_moments,
     empirical_test_moments,
     exact_moments,
     load_gram_csv,

@@ -244,8 +244,8 @@ def _safe_ratio(num, den):
 def _require_inductive_moments(moments: DesignMoments):
     if moments.provenance == "EmpiricalTest":
         raise ConfigError(
-            "inductive bound variants need design moments (Exact, MonteCarlo, "
-            "EmpiricalAll or UserSupplied), not the empirical test Gram"
+            "inductive bound variants need design moments (Exact, MonteCarlo "
+            "or UserSupplied), not the empirical test Gram"
         )
 
 
@@ -515,3 +515,37 @@ def slab_centers(stats: FeatureStats, moments: DesignMoments) -> np.ndarray:
     """
     v = moments.diag
     return np.where(v > 0.0, stats.train_mean_ty / np.where(v > 0.0, v, 1.0), 0.0)
+
+
+class Slabs(NamedTuple):
+    """One fit's confidence slabs: radii, centers, and the mask of features
+    with nonzero design and training second moments."""
+
+    radius: ConfidenceRadius
+    centers: np.ndarray
+    active: np.ndarray
+
+
+def slab_setup(
+    features: np.ndarray,
+    data: Dataset,
+    moments: DesignMoments,
+    spec: BoundSpec,
+    loo_index=None,
+    features_per_point=None,
+) -> Slabs:
+    """Check that features, moments and variant agree, then build every
+    feature's slab from the statistics the variant reads (not kept)."""
+    if features.shape[1] != moments.m:
+        raise ConfigError(
+            f"dictionary has {features.shape[1]} features but moments cover {moments.m}"
+        )
+    stats = compute_stats(features, data, (spec.variant,))
+    if spec.transductive != (moments.provenance == "EmpiricalTest"):
+        raise ConfigError(
+            f"bound variant {spec.variant} and moments provenance {moments.provenance} "
+            "disagree about the ambient geometry"
+        )
+    radius = compute_radius(spec, stats, moments, loo_index=loo_index, features_per_point=features_per_point)
+    centers = slab_centers(stats, moments)
+    return Slabs(radius, centers, ~moments.degenerate & ~stats.train_degenerate)

@@ -125,6 +125,16 @@ def _loo_arguments(config, family):
     return None, None
 
 
+def _with_test_block(x_train, y, x_test) -> data.Dataset:
+    """Training rows stacked over a test block of k N rows, k >= 1."""
+    if x_test.shape[1] != x_train.shape[1]:
+        raise DataError(f"train has dimension {x_train.shape[1]}, test has {x_test.shape[1]}")
+    n, rows = x_train.shape[0], x_test.shape[0]
+    if n == 0 or rows == 0 or rows % n:
+        raise DataError(f"test rows ({rows}) must be a positive multiple of train rows ({n})")
+    return data.Dataset(x=np.vstack([x_train, x_test]), y=y, n_train=n, k_test=rows // n)
+
+
 def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
     lines = [
         f"stopped_at: {model.stopped_at}",
@@ -185,23 +195,13 @@ def cmd_transduce(args) -> int:
         sys.stderr.write("warning: empty test file, writing empty predictions\n")
         data.write_predictions_csv(out / "predictions.csv", np.empty(0))
         return 0
-    if x_test.shape[1] != x_train.shape[1]:
-        raise DataError(
-            f"train has dimension {x_train.shape[1]}, test has {x_test.shape[1]}"
-        )
-    n = x_train.shape[0]
-    if x_test.shape[0] % n:
-        raise DataError(
-            f"test rows ({x_test.shape[0]}) must be a multiple of train rows ({n})"
-        )
-    k_test = x_test.shape[0] // n
-    ds = data.Dataset(x=np.vstack([x_train, x_test]), y=y, n_train=n, k_test=k_test)
+    ds = _with_test_block(x_train, y, x_test)
     family = _dictionary(config)
     spec = _bound_spec(config)
     if not spec.transductive:
         raise ConfigError(f"transduce needs a transductive variant, got {spec.variant}")
     features = family.evaluate(ds.x)
-    mom = moments.empirical_test_moments(features, n, k_test)
+    mom = moments.empirical_test_moments(features, ds.n_train, ds.k_test)
     model = selector.run_selection(
         ds,
         family,
@@ -211,7 +211,7 @@ def cmd_transduce(args) -> int:
         schedule=config.get("schedule", "GreedyMax"),
         seed=config["seed"],
     )
-    predictions = features[n:] @ model.coefficients
+    predictions = features[ds.n_train :] @ model.coefficients
     data.write_predictions_csv(out / "predictions.csv", predictions)
     payload = model.to_json_dict()
     payload["config"] = _echoed(config)
@@ -223,42 +223,31 @@ def cmd_transduce(args) -> int:
 def _bounds_table(config):
     x, y = data.load_labeled_csv(config["train"])
     family = _dictionary(config)
-    variants = config.get("variants")
-    if not variants:
-        variants = [_bound_spec(config).variant]
-    specs = []
-    for name in variants:
-        obj = _parse_inline_json(config.get("bound", {}), "bound spec")
-        obj = {**obj, "variant": name}
-        if "epsilon" not in obj and config.get("epsilon") is not None:
-            obj["epsilon"] = config["epsilon"]
-        specs.append(bounds.BoundSpec.from_json_dict(obj))
+    bound = _parse_inline_json(config.get("bound", {}), "bound spec")
+    variants = config.get("variants") or [_bound_spec(config).variant]
+    specs = [_bound_spec({**config, "bound": {**bound, "variant": name}}) for name in variants]
     test_path = config.get("test")
     if any(s.transductive for s in specs):
         if test_path is None:
             raise ConfigError("transductive bound variants need a 'test' file")
-        x_test = data.load_unlabeled_csv(test_path)
-        n = x.shape[0]
-        if x_test.shape[0] == 0 or x_test.shape[0] % n:
-            raise DataError("test rows must be a positive multiple of train rows")
-        k_test = x_test.shape[0] // n
-        ds = data.Dataset(x=np.vstack([x, x_test]), y=y, n_train=n, k_test=k_test)
+        ds = _with_test_block(x, y, data.load_unlabeled_csv(test_path))
     else:
         ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
     family_matrix = family.evaluate(ds.x)
     stats = bounds.compute_stats(family_matrix, ds, [spec.variant for spec in specs])
-    rows = []
+    loo_index, fpp = _loo_arguments(config, family)
+    geometries = {}  # spec.transductive -> moments, each built on first use
     columns = {}
     for spec in specs:
-        if spec.transductive:
-            mom = moments.empirical_test_moments(family_matrix, ds.n_train, ds.k_test)
-        else:
-            mom = _inductive_moments(config, family, config["seed"])
-        loo_index, fpp = _loo_arguments(config, family)
-        radius = bounds.compute_radius(spec, stats, mom, loo_index=loo_index, features_per_point=fpp)
-        columns[spec.variant] = (radius, mom)
-    first = specs[0].variant
-    radius0, mom0 = columns[first]
+        if spec.transductive not in geometries:
+            geometries[spec.transductive] = (
+                moments.empirical_test_moments(family_matrix, ds.n_train, ds.k_test)
+                if spec.transductive
+                else _inductive_moments(config, family, config["seed"])
+            )
+        mom = geometries[spec.transductive]
+        columns[spec.variant] = bounds.compute_radius(spec, stats, mom, loo_index=loo_index, features_per_point=fpp)
+    mom0 = geometries[specs[0].transductive]
     ahat = bounds.alpha_hat(stats)
     ratio = bounds.normalization_ratio(stats, mom0)
 
@@ -267,6 +256,7 @@ def _bounds_table(config):
         # degenerate features yield NaN/inf cells; strict JSON has no literal
         return value if np.isfinite(value) else None
 
+    rows = []
     for k in range(stats.m):
         row = {
             "feature": k + 1,
@@ -274,7 +264,7 @@ def _bounds_table(config):
             "alpha_hat": cell(ahat[k]),
             "c_ratio": cell(ratio[k]),
         }
-        for name, (radius, _) in columns.items():
+        for name, radius in columns.items():
             row[f"beta[{name}]"] = cell(radius.beta[k])
             row[f"tau[{name}]"] = cell(radius.tau[k])
         rows.append(row)

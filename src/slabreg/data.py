@@ -61,18 +61,6 @@ class Dataset:
     def n_test(self) -> int:
         return self.k_test * self.n_train
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def train_x(self) -> np.ndarray:
-        return self.x[: self.n_train]
-
-    @property
-    def test_x(self) -> np.ndarray:
-        return self.x[self.n_train :]
-
 
 def _read_rows(path):
     with open(path, newline="") as fh:

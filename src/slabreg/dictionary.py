@@ -56,13 +56,6 @@ def validate_feature_matrix(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def degenerate_columns(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of feature columns identically zero on the given rows."""
-    if values.shape[0] == 0:
-        return np.zeros(values.shape[1], dtype=bool)
-    return ~np.any(values != 0.0, axis=0)
-
-
 class FeatureDictionary:
     """Base class: an ordered family of m feature functions."""
 

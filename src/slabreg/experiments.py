@@ -18,7 +18,7 @@ from math import sqrt
 import numpy as np
 
 from . import dictionary as feature_dictionary
-from .bounds import BoundSpec, compute_stats, compute_radius, slab_centers
+from .bounds import BoundSpec, slab_setup
 from .data import Dataset
 from .errors import ConfigError
 from .moments import empirical_test_moments, exact_moments
@@ -337,13 +337,13 @@ def _per_feature_excess_inductive(model: SyntheticModel, centers: np.ndarray) ->
     return (centers - truth) ** 2
 
 
-def _per_feature_excess_transductive(features, data, stats, moments) -> np.ndarray:
+def _per_feature_excess_transductive(features, data, centers, moments) -> np.ndarray:
     """Test-risk excess of each recentred one-feature fit, from the hidden labels."""
     test = features[data.n_train :]
     num = (test * data.hidden_y[:, None]).sum(axis=0)
     den = (test**2).sum(axis=0)
     alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    return moments.diag * (slab_centers(stats, moments) - alpha2) ** 2
+    return moments.diag * (centers - alpha2) ** 2
 
 
 def _covered(excess, radius) -> bool:
@@ -416,18 +416,17 @@ def coverage_study(
     def one(r):
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
         features = family.evaluate(data.x)
-        stats = compute_stats(features, data, (spec.variant,))
+        moments = empirical_test_moments(features, n_train, k_test) if transductive else exact_moments(family)
+        slabs = slab_setup(features, data, moments, spec)
         if transductive:
-            moments = empirical_test_moments(features, n_train, k_test)
-            excess = _per_feature_excess_transductive(features, data, stats, moments)
+            excess = _per_feature_excess_transductive(features, data, slabs.centers, moments)
         else:
-            moments = exact_moments(family)
-            excess = _per_feature_excess_inductive(model, slab_centers(stats, moments))
+            excess = _per_feature_excess_inductive(model, slabs.centers)
         return {
             "N": n_train,
             "replicate": r,
             "mse": None,
-            "coverage_event": _covered(excess, compute_radius(spec, stats, moments)),
+            "coverage_event": _covered(excess, slabs.radius),
             "seed": int(seeds[r]),
         }
 
@@ -571,13 +570,12 @@ def transductive_experiment(
         mse = float(np.mean((hidden - preds) ** 2))
         zero_mse = float(np.mean(hidden**2))
         chain_ok = _chain_holds(fit, test_feats, hidden)
-        stats = compute_stats(features, data, (spec.variant,))
-        excess = _per_feature_excess_transductive(features, data, stats, moments)
+        excess = _per_feature_excess_transductive(features, data, fit.slabs.centers, moments)
         return {
             "N": n_train,
             "replicate": r,
             "mse": mse,
-            "coverage_event": _covered(excess, compute_radius(spec, stats, moments)),
+            "coverage_event": _covered(excess, fit.slabs.radius),
             "seed": int(seeds[r]),
             "chain_ok": bool(chain_ok),
             "zero_mse": zero_mse,

@@ -60,9 +60,6 @@ class DesignMoments:
         from a user file counts too."""
         return bool(np.all(self.diag == 1.0) and np.count_nonzero(self.gram) == self.m)
 
-    def spec(self) -> dict:
-        return {"provenance": self.provenance, **self.detail}
-
 
 def _symmetrize(g: np.ndarray) -> np.ndarray:
     if np.max(np.abs(g - g.T), initial=0.0) > SYMMETRY_TOL * max(1.0, np.abs(g).max(initial=0.0)):
@@ -140,15 +137,6 @@ def empirical_test_moments(features: np.ndarray, n_train: int, k_test: int) -> D
     mom = DesignMoments(g, "EmpiricalTest", {"n_train": n_train, "k_test": k_test})
     _warn_degenerate(mom)
     return mom
-
-
-def empirical_moments(features: np.ndarray) -> DesignMoments:
-    """Empirical Gram over all rows of a feature matrix."""
-    features = validate_feature_matrix(features)
-    if features.shape[0] == 0:
-        raise ConfigError("empirical moments need at least one row")
-    g = _symmetrize(features.T @ features / features.shape[0])
-    return DesignMoments(g, "EmpiricalAll", {"rows": features.shape[0]})
 
 
 def load_gram_csv(path) -> DesignMoments:

@@ -13,6 +13,12 @@ delta_k = v_k (|gamma_k| - tau_k)_+^2. The loop greedily applies the best
 projection (or cycles round robin) until the best available improvement
 drops below kappa.
 
+GreedyMax applies that last, sub-kappa projection before it stops, so the
+trace's last record may have delta < kappa. The stop certificate (every
+active feature's movement below kappa) holds at the point before that
+record; on a dense Gram the final projection can raise another feature's
+movement above kappa at the returned coefficients.
+
 The same engine serves the inductive setting (design moments) and the
 transductive one (empirical test moments); only the Gram differs.
 """
@@ -21,12 +27,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundSpec, ConfidenceRadius, compute_stats, compute_radius, slab_centers
+from .bounds import BoundSpec, ConfidenceRadius, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
 from .errors import ConfigError, NumericalError
@@ -72,7 +78,9 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SelectionModel:
-    """Fitted coefficients plus the full projection trace and run metadata."""
+    """Fitted coefficients plus the full projection trace and run metadata.
+    ``slabs`` are the slabs the fit projected onto, in memory only: never
+    compared or serialized, and None on a model read back from JSON."""
 
     coefficients: np.ndarray
     trace: tuple
@@ -85,6 +93,7 @@ class SelectionModel:
     orthonormal_design: bool = False
     clip_bound: float | None = None
     seed: int | None = None
+    slabs: Slabs | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
@@ -242,9 +251,10 @@ def run_selection(
 ) -> SelectionModel:
     """Fit the selection model end to end.
 
-    Evaluates the dictionary, computes per-feature statistics, radii and slab
-    centers, then runs the projection loop. kappa defaults to 1/(2N), the
-    midpoint of the admissible interval (0, 1/N). Deterministic given inputs.
+    Evaluates the dictionary, sets up the slabs (``bounds.slab_setup``), which
+    the model keeps, then runs the projection loop. kappa defaults to 1/(2N),
+    the midpoint of the admissible interval (0, 1/N). Deterministic given
+    inputs.
     """
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
@@ -253,24 +263,12 @@ def run_selection(
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
     features = dictionary.evaluate(data.x)
-    if features.shape[1] != moments.m:
-        raise ConfigError(
-            f"dictionary has {features.shape[1]} features but moments cover {moments.m}"
-        )
-    stats = compute_stats(features, data, (spec.variant,))
-    if spec.transductive != (moments.provenance == "EmpiricalTest"):
-        raise ConfigError(
-            f"bound variant {spec.variant} and moments provenance {moments.provenance} "
-            "disagree about the ambient geometry"
-        )
-    radius = compute_radius(spec, stats, moments, loo_index=loo_index, features_per_point=features_per_point)
-    centers = slab_centers(stats, moments)
-    active = ~moments.degenerate & ~stats.train_degenerate
-    dropped = int(stats.m - active.sum())
-    if dropped and np.any(active):
+    slabs = slab_setup(features, data, moments, spec, loo_index=loo_index, features_per_point=features_per_point)
+    dropped = int(slabs.active.size - slabs.active.sum())
+    if dropped and np.any(slabs.active):
         warnings.warn(f"excluding {dropped} degenerate feature(s) from selection", stacklevel=2)
     coeffs, trace = _iterate(
-        centers, moments, radius, kappa, schedule, active, max_iterations, warm_start
+        slabs.centers, moments, slabs.radius, kappa, schedule, slabs.active, max_iterations, warm_start
     )
     return SelectionModel(
         coefficients=coeffs,
@@ -283,6 +281,7 @@ def run_selection(
         moments_provenance=moments.provenance,
         orthonormal_design=moments.identity,
         seed=seed,
+        slabs=slabs,
     )
 
 

@@ -523,3 +523,98 @@ def test_bounds_transductive_table(tmp_path, train_csv, test_csv, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 5
     assert all(row["beta[TrBasicBounded]"] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("command", ["bounds", "transduce"])
+def test_test_file_dimension_mismatch_exits_3(tmp_path, train_csv, command, capsys):
+    wide = tmp_path / "wide.csv"
+    data.write_unlabeled_csv(wide, np.full((10, 2), 0.5))
+    code = run_cli([
+        command, "--train", train_csv, "--test", wide, "--dictionary", '{"kind":"Trigonometric","m":4}',
+        "--bound", TRB, "--out", tmp_path / "out",
+    ])
+    assert code == 3
+    assert "data error: train has dimension 1, test has 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bounds", "transduce"])
+def test_empty_train_file_with_test_block_exits_3(tmp_path, test_csv, command, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1,y\n")
+    code = run_cli([
+        command, "--train", empty, "--test", test_csv, "--dictionary", TRIG5, "--bound", TRB,
+        "--out", tmp_path / "out",
+    ])
+    assert code == 3
+    assert "positive multiple of train rows (0)" in capsys.readouterr().err
+
+
+def test_bounds_test_rows_not_a_multiple_exits_3(tmp_path, train_csv, capsys):
+    odd = tmp_path / "odd.csv"
+    data.write_unlabeled_csv(odd, np.full((15, 1), 0.5))
+    code = run_cli(["bounds", "--train", train_csv, "--test", odd, "--dictionary", TRIG5, "--bound", TRB])
+    assert code == 3
+    assert "test rows (15) must be a positive multiple of train rows (10)" in capsys.readouterr().err
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _bounds_rows(tmp_path, config, variants, capsys):
+    path = tmp_path / "bounds-config.json"
+    path.write_text(json.dumps(config))
+    argv = ["bounds", "--config", path, "--json"]
+    for variant in variants:
+        argv += ["--variant", variant]
+    assert run_cli(argv) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize(
+    "variants,bound",
+    [
+        (["IndExact", "IndVarFirstOrder"], {"epsilon": 0.1, "B": 1.5, "sigma2": 0.04}),
+        (["TrBasicBounded", "TrGeneralK"], {"epsilon": 0.1, "B": 1.7, "subexp": [{"beta_h": 0.5, "B_h": 3.0}]}),
+        (["IndExact", "TrBasicBounded", "IndVarFirstOrder", "TrGeneralK"],
+         {"epsilon": 0.1, "B": 1.7, "sigma2": 0.04, "subexp": [{"beta_h": 0.5, "B_h": 3.0}]}),
+    ],
+)
+def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, variants, bound, monkeypatch, capsys):
+    from slabreg import cli, moments
+
+    config = {
+        "train": str(train_csv),
+        "test": str(test_csv),
+        "dictionary": json.loads(TRIG5),
+        "bound": bound,
+        "moments": {"kind": "monte_carlo", "n_samples": 5000, "seed": 3},
+    }
+    single = {}
+    for variant in variants:
+        single[variant] = _bounds_rows(tmp_path, config, [variant], capsys)
+    monte_carlo = _counting(monkeypatch, moments, "monte_carlo_moments")
+    test_gram = _counting(monkeypatch, moments, "empirical_test_moments")
+    loo = _counting(monkeypatch, cli, "_loo_arguments")
+    rows = _bounds_rows(tmp_path, config, variants, capsys)
+    inductive = any(v.startswith("Ind") for v in variants)
+    transductive = any(v.startswith("Tr") for v in variants)
+    assert (len(monte_carlo), len(test_gram), len(loo)) == (int(inductive), int(transductive), 1)
+    # Each variant's columns equal those of a table built for that variant alone,
+    # and the shared columns come from the first variant's geometry.
+    for variant in variants:
+        for k, row in enumerate(rows):
+            for column in (f"beta[{variant}]", f"tau[{variant}]"):
+                assert row[column] == single[variant][k][column]
+    first = single[variants[0]]
+    assert [{key: row[key] for key in ("feature", "v", "alpha_hat", "c_ratio")} for row in rows] == [
+        {key: row[key] for key in ("feature", "v", "alpha_hat", "c_ratio")} for row in first
+    ]

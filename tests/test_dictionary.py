@@ -196,11 +196,6 @@ def test_feature_matrix_rejects_nonfinite():
         fd.validate_feature_matrix(np.array([[1.0, np.nan]]))
 
 
-def test_degenerate_column_flagging():
-    mask = fd.degenerate_columns(np.array([[0.0, 1.0], [0.0, 2.0]]))
-    assert mask.tolist() == [True, False]
-
-
 @pytest.mark.parametrize(
     "family",
     [

@@ -369,3 +369,82 @@ def test_clipping_never_increases_exact_excess_risk():
         )
         clipped = selector.clip_coefficients(fit, bound)
         assert ex.exact_excess_risk(model, clipped.coefficients) <= ex.exact_excess_risk(model, c)
+
+
+def reference_coverage_event(spec, model, family, data):
+    """A replicate's coverage event as first computed: statistics, radius and
+    centers built by hand from compute_stats, compute_radius and slab_centers."""
+    from slabreg.moments import empirical_test_moments, exact_moments
+
+    features = family.evaluate(data.x)
+    stats = bounds.compute_stats(features, data, (spec.variant,))
+    if spec.transductive:
+        moments = empirical_test_moments(features, data.n_train, data.k_test)
+        test = features[data.n_train :]
+        num = (test * data.hidden_y[:, None]).sum(axis=0)
+        den = (test**2).sum(axis=0)
+        alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        excess = moments.diag * (bounds.slab_centers(stats, moments) - alpha2) ** 2
+    else:
+        moments = exact_moments(family)
+        excess = ex._per_feature_excess_inductive(model, bounds.slab_centers(stats, moments))
+    radius = bounds.compute_radius(spec, stats, moments)
+    return bool(np.all(excess <= radius.beta * (1 + 1e-12) + 1e-15))
+
+
+# B = 0 understates the label bound, and epsilon = 0.9 asks for 10% coverage,
+# so those cases mix covered and uncovered replicates.
+@pytest.mark.parametrize(
+    "spec,noise,mixed",
+    [
+        (bounds.BoundSpec("IndExact", 0.25, B=1.5, sigma2=0.09), ex.NoiseSpec("gaussian", 0.3), False),
+        (bounds.BoundSpec("IndVarFirstOrder", 0.9), ex.NoiseSpec("gaussian", 0.3), True),
+        (bounds.BoundSpec("TrBasicBounded", 0.9, B=0.0), ex.NoiseSpec("uniform", 0.3), True),
+        (bounds.BoundSpec("TrFirstOrder", 0.25), ex.NoiseSpec("uniform", 0.3), False),
+    ],
+    ids=lambda value: getattr(value, "variant", None),
+)
+def test_coverage_study_events_match_reference(spec, noise, mixed):
+    model = small_sobolev(noise=noise)
+    n, m = 32, 16
+    report = ex.coverage_study(
+        spec.variant, model, n_train=n, m=m, epsilon=spec.epsilon, replicates=100, seed=11, spec=spec
+    )
+    assert (0.0 < report.coverage < 1.0) is mixed
+    k_test = 1 if spec.transductive else 0
+    family = model.family(m)
+    for row in report.rows:
+        data = ex.generate(model, n, k_test, seed=row["seed"])
+        assert row["coverage_event"] is reference_coverage_event(spec, model, family, data)
+
+
+@pytest.mark.parametrize(
+    "spec,k_test,mixed",
+    [
+        (bounds.BoundSpec("TrBasicBounded", 0.9, B=0.0), 1, True),
+        (bounds.BoundSpec("TrGeneralK", 0.5, subexp=((0.5, 3.0),)), 2, False),
+    ],
+    ids=["TrBasicBounded-k1", "TrGeneralK-k2"],
+)
+def test_transductive_experiment_events_match_reference(spec, k_test, mixed, monkeypatch):
+    model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
+    n, m, replicates = 32, 16, 40
+    stats_calls = []
+    compute_stats = bounds.compute_stats
+
+    def counted(*args, **kwargs):
+        stats_calls.append(args)
+        return compute_stats(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "compute_stats", counted)
+    report = ex.transductive_experiment(
+        model, n_train=n, k_test=k_test, m=m, variant=spec.variant, epsilon=spec.epsilon,
+        replicates=replicates, seed=4, spec=spec,
+    )
+    assert len(stats_calls) == replicates  # one slab setup per replicate, for the fit and the coverage check
+    monkeypatch.undo()
+    assert (0.0 < report.coverage < 1.0) is mixed
+    family = model.family(m)
+    for row in report.rows:
+        data = ex.generate(model, n, k_test, seed=row["seed"])
+        assert row["coverage_event"] is reference_coverage_event(spec, model, family, data)

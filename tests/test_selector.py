@@ -541,3 +541,44 @@ def test_greedy_stop_leaves_every_active_movement_below_kappa(seed, m, geometry,
     gamma = centers - (c @ mom.gram) / v
     movement = v * np.maximum(np.abs(gamma) - radius.tau, 0.0) ** 2
     assert np.all(movement[active] < model.kappa)
+
+
+@pytest.mark.parametrize("geometry", ["identity", "dense", "degenerate", "empirical_test", "leave_one_out"])
+def test_model_keeps_the_slabs_it_fitted_against(geometry):
+    rng = np.random.default_rng(77)
+    n, m = 256, 6
+    k_test = 1 if geometry == "empirical_test" else 0
+    feats = rng.normal(size=((k_test + 1) * n, m))
+    if geometry == "degenerate":
+        feats[:n, 1] = 0.0
+    y_all = feats @ rng.normal(size=m) + rng.normal(0.0, 0.3, size=feats.shape[0])
+    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], n_train=n, k_test=k_test,
+                 hidden_y=y_all[n:] if k_test else None)
+    spec = bounds.BoundSpec("IndVarFirstOrder", 0.2)
+    loo = {}
+    if geometry == "identity":
+        mom = DesignMoments(np.eye(m), "Exact")
+    elif geometry == "empirical_test":
+        mom = empirical_test_moments(feats, n, k_test)
+        spec = bounds.BoundSpec("TrFirstOrder", 0.2)
+    else:
+        a = rng.normal(size=(2 * m, m))
+        mom = DesignMoments(a.T @ a / (2 * m), "UserSupplied")
+        if geometry == "leave_one_out":
+            spec = bounds.BoundSpec("IndSvm", 0.2)
+            loo = {"loo_index": np.arange(m) * 3, "features_per_point": 1}
+    family = ExplicitMatrix(feats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = selector.run_selection(ds, family, mom, spec, **loo)
+    fresh = bounds.slab_setup(feats, ds, mom, spec, **loo)
+    assert isinstance(model.slabs, bounds.Slabs)
+    assert model.slabs.radius.beta.tobytes() == fresh.radius.beta.tobytes()
+    assert model.slabs.radius.tau.tobytes() == fresh.radius.tau.tobytes()
+    assert model.slabs.centers.tobytes() == fresh.centers.tobytes()
+    assert model.slabs.active.tolist() == fresh.active.tolist()
+    assert model.slabs.active.tolist() == [geometry != "degenerate" or k != 1 for k in range(m)]
+    assert (model.slabs.radius.variant, model.slabs.radius.epsilon) == (spec.variant, spec.epsilon)
+    payload = model.to_json_dict()
+    assert "slabs" not in payload
+    assert selector.SelectionModel.from_json_dict(json.loads(json.dumps(payload))).slabs is None
