@@ -108,10 +108,12 @@ class Trigonometric(FeatureDictionary):
         nfreq = m // 2
         if nfreq:
             ang = 2.0 * np.pi * np.outer(x, np.arange(1, nfreq + 1))
-            cos = np.sqrt(2.0) * np.cos(ang)
-            sin = np.sqrt(2.0) * np.sin(ang)
-            out[:, 1::2] = cos[:, : out[:, 1::2].shape[1]]
-            out[:, 2::2] = sin[:, : out[:, 2::2].shape[1]]
+            # Each wave is written into its strided columns and scaled in
+            # place, so ang is the only temporary as large as the output.
+            for first, wave in ((1, np.cos), (2, np.sin)):
+                cols = out[:, first::2]
+                wave(ang[:, : cols.shape[1]], out=cols)
+                cols *= np.sqrt(2.0)
         return out
 
     def parameters(self):

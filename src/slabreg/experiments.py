@@ -74,6 +74,37 @@ class NoiseSpec:
         return cls(kind=obj.get("kind", "gaussian"), scale=float(obj.get("scale", 0.0)))
 
 
+# Frequencies j = q * TRIG_BLOCK + r (0 <= r < TRIG_BLOCK) of a trigonometric
+# truth are summed by angle addition; see _trig_sum.
+TRIG_BLOCK = 64
+
+
+def _trig_sum(coefficients: np.ndarray, points) -> np.ndarray:
+    """sum_k c_k theta_k(x) over the trigonometric family, without the (n, size) feature matrix.
+
+    With j = qK + r and t = 2 pi x, angle addition gives
+    a_j cos(jt) + b_j sin(jt) = cos(qKt) (a_j cos(rt) + b_j sin(rt))
+                               + sin(qKt) (b_j cos(rt) - a_j sin(rt)),
+    so the sums over r are two matrix products of cos(rt) and sin(rt)
+    (n x K) against the coefficients reshaped to (Q, K), weighted by
+    cos(qKt) and sin(qKt) (n x Q). Only 2n(K + Q) waves are computed.
+    """
+    x = feature_dictionary._unit_interval(points, "Trigonometric")
+    c = coefficients
+    blocks = c.size // 2 // TRIG_BLOCK + 1
+    # Row 0 holds a_j (cosines), row 1 b_j (sines), frequency j at column j.
+    ab = np.zeros((2, blocks * TRIG_BLOCK))
+    ab[0, 1 : 1 + c[1::2].size] = c[1::2]
+    ab[1, 1 : 1 + c[2::2].size] = c[2::2]
+    ab = ab.reshape(2 * blocks, TRIG_BLOCK).T  # (K, 2Q): a blocks, then b blocks
+    inner = 2.0 * np.pi * np.outer(x, np.arange(TRIG_BLOCK))
+    cos_a, cos_b = np.split(np.cos(inner) @ ab, 2, axis=1)
+    sin_a, sin_b = np.split(np.sin(inner) @ ab, 2, axis=1)
+    outer = 2.0 * np.pi * np.outer(x, np.arange(blocks) * TRIG_BLOCK)
+    waves = (np.cos(outer) * (cos_a + sin_b)).sum(axis=1) + (np.sin(outer) * (cos_b - sin_a)).sum(axis=1)
+    return c[0] + np.sqrt(2.0) * waves
+
+
 @dataclass(frozen=True)
 class SyntheticModel:
     """Regression truth Y = f(X) + noise with f a finite expansion.
@@ -113,15 +144,20 @@ class SyntheticModel:
         return feature_dictionary.Haar(int(np.log2(m)) - 1)
 
     def f_values(self, x) -> np.ndarray:
+        if self.basis == "Trigonometric":
+            return _trig_sum(self.coefficients, x)
         return self.family().evaluate(x) @ self.coefficients
 
     def sup_bound(self) -> float:
         """Certified upper bound on sup |f| over [0, 1].
 
         Haar truths are piecewise constant on the finest dyadic half-grid, so
-        midpoint evaluation is exact. Trigonometric truths use a dense grid
-        plus the derivative bound 2 pi sqrt(2) sum_j j (|a_j| + |b_j|) times
-        half the grid step.
+        midpoint evaluation is exact. Trigonometric truths take the peak of
+        |f| on 2^14 equispaced points of [0, 1], evaluated by angle addition
+        without the feature matrix, plus the derivative bound
+        2 pi sqrt(2) sum_j j (|a_j| + |b_j|) times half the grid step
+        0.5 / (2^14 - 1): every point of [0, 1] lies within half a step of
+        the grid.
         """
         c = self.coefficients
         if self.basis == "Haar":
@@ -137,7 +173,7 @@ class SyntheticModel:
         deriv = 2.0 * np.pi * sqrt(2.0) * float(freqs[: amp.size] @ amp)
         amp_sin = np.abs(c[2::2])
         deriv += 2.0 * np.pi * sqrt(2.0) * float(freqs[: amp_sin.size] @ amp_sin)
-        return peak + deriv * 0.5 / (1 << 14)
+        return peak + deriv * 0.5 / (grid.size - 1)
 
     def label_bound(self) -> float | None:
         """Almost-sure bound on |Y|, None when the noise is unbounded."""
@@ -352,23 +388,28 @@ def _covered(excess, radius) -> bool:
 
 
 def _auto_bound_spec(variant, model, epsilon, mode="auto", family_m=None):
-    """Honest BoundSpec for a synthetic model, or ConfigError on mismatch."""
-    label_bound = model.label_bound()
+    """Honest BoundSpec for a synthetic model, or ConfigError on mismatch.
+
+    The truth's sup bound is computed once, and only for the variants that read it.
+    """
     if variant == "IndExact":
         return BoundSpec(variant, epsilon, B=model.sup_bound(), sigma2=model.noise.second_moment)
     if variant == "IndVarFirstOrder":
         return BoundSpec(variant, epsilon)
     if variant in ("TrBasicBounded", "TrVariance"):
+        label_bound = model.label_bound()
         if label_bound is None:
             raise ConfigError(f"{variant} needs bounded labels; the model's noise is unbounded")
         return BoundSpec(variant, epsilon, B=label_bound)
     if variant == "TrFirstOrder":
         if mode == "deployment":
+            label_bound = model.label_bound()
             if label_bound is None:
                 raise ConfigError("TrFirstOrder deployment mode needs bounded labels here")
             return BoundSpec(variant, epsilon, y_subexp=(1.0, float(np.exp(label_bound))))
         return BoundSpec(variant, epsilon)
     if variant == "TrGeneralK":
+        label_bound = model.label_bound()
         if label_bound is None:
             raise ConfigError("TrGeneralK auto-configuration needs bounded labels")
         width = max(model.size, family_m or 0)

@@ -26,6 +26,26 @@ def test_trigonometric_at_zero():
     assert row == pytest.approx([1.0, math.sqrt(2.0), 0.0], abs=1e-15)
 
 
+def reference_trigonometric(x, m):
+    """The former evaluation: full-width sqrt2*cos and sqrt2*sin arrays, then copied into the columns."""
+    out = np.zeros((x.size, m))
+    out[:, 0] = 1.0
+    nfreq = m // 2
+    if nfreq:
+        ang = 2.0 * np.pi * np.outer(x, np.arange(1, nfreq + 1))
+        cos = np.sqrt(2.0) * np.cos(ang)
+        sin = np.sqrt(2.0) * np.sin(ang)
+        out[:, 1::2] = cos[:, : out[:, 1::2].shape[1]]
+        out[:, 2::2] = sin[:, : out[:, 2::2].shape[1]]
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 4096])
+def test_trigonometric_matches_former_expression_bitwise(m):
+    x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(m).uniform(size=61)])
+    assert np.array_equal(fd.Trigonometric(m).evaluate(x), reference_trigonometric(x, m))
+
+
 def test_trigonometric_gram_is_identity_quadrature_oracle():
     g = midpoint_gram(fd.Trigonometric(3), 10**6)
     assert np.max(np.abs(g - np.eye(3))) <= 1e-3

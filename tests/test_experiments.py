@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from slabreg import bounds, experiments as ex
-from slabreg.errors import ConfigError
+from slabreg import bounds, dictionary as fd, experiments as ex
+from slabreg.errors import ConfigError, DataError
 
 
 def small_sobolev(noise=None, size=64):
@@ -102,6 +103,68 @@ def test_label_bound_none_for_gaussian_noise():
     assert small_sobolev(noise=ex.NoiseSpec("gaussian", 0.3)).label_bound() is None
     bounded = small_sobolev(noise=ex.NoiseSpec("uniform", 0.5))
     assert bounded.label_bound() == pytest.approx(bounded.sup_bound() + 0.5)
+
+
+def dense_truth(model, x):
+    """The dense oracle: the (n, size) feature matrix times the coefficients."""
+    return fd.Trigonometric(model.size).evaluate(x) @ model.coefficients
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 127, 128, 129, 300, 4096])
+def test_trig_truth_matches_dense_oracle(size):
+    rng = np.random.default_rng(size)
+    model = ex.SyntheticModel(coefficients=rng.normal(size=size))
+    x = np.concatenate([[0.0, 1.0], rng.uniform(size=300)])
+    c = model.coefficients
+    tol = 1e-12 * (abs(c[0]) + math.sqrt(2.0) * np.abs(c[1:]).sum())
+    assert np.max(np.abs(model.f_values(x) - dense_truth(model, x))) <= tol
+    assert np.max(np.abs(model.f_values(x[:, None]) - dense_truth(model, x))) <= tol
+
+
+def test_trig_truth_rejects_points_outside_unit_interval():
+    with pytest.raises(DataError, match="outside"):
+        small_sobolev().f_values([0.5, 1.5])
+
+
+def test_sup_bound_margin_is_half_the_grid_step():
+    model = small_sobolev(size=129)
+    grid = np.linspace(0.0, 1.0, 1 << 14)
+    peak = np.abs(model.f_values(grid)).max()
+    c = model.coefficients
+    freq = np.arange(1, c.size // 2 + 1)
+    deriv = 2 * math.pi * math.sqrt(2.0) * (freq @ np.abs(c[1::2]) + freq[: c[2::2].size] @ np.abs(c[2::2]))
+    assert model.sup_bound() - peak == pytest.approx(deriv * 0.5 / (grid.size - 1), rel=1e-9)
+
+
+def test_sup_bound_of_full_sobolev_truth_stays_small_in_memory():
+    model = ex.sobolev_model(size=4096)
+    tracemalloc.start()
+    try:
+        model.sup_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
+@pytest.mark.parametrize(
+    "variant,mode,calls",
+    [
+        ("IndExact", "auto", 1),
+        ("IndVarFirstOrder", "auto", 0),
+        ("TrFirstOrder", "auto", 0),
+        ("TrFirstOrder", "deployment", 1),
+        ("TrBasicBounded", "auto", 1),
+        ("TrVariance", "auto", 1),
+        ("TrGeneralK", "auto", 1),
+    ],
+)
+def test_auto_bound_spec_computes_sup_bound_only_when_read(variant, mode, calls, monkeypatch):
+    count = []
+    sup_bound = ex.SyntheticModel.sup_bound
+    monkeypatch.setattr(ex.SyntheticModel, "sup_bound", lambda self: count.append(1) or sup_bound(self))
+    ex._auto_bound_spec(variant, small_sobolev(noise=ex.NoiseSpec("uniform", 0.1)), 0.1, mode=mode)
+    assert len(count) == calls
 
 
 def test_coverage_binomial_slack():
