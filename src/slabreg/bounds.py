@@ -25,13 +25,8 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import validate_feature_matrix
-from .errors import ConfigError
+from .errors import ConfigError, json_number
 from .moments import DesignMoments
-
-INDUCTIVE_VARIANTS = ("IndExact", "IndVarFirstOrder", "IndSvm")
-TRANSDUCTIVE_VARIANTS = ("TrBasicBounded", "TrFirstOrder", "TrVariance", "TrGeneralK")
-VARIANTS = INDUCTIVE_VARIANTS + TRANSDUCTIVE_VARIANTS
-
 
 @dataclass(frozen=True)
 class BoundSpec:
@@ -75,7 +70,7 @@ class BoundSpec:
 
     @property
     def transductive(self) -> bool:
-        return self.variant in TRANSDUCTIVE_VARIANTS
+        return VARIANT_TABLE[self.variant].transductive
 
     def to_json_dict(self) -> dict:
         out = {"variant": self.variant, "epsilon": self.epsilon}
@@ -93,17 +88,21 @@ class BoundSpec:
     def from_json_dict(cls, obj: dict) -> "BoundSpec":
         if "variant" not in obj or "epsilon" not in obj:
             raise ConfigError("bound spec needs 'variant' and 'epsilon'")
+
+        def number(value, name):
+            return None if value is None else json_number(value, f"bound {name}")
+
         subexp = obj.get("subexp")
         if subexp is not None:
-            subexp = tuple((p["beta_h"], p["B_h"]) for p in subexp)
+            subexp = tuple((number(p["beta_h"], "subexp beta_h"), number(p["B_h"], "subexp B_h")) for p in subexp)
         y_subexp = obj.get("y_subexp")
         if y_subexp is not None:
-            y_subexp = (y_subexp["b_y"], y_subexp["B_y"])
+            y_subexp = (number(y_subexp["b_y"], "y_subexp b_y"), number(y_subexp["B_y"], "y_subexp B_y"))
         return cls(
             variant=obj["variant"],
-            epsilon=float(obj["epsilon"]),
-            B=obj.get("B"),
-            sigma2=obj.get("sigma2"),
+            epsilon=number(obj["epsilon"], "epsilon"),
+            B=number(obj.get("B"), "B"),
+            sigma2=number(obj.get("sigma2"), "sigma2"),
             subexp=subexp,
             y_subexp=y_subexp,
         )
@@ -141,6 +140,266 @@ class FeatureStats:
     @property
     def train_degenerate(self) -> np.ndarray:
         return self.train_mean_sq <= 0.0
+
+
+@dataclass(frozen=True)
+class ConfidenceRadius:
+    """Radii beta (risk units) and thresholds tau (coefficient units)."""
+
+    beta: np.ndarray
+    tau: np.ndarray
+    variant: str
+    epsilon: float
+    observables: dict = field(default_factory=dict)
+
+    @property
+    def m(self) -> int:
+        return self.beta.shape[0]
+
+
+def _radius(beta, moments, spec, observables) -> ConfidenceRadius:
+    beta = np.asarray(beta, dtype=float)
+    v = moments.diag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.where(v > 0.0, np.sqrt(np.maximum(beta, 0.0) / np.where(v > 0.0, v, 1.0)), np.inf)
+    tau = np.where(np.isnan(tau), np.inf, tau)
+    return ConfidenceRadius(beta=beta, tau=tau, variant=spec.variant, epsilon=spec.epsilon, observables=observables)
+
+
+def _safe_ratio(num, den):
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
+    return np.where((num == 0.0) & (den <= 0.0), 0.0, out)
+
+
+def _require_geometry(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments):
+    """Check the moments and the test block against the variant's entry in
+    ``VARIANT_TABLE``: transductive variants need the empirical test Gram and
+    a test block of k >= 1 (k = 1 where flagged), inductive ones design
+    moments."""
+    entry = VARIANT_TABLE[spec.variant]
+    if entry.transductive != (moments.provenance == "EmpiricalTest"):
+        needs = "EmpiricalTest moments" if entry.transductive else "design moments (Exact, MonteCarlo or UserSupplied)"
+        raise ConfigError(
+            f"bound variant {spec.variant} needs {needs}, got {moments.provenance} "
+            "moments: they disagree about the ambient geometry"
+        )
+    if entry.transductive and stats.k_test < 1:
+        raise ConfigError(f"{spec.variant} needs a test block (k_test >= 1)")
+    if entry.k_one and stats.k_test != 1:
+        raise ConfigError(f"{spec.variant} is stated for k_test = 1; use TrGeneralK otherwise")
+
+
+def ind_exact(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
+    """beta_k = (4 (1 + log(2m/eps)) / N) (mean theta_k^2 Y^2 / v_k + B^2 + sigma^2)."""
+    _require_geometry(spec, stats, moments)
+    if spec.B is None or spec.sigma2 is None:
+        missing = "B" if spec.B is None else "sigma2"
+        raise ConfigError(f"IndExact needs the hypothesis constant {missing!r}")
+    m, n = stats.m, stats.n_train
+    lead = 4.0 * (1.0 + log(2.0 * m / spec.epsilon)) / n
+    ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
+    beta = lead * (ratio + spec.B**2 + spec.sigma2)
+    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "observable"})
+
+
+def ind_var_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
+    """beta_k = (2 log(4m/eps) / N) vhat_k / v_k, with vhat the empirical
+    variance of theta_k(X_i) Y_i over the training sample."""
+    _require_geometry(spec, stats, moments)
+    if stats.n_train < 2:
+        raise ConfigError("IndVarFirstOrder needs N >= 2")
+    m, n = stats.m, stats.n_train
+    beta = (2.0 * log(4.0 * m / spec.epsilon) / n) * _safe_ratio(stats.train_var_ty, moments.diag)
+    return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "mode": "observable"})
+
+
+def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec, loo_index: np.ndarray) -> ConfidenceRadius:
+    """Leave-one-out variant for dictionaries built on the training points.
+
+    Feature k is anchored at training point i = loo_index[k]; its statistics
+    use the other N-1 rows. beta_k = (2 log(2 N m' / eps) / (N-1)) vhat_k / v_k
+    with m' the largest number of features on one anchor point (m / anchors
+    for an even map; N m' >= m bounds the union either way).
+    """
+    _require_geometry(spec, stats, moments)
+    n = stats.n_train
+    if n < 2:
+        raise ConfigError("IndSvm needs N >= 2 for a leave-one-out sample")
+    loo_index = np.asarray(loo_index, dtype=int)
+    if loo_index.shape != (stats.m,):
+        raise ConfigError(f"loo_index must map each of the {stats.m} features to a training row")
+    if loo_index.min(initial=0) < 0 or loo_index.max(initial=0) >= n:
+        raise ConfigError("loo_index entries must be valid training rows")
+    features_per_point = int(np.bincount(loo_index).max())
+    ty = stats.train_ty
+    cols = np.arange(stats.m)
+    own = ty[loo_index, cols]
+    loo_mean = (ty.sum(axis=0) - own) / (n - 1)
+    loo_sq = ((ty**2).sum(axis=0) - own**2) / (n - 1)
+    vhat = np.maximum(loo_sq - loo_mean**2, 0.0)
+    lead = 2.0 * log(2.0 * n * features_per_point / spec.epsilon) / (n - 1)
+    beta = lead * _safe_ratio(vhat, moments.diag)
+    return _radius(
+        beta, moments, spec, {"vhat_loo": vhat, "features_per_point": features_per_point, "mode": "observable"}
+    )
+
+
+def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
+    """beta_h = 4 (B^2 + mean_train theta_h^2 Y^2 / mean_test theta_h^2) log(2m/eps) / N.
+
+    The declared label bound B stands in for the hidden test-label term.
+    """
+    _require_geometry(spec, stats, moments)
+    if spec.B is None:
+        raise ConfigError("TrBasicBounded needs the label bound 'B'")
+    m, n = stats.m, stats.n_train
+    ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
+    beta = 4.0 * (spec.B**2 + ratio) * log(2.0 * m / spec.epsilon) / n
+    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "deployment"})
+
+
+def tr_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
+    """First-order transductive bound (k_test = 1) with a fourth-moment term.
+
+    Simulation mode (test labels known):
+      beta_h = (8 log(4m/eps)/N) [ratio_h + sqrt(q4_h log(2m/eps) / (2N))]
+    with q4_h = (1/N) sum over all 2N rows of theta_h^4 Y^4.
+
+    Deployment mode substitutes the sub-exponential label majorant
+    sup_i |Y_i| <= (1/b_y) log(2 N B_y / eps), giving
+      beta_h = (8 log(8m/eps)/N) [ratio_h +
+               sqrt(t4_h log(4m/eps) log(4 N B_y/eps)^4 / (2 N b_y^4))]
+    with t4_h = (1/N) sum over all 2N rows of theta_h^4.
+    """
+    _require_geometry(spec, stats, moments)
+    m, n = stats.m, stats.n_train
+    eps = spec.epsilon
+    ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
+    if stats.has_test_labels:
+        q4 = stats.train_mean_t4y4 + stats.test_sum_t4y4 / n
+        beta = (8.0 * log(4.0 * m / eps) / n) * (ratio + np.sqrt(q4 * log(2.0 * m / eps) / (2.0 * n)))
+        mode = "simulation"
+    elif spec.y_subexp is not None:
+        b_y, big_y = spec.y_subexp
+        t4 = stats.train_mean_t4 + stats.test_sum_t4 / n
+        inner = t4 * log(4.0 * m / eps) * log(4.0 * n * big_y / eps) ** 4 / (2.0 * n * b_y**4)
+        beta = (8.0 * log(8.0 * m / eps) / n) * (ratio + np.sqrt(inner))
+        mode = "deployment"
+    else:
+        raise ConfigError(
+            "TrFirstOrder needs test labels (simulation) or sub-exponential label "
+            "constants y_subexp = (b_y, B_y)"
+        )
+    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": mode})
+
+
+def tr_variance(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
+    """Variance-based transductive bound (k_test = 1).
+
+    beta_h = pref * (4 log(4m/eps)/N) * V1_h / mean_test theta_h^2
+             + pref * 2 (2 + sqrt 2) (log(6m/eps)/N)^{3/2} * sqrt(q4_h) / mean_test theta_h^2
+    with pref = 1 / (1 - 2 log(4m/eps)/N), V1 the training variance of
+    theta_h(X_i) Y_i, and q4_h the 1/N-normalized fourth moment over all 2N
+    rows (hidden test labels majorized by B^4 in deployment mode).
+    """
+    _require_geometry(spec, stats, moments)
+    m, n = stats.m, stats.n_train
+    eps = spec.epsilon
+    log4 = log(4.0 * m / eps)
+    if n <= 2.0 * log4:
+        raise ConfigError(
+            f"variance bound inapplicable at this N/epsilon: need N > 2 log(4m/eps) = {2.0 * log4:.3f}"
+        )
+    if stats.has_test_labels:
+        q4 = stats.train_mean_t4y4 + stats.test_sum_t4y4 / n
+        mode = "simulation"
+    elif spec.B is not None:
+        q4 = stats.train_mean_t4y4 + (spec.B**4) * stats.test_sum_t4 / n
+        mode = "deployment"
+    else:
+        raise ConfigError("TrVariance needs test labels (simulation) or the label bound 'B'")
+    pref = 1.0 / (1.0 - 2.0 * log4 / n)
+    lead = pref * (4.0 * log4 / n) * _safe_ratio(stats.train_var_ty, moments.diag)
+    tail = pref * 2.0 * (2.0 + sqrt(2.0)) * (log(6.0 * m / eps) / n) ** 1.5
+    beta = lead + tail * _safe_ratio(np.sqrt(q4), moments.diag)
+    return _radius(
+        beta, moments, spec, {"v1": stats.train_var_ty, "prefactor": pref, "mode": mode}
+    )
+
+
+def _general_k_bracket(vhat, log4, big_log, rate, n):
+    """Bracket of the general-k bound: 2 vhat log4 / N + T3 + T4.
+
+    T3 and T4 carry vhat in the denominator; zero numerators short-circuit
+    to zero, otherwise vhat = 0 yields an infinite bracket.
+    """
+    lead = 2.0 * vhat * log4 / n
+    num3 = 16.0 * log4**1.5 * big_log**3 / (3.0 * rate**3 * n**1.5)
+    num4 = 64.0 * log4**2 * big_log**6 / (9.0 * rate**6 * n**2)
+    t3 = _safe_ratio(num3, np.sqrt(vhat))
+    t4 = _safe_ratio(num4, vhat**2)
+    return lead + t3 + t4
+
+
+def tr_general_k(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
+    """Transductive bound for a test block of k N points, any k >= 1.
+
+    beta_h = (1 + 1/k)^2 / v_h * [2 vhat_h log(4m/eps)/N + T3 + T4], where
+    vhat is the training variance of theta_h(X_i) Y_i substituted for the
+    pooled variance, v_h the empirical test second moment, and T3, T4 the
+    higher-order terms driven by log(4 (k+1) m N B_h / eps) and the
+    sub-exponential rates beta_h.
+    """
+    _require_geometry(spec, stats, moments)
+    if spec.subexp is None:
+        raise ConfigError("TrGeneralK needs per-feature sub-exponential constants 'subexp'")
+    m, n, k = stats.m, stats.n_train, stats.k_test
+    pairs = spec.subexp
+    if len(pairs) == 1:
+        pairs = pairs * m
+    if len(pairs) != m:
+        raise ConfigError(f"subexp needs 1 or {m} (rate, bound) pairs, got {len(pairs)}")
+    rates = np.array([p[0] for p in pairs])
+    bigs = np.array([p[1] for p in pairs])
+    log4 = log(4.0 * m / spec.epsilon)
+    big_log = np.log(4.0 * (k + 1) * m * n * bigs / spec.epsilon)
+    bracket = _general_k_bracket(stats.train_var_ty, log4, big_log, rates, n)
+    pref = (1.0 + 1.0 / k) ** 2
+    beta = pref * _safe_ratio(bracket, moments.diag)
+    return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "prefactor": pref, "mode": "observable"})
+
+
+class VariantEntry(NamedTuple):
+    """The declaration of one bound variant: its radius function and the
+    ``FeatureStats`` fields it reads beyond ``train_mean_sq`` and
+    ``train_mean_ty``. A train-side fourth moment brings its test-block sum
+    along. ``transductive`` variants measure risk on the kN test points and
+    project in the empirical test Gram; ``k_one`` ones are stated for k = 1
+    only; ``leave_one_out`` ones also take the feature-to-anchor map."""
+
+    radius: Callable[..., ConfidenceRadius]
+    reads: tuple[str, ...]
+    transductive: bool = False
+    k_one: bool = False
+    leave_one_out: bool = False
+
+
+FOURTH_MOMENTS = ("train_mean_t4y4", "train_mean_t4")
+VARIANT_TABLE = {
+    "IndExact": VariantEntry(ind_exact, ("train_mean_sq_ysq",)),
+    "IndVarFirstOrder": VariantEntry(ind_var_first_order, ("train_var_ty",)),
+    "IndSvm": VariantEntry(ind_svm, ("train_ty",), leave_one_out=True),
+    "TrBasicBounded": VariantEntry(tr_basic_bounded, ("train_mean_sq_ysq",), transductive=True, k_one=True),
+    "TrFirstOrder": VariantEntry(
+        tr_first_order, ("train_mean_sq_ysq", *FOURTH_MOMENTS), transductive=True, k_one=True
+    ),
+    "TrVariance": VariantEntry(tr_variance, ("train_var_ty", *FOURTH_MOMENTS), transductive=True, k_one=True),
+    "TrGeneralK": VariantEntry(tr_general_k, ("train_var_ty",), transductive=True),
+}
+VARIANTS = tuple(VARIANT_TABLE)
 
 
 def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> FeatureStats:
@@ -209,278 +468,7 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
     )
 
 
-@dataclass(frozen=True)
-class ConfidenceRadius:
-    """Radii beta (risk units) and thresholds tau (coefficient units)."""
-
-    beta: np.ndarray
-    tau: np.ndarray
-    variant: str
-    epsilon: float
-    observables: dict = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return self.beta.shape[0]
-
-
-def _radius(beta, moments, spec, observables) -> ConfidenceRadius:
-    beta = np.asarray(beta, dtype=float)
-    v = moments.diag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.where(v > 0.0, np.sqrt(np.maximum(beta, 0.0) / np.where(v > 0.0, v, 1.0)), np.inf)
-    tau = np.where(np.isnan(tau), np.inf, tau)
-    return ConfidenceRadius(beta=beta, tau=tau, variant=spec.variant, epsilon=spec.epsilon, observables=observables)
-
-
-def _safe_ratio(num, den):
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    return np.where((num == 0.0) & (den <= 0.0), 0.0, out)
-
-
-def _require_inductive_moments(moments: DesignMoments):
-    if moments.provenance == "EmpiricalTest":
-        raise ConfigError(
-            "inductive bound variants need design moments (Exact, MonteCarlo "
-            "or UserSupplied), not the empirical test Gram"
-        )
-
-
-def _require_test_moments(moments: DesignMoments, stats: FeatureStats):
-    if moments.provenance != "EmpiricalTest":
-        raise ConfigError("transductive bound variants need EmpiricalTest moments")
-    if stats.k_test < 1:
-        raise ConfigError("transductive bound variants need a test block (k_test >= 1)")
-
-
-def ind_exact(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
-    """beta_k = (4 (1 + log(2m/eps)) / N) (mean theta_k^2 Y^2 / v_k + B^2 + sigma^2)."""
-    _require_inductive_moments(moments)
-    if spec.B is None or spec.sigma2 is None:
-        missing = "B" if spec.B is None else "sigma2"
-        raise ConfigError(f"IndExact needs the hypothesis constant {missing!r}")
-    m, n = stats.m, stats.n_train
-    lead = 4.0 * (1.0 + log(2.0 * m / spec.epsilon)) / n
-    ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
-    beta = lead * (ratio + spec.B**2 + spec.sigma2)
-    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "observable"})
-
-
-def ind_var_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
-    """beta_k = (2 log(4m/eps) / N) vhat_k / v_k, with vhat the empirical
-    variance of theta_k(X_i) Y_i over the training sample."""
-    _require_inductive_moments(moments)
-    if stats.n_train < 2:
-        raise ConfigError("IndVarFirstOrder needs N >= 2")
-    m, n = stats.m, stats.n_train
-    beta = (2.0 * log(4.0 * m / spec.epsilon) / n) * _safe_ratio(stats.train_var_ty, moments.diag)
-    return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "mode": "observable"})
-
-
-def ind_svm(
-    stats: FeatureStats,
-    moments: DesignMoments,
-    spec: BoundSpec,
-    loo_index: np.ndarray,
-    features_per_point: int | None = None,
-) -> ConfidenceRadius:
-    """Leave-one-out variant for dictionaries built on the training points.
-
-    Feature k is anchored at training point i = loo_index[k]; its statistics
-    use the other N-1 rows. beta_k = (2 log(2 N m' / eps) / (N-1)) vhat_k / v_k
-    with m' the number of features per anchor point.
-    """
-    _require_inductive_moments(moments)
-    n = stats.n_train
-    if n < 2:
-        raise ConfigError("IndSvm needs N >= 2 for a leave-one-out sample")
-    loo_index = np.asarray(loo_index, dtype=int)
-    if loo_index.shape != (stats.m,):
-        raise ConfigError(f"loo_index must map each of the {stats.m} features to a training row")
-    if loo_index.min(initial=0) < 0 or loo_index.max(initial=0) >= n:
-        raise ConfigError("loo_index entries must be valid training rows")
-    if features_per_point is None:
-        anchors = np.unique(loo_index).size
-        if stats.m % anchors:
-            raise ConfigError("cannot infer features-per-point; pass features_per_point")
-        features_per_point = stats.m // anchors
-    ty = stats.train_ty
-    cols = np.arange(stats.m)
-    own = ty[loo_index, cols]
-    loo_mean = (ty.sum(axis=0) - own) / (n - 1)
-    loo_sq = ((ty**2).sum(axis=0) - own**2) / (n - 1)
-    vhat = np.maximum(loo_sq - loo_mean**2, 0.0)
-    lead = 2.0 * log(2.0 * n * features_per_point / spec.epsilon) / (n - 1)
-    beta = lead * _safe_ratio(vhat, moments.diag)
-    return _radius(
-        beta, moments, spec, {"vhat_loo": vhat, "features_per_point": features_per_point, "mode": "observable"}
-    )
-
-
-def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
-    """beta_h = 4 (B^2 + mean_train theta_h^2 Y^2 / mean_test theta_h^2) log(2m/eps) / N.
-
-    The declared label bound B stands in for the hidden test-label term.
-    """
-    _require_test_moments(moments, stats)
-    if stats.k_test != 1:
-        raise ConfigError("TrBasicBounded is stated for k_test = 1; use TrGeneralK otherwise")
-    if spec.B is None:
-        raise ConfigError("TrBasicBounded needs the label bound 'B'")
-    m, n = stats.m, stats.n_train
-    ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
-    beta = 4.0 * (spec.B**2 + ratio) * log(2.0 * m / spec.epsilon) / n
-    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "deployment"})
-
-
-def tr_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
-    """First-order transductive bound (k_test = 1) with a fourth-moment term.
-
-    Simulation mode (test labels known):
-      beta_h = (8 log(4m/eps)/N) [ratio_h + sqrt(q4_h log(2m/eps) / (2N))]
-    with q4_h = (1/N) sum over all 2N rows of theta_h^4 Y^4.
-
-    Deployment mode substitutes the sub-exponential label majorant
-    sup_i |Y_i| <= (1/b_y) log(2 N B_y / eps), giving
-      beta_h = (8 log(8m/eps)/N) [ratio_h +
-               sqrt(t4_h log(4m/eps) log(4 N B_y/eps)^4 / (2 N b_y^4))]
-    with t4_h = (1/N) sum over all 2N rows of theta_h^4.
-    """
-    _require_test_moments(moments, stats)
-    if stats.k_test != 1:
-        raise ConfigError("TrFirstOrder is stated for k_test = 1; use TrGeneralK otherwise")
-    m, n = stats.m, stats.n_train
-    eps = spec.epsilon
-    ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
-    if stats.has_test_labels:
-        q4 = stats.train_mean_t4y4 + stats.test_sum_t4y4 / n
-        beta = (8.0 * log(4.0 * m / eps) / n) * (ratio + np.sqrt(q4 * log(2.0 * m / eps) / (2.0 * n)))
-        mode = "simulation"
-    elif spec.y_subexp is not None:
-        b_y, big_y = spec.y_subexp
-        t4 = stats.train_mean_t4 + stats.test_sum_t4 / n
-        inner = t4 * log(4.0 * m / eps) * log(4.0 * n * big_y / eps) ** 4 / (2.0 * n * b_y**4)
-        beta = (8.0 * log(8.0 * m / eps) / n) * (ratio + np.sqrt(inner))
-        mode = "deployment"
-    else:
-        raise ConfigError(
-            "TrFirstOrder needs test labels (simulation) or sub-exponential label "
-            "constants y_subexp = (b_y, B_y)"
-        )
-    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": mode})
-
-
-def tr_variance(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
-    """Variance-based transductive bound (k_test = 1).
-
-    beta_h = pref * (4 log(4m/eps)/N) * V1_h / mean_test theta_h^2
-             + pref * 2 (2 + sqrt 2) (log(6m/eps)/N)^{3/2} * sqrt(q4_h) / mean_test theta_h^2
-    with pref = 1 / (1 - 2 log(4m/eps)/N), V1 the training variance of
-    theta_h(X_i) Y_i, and q4_h the 1/N-normalized fourth moment over all 2N
-    rows (hidden test labels majorized by B^4 in deployment mode).
-    """
-    _require_test_moments(moments, stats)
-    if stats.k_test != 1:
-        raise ConfigError("TrVariance is stated for k_test = 1; use TrGeneralK otherwise")
-    m, n = stats.m, stats.n_train
-    eps = spec.epsilon
-    log4 = log(4.0 * m / eps)
-    if n <= 2.0 * log4:
-        raise ConfigError(
-            f"variance bound inapplicable at this N/epsilon: need N > 2 log(4m/eps) = {2.0 * log4:.3f}"
-        )
-    if stats.has_test_labels:
-        q4 = stats.train_mean_t4y4 + stats.test_sum_t4y4 / n
-        mode = "simulation"
-    elif spec.B is not None:
-        q4 = stats.train_mean_t4y4 + (spec.B**4) * stats.test_sum_t4 / n
-        mode = "deployment"
-    else:
-        raise ConfigError("TrVariance needs test labels (simulation) or the label bound 'B'")
-    pref = 1.0 / (1.0 - 2.0 * log4 / n)
-    lead = pref * (4.0 * log4 / n) * _safe_ratio(stats.train_var_ty, moments.diag)
-    tail = pref * 2.0 * (2.0 + sqrt(2.0)) * (log(6.0 * m / eps) / n) ** 1.5
-    beta = lead + tail * _safe_ratio(np.sqrt(q4), moments.diag)
-    return _radius(
-        beta, moments, spec, {"v1": stats.train_var_ty, "prefactor": pref, "mode": mode}
-    )
-
-
-def _general_k_bracket(vhat, log4, big_log, rate, n):
-    """Bracket of the general-k bound: 2 vhat log4 / N + T3 + T4.
-
-    T3 and T4 carry vhat in the denominator; zero numerators short-circuit
-    to zero, otherwise vhat = 0 yields an infinite bracket.
-    """
-    lead = 2.0 * vhat * log4 / n
-    num3 = 16.0 * log4**1.5 * big_log**3 / (3.0 * rate**3 * n**1.5)
-    num4 = 64.0 * log4**2 * big_log**6 / (9.0 * rate**6 * n**2)
-    t3 = _safe_ratio(num3, np.sqrt(vhat))
-    t4 = _safe_ratio(num4, vhat**2)
-    return lead + t3 + t4
-
-
-def tr_general_k(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
-    """Transductive bound for a test block of k N points, any k >= 1.
-
-    beta_h = (1 + 1/k)^2 / v_h * [2 vhat_h log(4m/eps)/N + T3 + T4], where
-    vhat is the training variance of theta_h(X_i) Y_i substituted for the
-    pooled variance, v_h the empirical test second moment, and T3, T4 the
-    higher-order terms driven by log(4 (k+1) m N B_h / eps) and the
-    sub-exponential rates beta_h.
-    """
-    _require_test_moments(moments, stats)
-    if spec.subexp is None:
-        raise ConfigError("TrGeneralK needs per-feature sub-exponential constants 'subexp'")
-    m, n, k = stats.m, stats.n_train, stats.k_test
-    pairs = spec.subexp
-    if len(pairs) == 1:
-        pairs = pairs * m
-    if len(pairs) != m:
-        raise ConfigError(f"subexp needs 1 or {m} (rate, bound) pairs, got {len(pairs)}")
-    rates = np.array([p[0] for p in pairs])
-    bigs = np.array([p[1] for p in pairs])
-    log4 = log(4.0 * m / spec.epsilon)
-    big_log = np.log(4.0 * (k + 1) * m * n * bigs / spec.epsilon)
-    bracket = _general_k_bracket(stats.train_var_ty, log4, big_log, rates, n)
-    pref = (1.0 + 1.0 / k) ** 2
-    beta = pref * _safe_ratio(bracket, moments.diag)
-    return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "prefactor": pref, "mode": "observable"})
-
-
-class VariantEntry(NamedTuple):
-    """A bound variant's radius function and the ``FeatureStats`` fields it
-    reads beyond ``train_mean_sq`` and ``train_mean_ty``. A train-side fourth
-    moment brings its test-block sum along; ``leave_one_out`` variants also
-    take the feature-to-anchor map."""
-
-    radius: Callable[..., ConfidenceRadius]
-    reads: tuple[str, ...]
-    leave_one_out: bool = False
-
-
-FOURTH_MOMENTS = ("train_mean_t4y4", "train_mean_t4")
-VARIANT_TABLE = {
-    "IndExact": VariantEntry(ind_exact, ("train_mean_sq_ysq",)),
-    "IndVarFirstOrder": VariantEntry(ind_var_first_order, ("train_var_ty",)),
-    "IndSvm": VariantEntry(ind_svm, ("train_ty",), leave_one_out=True),
-    "TrBasicBounded": VariantEntry(tr_basic_bounded, ("train_mean_sq_ysq",)),
-    "TrFirstOrder": VariantEntry(tr_first_order, ("train_mean_sq_ysq", *FOURTH_MOMENTS)),
-    "TrVariance": VariantEntry(tr_variance, ("train_var_ty", *FOURTH_MOMENTS)),
-    "TrGeneralK": VariantEntry(tr_general_k, ("train_var_ty",)),
-}
-
-
-def compute_radius(
-    spec: BoundSpec,
-    stats: FeatureStats,
-    moments: DesignMoments,
-    loo_index=None,
-    features_per_point=None,
-) -> ConfidenceRadius:
+def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments, loo_index=None) -> ConfidenceRadius:
     """Dispatch to the requested bound variant through ``VARIANT_TABLE``."""
     entry = VARIANT_TABLE[spec.variant]
     missing = [name for name in entry.reads if getattr(stats, name) is None]
@@ -493,7 +481,7 @@ def compute_radius(
         return entry.radius(stats, moments, spec)
     if loo_index is None:
         raise ConfigError(f"{spec.variant} needs loo_index mapping features to training rows")
-    return entry.radius(stats, moments, spec, loo_index, features_per_point)
+    return entry.radius(stats, moments, spec, loo_index)
 
 
 def alpha_hat(stats: FeatureStats) -> np.ndarray:
@@ -526,14 +514,7 @@ class Slabs(NamedTuple):
     active: np.ndarray
 
 
-def slab_setup(
-    features: np.ndarray,
-    data: Dataset,
-    moments: DesignMoments,
-    spec: BoundSpec,
-    loo_index=None,
-    features_per_point=None,
-) -> Slabs:
+def slab_setup(features: np.ndarray, data: Dataset, moments: DesignMoments, spec: BoundSpec, loo_index=None) -> Slabs:
     """Check that features, moments and variant agree, then build every
     feature's slab from the statistics the variant reads (not kept)."""
     if features.shape[1] != moments.m:
@@ -541,11 +522,6 @@ def slab_setup(
             f"dictionary has {features.shape[1]} features but moments cover {moments.m}"
         )
     stats = compute_stats(features, data, (spec.variant,))
-    if spec.transductive != (moments.provenance == "EmpiricalTest"):
-        raise ConfigError(
-            f"bound variant {spec.variant} and moments provenance {moments.provenance} "
-            "disagree about the ambient geometry"
-        )
-    radius = compute_radius(spec, stats, moments, loo_index=loo_index, features_per_point=features_per_point)
+    radius = compute_radius(spec, stats, moments, loo_index=loo_index)
     centers = slab_centers(stats, moments)
     return Slabs(radius, centers, ~moments.degenerate & ~stats.train_degenerate)

@@ -118,11 +118,9 @@ def _inductive_moments(config, family, seed):
 
 def _loo_arguments(config, family):
     if isinstance(family, dictionary.MultiscaleGaussian):
-        return family.center_train_indices, family.features_per_center
+        return family.center_train_indices
     loo = config.get("loo_index")
-    if loo is not None:
-        return np.asarray(loo, dtype=int), config.get("features_per_point")
-    return None, None
+    return None if loo is None else np.asarray(loo, dtype=int)
 
 
 def _with_test_block(x_train, y, x_test) -> data.Dataset:
@@ -160,7 +158,6 @@ def cmd_fit(args) -> int:
     if spec.transductive:
         raise ConfigError(f"fit is inductive; variant {spec.variant} needs the transduce command")
     mom = _inductive_moments(config, family, config["seed"])
-    loo_index, fpp = _loo_arguments(config, family)
     model = selector.run_selection(
         ds,
         family,
@@ -168,8 +165,7 @@ def cmd_fit(args) -> int:
         spec,
         kappa=config.get("kappa"),
         schedule=config.get("schedule", "GreedyMax"),
-        loo_index=loo_index,
-        features_per_point=fpp,
+        loo_index=_loo_arguments(config, family),
         seed=config["seed"],
     )
     out = Path(config["out"])
@@ -235,7 +231,7 @@ def _bounds_table(config):
         ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
     family_matrix = family.evaluate(ds.x)
     stats = bounds.compute_stats(family_matrix, ds, [spec.variant for spec in specs])
-    loo_index, fpp = _loo_arguments(config, family)
+    loo_index = _loo_arguments(config, family)
     geometries = {}  # spec.transductive -> moments, each built on first use
     columns = {}
     for spec in specs:
@@ -246,7 +242,7 @@ def _bounds_table(config):
                 else _inductive_moments(config, family, config["seed"])
             )
         mom = geometries[spec.transductive]
-        columns[spec.variant] = bounds.compute_radius(spec, stats, mom, loo_index=loo_index, features_per_point=fpp)
+        columns[spec.variant] = bounds.compute_radius(spec, stats, mom, loo_index=loo_index)
     mom0 = geometries[specs[0].transductive]
     ahat = bounds.alpha_hat(stats)
     ratio = bounds.normalization_ratio(stats, mom0)

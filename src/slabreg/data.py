@@ -69,8 +69,12 @@ def _read_rows(path):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header required") from None
-        rows = [row for row in reader if row]
-    return [h.strip() for h in header], rows
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    return [h.strip() for h in header], rows, lines
 
 
 def _check_header(path, header, labeled: bool):
@@ -82,34 +86,35 @@ def _check_header(path, header, labeled: bool):
     return len(cols)
 
 
-def _parse(path, rows, width):
+def _parse(path, rows, lines, width):
+    """Rows of fields read from the given file lines; errors name the line."""
     out = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(zip(lines, rows)):
         if len(row) != width:
-            raise DataError(f"{path}: row {i + 2}: expected {width} fields, got {len(row)}")
+            raise DataError(f"{path}: row {line}: expected {width} fields, got {len(row)}")
         for j, value in enumerate(row):
             try:
                 out[i, j] = float(value)
             except ValueError:
-                raise DataError(f"{path}: row {i + 2}: malformed number {value!r}") from None
+                raise DataError(f"{path}: row {line}: malformed number {value!r}") from None
         if not np.all(np.isfinite(out[i])):
-            raise DataError(f"{path}: row {i + 2}: non-finite value")
+            raise DataError(f"{path}: row {line}: non-finite value")
     return out
 
 
 def load_labeled_csv(path):
     """Read x1..xd,y rows; returns (x, y)."""
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     d = _check_header(path, header, labeled=True)
-    table = _parse(path, rows, d + 1)
+    table = _parse(path, rows, lines, d + 1)
     return table[:, :d], table[:, d]
 
 
 def load_unlabeled_csv(path):
     """Read x1..xd rows; returns x (possibly with zero rows)."""
-    header, rows = _read_rows(path)
+    header, rows, lines = _read_rows(path)
     d = _check_header(path, header, labeled=False)
-    return _parse(path, rows, d)
+    return _parse(path, rows, lines, d)
 
 
 def write_labeled_csv(path, x, y):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, json_number
 
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
 
@@ -192,10 +192,6 @@ class MultiscaleGaussian(FeatureDictionary):
     @property
     def center_train_indices(self) -> np.ndarray:
         return np.tile(self.center_origin, self.scales.size)
-
-    @property
-    def features_per_center(self) -> int:
-        return int(self.scales.size)
 
     def evaluate(self, points):
         pts = as_points(points)
@@ -374,20 +370,21 @@ def from_spec(spec: dict) -> FeatureDictionary:
     kind = spec["kind"]
     p = spec.get("parameters", {})
     if kind == "Trigonometric":
-        return Trigonometric(spec.get("m", p.get("m", 0)))
+        return Trigonometric(json_number(spec.get("m", p.get("m", 0)), "dictionary m", int))
     if kind == "Haar":
         if "levels" not in p:
             raise ConfigError("haar dictionary spec needs parameters.levels")
-        return Haar(p["levels"])
+        return Haar(json_number(p["levels"], "dictionary parameters.levels", int))
     if kind == "MultiscaleGaussian":
-        return MultiscaleGaussian(p["centers"], p["scales"])
+        scales = [json_number(s, "dictionary parameters.scales") for s in np.ravel(p["scales"])]
+        return MultiscaleGaussian(p["centers"], scales)
     if kind == "GaussianKernel":
-        return GaussianKernel(p["centers"], p["scale"])
+        return GaussianKernel(p["centers"], json_number(p["scale"], "dictionary parameters.scale"))
     if kind == "KernelPCA":
         return KernelPCA(
             p["points"],
             p["kernel"],
-            p["top"],
+            json_number(p["top"], "dictionary parameters.top", int),
             eigenvalues=p.get("eigenvalues"),
             eigenvectors=p.get("eigenvectors"),
         )

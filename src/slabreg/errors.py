@@ -30,3 +30,14 @@ class BudgetError(SlabregError):
     """Wall-clock budget exceeded."""
 
     exit_code = 5
+
+
+def json_number(value, field: str, kind=float):
+    """``kind(value)`` for a number read from a JSON spec. A string, a boolean
+    or a value ``kind`` rejects is a ConfigError naming the field."""
+    try:
+        if isinstance(value, (str, bool)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a number, got {value!r}") from None

@@ -231,7 +231,9 @@ def besov_spike_model(
     """Sparse Haar truth: one spike per level with magnitude scale * 2^{-j(s+1/2)}.
 
     Spike positions are drawn once from the seed, kept fixed across the
-    experiment. This realizes a sup-type (q = infinity) smoothness ball.
+    experiment. The truth is a sparse member of the sup-type (q = infinity)
+    Besov ball B^s_{inf,inf}, not its least favourable function, so a rate
+    run on it shows the estimator at least as fast as the minimax rate.
     """
     if smoothness <= 0 or levels < 1:
         raise ConfigError("besov model needs smoothness > 0 and levels >= 1")
@@ -440,9 +442,6 @@ def coverage_study(
     """
     if replicates < 100:
         raise ConfigError("coverage studies need at least 100 replicates")
-    transductive = variant.startswith("Tr")
-    if k_test is None:
-        k_test = 1 if transductive else 0
     if variant == "IndSvm":
         raise ConfigError(
             "coverage study does not support IndSvm: its population projections "
@@ -450,6 +449,9 @@ def coverage_study(
         )
     if spec is None:
         spec = _auto_bound_spec(variant, model, epsilon, family_m=m)
+    transductive = spec.transductive
+    if k_test is None:
+        k_test = 1 if transductive else 0
     family = model.family(m)
     seeds = _child_seeds(seed, replicates)
     start = time.monotonic()
@@ -496,15 +498,13 @@ def rate_experiment(
     grid,
     replicates: int,
     seed: int = 0,
-    epsilon_rule=None,
-    m_rule=None,
     sigma_scale: float = 1.0,
     threads: int = 1,
     budget_seconds: float | None = None,
 ) -> ExperimentReport:
     """Risk decay of the one-pass estimator over a grid of sample sizes.
 
-    Defaults follow the adaptive-rate recipe: epsilon = N^-2; m = N for the
+    Follows the adaptive-rate recipe: epsilon = N^-2; m = N for the
     trigonometric family, the largest power of two <= N for Haar. Each
     replicate fits with the exact-hypothesis bound, clips coefficients at the
     truth's sup bound, and scores the exact excess risk. The fitted slope is
@@ -514,13 +514,6 @@ def rate_experiment(
     grid = sorted({int(n) for n in grid})
     if len(grid) < 4 or any(n < 32 for n in grid):
         raise ConfigError("rate experiments need a grid of at least 4 distinct sizes, each >= 32")
-    if epsilon_rule is None:
-        epsilon_rule = lambda n: float(n) ** -2
-    if m_rule is None:
-        if model.basis == "Trigonometric":
-            m_rule = lambda n: n
-        else:
-            m_rule = lambda n: 2 ** int(np.log2(n))
     sup = model.sup_bound()
     sigma2 = model.noise.second_moment * sigma_scale**2
     seeds = _child_seeds(seed, len(grid) * replicates)
@@ -533,9 +526,9 @@ def rate_experiment(
         r = idx % replicates
         task_seed = int(seeds[idx])
         data = generate(model, n, 0, seed=task_seed)
-        family = model.family(m_rule(n))
+        family = model.family(n if model.basis == "Trigonometric" else 2 ** int(np.log2(n)))
         moments = exact_moments(family)
-        spec = BoundSpec("IndExact", epsilon_rule(n), B=sup, sigma2=sigma2)
+        spec = BoundSpec("IndExact", float(n) ** -2, B=sup, sigma2=sigma2)
         fit = run_selection(data, family, moments, spec, schedule="RoundRobin")
         fit = clip_coefficients(fit, sup)
         mse = exact_excess_risk(model, fit.coefficients)

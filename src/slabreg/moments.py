@@ -22,6 +22,8 @@ from .errors import ConfigError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-8
+# Sampler draws per Monte Carlo batch; fixed so the accumulation order is too.
+MC_BATCH = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,11 @@ def exact_moments(dictionary: FeatureDictionary) -> DesignMoments:
     return DesignMoments(np.eye(dictionary.m), "Exact", {})
 
 
-def monte_carlo_moments(
-    dictionary: FeatureDictionary,
-    sampler,
-    n_samples: int,
-    seed: int,
-    batch: int = 100_000,
-) -> DesignMoments:
+def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, seed: int) -> DesignMoments:
     """Gram estimated as (1/M) sum phi(x_s) phi(x_s)^T over sampler draws.
 
     ``sampler(rng, size)`` must return design points. Deterministic given the
-    seed; the fixed batch size pins the accumulation order.
+    seed; the fixed batch size ``MC_BATCH`` pins the accumulation order.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -109,7 +105,7 @@ def monte_carlo_moments(
     acc = np.zeros((m, m))
     done = 0
     while done < n_samples:
-        take = min(batch, n_samples - done)
+        take = min(MC_BATCH, n_samples - done)
         pts = sampler(rng, take)
         feats = validate_feature_matrix(dictionary.evaluate(pts))
         acc += feats.T @ feats

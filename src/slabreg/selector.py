@@ -35,7 +35,7 @@ from . import __version__
 from .bounds import BoundSpec, ConfidenceRadius, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, json_number
 from .moments import DesignMoments
 
 SCHEDULES = ("GreedyMax", "RoundRobin")
@@ -246,7 +246,6 @@ def run_selection(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     warm_start=None,
     loo_index=None,
-    features_per_point=None,
     seed: int | None = None,
 ) -> SelectionModel:
     """Fit the selection model end to end.
@@ -259,11 +258,11 @@ def run_selection(
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     n = data.n_train
-    kappa = 1.0 / (2.0 * n) if kappa is None else float(kappa)
+    kappa = 1.0 / (2.0 * n) if kappa is None else json_number(kappa, "kappa")
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
     features = dictionary.evaluate(data.x)
-    slabs = slab_setup(features, data, moments, spec, loo_index=loo_index, features_per_point=features_per_point)
+    slabs = slab_setup(features, data, moments, spec, loo_index=loo_index)
     dropped = int(slabs.active.size - slabs.active.sum())
     if dropped and np.any(slabs.active):
         warnings.warn(f"excluding {dropped} degenerate feature(s) from selection", stacklevel=2)

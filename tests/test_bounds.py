@@ -115,7 +115,7 @@ def test_ind_svm_log_grows_with_features_per_point():
     stats, _ = make_stats(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))
     spec = bounds.BoundSpec("IndSvm", eps)
     both = bounds.ind_svm(
-        stats, design_moments([1.0, 1.0]), spec, loo_index=np.array([0, 0]), features_per_point=2
+        stats, design_moments([1.0, 1.0]), spec, loo_index=np.array([0, 0])
     )
     single, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
     one = bounds.ind_svm(single, design_moments([1.0]), spec, loo_index=np.array([0]))
@@ -526,3 +526,78 @@ def test_compute_stats_rejects_unknown_variant():
     feats, ds, _, _, _ = radius_case("IndExact", 0, labels=False)
     with pytest.raises(ConfigError, match="unknown bound variant"):
         bounds.compute_stats(feats, ds, ("IndExcat",))
+
+
+# The bounds stated for a test block of exactly k = 1 (TrGeneralK covers any k).
+K_ONE_VARIANTS = {"TrBasicBounded", "TrFirstOrder", "TrVariance"}
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_wrong_geometry_is_one_config_error_from_every_entry_point(variant):
+    from slabreg import selector
+    from slabreg.dictionary import ExplicitMatrix
+
+    # the variant's data with the moments of the other geometry
+    feats, ds, spec, _, loo = radius_case(variant, 1, labels=True)
+    if spec.transductive:
+        mom = DesignMoments(np.eye(feats.shape[1]), "Exact")
+    else:
+        mom = empirical_test_moments(feats, ds.n_train, ds.k_test)
+    with pytest.raises(ConfigError, match="geometry"):
+        bounds.compute_radius(spec, bounds.compute_stats(feats, ds), mom, **loo)
+    with pytest.raises(ConfigError, match="geometry"):
+        selector.run_selection(ds, ExplicitMatrix(feats), mom, spec, **loo)
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_test_block_of_two_rejected_exactly_for_k_one_variants(variant):
+    feats, ds, spec, mom, loo = radius_case(variant, 2, labels=True)
+    if spec.transductive:
+        mom = empirical_test_moments(feats, ds.n_train, ds.k_test)
+    stats = bounds.compute_stats(feats, ds, (variant,))
+    if variant in K_ONE_VARIANTS:
+        with pytest.raises(ConfigError, match=f"{variant} is stated for k_test = 1"):
+            bounds.compute_radius(spec, stats, mom, **loo)
+    else:
+        assert np.all(bounds.compute_radius(spec, stats, mom, **loo).beta >= 0.0)
+
+
+def test_ind_svm_without_loo_index_is_config_error():
+    feats, ds, spec, mom, _ = radius_case("IndSvm", 0, labels=False)
+    with pytest.raises(ConfigError, match="needs loo_index"):
+        bounds.compute_radius(spec, bounds.compute_stats(feats, ds, ("IndSvm",)), mom)
+
+
+def test_slab_setup_rejects_feature_moments_column_mismatch():
+    feats, ds, spec, _, _ = radius_case("IndExact", 0, labels=False)
+    mom = DesignMoments(np.eye(feats.shape[1] + 1), "Exact")
+    with pytest.raises(ConfigError, match=f"dictionary has {feats.shape[1]} features but moments cover"):
+        bounds.slab_setup(feats, ds, mom, spec)
+
+
+def test_ind_svm_uneven_anchor_map_counts_the_largest_anchor():
+    # three features on two anchors: row 0 carries two, so m' = 2
+    eps = 0.1
+    stats, _ = make_stats(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]))
+    spec = bounds.BoundSpec("IndSvm", eps)
+    radius = bounds.ind_svm(stats, design_moments([1.0, 1.0, 1.0]), spec, loo_index=np.array([0, 0, 1]))
+    assert radius.observables["features_per_point"] == 2
+    # leave out row 0 on y = (1, 2, 3), theta == 1: variance of {2, 3} is 0.25
+    assert radius.beta[0] == pytest.approx(2.0 * math.log(2.0 * 3 * 2 / eps) / 2.0 * 0.25, rel=1e-12)
+
+
+def test_two_scale_gaussian_ind_svm_fit_records_two_features_per_point():
+    from slabreg import selector
+    from slabreg.dictionary import MultiscaleGaussian
+
+    rng = np.random.default_rng(12)
+    n = 16
+    x = rng.uniform(size=(n, 1))
+    ds = Dataset(x=x, y=np.sin(3.0 * x[:, 0]) + rng.normal(0.0, 0.05, n), n_train=n)
+    family = MultiscaleGaussian(x, [2.0, 4.0])
+    grid = family.evaluate(np.linspace(0.0, 1.0, 257))
+    mom = DesignMoments(grid.T @ grid / grid.shape[0], "UserSupplied")
+    model = selector.run_selection(
+        ds, family, mom, bounds.BoundSpec("IndSvm", 0.1), loo_index=family.center_train_indices
+    )
+    assert model.slabs.radius.observables["features_per_point"] == 2

@@ -618,3 +618,67 @@ def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, v
     assert [{key: row[key] for key in ("feature", "v", "alpha_hat", "c_ratio")} for row in rows] == [
         {key: row[key] for key in ("feature", "v", "alpha_hat", "c_ratio")} for row in first
     ]
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_csv_errors_name_the_file_line_past_blank_lines(tmp_path, labeled):
+    # header on line 1, a good row on line 2, blank lines 3-4, the bad row on line 5
+    path = tmp_path / "gappy.csv"
+    if labeled:
+        path.write_text("x1,y\n0.1,1.0\n\n\n0.2,abc\n")
+        load = data.load_labeled_csv
+    else:
+        path.write_text("x1\n0.1\n\n\nabc\n")
+        load = data.load_unlabeled_csv
+    with pytest.raises(data.DataError, match="row 5: malformed number 'abc'"):
+        load(path)
+
+
+# Each case patches the fit config with one malformed number and names the field.
+MALFORMED_NUMBERS = {
+    "B": {"bound": {"variant": "IndExact", "epsilon": 0.1, "B": "1.5", "sigma2": 0.04}},
+    "sigma2": {"bound": {"variant": "IndExact", "epsilon": 0.1, "B": 1.5, "sigma2": "x"}},
+    "epsilon": {"bound": {"variant": "IndExact", "epsilon": "abc", "B": 1.5, "sigma2": 0.04}},
+    "beta_h": {"bound": {"variant": "IndExact", "epsilon": 0.1, "B": 1.5, "sigma2": 0.04,
+                         "subexp": [{"beta_h": "x", "B_h": 3.0}]}},
+    "kappa": {"kappa": "abc"},
+    "m": {"dictionary": {"kind": "Trigonometric", "m": "abc"}},
+    "levels": {"dictionary": {"kind": "Haar", "parameters": {"levels": "x"}}},
+    "scales": {"dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.5]], "scales": ["x"]}}},
+    "scale": {"dictionary": {"kind": "GaussianKernel", "parameters": {"centers": [[0.5]], "scale": "x"}}},
+    "top": {"dictionary": {"kind": "KernelPCA",
+                           "parameters": {"points": [[0.5]], "kernel": {"kind": "linear"}, "top": "x"}}},
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_NUMBERS)
+def test_malformed_number_in_json_spec_exits_2(tmp_path, train_csv, field, capsys):
+    config = {
+        "train": str(train_csv),
+        "dictionary": json.loads(TRIG5),
+        "bound": json.loads(IND),
+        "moments": {"kind": "monte_carlo", "n_samples": 100},
+        **MALFORMED_NUMBERS[field],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["fit", "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{field} must be a number" in err
+
+
+def test_bounds_text_table_agrees_with_json_rows(train_csv, capsys):
+    argv = [
+        "bounds", "--train", train_csv, "--dictionary", TRIG5, "--bound",
+        '{"epsilon":0.1,"B":1.5,"sigma2":0.04}', "--variant", "IndExact", "--variant", "IndVarFirstOrder",
+    ]
+    assert run_cli(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert run_cli(argv + ["--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(lines) == len(rows) == 5
+    for line, row in zip(lines, rows):
+        cells = [None if cell == "None" else float(cell) for cell in line.split("\t")]
+        assert dict(zip(header.split("\t"), cells)) == row
+    assert header.split("\t")[:4] == ["feature", "v", "alpha_hat", "c_ratio"]

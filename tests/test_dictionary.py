@@ -261,3 +261,15 @@ def test_evaluation_deterministic_to_the_bit():
     )
     pts = np.random.default_rng(3).uniform(size=(13, 2))
     np.testing.assert_array_equal(family.evaluate(pts), family.evaluate(pts))
+
+
+def test_gaussian_kernel_spec_roundtrip_equals_one_scale_multiscale():
+    rng = np.random.default_rng(14)
+    centers = rng.uniform(size=(6, 2))
+    points = rng.uniform(size=(9, 2))
+    kernel = fd.GaussianKernel(centers, 3.0)
+    again = fd.from_spec(kernel.spec())
+    assert isinstance(again, fd.GaussianKernel) and again.m == 6
+    assert again.parameters()["scale"] == 3.0
+    expected = fd.MultiscaleGaussian(centers, [3.0]).evaluate(points)
+    assert again.evaluate(points).tobytes() == kernel.evaluate(points).tobytes() == expected.tobytes()

@@ -566,7 +566,7 @@ def test_model_keeps_the_slabs_it_fitted_against(geometry):
         mom = DesignMoments(a.T @ a / (2 * m), "UserSupplied")
         if geometry == "leave_one_out":
             spec = bounds.BoundSpec("IndSvm", 0.2)
-            loo = {"loo_index": np.arange(m) * 3, "features_per_point": 1}
+            loo = {"loo_index": np.arange(m) * 3}
     family = ExplicitMatrix(feats)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
