@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .dictionary import validate_feature_matrix
-from .errors import ConfigError, json_number
+from .dictionary import as_feature_matrix, require_finite
+from .errors import ConfigError, json_field, json_number
 from .moments import DesignMoments
 
 @dataclass(frozen=True)
@@ -92,12 +92,15 @@ class BoundSpec:
         def number(value, name):
             return None if value is None else json_number(value, f"bound {name}")
 
+        def keyed(part, key, where):
+            return number(json_field(part, key, f"bound {where}"), f"{where} {key}")
+
         subexp = obj.get("subexp")
         if subexp is not None:
-            subexp = tuple((number(p["beta_h"], "subexp beta_h"), number(p["B_h"], "subexp B_h")) for p in subexp)
+            subexp = tuple((keyed(p, "beta_h", "subexp"), keyed(p, "B_h", "subexp")) for p in subexp)
         y_subexp = obj.get("y_subexp")
         if y_subexp is not None:
-            y_subexp = (number(y_subexp["b_y"], "y_subexp b_y"), number(y_subexp["B_y"], "y_subexp B_y"))
+            y_subexp = (keyed(y_subexp, "b_y", "y_subexp"), keyed(y_subexp, "B_y", "y_subexp"))
         return cls(
             variant=obj["variant"],
             epsilon=number(obj["epsilon"], "epsilon"),
@@ -402,6 +405,24 @@ VARIANT_TABLE = {
 VARIANTS = tuple(VARIANT_TABLE)
 
 
+# Cells (rows x m) per row block of compute_stats. Any block size gives the
+# same bits (see _row_blocks); this one keeps each temporary at 1 MB.
+STATS_BLOCK_CELLS = 1 << 17
+
+
+def _row_blocks(rows: int, features: np.ndarray) -> list[slice]:
+    """Row slices for column sums carried across blocks.
+
+    numpy reduces axis 0 of a C-contiguous (rows, m) array row by row when
+    m >= 2, so adding the running sum into a block's first row before
+    reducing the block continues the same sequence of additions. A single
+    column (summed pairwise) or another layout is one block.
+    """
+    m = features.shape[1]
+    step = max(1, STATS_BLOCK_CELLS // m) if m >= 2 and features.flags.c_contiguous else max(rows, 1)
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
 def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> FeatureStats:
     """Split a full ((k+1)N, m) feature matrix and accumulate the statistics
     that the given bound variants read.
@@ -421,8 +442,12 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
     and ``train_mean_t4y4`` with ``test_sum_t4y4`` (simulation; the test sum
     when the hidden test labels are known). Statistics no given variant
     reads are None; the default computes them all.
+
+    The rows are walked in blocks (``_row_blocks``), so apart from
+    ``train_ty`` no temporary is as large as the feature matrix; every
+    statistic is bitwise that of reducing the whole matrix at once.
     """
-    features = validate_feature_matrix(features)
+    features = as_feature_matrix(features)
     n = data.n_train
     if features.shape[0] != (data.k_test + 1) * n:
         raise ConfigError(
@@ -435,37 +460,49 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
             raise ConfigError(f"unknown bound variant {variant!r}; choose from {VARIANTS}")
         reads.update(VARIANT_TABLE[variant].reads)
     has_test_labels = data.k_test > 0 and data.hidden_y is not None
-    train = features[:n]
+    sums = {}
+
+    def add(name, values):
+        # values is a fresh block; its first row takes the running sum.
+        if name in sums:
+            values[0] += sums[name]
+        sums[name] = np.add.reduce(values, axis=0)
+
+    train_ty = np.empty((n, features.shape[1])) if "train_ty" in reads else None
+    for rows in _row_blocks(n, features):
+        t = features[rows]
+        require_finite(t)
+        y = data.y[rows, None]
+        ty = t * y
+        t2 = t**2
+        if "train_mean_sq_ysq" in reads:
+            add("train_mean_sq_ysq", t2 * y**2)
+        if "train_mean_t4" in reads:
+            add("train_mean_t4", t2**2)
+        add("train_mean_sq", t2)
+        if "train_var_ty" in reads:
+            add("train_mean_ty2", ty**2)
+        if "train_mean_t4y4" in reads:
+            add("train_mean_t4y4", ty**4)
+        if train_ty is not None:
+            train_ty[rows] = ty
+        add("train_mean_ty", ty)
     test = features[n:]
-    y = data.y
-    ty = train * y[:, None]
-    mean_ty = ty.mean(axis=0)
-    t2 = train**2
-    out = {}
-    if "train_mean_sq_ysq" in reads:
-        out["train_mean_sq_ysq"] = (t2 * (y**2)[:, None]).mean(axis=0)
-    if "train_mean_t4" in reads:
-        out["train_mean_t4"] = (t2**2).mean(axis=0)
-        if data.k_test > 0:
-            out["test_sum_t4"] = (test**4).sum(axis=0)
-    mean_sq = t2.mean(axis=0)
-    del t2  # free t2 before the powers of ty are made
-    if "train_var_ty" in reads:
-        out["train_var_ty"] = np.maximum((ty**2).mean(axis=0) - mean_ty**2, 0.0)
-    if "train_mean_t4y4" in reads:
-        out["train_mean_t4y4"] = (ty**4).mean(axis=0)
-        if has_test_labels:
-            out["test_sum_t4y4"] = ((test * data.hidden_y[:, None]) ** 4).sum(axis=0)
-    if "train_ty" in reads:
-        out["train_ty"] = ty
-    return FeatureStats(
-        n_train=n,
-        k_test=data.k_test,
-        has_test_labels=has_test_labels,
-        train_mean_sq=mean_sq,
-        train_mean_ty=mean_ty,
-        **out,
-    )
+    for rows in _row_blocks(test.shape[0], features):
+        t = test[rows]
+        require_finite(t)
+        if "train_mean_t4" in reads:
+            add("test_sum_t4", t**4)
+        if "train_mean_t4y4" in reads and has_test_labels:
+            add("test_sum_t4y4", (t * data.hidden_y[rows, None]) ** 4)
+    # training statistics are means over the N rows; the test ones stay sums
+    out = {name: (total if name.startswith("test_") else total / n) for name, total in sums.items()}
+    mean_ty2 = out.pop("train_mean_ty2", None)
+    if mean_ty2 is not None:
+        out["train_var_ty"] = np.maximum(mean_ty2 - out["train_mean_ty"] ** 2, 0.0)
+    if train_ty is not None:
+        out["train_ty"] = train_ty
+    return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
 
 
 def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments, loo_index=None) -> ConfidenceRadius:

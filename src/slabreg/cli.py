@@ -206,6 +206,7 @@ def cmd_transduce(args) -> int:
         kappa=config.get("kappa"),
         schedule=config.get("schedule", "GreedyMax"),
         seed=config["seed"],
+        features=features,
     )
     predictions = features[ds.n_train :] @ model.coefficients
     data.write_predictions_csv(out / "predictions.csv", predictions)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DataError, NumericalError, json_number
+from .errors import ConfigError, DataError, NumericalError, json_field, json_number
 
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
+# Angles per row block of Trigonometric.evaluate (1 MB of float64).
+ANGLE_BLOCK_CELLS = 1 << 17
 
 
 def as_points(points) -> np.ndarray:
@@ -47,12 +49,21 @@ def _unit_interval(points, kind: str) -> np.ndarray:
     return x
 
 
-def validate_feature_matrix(values: np.ndarray) -> np.ndarray:
+def as_feature_matrix(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    return values
+
+
+def require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
         raise NumericalError("feature matrix contains NaN or Inf entries")
+
+
+def validate_feature_matrix(values) -> np.ndarray:
+    values = as_feature_matrix(values)
+    require_finite(values)
     return values
 
 
@@ -107,13 +118,16 @@ class Trigonometric(FeatureDictionary):
         out[:, 0] = 1.0
         nfreq = m // 2
         if nfreq:
-            ang = 2.0 * np.pi * np.outer(x, np.arange(1, nfreq + 1))
-            # Each wave is written into its strided columns and scaled in
-            # place, so ang is the only temporary as large as the output.
-            for first, wave in ((1, np.cos), (2, np.sin)):
-                cols = out[:, first::2]
-                wave(ang[:, : cols.shape[1]], out=cols)
-                cols *= np.sqrt(2.0)
+            freqs = np.arange(1, nfreq + 1)
+            step = max(1, ANGLE_BLOCK_CELLS // nfreq)
+            # The angles of one block of rows at a time; each wave is written
+            # into its strided columns and all are scaled in place at the end.
+            for a in range(0, n, step):
+                ang = 2.0 * np.pi * np.outer(x[a : a + step], freqs)
+                for first, wave in ((1, np.cos), (2, np.sin)):
+                    cols = out[a : a + step, first::2]
+                    wave(ang[:, : cols.shape[1]], out=cols)
+            out[:, 1:] *= np.sqrt(2.0)
         return out
 
     def parameters(self):
@@ -363,31 +377,52 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _restore_center_origin(family: MultiscaleGaussian, p: dict) -> MultiscaleGaussian:
+    """Give a rebuilt Gaussian family the stored ``center_origin``.
+
+    The spec lists the centers already sorted, so the constructor's sort is
+    the identity and its own map would forget the training positions. The
+    stored map refers to the listed order; composing it with the sort keeps
+    it right for centers listed in any order.
+    """
+    if "center_origin" not in p:
+        return family
+    n = family.centers.shape[0]
+    origin = np.asarray(p["center_origin"])
+    if origin.shape != (n,) or origin.dtype.kind not in "iu" or not np.array_equal(np.sort(origin), np.arange(n)):
+        raise ConfigError(f"dictionary parameters.center_origin must be a permutation of range({n})")
+    family.center_origin = origin[family.center_origin]
+    return family
+
+
 def from_spec(spec: dict) -> FeatureDictionary:
     """Rebuild a dictionary from its serialized {kind, m, parameters} form."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("dictionary spec must be an object with a 'kind' field")
     kind = spec["kind"]
     p = spec.get("parameters", {})
+
+    def param(key):
+        return json_field(p, key, f"{kind} dictionary parameters")
+
     if kind == "Trigonometric":
         return Trigonometric(json_number(spec.get("m", p.get("m", 0)), "dictionary m", int))
     if kind == "Haar":
-        if "levels" not in p:
-            raise ConfigError("haar dictionary spec needs parameters.levels")
-        return Haar(json_number(p["levels"], "dictionary parameters.levels", int))
+        return Haar(json_number(param("levels"), "dictionary parameters.levels", int))
     if kind == "MultiscaleGaussian":
-        scales = [json_number(s, "dictionary parameters.scales") for s in np.ravel(p["scales"])]
-        return MultiscaleGaussian(p["centers"], scales)
+        scales = [json_number(s, "dictionary parameters.scales") for s in np.ravel(param("scales"))]
+        return _restore_center_origin(MultiscaleGaussian(param("centers"), scales), p)
     if kind == "GaussianKernel":
-        return GaussianKernel(p["centers"], json_number(p["scale"], "dictionary parameters.scale"))
+        scale = json_number(param("scale"), "dictionary parameters.scale")
+        return _restore_center_origin(GaussianKernel(param("centers"), scale), p)
     if kind == "KernelPCA":
         return KernelPCA(
-            p["points"],
-            p["kernel"],
-            json_number(p["top"], "dictionary parameters.top", int),
+            param("points"),
+            param("kernel"),
+            json_number(param("top"), "dictionary parameters.top", int),
             eigenvalues=p.get("eigenvalues"),
             eigenvectors=p.get("eigenvectors"),
         )
     if kind == "ExplicitMatrix":
-        return ExplicitMatrix(p["values"])
+        return ExplicitMatrix(param("values"))
     raise ConfigError(f"unknown dictionary kind {kind!r}")

@@ -41,3 +41,11 @@ def json_number(value, field: str, kind=float):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field} must be a number, got {value!r}") from None
+
+
+def json_field(obj, key: str, where: str):
+    """``obj[key]`` for an object read from a JSON spec. A missing key, or an
+    ``obj`` that is not an object, is a ConfigError naming the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"missing key {key!r} in {where}")
+    return obj[key]

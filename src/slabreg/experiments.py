@@ -597,7 +597,7 @@ def transductive_experiment(
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
         features = family.evaluate(data.x)
         moments = empirical_test_moments(features, n_train, k_test)
-        fit = run_selection(data, family, moments, spec, schedule="GreedyMax")
+        fit = run_selection(data, family, moments, spec, schedule="GreedyMax", features=features)
         test_feats = features[n_train:]
         preds = test_feats @ fit.coefficients
         hidden = data.hidden_y

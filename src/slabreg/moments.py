@@ -5,7 +5,8 @@ orthonormal families, Monte Carlo or a user-supplied Gram otherwise); the
 transductive engine uses the empirical moments of the unlabeled test design,
 normalized by 1/(kN) so that the diagonal matches the squared empirical norm.
 Both are carried by the same immutable ``DesignMoments`` and everything
-downstream is agnostic to which one it got.
+downstream is agnostic to which one it got. Exact moments are the identity
+(``IdentityMoments``), answered from that structure without an m x m matrix.
 """
 
 from __future__ import annotations
@@ -63,6 +64,38 @@ class DesignMoments:
         return bool(np.all(self.diag == 1.0) and np.count_nonzero(self.gram) == self.m)
 
 
+class IdentityMoments(DesignMoments):
+    """The m x m identity Gram, stored as its size: ``m``, ``diag``,
+    ``degenerate`` and ``identity`` come from the structure, and ``gram`` is
+    built only if something reads it (the projection loop does not)."""
+
+    identity = True
+
+    def __init__(self, m: int, provenance: str):
+        object.__setattr__(self, "size", int(m))
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "detail", {})
+
+    def __repr__(self):
+        return f"IdentityMoments(m={self.size}, provenance={self.provenance!r})"
+
+    @property
+    def m(self) -> int:
+        return self.size
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return np.ones(self.size)
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return np.zeros(self.size, dtype=bool)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return np.eye(self.size)
+
+
 def _symmetrize(g: np.ndarray) -> np.ndarray:
     if np.max(np.abs(g - g.T), initial=0.0) > SYMMETRY_TOL * max(1.0, np.abs(g).max(initial=0.0)):
         raise ConfigError("gram matrix is not symmetric")
@@ -88,7 +121,7 @@ def exact_moments(dictionary: FeatureDictionary) -> DesignMoments:
             f"exact moments are only available for orthonormal kinds {ORTHONORMAL_KINDS}; "
             f"use monte_carlo_moments or a user Gram for kind {dictionary.kind!r}"
         )
-    return DesignMoments(np.eye(dictionary.m), "Exact", {})
+    return IdentityMoments(dictionary.m, "Exact")
 
 
 def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, seed: int) -> DesignMoments:
@@ -129,7 +162,12 @@ def empirical_test_moments(features: np.ndarray, n_train: int, k_test: int) -> D
             f"feature matrix has {features.shape[0]} rows, expected (k+1)N = {expected}"
         )
     test = features[n_train:]
-    g = _symmetrize(test.T @ test / (k_test * n_train))
+    g = test.T @ test
+    g /= k_test * n_train
+    # numpy's T.T @ T is a symmetric rank-k update, exactly symmetric, and
+    # then 0.5 * (g + g.T) would equal g bitwise.
+    if not np.array_equal(g, g.T):
+        g = _symmetrize(g)
     mom = DesignMoments(g, "EmpiricalTest", {"n_train": n_train, "k_test": k_test})
     _warn_degenerate(mom)
     return mom

@@ -153,7 +153,9 @@ def residual_gamma(coefficients, k: int, centers, moments: DesignMoments) -> flo
     v = moments.diag[k]
     if v <= 0.0:
         raise ConfigError(f"feature {k + 1} is degenerate (zero design second moment)")
-    interaction = float(moments.gram[:, k] @ np.asarray(coefficients, dtype=float))
+    c = np.asarray(coefficients, dtype=float)
+    # Under the identity Gram, g[:, k] @ c is c[k] bitwise (see _iterate).
+    interaction = float(c[k] if moments.identity else moments.gram[:, k] @ c)
     return float(centers[k]) - interaction / v
 
 
@@ -190,7 +192,7 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
     # weight exactly 1.0, so reading c directly gives the same values bitwise
     # (orthonormal-design soft thresholding).
     identity = moments.identity
-    g = moments.gram
+    g = None if identity else moments.gram
     v = moments.diag
     tau = radius.tau
     m = centers.shape[0]
@@ -247,13 +249,15 @@ def run_selection(
     warm_start=None,
     loo_index=None,
     seed: int | None = None,
+    features=None,
 ) -> SelectionModel:
     """Fit the selection model end to end.
 
-    Evaluates the dictionary, sets up the slabs (``bounds.slab_setup``), which
-    the model keeps, then runs the projection loop. kappa defaults to 1/(2N),
-    the midpoint of the admissible interval (0, 1/N). Deterministic given
-    inputs.
+    Evaluates the dictionary at ``data.x`` unless the caller passes that
+    feature matrix as ``features`` (transductive callers hold it already for
+    the test Gram), sets up the slabs (``bounds.slab_setup``), which the model
+    keeps, then runs the projection loop. kappa defaults to 1/(2N), the
+    midpoint of the admissible interval (0, 1/N). Deterministic given inputs.
     """
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
@@ -261,7 +265,8 @@ def run_selection(
     kappa = 1.0 / (2.0 * n) if kappa is None else json_number(kappa, "kappa")
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
-    features = dictionary.evaluate(data.x)
+    if features is None:
+        features = dictionary.evaluate(data.x)
     slabs = slab_setup(features, data, moments, spec, loo_index=loo_index)
     dropped = int(slabs.active.size - slabs.active.sum())
     if dropped and np.any(slabs.active):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from slabreg import bounds
 from slabreg.data import Dataset
-from slabreg.errors import ConfigError
+from slabreg.errors import ConfigError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments
 
 
@@ -526,6 +527,99 @@ def test_compute_stats_rejects_unknown_variant():
     feats, ds, _, _, _ = radius_case("IndExact", 0, labels=False)
     with pytest.raises(ConfigError, match="unknown bound variant"):
         bounds.compute_stats(feats, ds, ("IndExcat",))
+
+
+def dense_compute_stats(features, data, variants=bounds.VARIANTS):
+    """The former compute_stats: every statistic reduced over the whole
+    matrix at once. The oracle for the row-block walk."""
+    reads = {name for variant in variants for name in bounds.VARIANT_TABLE[variant].reads}
+    has_test_labels = data.k_test > 0 and data.hidden_y is not None
+    n = data.n_train
+    train, test, y = features[:n], features[n:], data.y
+    ty = train * y[:, None]
+    mean_ty = ty.mean(axis=0)
+    t2 = train**2
+    out = {}
+    if "train_mean_sq_ysq" in reads:
+        out["train_mean_sq_ysq"] = (t2 * (y**2)[:, None]).mean(axis=0)
+    if "train_mean_t4" in reads:
+        out["train_mean_t4"] = (t2**2).mean(axis=0)
+        if data.k_test > 0:
+            out["test_sum_t4"] = (test**4).sum(axis=0)
+    if "train_var_ty" in reads:
+        out["train_var_ty"] = np.maximum((ty**2).mean(axis=0) - mean_ty**2, 0.0)
+    if "train_mean_t4y4" in reads:
+        out["train_mean_t4y4"] = (ty**4).mean(axis=0)
+        if has_test_labels:
+            out["test_sum_t4y4"] = ((test * data.hidden_y[:, None]) ** 4).sum(axis=0)
+    if "train_ty" in reads:
+        out["train_ty"] = ty
+    return bounds.FeatureStats(
+        n_train=n, k_test=data.k_test, has_test_labels=has_test_labels,
+        train_mean_sq=t2.mean(axis=0), train_mean_ty=mean_ty, **out,
+    )
+
+
+CELLS = bounds.STATS_BLOCK_CELLS
+MANY = 3 * (CELLS // 257) + 11
+# (N, m, k, hidden labels): a single column longer than one block would be,
+# two columns over one block and a remainder, 257 columns over three blocks
+# and a remainder, and N below one block; every k, labels on and off.
+STATS_CASES = [
+    (CELLS + 3, 1, 0, False),
+    (CELLS + 3, 1, 2, True),
+    (CELLS // 2 + 7, 2, 1, True),
+    (CELLS // 2 + 7, 2, 2, False),
+    (MANY, 257, 0, False),
+    (MANY, 257, 1, True),
+    (MANY, 257, 2, False),
+    *((5, 257, k, labels) for k, labels in ((0, False), (1, False), (1, True), (2, False), (2, True))),
+]
+
+
+@pytest.mark.parametrize("n,m,k_test,labels", STATS_CASES)
+def test_row_block_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
+    rng = np.random.default_rng(n + m + k_test)
+    rows = (k_test + 1) * n
+    feats = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
+    y_all = 3.0 * rng.normal(size=rows)
+    ds = Dataset(x=np.zeros((rows, 1)), y=y_all[:n], n_train=n, k_test=k_test,
+                 hidden_y=y_all[n:] if labels else None)
+    for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
+        got = bounds.compute_stats(feats, ds, variants)
+        want = dense_compute_stats(feats, ds, variants)
+        for name in bounds.FeatureStats.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            if isinstance(b, np.ndarray):
+                assert isinstance(a, np.ndarray) and a.shape == b.shape and np.array_equal(a, b), (variants, name)
+                assert a.tobytes() == b.tobytes(), (variants, name)
+            else:
+                assert a == b, (variants, name)
+
+
+def test_row_block_stats_reject_nonfinite_in_any_block():
+    n, m = 3 * (CELLS // 8), 8
+    for row in (0, n - 1, n + 5):
+        feats = np.ones((2 * n, m))
+        feats[row, 3] = np.nan
+        ds = Dataset(x=np.zeros((2 * n, 1)), y=np.ones(n), n_train=n, k_test=1)
+        with pytest.raises(NumericalError, match="NaN or Inf"):
+            bounds.compute_stats(feats, ds, ("TrBasicBounded",))
+
+
+def test_row_block_stats_stay_small_in_memory():
+    rng = np.random.default_rng(5)
+    n = m = 2048
+    feats = rng.uniform(-1.0, 1.0, size=(n, m))
+    ds = Dataset(x=np.zeros((n, 1)), y=rng.normal(size=n), n_train=n)
+    tracemalloc.start()
+    try:
+        bounds.compute_stats(feats, ds, ("IndExact",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense reduction held three 32 MB temporaries at once
+    assert peak < 8 * 2**20
 
 
 # The bounds stated for a test block of exactly k = 1 (TrGeneralK covers any k).

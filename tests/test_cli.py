@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from slabreg import bounds, data, experiments, selector
+from slabreg import bounds, data, dictionary, experiments, selector
 from slabreg.cli import main
 from slabreg.dictionary import from_spec as dict_from_spec
 from slabreg.moments import empirical_test_moments
@@ -450,6 +450,26 @@ def test_fit_ind_svm_with_train_point_centers(tmp_path):
     assert model["bound_variant"] == "IndSvm"
 
 
+def test_reloaded_gaussian_model_keeps_its_leave_one_out_anchors(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=(12, 1))
+    train = tmp_path / "train.csv"
+    data.write_labeled_csv(train, x, np.sin(3.0 * x[:, 0]) + rng.normal(0, 0.05, 12))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": str(train),
+        "dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": x.tolist(), "scales": [2.0, 4.0]}},
+        "moments": {"kind": "monte_carlo", "n_samples": 2000, "seed": 1},
+        "bound": {"variant": "IndSvm", "epsilon": 0.1},
+    }))
+    assert run_cli(["fit", "--config", config, "--out", tmp_path / "run"]) == 0
+    reloaded = selector.SelectionModel.from_json_dict(json.loads((tmp_path / "run" / "model.json").read_text()))
+    family = dictionary.MultiscaleGaussian(x, [2.0, 4.0])
+    assert not np.array_equal(family.center_origin, np.arange(12))
+    np.testing.assert_array_equal(reloaded.dictionary.center_train_indices, family.center_train_indices)
+    assert reloaded.dictionary == family
+
+
 def test_fit_explicit_matrix_dictionary(tmp_path):
     rng = np.random.default_rng(10)
     x = rng.uniform(size=(12, 1))
@@ -666,6 +686,40 @@ def test_malformed_number_in_json_spec_exits_2(tmp_path, train_csv, field, capsy
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{field} must be a number" in err
+
+
+MISSING_KEYS = {
+    "B_h": {"bound": {**json.loads(IND), "subexp": [{"beta_h": 0.5}]}},
+    "B_y": {"bound": {**json.loads(IND), "y_subexp": {"b_y": 0.5}}},
+    "centers": {"dictionary": {"kind": "GaussianKernel", "parameters": {"scale": 2.0}}},
+    "scales": {"dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.5]]}}},
+}
+
+
+@pytest.mark.parametrize("key", MISSING_KEYS)
+def test_missing_key_in_json_spec_exits_2(tmp_path, train_csv, key, capsys):
+    config = {
+        "train": str(train_csv),
+        "dictionary": json.loads(TRIG5),
+        "bound": json.loads(IND),
+        "moments": {"kind": "monte_carlo", "n_samples": 100},
+        **MISSING_KEYS[key],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["fit", "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: missing key '{key}'" in err
+
+
+def test_transduce_evaluates_the_dictionary_once(tmp_path, train_csv, test_csv, monkeypatch):
+    calls = _counting(monkeypatch, dictionary.Trigonometric, "evaluate")
+    code = run_cli([
+        "transduce", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5,
+        "--bound", TRB, "--out", tmp_path / "run",
+    ])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_bounds_text_table_agrees_with_json_rows(train_csv, capsys):

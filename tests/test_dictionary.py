@@ -42,7 +42,9 @@ def reference_trigonometric(x, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 4096])
 def test_trigonometric_matches_former_expression_bitwise(m):
-    x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(m).uniform(size=61)])
+    # three angle blocks and a remainder of rows
+    rows = 3 * max(1, fd.ANGLE_BLOCK_CELLS // max(1, m // 2)) + 5
+    x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(m).uniform(size=rows)])
     assert np.array_equal(fd.Trigonometric(m).evaluate(x), reference_trigonometric(x, m))
 
 
@@ -273,3 +275,30 @@ def test_gaussian_kernel_spec_roundtrip_equals_one_scale_multiscale():
     assert again.parameters()["scale"] == 3.0
     expected = fd.MultiscaleGaussian(centers, [3.0]).evaluate(points)
     assert again.evaluate(points).tobytes() == kernel.evaluate(points).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["MultiscaleGaussian", "GaussianKernel"])
+def test_gaussian_spec_roundtrip_keeps_center_origin(kind):
+    centers = [[0.9], [0.1], [0.5]]
+    family = fd.MultiscaleGaussian(centers, [2.0]) if kind == "MultiscaleGaussian" else fd.GaussianKernel(centers, 2.0)
+    again = fd.from_spec(json.loads(json.dumps(family.spec())))
+    np.testing.assert_array_equal(family.center_origin, [1, 2, 0])
+    np.testing.assert_array_equal(again.center_origin, [1, 2, 0])
+    np.testing.assert_array_equal(again.center_train_indices, family.center_train_indices)
+    assert again == family
+
+
+def test_center_origin_composes_with_the_sort_of_listed_centers():
+    # the listed center 0.5 is training row 1 and 0.1 is row 0
+    spec = {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.5], [0.1]], "scales": [1.0], "center_origin": [1, 0]}}
+    family = fd.from_spec(spec)
+    np.testing.assert_array_equal(family.centers[:, 0], [0.1, 0.5])
+    np.testing.assert_array_equal(family.center_origin, [0, 1])
+
+
+@pytest.mark.parametrize("origin", [[0, 0, 1], [0, 1], [0.0, 1.0, 2.0], [0, 1, 3], [True, False, True], "012"])
+def test_center_origin_must_be_a_permutation(origin):
+    spec = fd.MultiscaleGaussian([[0.9], [0.1], [0.5]], [2.0]).spec()
+    spec["parameters"]["center_origin"] = origin
+    with pytest.raises(ConfigError, match="center_origin must be a permutation of range"):
+        fd.from_spec(spec)

@@ -319,6 +319,21 @@ def test_transductive_zero_noise_beats_zero_predictor():
     assert report.extras["beats_zero_fraction"] == 1.0
 
 
+def test_transductive_experiment_evaluates_the_dictionary_once_per_fit(monkeypatch):
+    calls = []
+    evaluate = fd.Trigonometric.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(fd.Trigonometric, "evaluate", counted)
+    ex.transductive_experiment(
+        small_sobolev(noise=ex.NoiseSpec("uniform", 0.3)), n_train=32, k_test=1, m=8, replicates=3, seed=4
+    )
+    assert calls == [64, 64, 64]
+
+
 def test_transductive_chain_fraction_high():
     model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
     report = ex.transductive_experiment(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,36 @@ def _identity_with_tiny_off_diagonal():
 def test_identity_structure_of_exact_moments():
     assert dm.exact_moments(fd.Trigonometric(5)).identity
     assert dm.exact_moments(fd.Haar(2)).identity
+
+
+def test_exact_moments_answer_from_their_structure():
+    mom = dm.exact_moments(fd.Haar(3))
+    dense = dm.DesignMoments(np.eye(16), "Exact")
+    assert mom.m == dense.m == 16
+    assert mom.diag.tobytes() == dense.diag.tobytes()
+    assert mom.degenerate.tolist() == dense.degenerate.tolist()
+    assert mom.identity and dense.identity
+
+
+def test_exact_moments_store_no_gram():
+    tracemalloc.start()
+    try:
+        mom = dm.exact_moments(fd.Trigonometric(4096))
+        assert mom.identity and mom.m == 4096 and not mom.degenerate.any()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a dense identity is 128 MB
+
+
+def test_empirical_test_gram_equals_symmetrized_product_bitwise():
+    rng = np.random.default_rng(17)
+    for n, k, m in ((7, 1, 5), (33, 2, 64), (300, 1, 257)):
+        feats = rng.normal(size=((k + 1) * n, m)) * rng.uniform(0.1, 10.0, size=m)
+        test = feats[n:]
+        want = dm._symmetrize(test.T @ test / (k * n))
+        got = dm.empirical_test_moments(feats, n_train=n, k_test=k).gram
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
