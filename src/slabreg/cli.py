@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: fit, transduce, bounds, experiment. Shared flags: --config PATH,
---seed U64, --threads N, --out DIR, --json. Flag values override config-file
-values and the fully resolved configuration is echoed into every artifact.
+--seed U64, --threads N, --out DIR; ``bounds`` also takes --json. Flag values
+override config-file values and the fully resolved configuration is echoed
+into every artifact.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical error, 5 budget.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, data, dictionary, experiments, moments, selector
-from .errors import ConfigError, DataError, SlabregError
+from .errors import ConfigError, DataError, SlabregError, json_number
 
 
 def _load_config(path):
@@ -42,10 +43,17 @@ def _resolve(args, keys):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             config[key] = value
-    config.setdefault("seed", 0)
-    config.setdefault("threads", 1)
+    config["seed"] = json_number(config.get("seed", 0), "seed", int)
+    config["threads"] = json_number(config.get("threads", 1), "threads", int)
     config.setdefault("out", ".")
     return config
+
+
+def _number(obj: dict, key: str, default, where: str = "", kind=float):
+    """``obj[key]``, or ``default`` when absent, read as a number; None stays
+    None. A malformed value is a ConfigError naming ``where + key``."""
+    value = obj.get(key, default)
+    return None if value is None else json_number(value, where + key, kind)
 
 
 def _echoed(config):
@@ -59,12 +67,15 @@ def _echoed(config):
 
 
 def _parse_inline_json(text, what):
-    if isinstance(text, dict):
-        return text
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    """A spec given inline as a JSON string or already as an object."""
+    if isinstance(text, str):
+        try:
+            text = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(text, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {text!r}")
+    return text
 
 
 def _json_bytes(obj) -> bytes:
@@ -101,10 +112,15 @@ def _inductive_moments(config, family, seed):
         return moments.exact_moments(family)
     if kind == "monte_carlo":
         sampler = moments.uniform_sampler(
-            spec.get("low", 0.0), spec.get("high", 1.0), spec.get("dim", 1)
+            _number(spec, "low", 0.0, "moments."),
+            _number(spec, "high", 1.0, "moments."),
+            _number(spec, "dim", 1, "moments.", int),
         )
         return moments.monte_carlo_moments(
-            family, sampler, spec.get("n_samples", 100_000), spec.get("seed", seed)
+            family,
+            sampler,
+            _number(spec, "n_samples", 100_000, "moments.", int),
+            _number(spec, "seed", seed, "moments.", int),
         )
     if kind == "file":
         if "path" not in spec:
@@ -120,7 +136,11 @@ def _loo_arguments(config, family):
     if isinstance(family, dictionary.MultiscaleGaussian):
         return family.center_train_indices
     loo = config.get("loo_index")
-    return None if loo is None else np.asarray(loo, dtype=int)
+    if loo is None:
+        return None
+    if not isinstance(loo, list):
+        raise ConfigError(f"loo_index must be a list of training indices, got {loo!r}")
+    return np.asarray([json_number(i, "loo_index", int) for i in loo], dtype=int)
 
 
 def _with_test_block(x_train, y, x_test) -> data.Dataset:
@@ -291,7 +311,7 @@ STUDY_SIZES = {"coverage": {"N": 128, "m": 64}, "transductive": {"N": 64, "m": 3
 
 
 def _study_size(config, key):
-    return config.get(key, STUDY_SIZES[config["kind"]][key])
+    return _number(config, key, STUDY_SIZES[config["kind"]][key], kind=int)
 
 
 def _default_truth_size(config) -> int:
@@ -310,20 +330,22 @@ def _experiment_model(config) -> experiments.SyntheticModel:
             return experiments.SyntheticModel.from_spec(spec)
         noise = experiments.NoiseSpec.from_spec(spec.get("noise", {"kind": "uniform", "scale": 0.05}))
         kind = spec.get("kind", "sobolev")
+        smoothness = _number(spec, "smoothness", 1.0, "model.")
+        scale = _number(spec, "scale", 1.0, "model.")
         if kind == "sobolev":
             return experiments.sobolev_model(
-                smoothness=spec.get("smoothness", 1.0),
-                size=spec.get("size", _default_truth_size(config)),
-                scale=spec.get("scale", 1.0),
+                smoothness=smoothness,
+                size=_number(spec, "size", _default_truth_size(config), "model.", int),
+                scale=scale,
                 noise=noise,
             )
         if kind == "besov":
             return experiments.besov_spike_model(
-                smoothness=spec.get("smoothness", 1.0),
-                levels=spec.get("levels", 11),
-                scale=spec.get("scale", 1.0),
+                smoothness=smoothness,
+                levels=_number(spec, "levels", 11, "model.", int),
+                scale=scale,
                 noise=noise,
-                seed=spec.get("seed", 0),
+                seed=_number(spec, "seed", 0, "model.", int),
             )
         raise ConfigError(f"unknown model kind {kind!r}")
     return experiments.sobolev_model(size=_default_truth_size(config))
@@ -336,23 +358,24 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             "experiment kind must be one of rate-sobolev, rate-besov, coverage, transductive"
         )
-    threads = int(config["threads"])
-    seed = int(config["seed"])
+    threads, seed = config["threads"], config["seed"]
     started = time.monotonic()
     if kind in ("rate-sobolev", "rate-besov"):
         grid = config.get("grid", [64, 128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096])
-        config["grid"] = grid
+        if not isinstance(grid, list) or not grid:
+            raise ConfigError(f"grid must be a nonempty list of sample sizes, got {grid!r}")
+        config["grid"] = grid = [json_number(n, "grid", int) for n in grid]
         if kind == "rate-besov" and "model" not in config:
-            config["model"] = {"kind": "besov", "levels": int(np.log2(max(grid)))}
+            config["model"] = {"kind": "besov", "levels": max(grid).bit_length() - 1}
         model = _experiment_model(config)
         report = experiments.rate_experiment(
             model,
             grid,
-            replicates=config.get("replicates", 20),
+            replicates=_number(config, "replicates", 20, kind=int),
             seed=seed,
-            sigma_scale=config.get("sigma_scale", 1.0),
+            sigma_scale=_number(config, "sigma_scale", 1.0),
             threads=threads,
-            budget_seconds=config.get("budget_seconds"),
+            budget_seconds=_number(config, "budget_seconds", None),
         )
         report.kind = kind
     elif kind == "coverage":
@@ -362,10 +385,10 @@ def cmd_experiment(args) -> int:
             model,
             n_train=_study_size(config, "N"),
             m=_study_size(config, "m"),
-            epsilon=config.get("epsilon", 0.25),
-            replicates=config.get("replicates", 500),
+            epsilon=_number(config, "epsilon", 0.25),
+            replicates=_number(config, "replicates", 500, kind=int),
             seed=seed,
-            k_test=config.get("k_test"),
+            k_test=_number(config, "k_test", None, kind=int),
             threads=threads,
         )
     else:
@@ -373,11 +396,11 @@ def cmd_experiment(args) -> int:
         report = experiments.transductive_experiment(
             model,
             n_train=_study_size(config, "N"),
-            k_test=config.get("k_test", 1),
+            k_test=_number(config, "k_test", 1, kind=int),
             m=_study_size(config, "m"),
             variant=config.get("variant", "TrBasicBounded"),
-            epsilon=config.get("epsilon", 0.1),
-            replicates=config.get("replicates", 100),
+            epsilon=_number(config, "epsilon", 0.1),
+            replicates=_number(config, "replicates", 100, kind=int),
             seed=seed,
             threads=threads,
         )
@@ -410,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base seed (default 0)")
         p.add_argument("--threads", type=int, help="worker threads (default 1)")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     fit = sub.add_parser("fit", help="fit an inductive selection model")
     shared(fit)
@@ -441,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--bound")
     bd.add_argument("--epsilon", type=float)
     bd.add_argument("--variant", action="append", help="repeatable; adds a beta/tau column per variant")
+    bd.add_argument("--json", action="store_true", help="machine-readable stdout")
     bd.set_defaults(func=cmd_bounds)
 
     ex = sub.add_parser("experiment", help="run a rate, coverage or transductive experiment")

@@ -14,7 +14,6 @@ eigenvectors so a saved dictionary evaluates identically later.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError, NumericalError, json_field, json_number
 
@@ -47,6 +46,21 @@ def _unit_interval(points, kind: str) -> np.ndarray:
     if bad.size:
         raise DataError(f"point {int(bad[0])} = {x[bad[0]]!r} outside [0, 1] for {kind} dictionary")
     return x
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, p) matrix of ||a_i - b_j||^2 for (n, d) and (p, d) points.
+
+    Coordinates are summed in order starting from zero, one (n, p) layer at
+    a time, so each entry has the bits of the scalar loop ``s += d * d``
+    with ``d = a_ik - b_jk``.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = np.subtract.outer(a[:, k], b[:, k])
+        diff *= diff
+        out += diff
+    return out
 
 
 def as_feature_matrix(values) -> np.ndarray:
@@ -215,9 +229,12 @@ class MultiscaleGaussian(FeatureDictionary):
             )
         if pts.shape[0] == 0:
             return np.zeros((0, self.m))
-        d2 = cdist(pts, self.centers, metric="sqeuclidean")
-        blocks = [np.exp(-0.5 * g * d2) for g in self.scales]
-        return np.hstack(blocks)
+        d2 = squared_distances(pts, self.centers)
+        c = self.centers.shape[0]
+        out = np.empty((pts.shape[0], self.m))
+        for i, g in enumerate(self.scales):
+            np.exp(-0.5 * g * d2, out=out[:, i * c : (i + 1) * c])
+        return out
 
     def parameters(self):
         return {
@@ -246,7 +263,7 @@ def _kernel_matrix(kernel: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         gamma = float(kernel["gamma"])
         if gamma <= 0:
             raise ConfigError("gaussian kernel needs gamma > 0")
-        return np.exp(-0.5 * gamma * cdist(a, b, metric="sqeuclidean"))
+        return np.exp(-0.5 * gamma * squared_distances(a, b))
     if kind == "linear":
         return a @ b.T
     if kind == "explicit":

@@ -33,14 +33,18 @@ class BudgetError(SlabregError):
 
 
 def json_number(value, field: str, kind=float):
-    """``kind(value)`` for a number read from a JSON spec. A string, a boolean
-    or a value ``kind`` rejects is a ConfigError naming the field."""
+    """``kind(value)`` for a number read from a JSON spec. A string, a boolean,
+    a value ``kind`` rejects, or a fractional value read as an int is a
+    ConfigError naming the field."""
     try:
         if isinstance(value, (str, bool)):
             raise TypeError
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{field} must be a number, got {value!r}") from None
+    if kind is int and number != value:
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return number
 
 
 def json_field(obj, key: str, where: str):

@@ -8,6 +8,7 @@ import pytest
 from slabreg import bounds, data, dictionary, experiments, selector
 from slabreg.cli import main
 from slabreg.dictionary import from_spec as dict_from_spec
+from slabreg.errors import ConfigError, json_number
 from slabreg.moments import empirical_test_moments
 
 
@@ -736,3 +737,71 @@ def test_bounds_text_table_agrees_with_json_rows(train_csv, capsys):
         cells = [None if cell == "None" else float(cell) for cell in line.split("\t")]
         assert dict(zip(header.split("\t"), cells)) == row
     assert header.split("\t")[:4] == ["feature", "v", "alpha_hat", "c_ratio"]
+
+
+# Each case patches the fit config with one malformed value and names its key.
+MALFORMED_FIT_VALUES = {
+    "moments.n_samples": {"moments": {"kind": "monte_carlo", "n_samples": "lots"}},
+    "moments.low": {"moments": {"kind": "monte_carlo", "n_samples": 100, "low": "a"}},
+    "moments.dim": {"moments": {"kind": "monte_carlo", "n_samples": 100, "dim": 1.5}},
+    "moments.seed": {"moments": {"kind": "monte_carlo", "n_samples": 100, "seed": "x"}},
+    "seed": {"seed": "abc"},
+    "threads": {"threads": "x"},
+    "loo_index": {"loo_index": "abc"},
+    "moments spec": {"moments": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("key", MALFORMED_FIT_VALUES)
+def test_malformed_fit_config_value_exits_2(tmp_path, train_csv, key, capsys):
+    config = {
+        "train": str(train_csv),
+        "dictionary": json.loads(TRIG5),
+        "bound": json.loads(IND),
+        "moments": {"kind": "monte_carlo", "n_samples": 100},
+        **MALFORMED_FIT_VALUES[key],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["fit", "--config", path, "--out", tmp_path]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+RATE = {"kind": "rate-sobolev", "grid": [64, 128, 256, 512]}
+MALFORMED_EXPERIMENT_VALUES = [
+    ("grid", {"kind": "rate-sobolev", "grid": ["a", 64, 128, 256]}),
+    ("grid", {"kind": "rate-sobolev", "grid": 5}),
+    ("grid", {"kind": "rate-besov", "grid": []}),
+    ("replicates", {**RATE, "replicates": "2"}),
+    ("budget_seconds", {**RATE, "budget_seconds": "x"}),
+    ("sigma_scale", {**RATE, "sigma_scale": "x"}),
+    ("N", {"kind": "coverage", "N": "x"}),
+    ("epsilon", {"kind": "coverage", "epsilon": "x"}),
+    ("k_test", {"kind": "transductive", "k_test": "x"}),
+    ("model spec", {"kind": "coverage", "model": 5}),
+    ("model.size", {"kind": "coverage", "model": {"kind": "sobolev", "size": "x"}}),
+    ("model.levels", {"kind": "coverage", "model": {"kind": "besov", "levels": 2.5}}),
+]
+
+
+@pytest.mark.parametrize("key, config", MALFORMED_EXPERIMENT_VALUES)
+def test_malformed_experiment_config_value_exits_2(tmp_path, key, config, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "transduce", "experiment"])
+def test_json_flag_belongs_to_bounds_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.5, float("inf"), float("nan"), "3", True, [3]])
+def test_json_number_reads_only_whole_numbers_as_ints(value):
+    assert json_number(3.0, "count", int) == 3
+    with pytest.raises(ConfigError, match="count must be"):
+        json_number(value, "count", int)

@@ -302,3 +302,78 @@ def test_center_origin_must_be_a_permutation(origin):
     spec["parameters"]["center_origin"] = origin
     with pytest.raises(ConfigError, match="center_origin must be a permutation of range"):
         fd.from_spec(spec)
+
+
+def python_squared_distances(a, b):
+    """Oracle: the scalar loop, coordinates summed in order from zero."""
+    out = np.empty((len(a), len(b)))
+    for i, u in enumerate(a.tolist()):
+        for j, v in enumerate(b.tolist()):
+            s = 0.0
+            for x, y in zip(u, v):
+                s += (x - y) * (x - y)
+            out[i, j] = s
+    return out
+
+
+def distance_points(d):
+    rng = np.random.default_rng(d)
+    return rng.normal(scale=3.0, size=(23, d)), rng.uniform(-1.0, 1.0, size=(17, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_squared_distances_equal_scalar_loop_bitwise(d):
+    a, b = distance_points(d)
+    got = fd.squared_distances(a, b)
+    assert got.tobytes() == python_squared_distances(a, b).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_squared_distances_equal_scipy_cdist_bitwise(d):
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    a, b = distance_points(d)
+    assert fd.squared_distances(a, b).tobytes() == cdist(a, b, "sqeuclidean").tobytes()
+
+
+def gaussian_families():
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(size=(37, 2))
+    return [
+        fd.MultiscaleGaussian(centers, [4.0, 0.5, 64.0]),
+        fd.GaussianKernel(centers, 9.0),
+        fd.KernelPCA(centers, {"kind": "gaussian", "gamma": 6.0}, top=5),
+    ]
+
+
+@pytest.mark.parametrize("family", gaussian_families(), ids=lambda f: f.kind)
+def test_gaussian_features_equal_former_cdist_expression_bitwise(family):
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    x = np.random.default_rng(12).uniform(size=(101, 2))
+    if isinstance(family, fd.KernelPCA):
+        gamma = family.kernel["gamma"]
+        gram = np.exp(-0.5 * gamma * cdist(family.points, family.points, "sqeuclidean"))
+        vals, vecs = np.linalg.eigh(gram)
+        vecs = fd._canonical_signs(vecs[:, ::-1])[:, : family.top]
+        assert vecs.tobytes() == family.eigenvectors.tobytes()
+        expected = np.exp(-0.5 * gamma * cdist(x, family.points, "sqeuclidean")) @ vecs
+    else:
+        expected = np.hstack(
+            [np.exp(-0.5 * g * cdist(x, family.centers, "sqeuclidean")) for g in family.scales]
+        )
+    assert family.evaluate(x).tobytes() == expected.tobytes()
+
+
+def test_multiscale_evaluate_peak_memory_is_near_its_output():
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    family = fd.MultiscaleGaussian(rng.uniform(size=256), [4.0, 16.0, 64.0, 256.0])
+    x = rng.uniform(size=2048)
+    tracemalloc.start()
+    try:
+        out = family.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, the (n, c) distances and one scale's temporary: 1.5x
+    assert peak <= 1.6 * out.nbytes
