@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .dictionary import as_feature_matrix, require_finite
+from .dictionary import FeatureDictionary, as_feature_matrix, require_finite
 from .errors import ConfigError, json_field, json_number
 from .moments import DesignMoments
 
@@ -410,7 +410,7 @@ VARIANTS = tuple(VARIANT_TABLE)
 STATS_BLOCK_CELLS = 1 << 17
 
 
-def _row_blocks(rows: int, features: np.ndarray) -> list[slice]:
+def _row_blocks(rows: int, m: int, contiguous: bool) -> list[slice]:
     """Row slices for column sums carried across blocks.
 
     numpy reduces axis 0 of a C-contiguous (rows, m) array row by row when
@@ -418,14 +418,18 @@ def _row_blocks(rows: int, features: np.ndarray) -> list[slice]:
     reducing the block continues the same sequence of additions. A single
     column (summed pairwise) or another layout is one block.
     """
-    m = features.shape[1]
-    step = max(1, STATS_BLOCK_CELLS // m) if m >= 2 and features.flags.c_contiguous else max(rows, 1)
+    step = max(1, STATS_BLOCK_CELLS // m) if m >= 2 and contiguous else max(rows, 1)
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> FeatureStats:
-    """Split a full ((k+1)N, m) feature matrix and accumulate the statistics
-    that the given bound variants read.
+def compute_stats(features, data: Dataset, variants=VARIANTS) -> FeatureStats:
+    """Accumulate the statistics that the given bound variants read from the
+    ((k+1)N, m) feature matrix of ``data.x``, split into the N training rows
+    and the test block.
+
+    ``features`` is that matrix, or the dictionary to evaluate at ``data.x``.
+    A ``rowwise`` dictionary is evaluated one row block at a time, so no
+    (k+1)N x m array exists; any other dictionary is evaluated once.
 
     The training means of theta_k^2 and theta_k Y are always computed (slab
     centers, alpha_hat and the degeneracy mask read them). Beyond those,
@@ -447,13 +451,29 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
     ``train_ty`` no temporary is as large as the feature matrix; every
     statistic is bitwise that of reducing the whole matrix at once.
     """
-    features = as_feature_matrix(features)
     n = data.n_train
-    if features.shape[0] != (data.k_test + 1) * n:
-        raise ConfigError(
-            f"feature matrix has {features.shape[0]} rows, dataset expects "
-            f"{(data.k_test + 1) * n}"
-        )
+    if isinstance(features, FeatureDictionary) and features.rowwise:
+        # Points are checked whole, so an error names the row in the sample.
+        points = features.check_points(data.x)
+        m, contiguous = features.m, True
+
+        def block(a, b):
+            return features.evaluate(points[a:b])
+
+    else:
+        if isinstance(features, FeatureDictionary):
+            features = features.evaluate(data.x)
+        matrix = as_feature_matrix(features)
+        if matrix.shape[0] != (data.k_test + 1) * n:
+            raise ConfigError(
+                f"feature matrix has {matrix.shape[0]} rows, dataset expects "
+                f"{(data.k_test + 1) * n}"
+            )
+        m, contiguous = matrix.shape[1], matrix.flags.c_contiguous
+
+        def block(a, b):
+            return matrix[a:b]
+
     reads = set()
     for variant in variants:
         if variant not in VARIANT_TABLE:
@@ -468,9 +488,9 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
             values[0] += sums[name]
         sums[name] = np.add.reduce(values, axis=0)
 
-    train_ty = np.empty((n, features.shape[1])) if "train_ty" in reads else None
-    for rows in _row_blocks(n, features):
-        t = features[rows]
+    train_ty = np.empty((n, m)) if "train_ty" in reads else None
+    for rows in _row_blocks(n, m, contiguous):
+        t = block(rows.start, rows.stop)
         require_finite(t)
         y = data.y[rows, None]
         ty = t * y
@@ -487,9 +507,8 @@ def compute_stats(features: np.ndarray, data: Dataset, variants=VARIANTS) -> Fea
         if train_ty is not None:
             train_ty[rows] = ty
         add("train_mean_ty", ty)
-    test = features[n:]
-    for rows in _row_blocks(test.shape[0], features):
-        t = test[rows]
+    for rows in _row_blocks(data.k_test * n, m, contiguous):
+        t = block(n + rows.start, n + rows.stop)
         require_finite(t)
         if "train_mean_t4" in reads:
             add("test_sum_t4", t**4)
@@ -551,13 +570,14 @@ class Slabs(NamedTuple):
     active: np.ndarray
 
 
-def slab_setup(features: np.ndarray, data: Dataset, moments: DesignMoments, spec: BoundSpec, loo_index=None) -> Slabs:
+def slab_setup(features, data: Dataset, moments: DesignMoments, spec: BoundSpec, loo_index=None) -> Slabs:
     """Check that features, moments and variant agree, then build every
-    feature's slab from the statistics the variant reads (not kept)."""
-    if features.shape[1] != moments.m:
-        raise ConfigError(
-            f"dictionary has {features.shape[1]} features but moments cover {moments.m}"
-        )
+    feature's slab from the statistics the variant reads (not kept).
+    ``features`` is the feature matrix of ``data.x`` or the dictionary to
+    evaluate there, as in ``compute_stats``."""
+    m = features.m if isinstance(features, FeatureDictionary) else features.shape[1]
+    if m != moments.m:
+        raise ConfigError(f"dictionary has {m} features but moments cover {moments.m}")
     stats = compute_stats(features, data, (spec.variant,))
     radius = compute_radius(spec, stats, moments, loo_index=loo_index)
     centers = slab_centers(stats, moments)

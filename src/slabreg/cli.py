@@ -43,7 +43,7 @@ def _resolve(args, keys):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             config[key] = value
-    config["seed"] = json_number(config.get("seed", 0), "seed", int)
+    config["seed"] = _seed(config, "seed", 0)
     config["threads"] = json_number(config.get("threads", 1), "threads", int)
     config.setdefault("out", ".")
     return config
@@ -54,6 +54,15 @@ def _number(obj: dict, key: str, default, where: str = "", kind=float):
     None. A malformed value is a ConfigError naming ``where + key``."""
     value = obj.get(key, default)
     return None if value is None else json_number(value, where + key, kind)
+
+
+def _seed(obj: dict, key: str, default, where: str = "") -> int:
+    """``obj[key]``, or ``default`` when absent, read as a seed: a
+    non-negative integer (numpy's SeedSequence takes no other)."""
+    seed = json_number(obj.get(key, default), where + key, int)
+    if seed < 0:
+        raise ConfigError(f"{where}{key} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _echoed(config):
@@ -120,7 +129,7 @@ def _inductive_moments(config, family, seed):
             family,
             sampler,
             _number(spec, "n_samples", 100_000, "moments.", int),
-            _number(spec, "seed", seed, "moments.", int),
+            _seed(spec, "seed", seed, "moments."),
         )
     if kind == "file":
         if "path" not in spec:
@@ -244,21 +253,23 @@ def _bounds_table(config):
     variants = config.get("variants") or [_bound_spec(config).variant]
     specs = [_bound_spec({**config, "bound": {**bound, "variant": name}}) for name in variants]
     test_path = config.get("test")
-    if any(s.transductive for s in specs):
+    transductive = any(s.transductive for s in specs)
+    if transductive:
         if test_path is None:
             raise ConfigError("transductive bound variants need a 'test' file")
         ds = _with_test_block(x, y, data.load_unlabeled_csv(test_path))
     else:
         ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
-    family_matrix = family.evaluate(ds.x)
-    stats = bounds.compute_stats(family_matrix, ds, [spec.variant for spec in specs])
+    # Only the empirical test Gram reads the whole feature matrix.
+    features = family.evaluate(ds.x) if transductive else family
+    stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs])
     loo_index = _loo_arguments(config, family)
     geometries = {}  # spec.transductive -> moments, each built on first use
     columns = {}
     for spec in specs:
         if spec.transductive not in geometries:
             geometries[spec.transductive] = (
-                moments.empirical_test_moments(family_matrix, ds.n_train, ds.k_test)
+                moments.empirical_test_moments(features, ds.n_train, ds.k_test)
                 if spec.transductive
                 else _inductive_moments(config, family, config["seed"])
             )
@@ -345,7 +356,7 @@ def _experiment_model(config) -> experiments.SyntheticModel:
                 levels=_number(spec, "levels", 11, "model.", int),
                 scale=scale,
                 noise=noise,
-                seed=_number(spec, "seed", 0, "model.", int),
+                seed=_seed(spec, "seed", 0, "model."),
             )
         raise ConfigError(f"unknown model kind {kind!r}")
     return experiments.sobolev_model(size=_default_truth_size(config))

@@ -82,13 +82,27 @@ def validate_feature_matrix(values) -> np.ndarray:
 
 
 class FeatureDictionary:
-    """Base class: an ordered family of m feature functions."""
+    """Base class: an ordered family of m feature functions.
+
+    ``rowwise`` kinds compute each row of ``evaluate`` from its own point
+    alone, elementwise, so evaluating any slice of the points gives that
+    slice of the matrix bitwise; ``bounds.compute_stats`` evaluates them one
+    row block at a time. A kind whose rows pass through a matrix product
+    (kernel PCA: its bits may change with the block size) or are tied to a
+    stored sample (an explicit matrix) is not rowwise.
+    """
 
     kind = "?"
+    rowwise = False
 
     @property
     def m(self) -> int:
         raise NotImplementedError
+
+    def check_points(self, points) -> np.ndarray:
+        """The design points as ``evaluate`` reads them; a point outside the
+        family's domain is a DataError naming its index."""
+        return as_points(points)
 
     def evaluate(self, points) -> np.ndarray:
         """Feature matrix with entry (i, k) = theta_k(points[i])."""
@@ -114,6 +128,7 @@ class Trigonometric(FeatureDictionary):
     """1, sqrt(2) cos(2 pi j x), sqrt(2) sin(2 pi j x) on [0, 1], in that order."""
 
     kind = "Trigonometric"
+    rowwise = True
 
     def __init__(self, m: int):
         m = int(m)
@@ -125,8 +140,11 @@ class Trigonometric(FeatureDictionary):
     def m(self):
         return self._m
 
+    def check_points(self, points):
+        return _unit_interval(points, self.kind)
+
     def evaluate(self, points):
-        x = _unit_interval(points, self.kind)
+        x = self.check_points(points)
         n, m = x.shape[0], self._m
         out = np.zeros((n, m))
         out[:, 0] = 1.0
@@ -156,6 +174,7 @@ class Haar(FeatureDictionary):
     """
 
     kind = "Haar"
+    rowwise = True
 
     def __init__(self, levels: int):
         levels = int(levels)
@@ -167,25 +186,34 @@ class Haar(FeatureDictionary):
     def m(self):
         return 2 ** (self.levels + 1)
 
+    def check_points(self, points):
+        return _unit_interval(points, self.kind)
+
     def evaluate(self, points):
-        x = _unit_interval(points, self.kind)
+        x = self.check_points(points)
         n = x.shape[0]
         out = np.zeros((n, self.m))
         out[:, 0] = 1.0
-        col = 1
         rows = np.arange(n)
-        for j in range(self.levels + 1):
-            width = 2**j
-            pos = x * width
-            idx = np.minimum(np.floor(pos).astype(int), width - 1)
-            frac = pos - idx
-            sign = np.where(frac < 0.5, 1.0, -1.0)
-            out[rows, col + idx] = (2.0 ** (j / 2.0)) * sign
-            col += width
+        for j, cell, value in haar_levels(x, self.levels):
+            out[rows, 2**j + cell] = value
         return out
 
     def parameters(self):
         return {"levels": self.levels}
+
+
+def haar_levels(x: np.ndarray, levels: int):
+    """For each level j = 0..levels, yield (j, cell, value): the index within
+    level j of the one wavelet nonzero at each point of x (in [0, 1]) and its
+    value there, 2^{j/2} times the sign of the point's half of that cell.
+    The wavelet's column in a Haar family is 2^j + cell."""
+    for j in range(levels + 1):
+        width = 2**j
+        pos = x * width
+        cell = np.minimum(np.floor(pos).astype(int), width - 1)
+        sign = np.where(pos - cell < 0.5, 1.0, -1.0)
+        yield j, cell, (2.0 ** (j / 2.0)) * sign
 
 
 class MultiscaleGaussian(FeatureDictionary):
@@ -200,6 +228,7 @@ class MultiscaleGaussian(FeatureDictionary):
     """
 
     kind = "MultiscaleGaussian"
+    rowwise = True
 
     def __init__(self, centers, scales):
         centers = as_points(centers)
@@ -221,12 +250,16 @@ class MultiscaleGaussian(FeatureDictionary):
     def center_train_indices(self) -> np.ndarray:
         return np.tile(self.center_origin, self.scales.size)
 
-    def evaluate(self, points):
+    def check_points(self, points):
         pts = as_points(points)
         if pts.shape[0] and pts.shape[1] != self.centers.shape[1]:
             raise DataError(
                 f"points have dimension {pts.shape[1]}, centers have {self.centers.shape[1]}"
             )
+        return pts
+
+    def evaluate(self, points):
+        pts = self.check_points(points)
         if pts.shape[0] == 0:
             return np.zeros((0, self.m))
         d2 = squared_distances(pts, self.centers)

@@ -253,10 +253,11 @@ def run_selection(
 ) -> SelectionModel:
     """Fit the selection model end to end.
 
-    Evaluates the dictionary at ``data.x`` unless the caller passes that
-    feature matrix as ``features`` (transductive callers hold it already for
-    the test Gram), sets up the slabs (``bounds.slab_setup``), which the model
-    keeps, then runs the projection loop. kappa defaults to 1/(2N), the
+    Sets up the slabs (``bounds.slab_setup``), which the model keeps, from
+    the dictionary at ``data.x`` (a rowwise dictionary one row block at a
+    time), or from that feature matrix when the caller passes it as
+    ``features`` (transductive callers hold it already for the test Gram),
+    then runs the projection loop. kappa defaults to 1/(2N), the
     midpoint of the admissible interval (0, 1/N). Deterministic given inputs.
     """
     if schedule not in SCHEDULES:
@@ -265,9 +266,7 @@ def run_selection(
     kappa = 1.0 / (2.0 * n) if kappa is None else json_number(kappa, "kappa")
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
-    if features is None:
-        features = dictionary.evaluate(data.x)
-    slabs = slab_setup(features, data, moments, spec, loo_index=loo_index)
+    slabs = slab_setup(dictionary if features is None else features, data, moments, spec, loo_index=loo_index)
     dropped = int(slabs.active.size - slabs.active.sum())
     if dropped and np.any(slabs.active):
         warnings.warn(f"excluding {dropped} degenerate feature(s) from selection", stacklevel=2)

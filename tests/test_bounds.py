@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabreg import bounds
+from slabreg import dictionary as fd
 from slabreg.data import Dataset
-from slabreg.errors import ConfigError, NumericalError
+from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments
 
 
@@ -560,6 +561,16 @@ def dense_compute_stats(features, data, variants=bounds.VARIANTS):
     )
 
 
+def assert_stats_identical(got, want, context=None):
+    for name in bounds.FeatureStats.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.shape == b.shape and np.array_equal(a, b), (context, name)
+            assert a.tobytes() == b.tobytes(), (context, name)
+        else:
+            assert a == b, (context, name)
+
+
 CELLS = bounds.STATS_BLOCK_CELLS
 MANY = 3 * (CELLS // 257) + 11
 # (N, m, k, hidden labels): a single column longer than one block would be,
@@ -587,14 +598,7 @@ def test_row_block_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
                  hidden_y=y_all[n:] if labels else None)
     for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
         got = bounds.compute_stats(feats, ds, variants)
-        want = dense_compute_stats(feats, ds, variants)
-        for name in bounds.FeatureStats.__dataclass_fields__:
-            a, b = getattr(got, name), getattr(want, name)
-            if isinstance(b, np.ndarray):
-                assert isinstance(a, np.ndarray) and a.shape == b.shape and np.array_equal(a, b), (variants, name)
-                assert a.tobytes() == b.tobytes(), (variants, name)
-            else:
-                assert a == b, (variants, name)
+        assert_stats_identical(got, dense_compute_stats(feats, ds, variants), variants)
 
 
 def test_row_block_stats_reject_nonfinite_in_any_block():
@@ -620,6 +624,119 @@ def test_row_block_stats_stay_small_in_memory():
         tracemalloc.stop()
     # the dense reduction held three 32 MB temporaries at once
     assert peak < 8 * 2**20
+
+
+def rowwise_family(kind, m):
+    """A rowwise dictionary of the given kind with m features (Haar and
+    MultiscaleGaussian: m even)."""
+    if kind == "Trigonometric":
+        return fd.Trigonometric(m)
+    if kind == "Haar":
+        return fd.Haar(m.bit_length() - 2)
+    if kind == "GaussianKernel":
+        return fd.GaussianKernel(np.linspace(0.03, 0.97, m)[:, None], 40.0)
+    return fd.MultiscaleGaussian(np.linspace(0.03, 0.97, m // 2)[:, None], [9.0, 300.0])
+
+
+def stream_points(rows, seed):
+    """0, 0.5, 1, a dyadic grid, then uniform points."""
+    dyadic = np.arange(65) / 64.0
+    x = np.concatenate([[0.0, 0.5, 1.0], dyadic, np.random.default_rng(seed).uniform(size=rows)])
+    return x[:rows, None]
+
+
+# m = 1, 2, 3 (even m for Haar and MultiscaleGaussian) and one m over three
+# blocks plus a remainder.
+STREAM_MANY = 3 * (CELLS // 256) + 9
+STREAM_SIZES = {
+    "Trigonometric": (1, 2, 3, 256),
+    "Haar": (2, 4, 256),
+    "MultiscaleGaussian": (2, 4, 256),
+    "GaussianKernel": (1, 2, 3, 256),
+}
+STREAM_CASES = [
+    (kind, m, STREAM_MANY if m == 256 else 70) for kind, sizes in STREAM_SIZES.items() for m in sizes
+]
+
+
+@pytest.mark.parametrize("kind,m,n", STREAM_CASES)
+@pytest.mark.parametrize("k_test,labels", [(0, False), (1, False), (1, True)])
+def test_dictionary_stats_equal_matrix_stats_bitwise(kind, m, n, k_test, labels):
+    family = rowwise_family(kind, m)
+    assert family.rowwise and family.m == m
+    rows = (k_test + 1) * n
+    x = stream_points(rows, seed=m + n)
+    y_all = 3.0 * np.random.default_rng(m).normal(size=rows)
+    ds = Dataset(x=x, y=y_all[:n], n_train=n, k_test=k_test, hidden_y=y_all[n:] if labels else None)
+    features = family.evaluate(x)
+    for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
+        got = bounds.compute_stats(family, ds, variants)
+        assert_stats_identical(got, bounds.compute_stats(features, ds, variants), variants)
+        assert_stats_identical(got, dense_compute_stats(features, ds, variants), variants)
+
+
+def count_evaluations(monkeypatch, cls):
+    calls = []
+    evaluate = cls.evaluate
+
+    def counted(self, points):
+        calls.append(np.asarray(points).shape[0])
+        return evaluate(self, points)
+
+    monkeypatch.setattr(cls, "evaluate", counted)
+    return calls
+
+
+def test_rowwise_dictionary_is_evaluated_one_row_block_at_a_time(monkeypatch):
+    n, m = STREAM_MANY, 256
+    calls = count_evaluations(monkeypatch, fd.Trigonometric)
+    x = stream_points(2 * n, seed=3)
+    ds = Dataset(x=x, y=np.ones(n), n_train=n, k_test=1)
+    bounds.compute_stats(fd.Trigonometric(m), ds)
+    step = CELLS // m
+    blocks = [step] * 3 + [n - 3 * step]
+    assert calls == blocks + blocks
+
+
+@pytest.mark.parametrize("kind", ["KernelPCA", "ExplicitMatrix"])
+def test_other_dictionaries_are_evaluated_once_as_a_matrix(kind, monkeypatch):
+    n, m = STREAM_MANY, 256
+    rng = np.random.default_rng(8)
+    x = rng.uniform(size=(n, 1))
+    if kind == "KernelPCA":
+        family = fd.KernelPCA(x[:300], {"kind": "gaussian", "gamma": 30.0}, top=m)
+    else:
+        family = fd.ExplicitMatrix(rng.normal(size=(n, m)))
+    assert not family.rowwise
+    calls = count_evaluations(monkeypatch, type(family))
+    ds = Dataset(x=x, y=rng.normal(size=n), n_train=n)
+    got = bounds.compute_stats(family, ds)
+    assert calls == [n]
+    monkeypatch.undo()
+    assert_stats_identical(got, bounds.compute_stats(family.evaluate(x), ds))
+
+
+@pytest.mark.parametrize(
+    "kind,bad,message",
+    [
+        ("Trigonometric", 1.5, "point 100 = .*1.5.* outside"),
+        ("Haar", 1.5, "point 100 = .*1.5.* outside"),
+        ("Trigonometric", np.nan, "non-finite design point at index 100"),
+        ("Haar", np.nan, "non-finite design point at index 100"),
+        ("MultiscaleGaussian", np.nan, "non-finite design point at index 100"),
+    ],
+)
+def test_streamed_bad_point_names_its_row_in_the_sample(kind, bad, message):
+    n, m = 300, 2048
+    assert CELLS // m < 100  # the point lies past the first block
+    x = stream_points(n, seed=4)
+    x[100, 0] = bad
+    ds = Dataset(x=x, y=np.ones(n), n_train=n)
+    family = rowwise_family(kind, m)
+    with pytest.raises(DataError, match=message):
+        family.evaluate(x)
+    with pytest.raises(DataError, match=message):
+        bounds.compute_stats(family, ds)
 
 
 # The bounds stated for a test block of exactly k = 1 (TrGeneralK covers any k).

@@ -792,6 +792,48 @@ def test_malformed_experiment_config_value_exits_2(tmp_path, key, config, capsys
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
+# (command, key named in the error, config patch, extra flags)
+NEGATIVE_SEEDS = [
+    ("fit", "moments.seed", {"moments": {"kind": "monte_carlo", "n_samples": 100, "seed": -3}}, []),
+    ("fit", "seed", {"seed": -1, "moments": {"kind": "monte_carlo", "n_samples": 100}}, []),
+    ("fit", "seed", {"seed": -1}, []),
+    ("fit", "seed", {}, ["--seed", -2]),
+    ("experiment", "seed", {"kind": "coverage"}, ["--seed", -5]),
+    ("experiment", "model.seed", {"kind": "coverage", "model": {"kind": "besov", "seed": -2}}, []),
+]
+
+
+@pytest.mark.parametrize("command,key,patch,flags", NEGATIVE_SEEDS)
+def test_negative_seed_exits_2(tmp_path, train_csv, command, key, patch, flags, capsys):
+    config = {}
+    if command == "fit":
+        config = {"train": str(train_csv), "dictionary": json.loads(TRIG5), "bound": json.loads(IND)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, **patch}))
+    out = tmp_path / "run"
+    assert run_cli([command, "--config", path, "--out", out, *flags]) == 2
+    assert f"config error: {key} must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inductive_bounds_table_streams_the_dictionary_with_the_same_rows(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(150, 1))
+    train = tmp_path / "train.csv"
+    data.write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 150))
+    config = {
+        "train": str(train),
+        "dictionary": {"kind": "Trigonometric", "m": 2048},
+        "bound": {"epsilon": 0.1, "B": 1.5, "sigma2": 0.04},
+    }
+    variants = ["IndExact", "IndVarFirstOrder"]
+    calls = _counting(monkeypatch, dictionary.Trigonometric, "evaluate")
+    streamed = _bounds_rows(tmp_path, config, variants, capsys)
+    assert len(calls) == 3  # row blocks of 64, 64 and 22
+    monkeypatch.setattr(dictionary.Trigonometric, "rowwise", False)
+    assert streamed == _bounds_rows(tmp_path, config, variants, capsys)
+
+
 @pytest.mark.parametrize("command", ["fit", "transduce", "experiment"])
 def test_json_flag_belongs_to_bounds_only(command, capsys):
     with pytest.raises(SystemExit) as exc:

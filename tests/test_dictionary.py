@@ -377,3 +377,41 @@ def test_multiscale_evaluate_peak_memory_is_near_its_output():
         tracemalloc.stop()
     # the output, the (n, c) distances and one scale's temporary: 1.5x
     assert peak <= 1.6 * out.nbytes
+
+
+def every_kind(cls=fd.FeatureDictionary):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from every_kind(sub)
+
+
+def test_rowwise_is_declared_by_the_elementwise_kinds_only():
+    declared = {cls.kind for cls in every_kind() if cls.rowwise}
+    assert declared == {"Trigonometric", "Haar", "MultiscaleGaussian", "GaussianKernel"}
+
+
+def rowwise_families():
+    rng = np.random.default_rng(16)
+    centers = rng.uniform(size=(37, 2))
+    return [
+        fd.Trigonometric(1),
+        fd.Trigonometric(2),
+        fd.Trigonometric(257),
+        fd.Haar(0),
+        fd.Haar(7),
+        fd.MultiscaleGaussian(centers, [4.0, 0.5, 64.0]),
+        fd.GaussianKernel(centers, 9.0),
+    ]
+
+
+@pytest.mark.parametrize("family", rowwise_families(), ids=lambda f: f"{f.kind}-{f.m}")
+def test_rowwise_evaluation_of_a_slice_is_that_slice_bytewise(family):
+    assert family.rowwise
+    grid = np.concatenate([[0.0, 0.5, 1.0], np.arange(129) / 128.0, np.random.default_rng(17).uniform(size=300)])
+    x = grid[:, None] if family.kind in ("Trigonometric", "Haar") else np.column_stack([grid, grid[::-1]])
+    n = x.shape[0]
+    whole = family.evaluate(x)
+    for a, b in [(0, 1), (0, 64), (3, 70), (64, 65), (100, n), (n - 1, n), (7, 7)]:
+        part = family.evaluate(x[a:b])
+        assert part.shape == whole[a:b].shape
+        assert part.tobytes() == whole[a:b].tobytes(), (a, b)

@@ -121,6 +121,38 @@ def test_trig_truth_matches_dense_oracle(size):
     assert np.max(np.abs(model.f_values(x[:, None]) - dense_truth(model, x))) <= tol
 
 
+def dense_haar_truth(model, x):
+    """The dense oracle: the (n, size) Haar feature matrix times the coefficients."""
+    return model.family().evaluate(x) @ model.coefficients
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 5, 11])
+def test_haar_truth_matches_dense_oracle(levels):
+    rng = np.random.default_rng(levels)
+    size = 2 ** (levels + 1)
+    model = ex.SyntheticModel(coefficients=rng.normal(size=size), basis="Haar")
+    dyadic = np.arange(2 * size + 1) / (2 * size)
+    x = np.concatenate([[0.0, 1.0], dyadic, rng.uniform(size=300)])
+    c = model.coefficients
+    scale = np.concatenate([[1.0], *(np.full(2**j, 2.0 ** (j / 2.0)) for j in range(levels + 1))])
+    tol = 1e-12 * float(np.abs(c) @ scale)
+    assert np.max(np.abs(model.f_values(x) - dense_haar_truth(model, x))) <= tol
+    assert np.max(np.abs(model.f_values(x[:, None]) - dense_haar_truth(model, x))) <= tol
+
+
+def test_haar_truth_stays_small_in_memory():
+    model = ex.besov_spike_model(smoothness=1.0, levels=11, scale=1.0, seed=3)
+    tracemalloc.start()
+    try:
+        ex.generate(model, 4096, 0, seed=1)
+        model.sup_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (4096, 2048) Haar matrix of the truth alone is 64 MB
+    assert peak < 4 * 2**20
+
+
 def test_trig_truth_rejects_points_outside_unit_interval():
     with pytest.raises(DataError, match="outside"):
         small_sobolev().f_values([0.5, 1.5])
@@ -235,6 +267,18 @@ def test_per_feature_excess_closed_form_matches_oracle_loop(size, m):
             rtol=0.0,
             atol=1e-12,
         )
+
+
+def test_inductive_coverage_rows_equal_whole_matrix_rows(monkeypatch):
+    model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
+    n, m = 80, 2048  # a row block of 64 and one of 16 per replicate
+
+    def study():
+        return ex.coverage_study("IndVarFirstOrder", model, n_train=n, m=m, epsilon=0.25, replicates=100, seed=12)
+
+    streamed = study()
+    monkeypatch.setattr(fd.Trigonometric, "rowwise", False)
+    assert streamed.rows == study().rows
 
 
 def test_coverage_needs_replicates():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from slabreg import bounds, selector
 from slabreg.data import Dataset
-from slabreg.dictionary import ExplicitMatrix, Haar, Trigonometric
+from slabreg.dictionary import ExplicitMatrix, Haar, KernelPCA, Trigonometric
 from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments
 
@@ -582,3 +583,58 @@ def test_model_keeps_the_slabs_it_fitted_against(geometry):
     payload = model.to_json_dict()
     assert "slabs" not in payload
     assert selector.SelectionModel.from_json_dict(json.loads(json.dumps(payload))).slabs is None
+
+
+def test_inductive_trigonometric_fit_holds_no_feature_matrix():
+    rng = np.random.default_rng(78)
+    n = m = 2048
+    x = rng.uniform(size=n)
+    ds = Dataset(x=x, y=np.cos(2 * np.pi * 3 * x) + rng.uniform(-0.1, 0.1, size=n), n_train=n)
+    family = Trigonometric(m)
+    spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
+    mom = exact_moments(family)
+    tracemalloc.start()
+    try:
+        model = selector.run_selection(ds, family, mom, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (N, m) feature matrix alone is 32 MB
+    assert peak < 8 * 2**20
+    fresh = bounds.slab_setup(family.evaluate(x), ds, mom, spec)
+    assert model.slabs.radius.beta.tobytes() == fresh.radius.beta.tobytes()
+    assert model.slabs.centers.tobytes() == fresh.centers.tobytes()
+    assert model.selected.tolist() == [6]  # sqrt(2) cos(2 pi 3 x), feature 6
+
+
+@pytest.mark.parametrize("kind", ["Trigonometric", "KernelPCA", "ExplicitMatrix"])
+def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, monkeypatch):
+    rng = np.random.default_rng(79)
+    n, m = 1100, 512
+    x = rng.uniform(size=(n, 1))
+    if kind == "Trigonometric":
+        family = Trigonometric(m)
+    elif kind == "KernelPCA":
+        family = KernelPCA(x[:600], {"kind": "gaussian", "gamma": 50.0}, top=m)
+    else:
+        family = ExplicitMatrix(rng.normal(size=(n, m)))
+    ds = Dataset(x=x, y=rng.normal(size=n), n_train=n)
+    features = family.evaluate(x)
+    a = rng.normal(size=(2 * m, m))
+    mom = DesignMoments(a.T @ a / (2 * m), "UserSupplied")
+    spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
+    calls = []
+    evaluate = type(family).evaluate
+
+    def counted(self, points):
+        calls.append(np.asarray(points).shape[0])
+        return evaluate(self, points)
+
+    monkeypatch.setattr(type(family), "evaluate", counted)
+    model = selector.run_selection(ds, family, mom, spec)
+    step = bounds.STATS_BLOCK_CELLS // m
+    assert calls == ([step] * (n // step) + [n % step] if family.rowwise else [n])
+    monkeypatch.undo()
+    reference = selector.run_selection(ds, family, mom, spec, features=features)
+    assert model.coefficients.tobytes() == reference.coefficients.tobytes()
+    assert model.trace == reference.trace
