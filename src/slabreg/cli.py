@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, data, dictionary, experiments, moments, selector
-from .errors import ConfigError, DataError, SlabregError, json_number
+from .errors import BudgetError, ConfigError, DataError, SlabregError, json_number
 
 
 def _load_config(path):
@@ -36,12 +36,13 @@ def _load_config(path):
     return obj
 
 
-def _resolve(args, keys):
-    """Merge the config file with flag overrides for the listed keys."""
-    config = _load_config(getattr(args, "config", None))
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
+def _resolve(args):
+    """The config file with every flag given on the command line laid over it,
+    each under its own name; --json only shapes stdout."""
+    flags = vars(args)
+    config = _load_config(flags["config"])
+    for key, value in flags.items():
+        if value is not None and key not in ("command", "func", "config", "json"):
             config[key] = value
     config["seed"] = _seed(config, "seed", 0)
     config["threads"] = json_number(config.get("threads", 1), "threads", int)
@@ -177,16 +178,34 @@ def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
 
 
 def cmd_fit(args) -> int:
-    config = _resolve(args, ("train", "dictionary", "bound", "epsilon", "kappa", "schedule", "seed", "threads", "out"))
-    if "train" not in config:
-        raise ConfigError("fit needs a labeled training file ('train')")
+    """``fit`` and ``transduce``: one pipeline, which branches only on the
+    geometry, that is on whether a test block joins the training rows."""
+    config = _resolve(args)
+    transductive = args.command == "transduce"
+    for key in ("train", "test") if transductive else ("train",):
+        if key not in config:
+            raise ConfigError(f"{args.command} needs a '{key}' file")
     x, y = data.load_labeled_csv(config["train"])
-    ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
+    out = Path(config["out"])
+    if transductive:
+        x_test = data.load_unlabeled_csv(config["test"])
+        if x_test.shape[0] == 0:
+            sys.stderr.write("warning: empty test file, writing empty predictions\n")
+            out.mkdir(parents=True, exist_ok=True)
+            data.write_predictions_csv(out / "predictions.csv", np.empty(0))
+            return 0
+        ds = _with_test_block(x, y, x_test)
+    else:
+        ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
     family = _dictionary(config)
     spec = _bound_spec(config)
-    if spec.transductive:
-        raise ConfigError(f"fit is inductive; variant {spec.variant} needs the transduce command")
-    mom = _inductive_moments(config, family, config["seed"])
+    if spec.transductive != transductive:
+        raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
+    if transductive:
+        features = family.evaluate(ds.x)
+        mom = moments.empirical_test_moments(features, ds.n_train, ds.k_test)
+    else:
+        features, mom = family, _inductive_moments(config, family, config["seed"])
     model = selector.run_selection(
         ds,
         family,
@@ -196,53 +215,16 @@ def cmd_fit(args) -> int:
         schedule=config.get("schedule", "GreedyMax"),
         loo_index=_loo_arguments(config, family),
         seed=config["seed"],
+        features=features,
     )
-    out = Path(config["out"])
     payload = model.to_json_dict()
     payload["config"] = _echoed(config)
     _write(out / "model.json", _json_bytes(payload))
     summary = _summary_text(model)
     _write(out / "summary.txt", summary.encode())
+    if transductive:
+        data.write_predictions_csv(out / "predictions.csv", features[ds.n_train :] @ model.coefficients)
     sys.stdout.write(summary)
-    return 0
-
-
-def cmd_transduce(args) -> int:
-    config = _resolve(args, ("train", "test", "dictionary", "bound", "epsilon", "kappa", "schedule", "seed", "threads", "out"))
-    for key in ("train", "test"):
-        if key not in config:
-            raise ConfigError(f"transduce needs a '{key}' file")
-    x_train, y = data.load_labeled_csv(config["train"])
-    x_test = data.load_unlabeled_csv(config["test"])
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    if x_test.shape[0] == 0:
-        sys.stderr.write("warning: empty test file, writing empty predictions\n")
-        data.write_predictions_csv(out / "predictions.csv", np.empty(0))
-        return 0
-    ds = _with_test_block(x_train, y, x_test)
-    family = _dictionary(config)
-    spec = _bound_spec(config)
-    if not spec.transductive:
-        raise ConfigError(f"transduce needs a transductive variant, got {spec.variant}")
-    features = family.evaluate(ds.x)
-    mom = moments.empirical_test_moments(features, ds.n_train, ds.k_test)
-    model = selector.run_selection(
-        ds,
-        family,
-        mom,
-        spec,
-        kappa=config.get("kappa"),
-        schedule=config.get("schedule", "GreedyMax"),
-        seed=config["seed"],
-        features=features,
-    )
-    predictions = features[ds.n_train :] @ model.coefficients
-    data.write_predictions_csv(out / "predictions.csv", predictions)
-    payload = model.to_json_dict()
-    payload["config"] = _echoed(config)
-    _write(out / "model.json", _json_bytes(payload))
-    sys.stdout.write(_summary_text(model))
     return 0
 
 
@@ -300,9 +282,7 @@ def _bounds_table(config):
 
 
 def cmd_bounds(args) -> int:
-    config = _resolve(args, ("train", "test", "dictionary", "bound", "epsilon", "seed", "threads", "out"))
-    if getattr(args, "variant", None):
-        config["variants"] = list(args.variant)
+    config = _resolve(args)
     if "train" not in config:
         raise ConfigError("bounds needs a labeled training file ('train')")
     rows = _bounds_table(config)
@@ -363,7 +343,7 @@ def _experiment_model(config) -> experiments.SyntheticModel:
 
 
 def cmd_experiment(args) -> int:
-    config = _resolve(args, ("kind", "seed", "threads", "out"))
+    config = _resolve(args)
     kind = config.get("kind")
     if kind not in ("rate-sobolev", "rate-besov", "coverage", "transductive"):
         raise ConfigError(
@@ -426,8 +406,7 @@ def cmd_experiment(args) -> int:
         f"{' (partial)' if report.partial else ''}\n"
     )
     if report.partial:
-        sys.stderr.write("budget exceeded: results flagged partial\n")
-        return 5
+        raise BudgetError("wall-clock budget exceeded; the report is flagged partial")
     return 0
 
 
@@ -439,48 +418,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"slabreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
-        p.add_argument("--out", help="output directory (default .)")
-
-    fit = sub.add_parser("fit", help="fit an inductive selection model")
-    shared(fit)
-    fit.add_argument("--train", help="labeled CSV (x1..xd,y)")
-    fit.add_argument("--dictionary", help="inline dictionary spec JSON")
-    fit.add_argument("--bound", help="inline bound spec JSON")
-    fit.add_argument("--epsilon", type=float)
-    fit.add_argument("--kappa", type=float)
-    fit.add_argument("--schedule", choices=selector.SCHEDULES)
-    fit.set_defaults(func=cmd_fit)
-
-    tr = sub.add_parser("transduce", help="fit on labeled data and predict unlabeled test labels")
-    shared(tr)
-    tr.add_argument("--train", help="labeled CSV (x1..xd,y)")
-    tr.add_argument("--test", help="unlabeled CSV (x1..xd)")
-    tr.add_argument("--dictionary", help="inline dictionary spec JSON")
-    tr.add_argument("--bound", help="inline bound spec JSON")
-    tr.add_argument("--epsilon", type=float)
-    tr.add_argument("--kappa", type=float)
-    tr.add_argument("--schedule", choices=selector.SCHEDULES)
-    tr.set_defaults(func=cmd_transduce)
-
-    bd = sub.add_parser("bounds", help="tabulate per-feature radii")
-    shared(bd)
-    bd.add_argument("--train")
-    bd.add_argument("--test")
-    bd.add_argument("--dictionary")
-    bd.add_argument("--bound")
-    bd.add_argument("--epsilon", type=float)
-    bd.add_argument("--variant", action="append", help="repeatable; adds a beta/tau column per variant")
-    bd.add_argument("--json", action="store_true", help="machine-readable stdout")
-    bd.set_defaults(func=cmd_bounds)
-
-    ex = sub.add_parser("experiment", help="run a rate, coverage or transductive experiment")
-    shared(ex)
-    ex.add_argument("--kind", choices=["rate-sobolev", "rate-besov", "coverage", "transductive"])
-    ex.set_defaults(func=cmd_experiment)
+    commands = {
+        "fit": (cmd_fit, "fit an inductive selection model"),
+        "transduce": (cmd_fit, "fit on labeled data and predict unlabeled test labels"),
+        "bounds": (cmd_bounds, "tabulate per-feature radii"),
+        "experiment": (cmd_experiment, "run a rate, coverage or transductive experiment"),
+    }
+    # Each flag once: its argparse options and the subcommands that take it.
+    # Every flag but --config and --json lands in the config under its dest.
+    every, data_commands = tuple(commands), ("fit", "transduce", "bounds")
+    flags = [
+        ("--config", {"help": "JSON config file; flags override its values"}, every),
+        ("--seed", {"type": int, "help": "base seed (default 0)"}, every),
+        ("--threads", {"type": int, "help": "worker threads (default 1)"}, every),
+        ("--out", {"help": "output directory (default .)"}, every),
+        ("--train", {"help": "labeled CSV (x1..xd,y)"}, data_commands),
+        ("--test", {"help": "unlabeled CSV (x1..xd)"}, ("transduce", "bounds")),
+        ("--dictionary", {"help": "inline dictionary spec JSON"}, data_commands),
+        ("--bound", {"help": "inline bound spec JSON"}, data_commands),
+        ("--epsilon", {"type": float}, data_commands),
+        ("--kappa", {"type": float}, ("fit", "transduce")),
+        ("--schedule", {"choices": selector.SCHEDULES}, ("fit", "transduce")),
+        ("--variant", {"dest": "variants", "metavar": "VARIANT", "action": "append",
+                       "help": "repeatable; adds a beta/tau column per variant"}, ("bounds",)),
+        ("--json", {"action": "store_true", "help": "machine-readable stdout"}, ("bounds",)),
+        ("--kind", {"choices": ["rate-sobolev", "rate-besov", "coverage", "transductive"]}, ("experiment",)),
+    ]
+    for name, (func, text) in commands.items():
+        command = sub.add_parser(name, help=text)
+        for flag, options, takers in flags:
+            if name in takers:
+                command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 

@@ -13,6 +13,8 @@ eigenvectors so a saved dictionary evaluates identically later.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, json_field, json_number
@@ -20,6 +22,9 @@ from .errors import ConfigError, DataError, NumericalError, json_field, json_num
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
 # Angles per row block of Trigonometric.evaluate (1 MB of float64).
 ANGLE_BLOCK_CELLS = 1 << 17
+# Frequencies j = q * TRIG_BLOCK + r (0 <= r < TRIG_BLOCK) of a trigonometric
+# expansion are summed by angle addition; see Trigonometric.combine.
+TRIG_BLOCK = 64
 
 
 def as_points(points) -> np.ndarray:
@@ -44,7 +49,7 @@ def _unit_interval(points, kind: str) -> np.ndarray:
     x = a[:, 0] if a.shape[0] else np.empty(0)
     bad = np.nonzero((x < 0.0) | (x > 1.0))[0]
     if bad.size:
-        raise DataError(f"point {int(bad[0])} = {x[bad[0]]!r} outside [0, 1] for {kind} dictionary")
+        raise DataError(f"point {int(bad[0])} = {float(x[bad[0]])!r} outside [0, 1] for {kind} dictionary")
     return x
 
 
@@ -162,6 +167,51 @@ class Trigonometric(FeatureDictionary):
             out[:, 1:] *= np.sqrt(2.0)
         return out
 
+    def combine(self, coefficients: np.ndarray, points) -> np.ndarray:
+        """sum_k c_k theta_k(x) over the family, without the (n, size) feature matrix.
+
+        With j = qK + r and t = 2 pi x, angle addition gives
+        a_j cos(jt) + b_j sin(jt) = cos(qKt) (a_j cos(rt) + b_j sin(rt))
+                                   + sin(qKt) (b_j cos(rt) - a_j sin(rt)),
+        so the sums over r are two matrix products of cos(rt) and sin(rt)
+        (n x K) against the coefficients reshaped to (Q, K), weighted by
+        cos(qKt) and sin(qKt) (n x Q). Only 2n(K + Q) waves are computed.
+        """
+        x = self.check_points(points)
+        c = coefficients
+        blocks = c.size // 2 // TRIG_BLOCK + 1
+        # Row 0 holds a_j (cosines), row 1 b_j (sines), frequency j at column j.
+        ab = np.zeros((2, blocks * TRIG_BLOCK))
+        ab[0, 1 : 1 + c[1::2].size] = c[1::2]
+        ab[1, 1 : 1 + c[2::2].size] = c[2::2]
+        ab = ab.reshape(2 * blocks, TRIG_BLOCK).T  # (K, 2Q): a blocks, then b blocks
+        inner = 2.0 * np.pi * np.outer(x, np.arange(TRIG_BLOCK))
+        cos_a, cos_b = np.split(np.cos(inner) @ ab, 2, axis=1)
+        sin_a, sin_b = np.split(np.sin(inner) @ ab, 2, axis=1)
+        outer = 2.0 * np.pi * np.outer(x, np.arange(blocks) * TRIG_BLOCK)
+        waves = (np.cos(outer) * (cos_a + sin_b)).sum(axis=1) + (np.sin(outer) * (cos_b - sin_a)).sum(axis=1)
+        return c[0] + np.sqrt(2.0) * waves
+
+    def sup_bound(self, coefficients: np.ndarray) -> float:
+        """Certified upper bound on sup |sum_k c_k theta_k| over [0, 1].
+
+        The peak of the sum on 2^14 equispaced points of [0, 1], evaluated by
+        ``combine``, plus the derivative bound
+        2 pi sqrt(2) sum_j j (|a_j| + |b_j|) times half the grid step
+        0.5 / (2^14 - 1): every point of [0, 1] lies within half a step of
+        the grid.
+        """
+        c = coefficients
+        grid = np.linspace(0.0, 1.0, 1 << 14)
+        peak = float(np.abs(self.combine(c, grid)).max())
+        nfreq = c.size // 2
+        freqs = np.arange(1, nfreq + 1, dtype=float)
+        amp = np.abs(c[1::2])
+        deriv = 2.0 * np.pi * sqrt(2.0) * float(freqs[: amp.size] @ amp)
+        amp_sin = np.abs(c[2::2])
+        deriv += 2.0 * np.pi * sqrt(2.0) * float(freqs[: amp_sin.size] @ amp_sin)
+        return peak + deriv * 0.5 / (grid.size - 1)
+
     def parameters(self):
         return {}
 
@@ -198,6 +248,25 @@ class Haar(FeatureDictionary):
         for j, cell, value in haar_levels(x, self.levels):
             out[rows, 2**j + cell] = value
         return out
+
+    def combine(self, coefficients: np.ndarray, points) -> np.ndarray:
+        """sum_k c_k theta_k(x) over the family, without the (n, size) feature matrix.
+
+        Each point meets one wavelet per level (``haar_levels``), so the sum
+        is c_0 plus one term per level: O(n levels).
+        """
+        x = self.check_points(points)
+        c = coefficients
+        out = np.full(x.shape[0], c[0])
+        for j, cell, value in haar_levels(x, self.levels):
+            out += c[2**j + cell] * value
+        return out
+
+    def sup_bound(self, coefficients: np.ndarray) -> float:
+        """sup |sum_k c_k theta_k| over [0, 1], exactly: the sum is piecewise
+        constant on the finest dyadic half-grid, so midpoint evaluation is exact."""
+        mids = (np.arange(self.m) + 0.5) / self.m
+        return float(np.abs(self.combine(coefficients, mids)).max())
 
     def parameters(self):
         return {"levels": self.levels}
@@ -299,8 +368,6 @@ def _kernel_matrix(kernel: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * gamma * squared_distances(a, b))
     if kind == "linear":
         return a @ b.T
-    if kind == "explicit":
-        raise ConfigError("explicit kernel matrices evaluate only at the original sample")
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 

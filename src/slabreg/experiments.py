@@ -17,10 +17,10 @@ from math import sqrt
 
 import numpy as np
 
-from . import dictionary as feature_dictionary
 from .bounds import BoundSpec, slab_setup
 from .data import Dataset
-from .errors import ConfigError
+from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric
+from .errors import ConfigError, json_field, json_number
 from .moments import empirical_test_moments, exact_moments
 from .selector import SelectionModel, clip_coefficients, run_selection
 
@@ -71,52 +71,9 @@ class NoiseSpec:
 
     @classmethod
     def from_spec(cls, obj):
-        return cls(kind=obj.get("kind", "gaussian"), scale=float(obj.get("scale", 0.0)))
-
-
-# Frequencies j = q * TRIG_BLOCK + r (0 <= r < TRIG_BLOCK) of a trigonometric
-# truth are summed by angle addition; see _trig_sum.
-TRIG_BLOCK = 64
-
-
-def _trig_sum(coefficients: np.ndarray, points) -> np.ndarray:
-    """sum_k c_k theta_k(x) over the trigonometric family, without the (n, size) feature matrix.
-
-    With j = qK + r and t = 2 pi x, angle addition gives
-    a_j cos(jt) + b_j sin(jt) = cos(qKt) (a_j cos(rt) + b_j sin(rt))
-                               + sin(qKt) (b_j cos(rt) - a_j sin(rt)),
-    so the sums over r are two matrix products of cos(rt) and sin(rt)
-    (n x K) against the coefficients reshaped to (Q, K), weighted by
-    cos(qKt) and sin(qKt) (n x Q). Only 2n(K + Q) waves are computed.
-    """
-    x = feature_dictionary._unit_interval(points, "Trigonometric")
-    c = coefficients
-    blocks = c.size // 2 // TRIG_BLOCK + 1
-    # Row 0 holds a_j (cosines), row 1 b_j (sines), frequency j at column j.
-    ab = np.zeros((2, blocks * TRIG_BLOCK))
-    ab[0, 1 : 1 + c[1::2].size] = c[1::2]
-    ab[1, 1 : 1 + c[2::2].size] = c[2::2]
-    ab = ab.reshape(2 * blocks, TRIG_BLOCK).T  # (K, 2Q): a blocks, then b blocks
-    inner = 2.0 * np.pi * np.outer(x, np.arange(TRIG_BLOCK))
-    cos_a, cos_b = np.split(np.cos(inner) @ ab, 2, axis=1)
-    sin_a, sin_b = np.split(np.sin(inner) @ ab, 2, axis=1)
-    outer = 2.0 * np.pi * np.outer(x, np.arange(blocks) * TRIG_BLOCK)
-    waves = (np.cos(outer) * (cos_a + sin_b)).sum(axis=1) + (np.sin(outer) * (cos_b - sin_a)).sum(axis=1)
-    return c[0] + np.sqrt(2.0) * waves
-
-
-def _haar_sum(coefficients: np.ndarray, points) -> np.ndarray:
-    """sum_k c_k theta_k(x) over the Haar family, without the (n, size) feature matrix.
-
-    Each point meets one wavelet per level (``dictionary.haar_levels``), so
-    the sum is c_0 plus one term per level: O(n levels).
-    """
-    x = feature_dictionary._unit_interval(points, "Haar")
-    c = coefficients
-    out = np.full(x.shape[0], c[0])
-    for j, cell, value in feature_dictionary.haar_levels(x, c.size.bit_length() - 2):
-        out += c[2**j + cell] * value
-    return out
+        if not isinstance(obj, dict):
+            raise ConfigError(f"noise must be an object {{kind, scale}}, got {obj!r}")
+        return cls(kind=obj.get("kind", "gaussian"), scale=json_number(obj.get("scale", 0.0), "noise.scale"))
 
 
 @dataclass(frozen=True)
@@ -137,57 +94,31 @@ class SyntheticModel:
         coefs = np.asarray(self.coefficients, dtype=float)
         if coefs.ndim != 1 or coefs.size < 1 or not np.all(np.isfinite(coefs)):
             raise ConfigError("truth coefficients must be a finite 1-d vector")
-        if self.basis not in feature_dictionary.ORTHONORMAL_KINDS:
-            raise ConfigError(f"truth basis must be one of {feature_dictionary.ORTHONORMAL_KINDS}")
-        if self.basis == "Haar":
-            n = coefs.size
-            if n & (n - 1):
-                raise ConfigError("haar truth needs a power-of-two coefficient count")
         object.__setattr__(self, "coefficients", coefs)
+        self.family()
 
     @property
     def size(self) -> int:
         return self.coefficients.size
 
-    def family(self, m: int | None = None) -> feature_dictionary.FeatureDictionary:
+    def family(self, m: int | None = None) -> Trigonometric | Haar:
+        """The orthonormal family named by ``basis``, with m members (the
+        truth's size by default)."""
         m = self.size if m is None else int(m)
         if self.basis == "Trigonometric":
-            return feature_dictionary.Trigonometric(m)
+            return Trigonometric(m)
+        if self.basis != "Haar":
+            raise ConfigError(f"truth basis must be one of {ORTHONORMAL_KINDS}, got {self.basis!r}")
         if m & (m - 1) or m < 2:
             raise ConfigError("haar family sizes must be powers of two >= 2")
-        return feature_dictionary.Haar(int(np.log2(m)) - 1)
+        return Haar(int(np.log2(m)) - 1)
 
     def f_values(self, x) -> np.ndarray:
-        if self.basis == "Trigonometric":
-            return _trig_sum(self.coefficients, x)
-        return _haar_sum(self.coefficients, x)
+        return self.family().combine(self.coefficients, x)
 
     def sup_bound(self) -> float:
-        """Certified upper bound on sup |f| over [0, 1].
-
-        Haar truths are piecewise constant on the finest dyadic half-grid, so
-        midpoint evaluation is exact. Trigonometric truths take the peak of
-        |f| on 2^14 equispaced points of [0, 1], evaluated by angle addition
-        without the feature matrix, plus the derivative bound
-        2 pi sqrt(2) sum_j j (|a_j| + |b_j|) times half the grid step
-        0.5 / (2^14 - 1): every point of [0, 1] lies within half a step of
-        the grid.
-        """
-        c = self.coefficients
-        if self.basis == "Haar":
-            levels = int(np.log2(c.size)) - 1
-            width = 2.0 ** -(levels + 1)
-            mids = (np.arange(2 ** (levels + 1)) + 0.5) * width
-            return float(np.abs(self.f_values(mids)).max())
-        grid = np.linspace(0.0, 1.0, 1 << 14)
-        peak = float(np.abs(self.f_values(grid)).max())
-        nfreq = c.size // 2
-        freqs = np.arange(1, nfreq + 1, dtype=float)
-        amp = np.abs(c[1::2])
-        deriv = 2.0 * np.pi * sqrt(2.0) * float(freqs[: amp.size] @ amp)
-        amp_sin = np.abs(c[2::2])
-        deriv += 2.0 * np.pi * sqrt(2.0) * float(freqs[: amp_sin.size] @ amp_sin)
-        return peak + deriv * 0.5 / (grid.size - 1)
+        """Certified upper bound on sup |f| over [0, 1] (the family's ``sup_bound``)."""
+        return self.family().sup_bound(self.coefficients)
 
     def label_bound(self) -> float | None:
         """Almost-sure bound on |Y|, None when the noise is unbounded."""
@@ -204,11 +135,15 @@ class SyntheticModel:
 
     @classmethod
     def from_spec(cls, obj):
+        coefs = json_field(obj, "coefficients", "model spec")
+        if not isinstance(coefs, list):
+            raise ConfigError(f"model.coefficients must be a list of numbers, got {coefs!r}")
+        regularity = obj.get("regularity")
         return cls(
-            coefficients=np.asarray(obj["coefficients"], dtype=float),
+            coefficients=np.asarray([json_number(c, "model.coefficients") for c in coefs]),
             basis=obj.get("basis", "Trigonometric"),
             noise=NoiseSpec.from_spec(obj.get("noise", {})),
-            regularity=obj.get("regularity"),
+            regularity=None if regularity is None else json_number(regularity, "model.regularity"),
         )
 
 
@@ -285,15 +220,9 @@ def generate(model: SyntheticModel, n_train: int, k_test: int = 0, seed: int = 0
     )
 
 
-def exact_excess_risk(model: SyntheticModel, coefficients, basis: str | None = None) -> float:
-    """||theta_c - f||^2 under the design, as an exact Parseval sum.
-
-    ``coefficients`` live in the same orthonormal family as the truth; a
-    mismatched basis is an error, not a silent reinterpretation.
-    """
-    basis = model.basis if basis is None else basis
-    if basis != model.basis:
-        raise ConfigError(f"coefficients are in basis {basis!r}, truth is in {model.basis!r}")
+def exact_excess_risk(model: SyntheticModel, coefficients) -> float:
+    """||theta_c - f||^2 under the design, as an exact Parseval sum over
+    coefficients in the truth's orthonormal family."""
     c = np.asarray(coefficients, dtype=float)
     f = model.coefficients
     width = max(c.size, f.size)

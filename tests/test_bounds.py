@@ -719,8 +719,8 @@ def test_other_dictionaries_are_evaluated_once_as_a_matrix(kind, monkeypatch):
 @pytest.mark.parametrize(
     "kind,bad,message",
     [
-        ("Trigonometric", 1.5, "point 100 = .*1.5.* outside"),
-        ("Haar", 1.5, "point 100 = .*1.5.* outside"),
+        ("Trigonometric", 1.5, "point 100 = 1.5 outside"),
+        ("Haar", 1.5, "point 100 = 1.5 outside"),
         ("Trigonometric", np.nan, "non-finite design point at index 100"),
         ("Haar", np.nan, "non-finite design point at index 100"),
         ("MultiscaleGaussian", np.nan, "non-finite design point at index 100"),

@@ -781,6 +781,14 @@ MALFORMED_EXPERIMENT_VALUES = [
     ("model spec", {"kind": "coverage", "model": 5}),
     ("model.size", {"kind": "coverage", "model": {"kind": "sobolev", "size": "x"}}),
     ("model.levels", {"kind": "coverage", "model": {"kind": "besov", "levels": 2.5}}),
+    ("noise", {"kind": "coverage", "model": {"kind": "sobolev", "noise": "none"}}),
+    ("noise", {"kind": "coverage", "model": {"kind": "sobolev", "noise": None}}),
+    ("noise.scale", {"kind": "coverage", "model": {"kind": "sobolev", "noise": {"kind": "uniform", "scale": "x"}}}),
+    ("noise.scale", {"kind": "coverage", "model": {"kind": "sobolev", "noise": {"kind": "uniform", "scale": [1]}}}),
+    ("noise", {"kind": "coverage", "model": {"coefficients": [1.0, 0.5], "noise": "none"}}),
+    ("model.coefficients", {"kind": "coverage", "model": {"coefficients": "abc"}}),
+    ("model.coefficients", {"kind": "coverage", "model": {"coefficients": [1.0, "x"]}}),
+    ("model.regularity", {"kind": "coverage", "model": {"coefficients": [1.0, 0.5], "regularity": "x"}}),
 ]
 
 
@@ -847,3 +855,81 @@ def test_json_number_reads_only_whole_numbers_as_ints(value):
     assert json_number(3.0, "count", int) == 3
     with pytest.raises(ConfigError, match="count must be"):
         json_number(value, "count", int)
+
+
+def test_experiment_model_given_as_coefficients(tmp_path):
+    spec = {
+        "coefficients": [0.5, 0.25, -0.125, 0.0625],
+        "basis": "Trigonometric",
+        "noise": {"kind": "uniform", "scale": 0.1},
+        "regularity": 1.5,
+    }
+    path = tmp_path / "config.json"
+    grid = [32, 48, 64, 96]
+    path.write_text(json.dumps({"kind": "rate-sobolev", "grid": grid, "replicates": 2, "model": spec}))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["model"] == spec
+    direct = experiments.rate_experiment(experiments.SyntheticModel.from_spec(spec), grid, replicates=2)
+    assert report["rows"] == json.loads(json.dumps(direct.rows))
+
+
+def test_rate_besov_default_truth_spans_the_largest_grid_size(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": "rate-besov", "grid": [32, 48, 64, 96], "replicates": 2}))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    # 96 has 7 bits, so the spike truth has 6 levels and 64 Haar coefficients
+    assert report["config_resolved"]["model"] == {"kind": "besov", "levels": 6}
+    truth = experiments.besov_spike_model(levels=6)
+    assert report["config"]["model"] == json.loads(json.dumps(truth.to_spec()))
+    assert report["kind"] == "rate-besov" and len(report["rows"]) == 8
+
+
+@pytest.mark.parametrize("bound,epsilon", [('{"variant":"IndExact","B":1.5,"sigma2":0.04}', 0.2), (IND, 0.1)])
+def test_epsilon_flag_fills_only_a_bound_spec_without_one(tmp_path, train_csv, bound, epsilon):
+    out = tmp_path / "run"
+    argv = ["fit", "--train", train_csv, "--dictionary", TRIG5, "--bound", bound, "--epsilon", 0.2, "--out", out]
+    assert run_cli(argv) == 0
+    assert json.loads((out / "model.json").read_text())["epsilon"] == epsilon
+
+
+def test_fit_reads_loo_index_from_the_config(tmp_path, train_csv, capsys):
+    config = {
+        "train": str(train_csv),
+        "dictionary": json.loads(TRIG5),
+        "bound": {"variant": "IndSvm", "epsilon": 0.1},
+        "kappa": 0.01,
+        "loo_index": [0, 1, 2, 3, 4],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(["fit", "--config", path, "--out", out]) == 0
+    x, y = data.load_labeled_csv(train_csv)
+    family = dict_from_spec(json.loads(TRIG5))
+    from slabreg.moments import exact_moments
+
+    direct = selector.run_selection(
+        data.Dataset(x=x, y=y, n_train=10), family, exact_moments(family),
+        bounds.BoundSpec("IndSvm", 0.1), kappa=0.01, loo_index=np.arange(5),
+    )
+    model = json.loads((out / "model.json").read_text())
+    assert model["trace"] == json.loads(json.dumps([r.to_json_dict() for r in direct.trace]))
+    assert model["coefficients"] == direct.coefficients.tolist()
+    path.write_text(json.dumps({**config, "loo_index": [0, 1, 2, 3, 10]}))
+    assert run_cli(["fit", "--config", path, "--out", out]) == 2
+    assert "loo_index entries must be valid training rows" in capsys.readouterr().err
+
+
+def test_transduce_writes_its_summary_as_fit_does(tmp_path, train_csv, test_csv, capsys):
+    out = tmp_path / "run"
+    code = run_cli([
+        "transduce", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5, "--bound", TRB, "--out", out,
+    ])
+    assert code == 0
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("stopped_at: ")
+    assert summary == capsys.readouterr().out

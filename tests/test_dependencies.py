@@ -1,5 +1,8 @@
-"""The program runs on the standard library and numpy alone."""
+"""Lint checks: the program runs on the standard library and numpy alone, its
+modules keep out of each other's private names, and every CLI flag reaches
+the resolved config."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import slabreg
+from slabreg import cli
 
 ALLOWED = {"numpy", "slabreg"}
 SOURCES = sorted(Path(slabreg.__file__).parent.glob("*.py"))
@@ -36,3 +40,50 @@ def test_source_imports_only_stdlib_and_numpy(path):
 def test_declared_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     assert tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"] == ["numpy>=1.24"]
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_reads_no_private_name_of_another_module(path):
+    tree = ast.parse(path.read_text())
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names]
+            reads += [name for name in names if _private(name)]
+            if node.module is None:  # ``from . import dictionary as fd`` binds modules
+                modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            reads += [f"{node.value.id}.{node.attr}"] if _private(node.attr) else []
+    assert reads == []
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flag_value(action):
+    if action.choices:
+        return action.choices[0]
+    return {int: "3", float: "0.5"}.get(action.type, "value")
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_flag_reaches_the_resolved_config_under_its_own_name(command):
+    parser = _subparsers()[command]
+    flags = [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config", "json")]
+    assert flags
+    for action in flags:
+        argv = [command, action.option_strings[0], _flag_value(action)]
+        args = cli.build_parser().parse_args(argv)
+        config = cli._resolve(args)
+        assert config[action.dest] == getattr(args, action.dest), action.option_strings[0]
+        assert action.option_strings[0].lstrip("-") in (action.dest, action.dest.removesuffix("s"))
+    # --json shapes stdout only and is never echoed
+    if any(a.dest == "json" for a in parser._actions):
+        assert "json" not in cli._resolve(cli.build_parser().parse_args([command, "--json"]))

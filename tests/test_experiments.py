@@ -54,10 +54,13 @@ def test_exact_excess_risk_trivials():
     assert longer == pytest.approx(0.25)
 
 
-def test_exact_excess_risk_basis_mismatch():
-    model = ex.SyntheticModel(coefficients=np.array([1.0, 0.0]), basis="Trigonometric")
-    with pytest.raises(ConfigError, match="basis"):
-        ex.exact_excess_risk(model, np.array([1.0]), basis="Haar")
+def test_one_coefficient_haar_truth_is_rejected():
+    with pytest.raises(ConfigError, match="powers of two >= 2"):
+        ex.SyntheticModel(coefficients=np.array([2.5]), basis="Haar")
+    # the same constant is a one-coefficient trigonometric truth
+    constant = ex.SyntheticModel(coefficients=np.array([2.5]))
+    assert constant.sup_bound() == 2.5
+    np.testing.assert_array_equal(constant.f_values([0.0, 0.3, 1.0]), [2.5, 2.5, 2.5])
 
 
 def test_exact_excess_risk_montecarlo_oracle():

@@ -229,6 +229,18 @@ def test_iteration_cap_is_an_error():
         selector.run_selection(ds, family, exact_moments(family), spec, max_iterations=1)
 
 
+def test_round_robin_iteration_cap_is_an_error():
+    rng = np.random.default_rng(19)
+    x = rng.uniform(size=(64, 1))
+    family = Trigonometric(6)
+    ds = Dataset(x=x, y=np.sin(2 * np.pi * x[:, 0]) * 3.0, n_train=64)
+    spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
+    # one pass takes 6 visits; 5 cannot finish it
+    with pytest.raises(NumericalError, match="within 5 feature visits"):
+        selector.run_selection(ds, family, exact_moments(family), spec, schedule="RoundRobin", max_iterations=5)
+    assert selector.run_selection(ds, family, exact_moments(family), spec, schedule="RoundRobin").stopped_at > 0
+
+
 def test_all_degenerate_warns_and_returns_zero_model():
     family = Trigonometric(2)
     n = 16
