@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundSpec,
     ConfidenceRadius,
+    FeatureBlocks,
     FeatureStats,
     Slabs,
     alpha_hat,
@@ -22,6 +23,7 @@ from .bounds import (
     normalization_ratio,
     slab_centers,
     slab_setup,
+    split_features,
 )
 from .data import Dataset, load_labeled_csv, load_unlabeled_csv
 from .dictionary import (

@@ -117,10 +117,11 @@ class FeatureStats:
 
     Train-side quantities are means over the N labeled rows; test-side
     fourth moments are sums over the kN unlabeled rows (normalized inside
-    the formulas, which divide by N). ``train_ty`` keeps the raw products
-    theta_k(X_i) Y_i for leave-one-out statistics. The fields after
-    ``train_mean_ty`` are None unless a variant the statistics were computed
-    for reads them (see ``compute_stats``).
+    the formulas, which divide by N). The leave-one-out fields are the
+    column sums of theta_k(X_i) Y_i and its square over the training rows
+    but feature k's anchor row. The fields after ``train_mean_ty`` are None
+    unless a variant the statistics were computed for reads them (see
+    ``compute_stats``).
     """
 
     n_train: int
@@ -134,7 +135,8 @@ class FeatureStats:
     train_mean_t4: np.ndarray | None = None
     test_sum_t4: np.ndarray | None = None
     test_sum_t4y4: np.ndarray | None = None
-    train_ty: np.ndarray | None = None
+    train_loo_sum_ty: np.ndarray | None = None
+    train_loo_sum_ty2: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -225,29 +227,34 @@ def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec, loo_in
     Feature k is anchored at training point i = loo_index[k]; its statistics
     use the other N-1 rows. beta_k = (2 log(2 N m' / eps) / (N-1)) vhat_k / v_k
     with m' the largest number of features on one anchor point (m / anchors
-    for an even map; N m' >= m bounds the union either way).
+    for an even map; N m' >= m bounds the union either way). The statistics
+    must have been computed for the same map (``compute_stats``'s
+    ``loo_index``).
     """
     _require_geometry(spec, stats, moments)
     n = stats.n_train
     if n < 2:
         raise ConfigError("IndSvm needs N >= 2 for a leave-one-out sample")
-    loo_index = np.asarray(loo_index, dtype=int)
-    if loo_index.shape != (stats.m,):
-        raise ConfigError(f"loo_index must map each of the {stats.m} features to a training row")
-    if loo_index.min(initial=0) < 0 or loo_index.max(initial=0) >= n:
-        raise ConfigError("loo_index entries must be valid training rows")
-    features_per_point = int(np.bincount(loo_index).max())
-    ty = stats.train_ty
-    cols = np.arange(stats.m)
-    own = ty[loo_index, cols]
-    loo_mean = (ty.sum(axis=0) - own) / (n - 1)
-    loo_sq = ((ty**2).sum(axis=0) - own**2) / (n - 1)
+    features_per_point = int(np.bincount(_anchor_rows(loo_index, stats.m, n)).max())
+    loo_mean = stats.train_loo_sum_ty / (n - 1)
+    loo_sq = stats.train_loo_sum_ty2 / (n - 1)
     vhat = np.maximum(loo_sq - loo_mean**2, 0.0)
     lead = 2.0 * log(2.0 * n * features_per_point / spec.epsilon) / (n - 1)
     beta = lead * _safe_ratio(vhat, moments.diag)
     return _radius(
         beta, moments, spec, {"vhat_loo": vhat, "features_per_point": features_per_point, "mode": "observable"}
     )
+
+
+def _anchor_rows(loo_index, m: int, n: int) -> np.ndarray:
+    """The leave-one-out map as integers, checked to send each of the m
+    features to one of the n training rows."""
+    loo_index = np.asarray(loo_index, dtype=int)
+    if loo_index.shape != (m,):
+        raise ConfigError(f"loo_index must map each of the {m} features to a training row")
+    if loo_index.min(initial=0) < 0 or loo_index.max(initial=0) >= n:
+        raise ConfigError("loo_index entries must be valid training rows")
+    return loo_index
 
 
 def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -391,10 +398,11 @@ class VariantEntry(NamedTuple):
 
 
 FOURTH_MOMENTS = ("train_mean_t4y4", "train_mean_t4")
+LEAVE_ONE_OUT_SUMS = ("train_loo_sum_ty", "train_loo_sum_ty2")
 VARIANT_TABLE = {
     "IndExact": VariantEntry(ind_exact, ("train_mean_sq_ysq",)),
     "IndVarFirstOrder": VariantEntry(ind_var_first_order, ("train_var_ty",)),
-    "IndSvm": VariantEntry(ind_svm, ("train_ty",), leave_one_out=True),
+    "IndSvm": VariantEntry(ind_svm, LEAVE_ONE_OUT_SUMS, leave_one_out=True),
     "TrBasicBounded": VariantEntry(tr_basic_bounded, ("train_mean_sq_ysq",), transductive=True, k_one=True),
     "TrFirstOrder": VariantEntry(
         tr_first_order, ("train_mean_sq_ysq", *FOURTH_MOMENTS), transductive=True, k_one=True
@@ -422,14 +430,58 @@ def _row_blocks(rows: int, m: int, contiguous: bool) -> list[slice]:
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def compute_stats(features, data: Dataset, variants=VARIANTS) -> FeatureStats:
-    """Accumulate the statistics that the given bound variants read from the
-    ((k+1)N, m) feature matrix of ``data.x``, split into the N training rows
-    and the test block.
+class FeatureBlocks(NamedTuple):
+    """A sample's features split at its N training rows (``split_features``).
 
-    ``features`` is that matrix, or the dictionary to evaluate at ``data.x``.
-    A ``rowwise`` dictionary is evaluated one row block at a time, so no
-    (k+1)N x m array exists; any other dictionary is evaluated once.
+    ``train`` is the rowwise dictionary, which ``compute_stats`` evaluates at
+    the training points one row block at a time, or the (N, m) row view of
+    a matrix evaluated once; ``test`` is the (kN, m) test block (no rows
+    when it was left unevaluated).
+    """
+
+    train: FeatureDictionary | np.ndarray
+    test: np.ndarray
+
+
+def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBlocks:
+    """The features of ``data.x`` split into their training and test sides.
+
+    ``features`` is the dictionary or the ((k+1)N, m) feature matrix of
+    ``data.x`` (a split is returned as it is). A rowwise dictionary is
+    evaluated on the test points alone, in one call, and stays the training
+    side, so no (k+1)N x m array exists; without ``with_test`` its test
+    block is left empty instead. Any other dictionary, like a given matrix,
+    is evaluated once and handed out as two row views.
+    """
+    if isinstance(features, FeatureBlocks):
+        return features
+    n = data.n_train
+    if isinstance(features, FeatureDictionary) and features.rowwise:
+        # Points are checked whole, so an error names the row in the sample.
+        points = features.check_points(data.x)
+        test = features.evaluate(points[n:]) if data.k_test and with_test else np.empty((0, features.m))
+        return FeatureBlocks(features, test)
+    if isinstance(features, FeatureDictionary):
+        features = features.evaluate(data.x)
+    matrix = as_feature_matrix(features)
+    if matrix.shape[0] != (data.k_test + 1) * n:
+        raise ConfigError(
+            f"feature matrix has {matrix.shape[0]} rows, dataset expects {(data.k_test + 1) * n}"
+        )
+    return FeatureBlocks(matrix[:n], matrix[n:])
+
+
+def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) -> FeatureStats:
+    """Accumulate the statistics that the given bound variants read from the
+    features of ``data.x``: means over the N training rows, sums over the
+    kN test rows.
+
+    ``features`` is a ``FeatureBlocks`` split, or the dictionary or
+    ((k+1)N, m) matrix for ``split_features`` to split. The training rows of
+    a rowwise dictionary are evaluated one row block at a time, so they
+    never exist as an N x m array, and its test rows only for the fourth
+    moments, the one statistic summed over them; a given split is read as
+    it is.
 
     The training means of theta_k^2 and theta_k Y are always computed (slab
     centers, alpha_hat and the degeneracy mask read them). Beyond those,
@@ -437,7 +489,8 @@ def compute_stats(features, data: Dataset, variants=VARIANTS) -> FeatureStats:
 
     - IndExact, TrBasicBounded: ``train_mean_sq_ysq``;
     - IndVarFirstOrder, TrGeneralK: ``train_var_ty``;
-    - IndSvm: the raw products ``train_ty``;
+    - IndSvm: the leave-one-out sums, for the anchor map ``loo_index``
+      (None without one);
     - TrFirstOrder: ``train_mean_sq_ysq`` and the fourth moments;
     - TrVariance: ``train_var_ty`` and the fourth moments.
 
@@ -447,39 +500,38 @@ def compute_stats(features, data: Dataset, variants=VARIANTS) -> FeatureStats:
     when the hidden test labels are known). Statistics no given variant
     reads are None; the default computes them all.
 
-    The rows are walked in blocks (``_row_blocks``), so apart from
-    ``train_ty`` no temporary is as large as the feature matrix; every
-    statistic is bitwise that of reducing the whole matrix at once.
+    Both sides are walked in row blocks (``_row_blocks``), so no temporary
+    is as large as either of them, and every statistic is bitwise that of
+    reducing the whole matrix at once. The leave-one-out sums subtract each
+    anchor's own product, gathered from the block that holds its row, from
+    the column sums.
     """
-    n = data.n_train
-    if isinstance(features, FeatureDictionary) and features.rowwise:
-        # Points are checked whole, so an error names the row in the sample.
-        points = features.check_points(data.x)
-        m, contiguous = features.m, True
-
-        def block(a, b):
-            return features.evaluate(points[a:b])
-
-    else:
-        if isinstance(features, FeatureDictionary):
-            features = features.evaluate(data.x)
-        matrix = as_feature_matrix(features)
-        if matrix.shape[0] != (data.k_test + 1) * n:
-            raise ConfigError(
-                f"feature matrix has {matrix.shape[0]} rows, dataset expects "
-                f"{(data.k_test + 1) * n}"
-            )
-        m, contiguous = matrix.shape[1], matrix.flags.c_contiguous
-
-        def block(a, b):
-            return matrix[a:b]
-
     reads = set()
     for variant in variants:
         if variant not in VARIANT_TABLE:
             raise ConfigError(f"unknown bound variant {variant!r}; choose from {VARIANTS}")
         reads.update(VARIANT_TABLE[variant].reads)
+    train, test = split_features(features, data, with_test=not reads.isdisjoint(FOURTH_MOMENTS))
+    n = data.n_train
+    if isinstance(train, FeatureDictionary):
+        points = train.check_points(data.x[:n])
+        m, contiguous = train.m, True
+
+        def block(rows):
+            return train.evaluate(points[rows])
+
+    else:
+        m, contiguous = train.shape[1], train.flags.c_contiguous
+
+        def block(rows):
+            return train[rows]
+
     has_test_labels = data.k_test > 0 and data.hidden_y is not None
+    anchors = None
+    if "train_loo_sum_ty" in reads and loo_index is not None:
+        anchors = _anchor_rows(loo_index, m, n)
+        own = np.empty(m)
+        cols = np.arange(m)
     sums = {}
 
     def add(name, values):
@@ -488,9 +540,8 @@ def compute_stats(features, data: Dataset, variants=VARIANTS) -> FeatureStats:
             values[0] += sums[name]
         sums[name] = np.add.reduce(values, axis=0)
 
-    train_ty = np.empty((n, m)) if "train_ty" in reads else None
     for rows in _row_blocks(n, m, contiguous):
-        t = block(rows.start, rows.stop)
+        t = block(rows)
         require_finite(t)
         y = data.y[rows, None]
         ty = t * y
@@ -500,33 +551,39 @@ def compute_stats(features, data: Dataset, variants=VARIANTS) -> FeatureStats:
         if "train_mean_t4" in reads:
             add("train_mean_t4", t2**2)
         add("train_mean_sq", t2)
-        if "train_var_ty" in reads:
+        if "train_var_ty" in reads or anchors is not None:
             add("train_mean_ty2", ty**2)
         if "train_mean_t4y4" in reads:
             add("train_mean_t4y4", ty**4)
-        if train_ty is not None:
-            train_ty[rows] = ty
+        if anchors is not None:
+            held = (anchors >= rows.start) & (anchors < rows.stop)
+            own[held] = ty[anchors[held] - rows.start, cols[held]]
         add("train_mean_ty", ty)
-    for rows in _row_blocks(data.k_test * n, m, contiguous):
-        t = block(n + rows.start, n + rows.stop)
+    for rows in _row_blocks(test.shape[0], m, test.flags.c_contiguous):
+        t = test[rows]
         require_finite(t)
         if "train_mean_t4" in reads:
             add("test_sum_t4", t**4)
         if "train_mean_t4y4" in reads and has_test_labels:
             add("test_sum_t4y4", (t * data.hidden_y[rows, None]) ** 4)
+    out = {}
+    if anchors is not None:
+        out["train_loo_sum_ty"] = sums["train_mean_ty"] - own
+        out["train_loo_sum_ty2"] = sums["train_mean_ty2"] - own**2
     # training statistics are means over the N rows; the test ones stay sums
-    out = {name: (total if name.startswith("test_") else total / n) for name, total in sums.items()}
+    for name, total in sums.items():
+        out[name] = total if name.startswith("test_") else total / n
     mean_ty2 = out.pop("train_mean_ty2", None)
-    if mean_ty2 is not None:
+    if "train_var_ty" in reads:
         out["train_var_ty"] = np.maximum(mean_ty2 - out["train_mean_ty"] ** 2, 0.0)
-    if train_ty is not None:
-        out["train_ty"] = train_ty
     return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
 
 
 def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments, loo_index=None) -> ConfidenceRadius:
     """Dispatch to the requested bound variant through ``VARIANT_TABLE``."""
     entry = VARIANT_TABLE[spec.variant]
+    if entry.leave_one_out and loo_index is None:
+        raise ConfigError(f"{spec.variant} needs loo_index mapping features to training rows")
     missing = [name for name in entry.reads if getattr(stats, name) is None]
     if missing:
         raise ConfigError(
@@ -535,8 +592,6 @@ def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments,
         )
     if not entry.leave_one_out:
         return entry.radius(stats, moments, spec)
-    if loo_index is None:
-        raise ConfigError(f"{spec.variant} needs loo_index mapping features to training rows")
     return entry.radius(stats, moments, spec, loo_index)
 
 
@@ -571,14 +626,13 @@ class Slabs(NamedTuple):
 
 
 def slab_setup(features, data: Dataset, moments: DesignMoments, spec: BoundSpec, loo_index=None) -> Slabs:
-    """Check that features, moments and variant agree, then build every
-    feature's slab from the statistics the variant reads (not kept).
-    ``features`` is the feature matrix of ``data.x`` or the dictionary to
-    evaluate there, as in ``compute_stats``."""
-    m = features.m if isinstance(features, FeatureDictionary) else features.shape[1]
-    if m != moments.m:
-        raise ConfigError(f"dictionary has {m} features but moments cover {moments.m}")
-    stats = compute_stats(features, data, (spec.variant,))
+    """Build every feature's slab from the statistics the variant reads (not
+    kept), once features, moments and variant are checked to agree.
+    ``features`` is the dictionary, the feature matrix of ``data.x`` or
+    their ``FeatureBlocks`` split, as in ``compute_stats``."""
+    stats = compute_stats(features, data, (spec.variant,), loo_index=loo_index)
+    if stats.m != moments.m:
+        raise ConfigError(f"dictionary has {stats.m} features but moments cover {moments.m}")
     radius = compute_radius(spec, stats, moments, loo_index=loo_index)
     centers = slab_centers(stats, moments)
     return Slabs(radius, centers, ~moments.degenerate & ~stats.train_degenerate)

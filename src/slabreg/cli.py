@@ -202,10 +202,10 @@ def cmd_fit(args) -> int:
     if spec.transductive != transductive:
         raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
     if transductive:
-        features = family.evaluate(ds.x)
-        mom = moments.empirical_test_moments(features, ds.n_train, ds.k_test)
+        blocks = bounds.split_features(family, ds)
+        mom = moments.empirical_test_moments(blocks.test, ds.n_train, ds.k_test)
     else:
-        features, mom = family, _inductive_moments(config, family, config["seed"])
+        blocks, mom = None, _inductive_moments(config, family, config["seed"])
     model = selector.run_selection(
         ds,
         family,
@@ -215,7 +215,7 @@ def cmd_fit(args) -> int:
         schedule=config.get("schedule", "GreedyMax"),
         loo_index=_loo_arguments(config, family),
         seed=config["seed"],
-        features=features,
+        blocks=blocks,
     )
     payload = model.to_json_dict()
     payload["config"] = _echoed(config)
@@ -223,7 +223,7 @@ def cmd_fit(args) -> int:
     summary = _summary_text(model)
     _write(out / "summary.txt", summary.encode())
     if transductive:
-        data.write_predictions_csv(out / "predictions.csv", features[ds.n_train :] @ model.coefficients)
+        data.write_predictions_csv(out / "predictions.csv", blocks.test @ model.coefficients)
     sys.stdout.write(summary)
     return 0
 
@@ -242,16 +242,16 @@ def _bounds_table(config):
         ds = _with_test_block(x, y, data.load_unlabeled_csv(test_path))
     else:
         ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
-    # Only the empirical test Gram reads the whole feature matrix.
-    features = family.evaluate(ds.x) if transductive else family
-    stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs])
+    # Only the empirical test Gram reads the test block.
+    features = bounds.split_features(family, ds) if transductive else family
     loo_index = _loo_arguments(config, family)
+    stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs], loo_index=loo_index)
     geometries = {}  # spec.transductive -> moments, each built on first use
     columns = {}
     for spec in specs:
         if spec.transductive not in geometries:
             geometries[spec.transductive] = (
-                moments.empirical_test_moments(features, ds.n_train, ds.k_test)
+                moments.empirical_test_moments(features.test, ds.n_train, ds.k_test)
                 if spec.transductive
                 else _inductive_moments(config, family, config["seed"])
             )

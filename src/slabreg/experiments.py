@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .bounds import BoundSpec, slab_setup
+from .bounds import BoundSpec, slab_setup, split_features
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric
 from .errors import ConfigError, json_field, json_number
@@ -318,10 +318,10 @@ def _per_feature_excess_inductive(model: SyntheticModel, centers: np.ndarray) ->
     return (centers - truth) ** 2
 
 
-def _per_feature_excess_transductive(features, data, centers, moments) -> np.ndarray:
-    """Test-risk excess of each recentred one-feature fit, from the hidden labels."""
-    test = features[data.n_train :]
-    num = (test * data.hidden_y[:, None]).sum(axis=0)
+def _per_feature_excess_transductive(test, hidden_y, centers, moments) -> np.ndarray:
+    """Test-risk excess of each recentred one-feature fit, from the test
+    block and its hidden labels."""
+    num = (test * hidden_y[:, None]).sum(axis=0)
     den = (test**2).sum(axis=0)
     alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
     return moments.diag * (centers - alpha2) ** 2
@@ -403,11 +403,11 @@ def coverage_study(
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
         # An inductive replicate never reads the features again: the slabs
         # evaluate the family one row block at a time.
-        features = family.evaluate(data.x) if transductive else family
-        moments = empirical_test_moments(features, n_train, k_test) if transductive else exact_moments(family)
+        features = split_features(family, data) if transductive else family
+        moments = empirical_test_moments(features.test, n_train, k_test) if transductive else exact_moments(family)
         slabs = slab_setup(features, data, moments, spec)
         if transductive:
-            excess = _per_feature_excess_transductive(features, data, slabs.centers, moments)
+            excess = _per_feature_excess_transductive(features.test, data.hidden_y, slabs.centers, moments)
         else:
             excess = _per_feature_excess_inductive(model, slabs.centers)
         return {
@@ -540,16 +540,15 @@ def transductive_experiment(
 
     def one(r):
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
-        features = family.evaluate(data.x)
-        moments = empirical_test_moments(features, n_train, k_test)
-        fit = run_selection(data, family, moments, spec, schedule="GreedyMax", features=features)
-        test_feats = features[n_train:]
-        preds = test_feats @ fit.coefficients
+        blocks = split_features(family, data)
+        moments = empirical_test_moments(blocks.test, n_train, k_test)
+        fit = run_selection(data, family, moments, spec, schedule="GreedyMax", blocks=blocks)
+        preds = blocks.test @ fit.coefficients
         hidden = data.hidden_y
         mse = float(np.mean((hidden - preds) ** 2))
         zero_mse = float(np.mean(hidden**2))
-        chain_ok = _chain_holds(fit, test_feats, hidden)
-        excess = _per_feature_excess_transductive(features, data, fit.slabs.centers, moments)
+        chain_ok = _chain_holds(fit, blocks.test, hidden)
+        excess = _per_feature_excess_transductive(blocks.test, hidden, fit.slabs.centers, moments)
         return {
             "N": n_train,
             "replicate": r,

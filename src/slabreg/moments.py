@@ -147,21 +147,18 @@ def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, 
     return DesignMoments(g, "MonteCarlo", {"n_samples": n_samples, "seed": int(seed)})
 
 
-def empirical_test_moments(features: np.ndarray, n_train: int, k_test: int) -> DesignMoments:
+def empirical_test_moments(test: np.ndarray, n_train: int, k_test: int) -> DesignMoments:
     """Empirical Gram of the test design block, normalized by 1/(kN).
 
-    ``features`` must hold all (k+1)N rows, training rows first.
+    ``test`` is the (kN, m) test block alone (``bounds.split_features``);
+    the training rows never enter the test geometry.
     """
-    features = validate_feature_matrix(features)
+    test = validate_feature_matrix(test)
     n_train, k_test = int(n_train), int(k_test)
     if k_test * n_train <= 0:
         raise ConfigError("empirical test moments need k_test >= 1 and n_train >= 1")
-    expected = (k_test + 1) * n_train
-    if features.shape[0] != expected:
-        raise DataError(
-            f"feature matrix has {features.shape[0]} rows, expected (k+1)N = {expected}"
-        )
-    test = features[n_train:]
+    if test.shape[0] != k_test * n_train:
+        raise DataError(f"test block has {test.shape[0]} rows, expected kN = {k_test * n_train}")
     g = test.T @ test
     g /= k_test * n_train
     # numpy's T.T @ T is a symmetric rank-k update, exactly symmetric, and

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bounds import BoundSpec, ConfidenceRadius, Slabs, slab_setup
+from .bounds import BoundSpec, ConfidenceRadius, FeatureBlocks, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
 from .errors import ConfigError, NumericalError, json_number
@@ -249,16 +249,17 @@ def run_selection(
     warm_start=None,
     loo_index=None,
     seed: int | None = None,
-    features=None,
+    blocks: FeatureBlocks | None = None,
 ) -> SelectionModel:
     """Fit the selection model end to end.
 
     Sets up the slabs (``bounds.slab_setup``), which the model keeps, from
-    the dictionary at ``data.x`` (a rowwise dictionary one row block at a
-    time), or from that feature matrix when the caller passes it as
-    ``features`` (transductive callers hold it already for the test Gram),
-    then runs the projection loop. kappa defaults to 1/(2N), the
-    midpoint of the admissible interval (0, 1/N). Deterministic given inputs.
+    the dictionary at ``data.x`` (the training rows of a rowwise dictionary
+    one row block at a time), or from ``blocks``, the split of the sample
+    (``bounds.split_features``) that a transductive caller already holds
+    for its test Gram and predictions. Then runs the projection loop.
+    kappa defaults to 1/(2N), the midpoint of the admissible interval
+    (0, 1/N). Deterministic given inputs.
     """
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
@@ -266,7 +267,7 @@ def run_selection(
     kappa = 1.0 / (2.0 * n) if kappa is None else json_number(kappa, "kappa")
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
-    slabs = slab_setup(dictionary if features is None else features, data, moments, spec, loo_index=loo_index)
+    slabs = slab_setup(dictionary if blocks is None else blocks, data, moments, spec, loo_index=loo_index)
     dropped = int(slabs.active.size - slabs.active.sum())
     if dropped and np.any(slabs.active):
         warnings.warn(f"excluding {dropped} degenerate feature(s) from selection", stacklevel=2)

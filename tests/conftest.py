@@ -1,0 +1,64 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from slabreg.dictionary import as_points
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)``: the tracemalloc peak, in bytes, of one call ``fn()``."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
+
+
+class EvaluationLog:
+    """The points of every recorded ``evaluate`` call, as (n, d) arrays."""
+
+    def __init__(self):
+        self.calls = []
+
+    @property
+    def rows(self):
+        """The number of points of each call, in call order."""
+        return [points.shape[0] for points in self.calls]
+
+    def pop_sample(self, x, n_train):
+        """Check that the next calls evaluate the sample ``x`` exactly once:
+        its test block in one call, then its training rows in order, in as
+        many blocks as they come. The checked calls are removed."""
+        x = as_points(x)
+        assert np.array_equal(self.calls.pop(0), x[n_train:])
+        done = 0
+        while done < n_train:
+            block = self.calls.pop(0)
+            assert block.shape[0] and np.array_equal(block, x[done : done + block.shape[0]])
+            done += block.shape[0]
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """``evaluations(cls)``: an ``EvaluationLog`` of the points that every
+    ``cls.evaluate`` call receives from now on."""
+
+    def record(cls):
+        log = EvaluationLog()
+        evaluate = cls.evaluate
+
+        def recorded(self, points):
+            log.calls.append(as_points(points).copy())
+            return evaluate(self, points)
+
+        monkeypatch.setattr(cls, "evaluate", recorded)
+        return log
+
+    return record

@@ -145,7 +145,7 @@ def test_c6_variance_bound_beats_basic_on_low_variance_features():
         ds = data.Dataset(x=x, y=y_all[:n], n_train=n, k_test=1, hidden_y=y_all[n:])
         feats = family.evaluate(x)
         stats = bounds.compute_stats(feats, ds)
-        mom = empirical_test_moments(feats, n, 1)
+        mom = empirical_test_moments(feats[n:], n, 1)
         basic = bounds.tr_basic_bounded(stats, mom, bounds.BoundSpec("TrBasicBounded", 0.1, B=1.05))
         varb = bounds.tr_variance(stats, mom, bounds.BoundSpec("TrVariance", 0.1, B=1.05))
         wins.append(float(np.mean(varb.beta < basic.beta)))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments
 
 
-def make_stats(train_feats, y, test_feats=None, y_test=None):
+def make_stats(train_feats, y, test_feats=None, y_test=None, loo_index=None):
     train_feats = np.asarray(train_feats, dtype=float)
     y = np.asarray(y, dtype=float)
     n = train_feats.shape[0]
@@ -31,7 +30,7 @@ def make_stats(train_feats, y, test_feats=None, y_test=None):
             hidden_y=None if y_test is None else np.asarray(y_test, dtype=float),
         )
         feats = np.vstack([train_feats, test_feats])
-    return bounds.compute_stats(feats, ds), feats
+    return bounds.compute_stats(feats, ds, loo_index=loo_index), feats
 
 
 def design_moments(diag):
@@ -96,7 +95,7 @@ def test_ind_var_linear_in_vhat():
 
 
 def test_ind_svm_zero_responses():
-    stats, _ = make_stats(np.ones((3, 1)), np.zeros(3))
+    stats, _ = make_stats(np.ones((3, 1)), np.zeros(3), loo_index=[0])
     spec = bounds.BoundSpec("IndSvm", 0.1)
     radius = bounds.ind_svm(stats, design_moments([1.0]), spec, loo_index=np.array([0]))
     assert radius.beta[0] == 0.0
@@ -104,7 +103,7 @@ def test_ind_svm_zero_responses():
 
 def test_ind_svm_loo_variance_oracle():
     # leave out i=1 on y = (1, 2, 3), theta == 1: variance of {2, 3} is 0.25
-    stats, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
+    stats, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), loo_index=[0])
     spec = bounds.BoundSpec("IndSvm", 0.1)
     radius = bounds.ind_svm(stats, design_moments([1.0]), spec, loo_index=np.array([0]))
     assert radius.observables["vhat_loo"][0] == pytest.approx(0.25, abs=1e-15)
@@ -114,12 +113,12 @@ def test_ind_svm_loo_variance_oracle():
 
 def test_ind_svm_log_grows_with_features_per_point():
     eps = 0.1
-    stats, _ = make_stats(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))
+    stats, _ = make_stats(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]), loo_index=[0, 0])
     spec = bounds.BoundSpec("IndSvm", eps)
     both = bounds.ind_svm(
         stats, design_moments([1.0, 1.0]), spec, loo_index=np.array([0, 0])
     )
-    single, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
+    single, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), loo_index=[0])
     one = bounds.ind_svm(single, design_moments([1.0]), spec, loo_index=np.array([0]))
     assert both.beta[0] / one.beta[0] == pytest.approx(
         math.log(12.0 / eps) / math.log(6.0 / eps), rel=1e-12
@@ -127,14 +126,14 @@ def test_ind_svm_log_grows_with_features_per_point():
 
 
 def test_ind_svm_needs_two_points():
-    stats, _ = make_stats(np.ones((1, 1)), np.array([1.0]))
+    stats, _ = make_stats(np.ones((1, 1)), np.array([1.0]), loo_index=[0])
     with pytest.raises(ConfigError, match="N >= 2"):
         bounds.ind_svm(stats, design_moments([1.0]), bounds.BoundSpec("IndSvm", 0.1), np.array([0]))
 
 
 def tr_setup(train_feats, y, test_feats, y_test=None):
     stats, feats = make_stats(train_feats, y, test_feats, y_test)
-    mom = empirical_test_moments(feats, stats.n_train, stats.k_test)
+    mom = empirical_test_moments(feats[stats.n_train :], stats.n_train, stats.k_test)
     return stats, mom
 
 
@@ -349,7 +348,7 @@ def scaled_pair(variant, scale):
             kw["subexp"] = ((1.0 / s, 5.0),)
         stats, feats = make_stats(train * s, y, test * s, y_test=y[:n])
         if variant.startswith("Tr"):
-            mom = empirical_test_moments(feats, n, 1)
+            mom = empirical_test_moments(feats[n:], n, 1)
         else:
             base = np.cov(train.T, bias=True) + np.outer(train.mean(0), train.mean(0))
             mom = DesignMoments(base * s * s, "UserSupplied")
@@ -461,7 +460,7 @@ def radius_case(variant, k_test, labels, seed=21):
     )
     spec = bounds.BoundSpec(variant, 0.1, **ALL_CONSTANTS)
     if spec.transductive:
-        mom = empirical_test_moments(feats, n, k_test)
+        mom = empirical_test_moments(feats[n:], n, k_test)
     else:
         mom = DesignMoments(feats[:n].T @ feats[:n] / n, "EmpiricalAll")
     loo = {"loo_index": np.arange(m)} if variant == "IndSvm" else {}
@@ -479,14 +478,14 @@ RADIUS_CASES = [
 @pytest.mark.parametrize("variant,k_test,labels", RADIUS_CASES)
 def test_declared_needs_radius_equals_all_variants_radius(variant, k_test, labels):
     feats, ds, spec, mom, loo = radius_case(variant, k_test, labels)
-    full = bounds.compute_radius(spec, bounds.compute_stats(feats, ds), mom, **loo)
-    own_stats = bounds.compute_stats(feats, ds, (variant,))
+    full = bounds.compute_radius(spec, bounds.compute_stats(feats, ds, **loo), mom, **loo)
+    own_stats = bounds.compute_stats(feats, ds, (variant,), **loo)
     own = bounds.compute_radius(spec, own_stats, mom, **loo)
     assert own.beta.tobytes() == full.beta.tobytes()
     assert own.tau.tobytes() == full.tau.tobytes()
     assert own.observables["mode"] == full.observables["mode"]
     assert own_stats.has_test_labels == labels
-    unread = {"train_mean_sq_ysq", "train_var_ty", "train_ty", *bounds.FOURTH_MOMENTS}
+    unread = {"train_mean_sq_ysq", "train_var_ty", *bounds.LEAVE_ONE_OUT_SUMS, *bounds.FOURTH_MOMENTS}
     unread -= set(bounds.VARIANT_TABLE[variant].reads)
     assert all(getattr(own_stats, name) is None for name in unread)
 
@@ -530,9 +529,10 @@ def test_compute_stats_rejects_unknown_variant():
         bounds.compute_stats(feats, ds, ("IndExcat",))
 
 
-def dense_compute_stats(features, data, variants=bounds.VARIANTS):
+def dense_compute_stats(features, data, variants=bounds.VARIANTS, loo_index=None):
     """The former compute_stats: every statistic reduced over the whole
-    matrix at once. The oracle for the row-block walk."""
+    stacked matrix at once, the leave-one-out sums from the raw N x m
+    products. The oracle for the row-block walk and the split."""
     reads = {name for variant in variants for name in bounds.VARIANT_TABLE[variant].reads}
     has_test_labels = data.k_test > 0 and data.hidden_y is not None
     n = data.n_train
@@ -553,8 +553,10 @@ def dense_compute_stats(features, data, variants=bounds.VARIANTS):
         out["train_mean_t4y4"] = (ty**4).mean(axis=0)
         if has_test_labels:
             out["test_sum_t4y4"] = ((test * data.hidden_y[:, None]) ** 4).sum(axis=0)
-    if "train_ty" in reads:
-        out["train_ty"] = ty
+    if "train_loo_sum_ty" in reads and loo_index is not None:
+        own = ty[loo_index, np.arange(ty.shape[1])]
+        out["train_loo_sum_ty"] = ty.sum(axis=0) - own
+        out["train_loo_sum_ty2"] = (ty**2).sum(axis=0) - own**2
     return bounds.FeatureStats(
         n_train=n, k_test=data.k_test, has_test_labels=has_test_labels,
         train_mean_sq=t2.mean(axis=0), train_mean_ty=mean_ty, **out,
@@ -596,9 +598,10 @@ def test_row_block_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
     y_all = 3.0 * rng.normal(size=rows)
     ds = Dataset(x=np.zeros((rows, 1)), y=y_all[:n], n_train=n, k_test=k_test,
                  hidden_y=y_all[n:] if labels else None)
+    loo = rng.integers(0, n, size=m)
     for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
-        got = bounds.compute_stats(feats, ds, variants)
-        assert_stats_identical(got, dense_compute_stats(feats, ds, variants), variants)
+        got = bounds.compute_stats(feats, ds, variants, loo_index=loo)
+        assert_stats_identical(got, dense_compute_stats(feats, ds, variants, loo), variants)
 
 
 def test_row_block_stats_reject_nonfinite_in_any_block():
@@ -611,31 +614,27 @@ def test_row_block_stats_reject_nonfinite_in_any_block():
             bounds.compute_stats(feats, ds, ("TrBasicBounded",))
 
 
-def test_row_block_stats_stay_small_in_memory():
+def test_row_block_stats_stay_small_in_memory(peak_bytes):
     rng = np.random.default_rng(5)
     n = m = 2048
     feats = rng.uniform(-1.0, 1.0, size=(n, m))
     ds = Dataset(x=np.zeros((n, 1)), y=rng.normal(size=n), n_train=n)
-    tracemalloc.start()
-    try:
-        bounds.compute_stats(feats, ds, ("IndExact",))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: bounds.compute_stats(feats, ds, ("IndExact",)))
     # the dense reduction held three 32 MB temporaries at once
     assert peak < 8 * 2**20
 
 
 def rowwise_family(kind, m):
-    """A rowwise dictionary of the given kind with m features (Haar and
-    MultiscaleGaussian: m even)."""
+    """A rowwise dictionary of the given kind with m features (Haar: m a
+    power of two; MultiscaleGaussian: two scales, one when m = 1)."""
     if kind == "Trigonometric":
         return fd.Trigonometric(m)
     if kind == "Haar":
         return fd.Haar(m.bit_length() - 2)
     if kind == "GaussianKernel":
         return fd.GaussianKernel(np.linspace(0.03, 0.97, m)[:, None], 40.0)
-    return fd.MultiscaleGaussian(np.linspace(0.03, 0.97, m // 2)[:, None], [9.0, 300.0])
+    scales = [9.0, 300.0] if m > 1 else [9.0]
+    return fd.MultiscaleGaussian(np.linspace(0.03, 0.97, m // len(scales))[:, None], scales)
 
 
 def stream_points(rows, seed):
@@ -669,37 +668,96 @@ def test_dictionary_stats_equal_matrix_stats_bitwise(kind, m, n, k_test, labels)
     y_all = 3.0 * np.random.default_rng(m).normal(size=rows)
     ds = Dataset(x=x, y=y_all[:n], n_train=n, k_test=k_test, hidden_y=y_all[n:] if labels else None)
     features = family.evaluate(x)
+    loo = np.arange(m) * 7 % n
     for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
-        got = bounds.compute_stats(family, ds, variants)
-        assert_stats_identical(got, bounds.compute_stats(features, ds, variants), variants)
-        assert_stats_identical(got, dense_compute_stats(features, ds, variants), variants)
+        got = bounds.compute_stats(family, ds, variants, loo_index=loo)
+        assert_stats_identical(got, bounds.compute_stats(features, ds, variants, loo_index=loo), variants)
+        assert_stats_identical(got, dense_compute_stats(features, ds, variants, loo), variants)
+    spec = bounds.BoundSpec("IndSvm", 0.1)
+    mom = DesignMoments(np.eye(m), "Exact")
+    radius = bounds.compute_radius(spec, bounds.compute_stats(family, ds, ("IndSvm",), loo_index=loo), mom, loo)
+    vhat, beta = reference_ind_svm(features[:n] * ds.y[:, None], loo, spec.epsilon)
+    assert radius.observables["vhat_loo"].tobytes() == vhat.tobytes()
+    assert radius.beta.tobytes() == beta.tobytes()
 
 
-def count_evaluations(monkeypatch, cls):
-    calls = []
-    evaluate = cls.evaluate
-
-    def counted(self, points):
-        calls.append(np.asarray(points).shape[0])
-        return evaluate(self, points)
-
-    monkeypatch.setattr(cls, "evaluate", counted)
-    return calls
+TRANSDUCTIVE = tuple(v for v in bounds.VARIANTS if bounds.VARIANT_TABLE[v].transductive)
+# Haar has no m = 1 family: its sizes are powers of two from 2.
+SPLIT_CASES = [
+    (kind, m) for kind in ("Trigonometric", "Haar", "MultiscaleGaussian") for m in (1, 2, 256)
+    if (kind, m) != ("Haar", 1)
+]
 
 
-def test_rowwise_dictionary_is_evaluated_one_row_block_at_a_time(monkeypatch):
+@pytest.mark.parametrize("kind,m", SPLIT_CASES)
+@pytest.mark.parametrize("k_test", [1, 2])
+@pytest.mark.parametrize("labels", [False, True])
+def test_streamed_training_rows_and_test_block_equal_dense_stats_bitwise(kind, m, k_test, labels):
+    family = rowwise_family(kind, m)
+    assert family.m == m
+    n = STREAM_MANY if m == 256 else 70
+    rows = (k_test + 1) * n
+    x = stream_points(rows, seed=m + k_test)
+    y_all = 3.0 * np.random.default_rng(m + 1).normal(size=rows)
+    ds = Dataset(x=x, y=y_all[:n], n_train=n, k_test=k_test, hidden_y=y_all[n:] if labels else None)
+    blocks = bounds.split_features(family, ds)
+    assert blocks.train is family and blocks.test.shape == (k_test * n, m)
+    stacked = family.evaluate(x)
+    for variants in [TRANSDUCTIVE, *((v,) for v in TRANSDUCTIVE)]:
+        got = bounds.compute_stats(blocks, ds, variants)
+        assert_stats_identical(got, dense_compute_stats(stacked, ds, variants), variants)
+    mom = empirical_test_moments(blocks.test, n, k_test)
+    assert mom.gram.tobytes() == empirical_test_moments(stacked[n:], n, k_test).gram.tobytes()
+
+
+def test_split_of_other_dictionaries_is_two_views_of_one_matrix(evaluations):
+    n, m = 40, 8
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=(2 * n, 1))
+    family = fd.KernelPCA(x[:30], {"kind": "gaussian", "gamma": 30.0}, top=m)
+    log = evaluations(fd.KernelPCA)
+    blocks = bounds.split_features(family, Dataset(x=x, y=np.ones(n), n_train=n, k_test=1))
+    assert log.rows == [2 * n]
+    assert blocks.train.base is blocks.test.base is not None
+    assert blocks.train.shape == blocks.test.shape == (n, m)
+
+
+def reference_ind_svm(ty, loo_index, epsilon):
+    """IndSvm's leave-one-out variance and radius under unit moments, as
+    first computed from the raw N x m products ty."""
+    n, m = ty.shape
+    own = ty[loo_index, np.arange(m)]
+    loo_mean = (ty.sum(axis=0) - own) / (n - 1)
+    loo_sq = ((ty**2).sum(axis=0) - own**2) / (n - 1)
+    vhat = np.maximum(loo_sq - loo_mean**2, 0.0)
+    lead = 2.0 * math.log(2.0 * n * int(np.bincount(loo_index).max()) / epsilon) / (n - 1)
+    return vhat, lead * bounds._safe_ratio(vhat, np.ones(m))
+
+
+def test_rowwise_dictionary_is_evaluated_one_row_block_at_a_time(evaluations):
     n, m = STREAM_MANY, 256
-    calls = count_evaluations(monkeypatch, fd.Trigonometric)
+    log = evaluations(fd.Trigonometric)
     x = stream_points(2 * n, seed=3)
     ds = Dataset(x=x, y=np.ones(n), n_train=n, k_test=1)
     bounds.compute_stats(fd.Trigonometric(m), ds)
     step = CELLS // m
-    blocks = [step] * 3 + [n - 3 * step]
-    assert calls == blocks + blocks
+    # the test block in one call, then the training rows block by block
+    assert log.rows == [n] + [step] * 3 + [n - 3 * step]
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_rowwise_test_rows_are_evaluated_only_for_the_fourth_moments(variant, evaluations):
+    n, m = 300, 8
+    log = evaluations(fd.Trigonometric)
+    ds = Dataset(x=stream_points(2 * n, seed=5), y=np.ones(n), n_train=n, k_test=1)
+    stats = bounds.compute_stats(fd.Trigonometric(m), ds, (variant,), loo_index=np.arange(m))
+    sums_test_rows = not set(bounds.VARIANT_TABLE[variant].reads).isdisjoint(bounds.FOURTH_MOMENTS)
+    assert log.rows == ([n] if sums_test_rows else []) + [n]
+    assert stats.k_test == 1
 
 
 @pytest.mark.parametrize("kind", ["KernelPCA", "ExplicitMatrix"])
-def test_other_dictionaries_are_evaluated_once_as_a_matrix(kind, monkeypatch):
+def test_other_dictionaries_are_evaluated_once_as_a_matrix(kind, evaluations, monkeypatch):
     n, m = STREAM_MANY, 256
     rng = np.random.default_rng(8)
     x = rng.uniform(size=(n, 1))
@@ -708,10 +766,10 @@ def test_other_dictionaries_are_evaluated_once_as_a_matrix(kind, monkeypatch):
     else:
         family = fd.ExplicitMatrix(rng.normal(size=(n, m)))
     assert not family.rowwise
-    calls = count_evaluations(monkeypatch, type(family))
+    log = evaluations(type(family))
     ds = Dataset(x=x, y=rng.normal(size=n), n_train=n)
     got = bounds.compute_stats(family, ds)
-    assert calls == [n]
+    assert log.rows == [n]
     monkeypatch.undo()
     assert_stats_identical(got, bounds.compute_stats(family.evaluate(x), ds))
 
@@ -753,9 +811,9 @@ def test_wrong_geometry_is_one_config_error_from_every_entry_point(variant):
     if spec.transductive:
         mom = DesignMoments(np.eye(feats.shape[1]), "Exact")
     else:
-        mom = empirical_test_moments(feats, ds.n_train, ds.k_test)
+        mom = empirical_test_moments(feats[ds.n_train :], ds.n_train, ds.k_test)
     with pytest.raises(ConfigError, match="geometry"):
-        bounds.compute_radius(spec, bounds.compute_stats(feats, ds), mom, **loo)
+        bounds.compute_radius(spec, bounds.compute_stats(feats, ds, **loo), mom, **loo)
     with pytest.raises(ConfigError, match="geometry"):
         selector.run_selection(ds, ExplicitMatrix(feats), mom, spec, **loo)
 
@@ -764,8 +822,8 @@ def test_wrong_geometry_is_one_config_error_from_every_entry_point(variant):
 def test_test_block_of_two_rejected_exactly_for_k_one_variants(variant):
     feats, ds, spec, mom, loo = radius_case(variant, 2, labels=True)
     if spec.transductive:
-        mom = empirical_test_moments(feats, ds.n_train, ds.k_test)
-    stats = bounds.compute_stats(feats, ds, (variant,))
+        mom = empirical_test_moments(feats[ds.n_train :], ds.n_train, ds.k_test)
+    stats = bounds.compute_stats(feats, ds, (variant,), **loo)
     if variant in K_ONE_VARIANTS:
         with pytest.raises(ConfigError, match=f"{variant} is stated for k_test = 1"):
             bounds.compute_radius(spec, stats, mom, **loo)
@@ -789,7 +847,7 @@ def test_slab_setup_rejects_feature_moments_column_mismatch():
 def test_ind_svm_uneven_anchor_map_counts_the_largest_anchor():
     # three features on two anchors: row 0 carries two, so m' = 2
     eps = 0.1
-    stats, _ = make_stats(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]))
+    stats, _ = make_stats(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]), loo_index=[0, 0, 1])
     spec = bounds.BoundSpec("IndSvm", eps)
     radius = bounds.ind_svm(stats, design_moments([1.0, 1.0, 1.0]), spec, loo_index=np.array([0, 0, 1]))
     assert radius.observables["features_per_point"] == 2

@@ -125,7 +125,7 @@ def test_transduce_predictions_match_library(tmp_path, train_csv, test_csv):
     ds = data.Dataset(x=np.vstack([x_train, x_test]), y=y, n_train=10, k_test=1)
     family = dict_from_spec(json.loads(TRIG5))
     feats = family.evaluate(ds.x)
-    mom = empirical_test_moments(feats, 10, 1)
+    mom = empirical_test_moments(feats[10:], 10, 1)
     model = selector.run_selection(
         ds, family, mom, bounds.BoundSpec.from_json_dict(json.loads(TRB)), kappa=0.01
     )
@@ -713,14 +713,83 @@ def test_missing_key_in_json_spec_exits_2(tmp_path, train_csv, key, capsys):
     assert f"config error: missing key '{key}'" in err
 
 
-def test_transduce_evaluates_the_dictionary_once(tmp_path, train_csv, test_csv, monkeypatch):
-    calls = _counting(monkeypatch, dictionary.Trigonometric, "evaluate")
+def _sample(train_csv, test_csv):
+    x_train, _ = data.load_labeled_csv(train_csv)
+    return np.vstack([x_train, data.load_unlabeled_csv(test_csv)]), x_train.shape[0]
+
+
+def test_transduce_evaluates_the_dictionary_once(tmp_path, train_csv, test_csv, evaluations):
+    log = evaluations(dictionary.Trigonometric)
     code = run_cli([
         "transduce", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5,
         "--bound", TRB, "--out", tmp_path / "run",
     ])
     assert code == 0
-    assert len(calls) == 1
+    log.pop_sample(*_sample(train_csv, test_csv))
+    assert not log.calls
+
+
+def test_bounds_table_evaluates_the_dictionary_once(train_csv, test_csv, evaluations, capsys):
+    log = evaluations(dictionary.Trigonometric)
+    code = run_cli([
+        "bounds", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5,
+        "--bound", '{"epsilon":0.1,"B":1.7,"sigma2":0.04}', "--variant", "TrBasicBounded",
+        "--variant", "IndExact", "--json",
+    ])
+    assert code == 0
+    log.pop_sample(*_sample(train_csv, test_csv))
+    assert not log.calls
+
+
+def _transduce_inputs(tmp_path, n, k_test, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=((k_test + 1) * n, 1))
+    y = np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, size=x.shape[0])
+    data.write_labeled_csv(tmp_path / "train.csv", x[:n], y[:n])
+    data.write_unlabeled_csv(tmp_path / "test.csv", x[n:])
+    return ["transduce", "--train", tmp_path / "train.csv", "--test", tmp_path / "test.csv"]
+
+
+SPLIT_FAMILIES = {
+    "Trigonometric": {"kind": "Trigonometric", "m": 16},
+    "Haar": {"kind": "Haar", "parameters": {"levels": 3}},
+    "MultiscaleGaussian": {"kind": "MultiscaleGaussian",
+                           "parameters": {"centers": [[c] for c in np.linspace(0.05, 0.95, 8)], "scales": [9.0, 90.0]}},
+}
+SPLIT_BOUNDS = {
+    "TrBasicBounded": {"variant": "TrBasicBounded", "epsilon": 0.1, "B": 1.7},
+    "TrFirstOrder": {"variant": "TrFirstOrder", "epsilon": 0.1, "y_subexp": {"b_y": 1.0, "B_y": 6.0}},
+    "TrVariance": {"variant": "TrVariance", "epsilon": 0.1, "B": 1.7},
+    "TrGeneralK": {"variant": "TrGeneralK", "epsilon": 0.1, "subexp": [{"beta_h": 0.5, "B_h": 3.0}]},
+}
+
+
+@pytest.mark.parametrize("family", SPLIT_FAMILIES)
+@pytest.mark.parametrize("bound", SPLIT_BOUNDS)
+def test_transduce_artifacts_equal_those_of_the_whole_matrix_path(tmp_path, family, bound, monkeypatch):
+    # Declared not rowwise, a family is evaluated once at all (k+1)N points
+    # and split into two views of that matrix: the whole-matrix reference.
+    argv = _transduce_inputs(tmp_path, 64, 2 if bound == "TrGeneralK" else 1, seed=31)
+    argv += ["--dictionary", json.dumps(SPLIT_FAMILIES[family]), "--bound", json.dumps(SPLIT_BOUNDS[bound])]
+    assert run_cli(argv + ["--out", tmp_path / "split"]) == 0
+    for cls in (dictionary.Trigonometric, dictionary.Haar, dictionary.MultiscaleGaussian):
+        monkeypatch.setattr(cls, "rowwise", False)
+    assert run_cli(argv + ["--out", tmp_path / "whole"]) == 0
+    for name in ("model.json", "summary.txt", "predictions.csv"):
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+def test_transduce_holds_the_test_block_and_its_gram_only(tmp_path, peak_bytes, capsys):
+    n = m = 1024
+    argv = _transduce_inputs(tmp_path, n, 1, seed=32)
+    family = {"kind": "MultiscaleGaussian",
+              "parameters": {"centers": [[c] for c in np.linspace(0.0, 1.0, m // 4)], "scales": [4.0, 16.0, 64.0, 256.0]}}
+    argv += ["--dictionary", json.dumps(family), "--bound", TRB, "--out", tmp_path / "run"]
+    peak = peak_bytes(lambda: run_cli(argv))
+    assert (tmp_path / "run" / "predictions.csv").is_file()
+    # the kN x m test block and the m x m Gram, plus row-block temporaries;
+    # the N x m training rows would add another 8 MB
+    assert peak < (n * m + m * m) * 8 + 6 * 2**20
 
 
 def test_bounds_text_table_agrees_with_json_rows(train_csv, capsys):

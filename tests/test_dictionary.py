@@ -363,20 +363,13 @@ def test_gaussian_features_equal_former_cdist_expression_bitwise(family):
     assert family.evaluate(x).tobytes() == expected.tobytes()
 
 
-def test_multiscale_evaluate_peak_memory_is_near_its_output():
-    import tracemalloc
-
+def test_multiscale_evaluate_peak_memory_is_near_its_output(peak_bytes):
     rng = np.random.default_rng(13)
     family = fd.MultiscaleGaussian(rng.uniform(size=256), [4.0, 16.0, 64.0, 256.0])
     x = rng.uniform(size=2048)
-    tracemalloc.start()
-    try:
-        out = family.evaluate(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: family.evaluate(x))
     # the output, the (n, c) distances and one scale's temporary: 1.5x
-    assert peak <= 1.6 * out.nbytes
+    assert peak <= 1.6 * x.size * family.m * 8
 
 
 def every_kind(cls=fd.FeatureDictionary):

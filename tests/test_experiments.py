@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,15 +142,14 @@ def test_haar_truth_matches_dense_oracle(levels):
     assert np.max(np.abs(model.f_values(x[:, None]) - dense_haar_truth(model, x))) <= tol
 
 
-def test_haar_truth_stays_small_in_memory():
+def test_haar_truth_stays_small_in_memory(peak_bytes):
     model = ex.besov_spike_model(smoothness=1.0, levels=11, scale=1.0, seed=3)
-    tracemalloc.start()
-    try:
+
+    def truth():
         ex.generate(model, 4096, 0, seed=1)
         model.sup_bound()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = peak_bytes(truth)
     # the dense (4096, 2048) Haar matrix of the truth alone is 64 MB
     assert peak < 4 * 2**20
 
@@ -171,14 +169,9 @@ def test_sup_bound_margin_is_half_the_grid_step():
     assert model.sup_bound() - peak == pytest.approx(deriv * 0.5 / (grid.size - 1), rel=1e-9)
 
 
-def test_sup_bound_of_full_sobolev_truth_stays_small_in_memory():
+def test_sup_bound_of_full_sobolev_truth_stays_small_in_memory(peak_bytes):
     model = ex.sobolev_model(size=4096)
-    tracemalloc.start()
-    try:
-        model.sup_bound()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(model.sup_bound)
     assert peak < 128 * 2**20
 
 
@@ -366,19 +359,22 @@ def test_transductive_zero_noise_beats_zero_predictor():
     assert report.extras["beats_zero_fraction"] == 1.0
 
 
-def test_transductive_experiment_evaluates_the_dictionary_once_per_fit(monkeypatch):
-    calls = []
-    evaluate = fd.Trigonometric.evaluate
+def test_transductive_experiment_evaluates_the_dictionary_once_per_fit(evaluations):
+    model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
+    log = evaluations(fd.Trigonometric)
+    report = ex.transductive_experiment(model, n_train=32, k_test=1, m=8, replicates=3, seed=4)
+    for row in report.rows:
+        log.pop_sample(ex.generate(model, 32, 1, seed=row["seed"]).x, 32)
+    assert not log.calls
 
-    def counted(self, points):
-        calls.append(len(points))
-        return evaluate(self, points)
 
-    monkeypatch.setattr(fd.Trigonometric, "evaluate", counted)
-    ex.transductive_experiment(
-        small_sobolev(noise=ex.NoiseSpec("uniform", 0.3)), n_train=32, k_test=1, m=8, replicates=3, seed=4
-    )
-    assert calls == [64, 64, 64]
+def test_transductive_coverage_study_evaluates_the_dictionary_once_per_replicate(evaluations):
+    model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
+    log = evaluations(fd.Trigonometric)
+    report = ex.coverage_study("TrBasicBounded", model, n_train=32, m=8, epsilon=0.25, replicates=100, seed=5)
+    for row in report.rows:
+        log.pop_sample(ex.generate(model, 32, 1, seed=row["seed"]).x, 32)
+    assert not log.calls
 
 
 def test_transductive_chain_fraction_high():
@@ -403,7 +399,7 @@ def test_transductive_general_k_bound_shrinks_with_more_test_points():
             stats = bounds.compute_stats(feats, ds)
             from slabreg.moments import empirical_test_moments
 
-            mom = empirical_test_moments(feats, 256, k)
+            mom = empirical_test_moments(feats[256:], 256, k)
             vals.append(float(np.median(bounds.tr_general_k(stats, mom, spec).beta)))
         medians[k] = vals
     assert all(b < a for a, b in zip(medians[1], medians[3]))
@@ -504,8 +500,8 @@ def reference_coverage_event(spec, model, family, data):
     features = family.evaluate(data.x)
     stats = bounds.compute_stats(features, data, (spec.variant,))
     if spec.transductive:
-        moments = empirical_test_moments(features, data.n_train, data.k_test)
         test = features[data.n_train :]
+        moments = empirical_test_moments(test, data.n_train, data.k_test)
         num = (test * data.hidden_y[:, None]).sum(axis=0)
         den = (test**2).sum(axis=0)
         alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -370,7 +369,7 @@ def test_transductive_fit_shares_engine():
     family = Trigonometric(8)
     feats = family.evaluate(x)
     ds = Dataset(x=x, y=y[:n], n_train=n, k_test=1, hidden_y=y[n:])
-    mom = empirical_test_moments(feats, n, 1)
+    mom = empirical_test_moments(feats[n:], n, 1)
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=1.2)
     model = selector.run_selection(ds, family, mom, spec)
     assert model.moments_provenance == "EmpiricalTest"
@@ -468,7 +467,7 @@ def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, 
     if geometry == "identity":
         mom = DesignMoments(np.eye(m), "Exact")
     elif geometry == "empirical_test":
-        mom = empirical_test_moments(feats, n, k_test)
+        mom = empirical_test_moments(feats[n:], n, k_test)
     else:
         a = rng.normal(size=(2 * m, m))
         gram = a.T @ a / (2 * m)
@@ -506,7 +505,7 @@ def test_non_finite_label_is_data_error_not_zero_model(field, bad):
     labels = {"y": y[:n].copy(), "hidden_y": y[n:].copy()}
     labels[field][3] = bad
     family = Trigonometric(4)
-    mom = empirical_test_moments(family.evaluate(x), n, 1)
+    mom = empirical_test_moments(family.evaluate(x[n:]), n, 1)
     spec = bounds.BoundSpec("TrFirstOrder", 0.1)
     with pytest.raises(DataError, match="non-finite"):
         selector.run_selection(Dataset(x=x, n_train=n, k_test=1, **labels), family, mom, spec)
@@ -572,7 +571,7 @@ def test_model_keeps_the_slabs_it_fitted_against(geometry):
     if geometry == "identity":
         mom = DesignMoments(np.eye(m), "Exact")
     elif geometry == "empirical_test":
-        mom = empirical_test_moments(feats, n, k_test)
+        mom = empirical_test_moments(feats[n:], n, k_test)
         spec = bounds.BoundSpec("TrFirstOrder", 0.2)
     else:
         a = rng.normal(size=(2 * m, m))
@@ -597,7 +596,7 @@ def test_model_keeps_the_slabs_it_fitted_against(geometry):
     assert selector.SelectionModel.from_json_dict(json.loads(json.dumps(payload))).slabs is None
 
 
-def test_inductive_trigonometric_fit_holds_no_feature_matrix():
+def test_inductive_trigonometric_fit_holds_no_feature_matrix(peak_bytes):
     rng = np.random.default_rng(78)
     n = m = 2048
     x = rng.uniform(size=n)
@@ -605,12 +604,9 @@ def test_inductive_trigonometric_fit_holds_no_feature_matrix():
     family = Trigonometric(m)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
     mom = exact_moments(family)
-    tracemalloc.start()
-    try:
-        model = selector.run_selection(ds, family, mom, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fits = []
+    peak = peak_bytes(lambda: fits.append(selector.run_selection(ds, family, mom, spec)))
+    (model,) = fits
     # the (N, m) feature matrix alone is 32 MB
     assert peak < 8 * 2**20
     fresh = bounds.slab_setup(family.evaluate(x), ds, mom, spec)
@@ -620,7 +616,7 @@ def test_inductive_trigonometric_fit_holds_no_feature_matrix():
 
 
 @pytest.mark.parametrize("kind", ["Trigonometric", "KernelPCA", "ExplicitMatrix"])
-def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, monkeypatch):
+def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, evaluations, monkeypatch):
     rng = np.random.default_rng(79)
     n, m = 1100, 512
     x = rng.uniform(size=(n, 1))
@@ -635,18 +631,11 @@ def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, monk
     a = rng.normal(size=(2 * m, m))
     mom = DesignMoments(a.T @ a / (2 * m), "UserSupplied")
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
-    calls = []
-    evaluate = type(family).evaluate
-
-    def counted(self, points):
-        calls.append(np.asarray(points).shape[0])
-        return evaluate(self, points)
-
-    monkeypatch.setattr(type(family), "evaluate", counted)
+    log = evaluations(type(family))
     model = selector.run_selection(ds, family, mom, spec)
     step = bounds.STATS_BLOCK_CELLS // m
-    assert calls == ([step] * (n // step) + [n % step] if family.rowwise else [n])
+    assert log.rows == ([step] * (n // step) + [n % step] if family.rowwise else [n])
     monkeypatch.undo()
-    reference = selector.run_selection(ds, family, mom, spec, features=features)
+    reference = selector.run_selection(ds, family, mom, spec, blocks=bounds.split_features(features, ds))
     assert model.coefficients.tobytes() == reference.coefficients.tobytes()
     assert model.trace == reference.trace
