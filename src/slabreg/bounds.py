@@ -119,9 +119,10 @@ class FeatureStats:
     fourth moments are sums over the kN unlabeled rows (normalized inside
     the formulas, which divide by N). The leave-one-out fields are the
     column sums of theta_k(X_i) Y_i and its square over the training rows
-    but feature k's anchor row. The fields after ``train_mean_ty`` are None
-    unless a variant the statistics were computed for reads them (see
-    ``compute_stats``).
+    but feature k's anchor row, and ``features_per_point`` is m', the
+    largest number of features on one anchor row. The fields after
+    ``train_mean_ty`` are None unless a variant the statistics were
+    computed for reads them (see ``compute_stats``).
     """
 
     n_train: int
@@ -137,6 +138,7 @@ class FeatureStats:
     test_sum_t4y4: np.ndarray | None = None
     train_loo_sum_ty: np.ndarray | None = None
     train_loo_sum_ty2: np.ndarray | None = None
+    features_per_point: int | None = None
 
     @property
     def m(self) -> int:
@@ -221,21 +223,20 @@ def ind_var_first_order(stats: FeatureStats, moments: DesignMoments, spec: Bound
     return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "mode": "observable"})
 
 
-def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec, loo_index: np.ndarray) -> ConfidenceRadius:
+def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
     """Leave-one-out variant for dictionaries built on the training points.
 
     Feature k is anchored at training point i = loo_index[k]; its statistics
     use the other N-1 rows. beta_k = (2 log(2 N m' / eps) / (N-1)) vhat_k / v_k
     with m' the largest number of features on one anchor point (m / anchors
-    for an even map; N m' >= m bounds the union either way). The statistics
-    must have been computed for the same map (``compute_stats``'s
-    ``loo_index``).
+    for an even map; N m' >= m bounds the union either way). The sums and
+    m' come from ``compute_stats``, which read the map.
     """
     _require_geometry(spec, stats, moments)
     n = stats.n_train
     if n < 2:
         raise ConfigError("IndSvm needs N >= 2 for a leave-one-out sample")
-    features_per_point = int(np.bincount(_anchor_rows(loo_index, stats.m, n)).max())
+    features_per_point = stats.features_per_point
     loo_mean = stats.train_loo_sum_ty / (n - 1)
     loo_sq = stats.train_loo_sum_ty2 / (n - 1)
     vhat = np.maximum(loo_sq - loo_mean**2, 0.0)
@@ -244,17 +245,6 @@ def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec, loo_in
     return _radius(
         beta, moments, spec, {"vhat_loo": vhat, "features_per_point": features_per_point, "mode": "observable"}
     )
-
-
-def _anchor_rows(loo_index, m: int, n: int) -> np.ndarray:
-    """The leave-one-out map as integers, checked to send each of the m
-    features to one of the n training rows."""
-    loo_index = np.asarray(loo_index, dtype=int)
-    if loo_index.shape != (m,):
-        raise ConfigError(f"loo_index must map each of the {m} features to a training row")
-    if loo_index.min(initial=0) < 0 or loo_index.max(initial=0) >= n:
-        raise ConfigError("loo_index entries must be valid training rows")
-    return loo_index
 
 
 def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -388,13 +378,12 @@ class VariantEntry(NamedTuple):
     ``train_mean_ty``. A train-side fourth moment brings its test-block sum
     along. ``transductive`` variants measure risk on the kN test points and
     project in the empirical test Gram; ``k_one`` ones are stated for k = 1
-    only; ``leave_one_out`` ones also take the feature-to-anchor map."""
+    only. Every radius takes ``(stats, moments, spec)``."""
 
-    radius: Callable[..., ConfidenceRadius]
+    radius: Callable[[FeatureStats, DesignMoments, BoundSpec], ConfidenceRadius]
     reads: tuple[str, ...]
     transductive: bool = False
     k_one: bool = False
-    leave_one_out: bool = False
 
 
 FOURTH_MOMENTS = ("train_mean_t4y4", "train_mean_t4")
@@ -402,7 +391,7 @@ LEAVE_ONE_OUT_SUMS = ("train_loo_sum_ty", "train_loo_sum_ty2")
 VARIANT_TABLE = {
     "IndExact": VariantEntry(ind_exact, ("train_mean_sq_ysq",)),
     "IndVarFirstOrder": VariantEntry(ind_var_first_order, ("train_var_ty",)),
-    "IndSvm": VariantEntry(ind_svm, LEAVE_ONE_OUT_SUMS, leave_one_out=True),
+    "IndSvm": VariantEntry(ind_svm, LEAVE_ONE_OUT_SUMS),
     "TrBasicBounded": VariantEntry(tr_basic_bounded, ("train_mean_sq_ysq",), transductive=True, k_one=True),
     "TrFirstOrder": VariantEntry(
         tr_first_order, ("train_mean_sq_ysq", *FOURTH_MOMENTS), transductive=True, k_one=True
@@ -464,10 +453,8 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
     if isinstance(features, FeatureDictionary):
         features = features.evaluate(data.x)
     matrix = as_feature_matrix(features)
-    if matrix.shape[0] != (data.k_test + 1) * n:
-        raise ConfigError(
-            f"feature matrix has {matrix.shape[0]} rows, dataset expects {(data.k_test + 1) * n}"
-        )
+    if matrix.shape[0] != data.x.shape[0]:
+        raise ConfigError(f"feature matrix has {matrix.shape[0]} rows, dataset expects {data.x.shape[0]}")
     return FeatureBlocks(matrix[:n], matrix[n:])
 
 
@@ -489,8 +476,8 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
 
     - IndExact, TrBasicBounded: ``train_mean_sq_ysq``;
     - IndVarFirstOrder, TrGeneralK: ``train_var_ty``;
-    - IndSvm: the leave-one-out sums, for the anchor map ``loo_index``
-      (None without one);
+    - IndSvm: the leave-one-out sums and m' (``features_per_point``), for
+      the anchor map ``loo_index`` (None without one);
     - TrFirstOrder: ``train_mean_sq_ysq`` and the fourth moments;
     - TrVariance: ``train_var_ty`` and the fourth moments.
 
@@ -529,7 +516,11 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     has_test_labels = data.k_test > 0 and data.hidden_y is not None
     anchors = None
     if "train_loo_sum_ty" in reads and loo_index is not None:
-        anchors = _anchor_rows(loo_index, m, n)
+        anchors = np.asarray(loo_index, dtype=int)
+        if anchors.shape != (m,):
+            raise ConfigError(f"loo_index must map each of the {m} features to a training row")
+        if anchors.min(initial=0) < 0 or anchors.max(initial=0) >= n:
+            raise ConfigError("loo_index entries must be valid training rows")
         own = np.empty(m)
         cols = np.arange(m)
     sums = {}
@@ -570,6 +561,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     if anchors is not None:
         out["train_loo_sum_ty"] = sums["train_mean_ty"] - own
         out["train_loo_sum_ty2"] = sums["train_mean_ty2"] - own**2
+        out["features_per_point"] = int(np.bincount(anchors).max())
     # training statistics are means over the N rows; the test ones stay sums
     for name, total in sums.items():
         out[name] = total if name.startswith("test_") else total / n
@@ -579,20 +571,18 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
 
 
-def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments, loo_index=None) -> ConfidenceRadius:
-    """Dispatch to the requested bound variant through ``VARIANT_TABLE``."""
+def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments) -> ConfidenceRadius:
+    """Dispatch to the requested bound variant through ``VARIANT_TABLE``,
+    once the statistics are checked to hold every field it reads."""
     entry = VARIANT_TABLE[spec.variant]
-    if entry.leave_one_out and loo_index is None:
-        raise ConfigError(f"{spec.variant} needs loo_index mapping features to training rows")
     missing = [name for name in entry.reads if getattr(stats, name) is None]
     if missing:
+        also = ", which needs loo_index mapping features to training rows" if entry.reads == LEAVE_ONE_OUT_SUMS else ""
         raise ConfigError(
             f"{spec.variant} reads {', '.join(missing)}, which these statistics lack; "
-            f"compute them with compute_stats for variant {spec.variant!r}"
+            f"compute them with compute_stats for variant {spec.variant!r}{also}"
         )
-    if not entry.leave_one_out:
-        return entry.radius(stats, moments, spec)
-    return entry.radius(stats, moments, spec, loo_index)
+    return entry.radius(stats, moments, spec)
 
 
 def alpha_hat(stats: FeatureStats) -> np.ndarray:
@@ -633,6 +623,6 @@ def slab_setup(features, data: Dataset, moments: DesignMoments, spec: BoundSpec,
     stats = compute_stats(features, data, (spec.variant,), loo_index=loo_index)
     if stats.m != moments.m:
         raise ConfigError(f"dictionary has {stats.m} features but moments cover {moments.m}")
-    radius = compute_radius(spec, stats, moments, loo_index=loo_index)
+    radius = compute_radius(spec, stats, moments)
     centers = slab_centers(stats, moments)
     return Slabs(radius, centers, ~moments.degenerate & ~stats.train_degenerate)

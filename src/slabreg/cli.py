@@ -160,7 +160,7 @@ def _with_test_block(x_train, y, x_test) -> data.Dataset:
     n, rows = x_train.shape[0], x_test.shape[0]
     if n == 0 or rows == 0 or rows % n:
         raise DataError(f"test rows ({rows}) must be a positive multiple of train rows ({n})")
-    return data.Dataset(x=np.vstack([x_train, x_test]), y=y, n_train=n, k_test=rows // n)
+    return data.Dataset(x=np.vstack([x_train, x_test]), y=y)
 
 
 def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
@@ -196,14 +196,14 @@ def cmd_fit(args) -> int:
             return 0
         ds = _with_test_block(x, y, x_test)
     else:
-        ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
+        ds = data.Dataset(x=x, y=y)
     family = _dictionary(config)
     spec = _bound_spec(config)
     if spec.transductive != transductive:
         raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
     if transductive:
         blocks = bounds.split_features(family, ds)
-        mom = moments.empirical_test_moments(blocks.test, ds.n_train, ds.k_test)
+        mom = moments.empirical_test_moments(blocks.test)
     else:
         blocks, mom = None, _inductive_moments(config, family, config["seed"])
     model = selector.run_selection(
@@ -241,7 +241,7 @@ def _bounds_table(config):
             raise ConfigError("transductive bound variants need a 'test' file")
         ds = _with_test_block(x, y, data.load_unlabeled_csv(test_path))
     else:
-        ds = data.Dataset(x=x, y=y, n_train=x.shape[0], k_test=0)
+        ds = data.Dataset(x=x, y=y)
     # Only the empirical test Gram reads the test block.
     features = bounds.split_features(family, ds) if transductive else family
     loo_index = _loo_arguments(config, family)
@@ -251,12 +251,12 @@ def _bounds_table(config):
     for spec in specs:
         if spec.transductive not in geometries:
             geometries[spec.transductive] = (
-                moments.empirical_test_moments(features.test, ds.n_train, ds.k_test)
+                moments.empirical_test_moments(features.test)
                 if spec.transductive
                 else _inductive_moments(config, family, config["seed"])
             )
         mom = geometries[spec.transductive]
-        columns[spec.variant] = bounds.compute_radius(spec, stats, mom, loo_index=loo_index)
+        columns[spec.variant] = bounds.compute_radius(spec, stats, mom)
     mom0 = geometries[specs[0].transductive]
     ahat = bounds.alpha_hat(stats)
     ratio = bounds.normalization_ratio(stats, mom0)
@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags = [
         ("--config", {"help": "JSON config file; flags override its values"}, every),
         ("--seed", {"type": int, "help": "base seed (default 0)"}, every),
-        ("--threads", {"type": int, "help": "worker threads (default 1)"}, every),
+        ("--threads", {"type": int, "help": "worker threads for experiment replicates (default 1); "
+                       "fit, transduce and bounds accept it and run on one thread"}, every),
         ("--out", {"help": "output directory (default .)"}, every),
         ("--train", {"help": "labeled CSV (x1..xd,y)"}, data_commands),
         ("--test", {"help": "unlabeled CSV (x1..xd)"}, ("transduce", "bounds")),

@@ -19,14 +19,14 @@ from .errors import DataError
 class Dataset:
     """Design points for all (k+1)N rows, labels observed on the first N.
 
-    ``hidden_y`` holds the test-block labels when they are known (simulated
-    data evaluated in simulation mode); None in deployment.
+    N, k and kN are read off the arrays: ``y`` holds the N training labels
+    and ``x`` one row per point, so its row count is a positive multiple
+    (k+1) of N. ``hidden_y`` holds the test-block labels when they are known
+    (simulated data evaluated in simulation mode); None in deployment.
     """
 
     x: np.ndarray
     y: np.ndarray
-    n_train: int
-    k_test: int = 0
     hidden_y: np.ndarray | None = None
 
     def __post_init__(self):
@@ -36,17 +36,10 @@ class Dataset:
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.n_train < 1:
-            raise DataError("dataset needs n_train >= 1")
-        if self.k_test < 0:
-            raise DataError("dataset needs k_test >= 0")
-        if x.shape[0] != (self.k_test + 1) * self.n_train:
-            raise DataError(
-                f"dataset has {x.shape[0]} design rows, expected "
-                f"(k+1)N = {(self.k_test + 1) * self.n_train}"
-            )
-        if y.shape != (self.n_train,):
-            raise DataError(f"labels must have shape ({self.n_train},), got {y.shape}")
+        if y.ndim != 1 or y.size == 0:
+            raise DataError(f"labels must be a nonempty vector, got shape {y.shape}")
+        if x.shape[0] % y.size or x.shape[0] == 0:
+            raise DataError(f"dataset has {x.shape[0]} design rows, not a positive multiple of N = {y.size}")
         if not np.all(np.isfinite(y)):
             raise DataError(f"non-finite label at index {int(np.argmin(np.isfinite(y)))}")
         if self.hidden_y is not None:
@@ -58,8 +51,16 @@ class Dataset:
             object.__setattr__(self, "hidden_y", h)
 
     @property
+    def n_train(self) -> int:
+        return self.y.size
+
+    @property
+    def k_test(self) -> int:
+        return self.x.shape[0] // self.y.size - 1
+
+    @property
     def n_test(self) -> int:
-        return self.k_test * self.n_train
+        return self.x.shape[0] - self.y.size
 
 
 def _read_rows(path):

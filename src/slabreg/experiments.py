@@ -211,13 +211,7 @@ def generate(model: SyntheticModel, n_train: int, k_test: int = 0, seed: int = 0
     n = (k_test + 1) * n_train
     x = rng.uniform(0.0, 1.0, size=(n, 1))
     y = model.f_values(x) + model.noise.draw(rng, n)
-    return Dataset(
-        x=x,
-        y=y[:n_train],
-        n_train=n_train,
-        k_test=k_test,
-        hidden_y=y[n_train:] if k_test > 0 else None,
-    )
+    return Dataset(x=x, y=y[:n_train], hidden_y=y[n_train:] if k_test > 0 else None)
 
 
 def exact_excess_risk(model: SyntheticModel, coefficients) -> float:
@@ -247,11 +241,8 @@ def _map_ordered(fn, count: int, threads: int):
 
 @dataclass
 class ExperimentReport:
-    """Flat replicate rows plus the aggregates the experiment defines.
-
-    Runtime is kept in memory only; serialized artifacts exclude it so that
-    identical (config, seed) runs produce identical bytes.
-    """
+    """Flat replicate rows plus the aggregates the experiment defines; no
+    timing, so identical (config, seed) runs produce identical bytes."""
 
     kind: str
     config: dict
@@ -262,7 +253,6 @@ class ExperimentReport:
     coverage: float | None = None
     extras: dict = field(default_factory=dict)
     partial: bool = False
-    runtime_seconds: float | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -332,6 +322,19 @@ def _covered(excess, radius) -> bool:
     return bool(np.all(excess <= radius.beta * (1 + 1e-12) + 1e-15))
 
 
+def _study_spec(spec, variant, model, epsilon, family_m):
+    """The given bound spec, which must be the ``variant`` at ``epsilon``
+    that the report records, or else the honest one for the model."""
+    if spec is None:
+        return _auto_bound_spec(variant, model, epsilon, family_m=family_m)
+    if (spec.variant, spec.epsilon) != (variant, epsilon):
+        raise ConfigError(
+            f"bound spec is for {spec.variant} at epsilon {spec.epsilon}, "
+            f"the study for {variant} at epsilon {epsilon}"
+        )
+    return spec
+
+
 def _auto_bound_spec(variant, model, epsilon, mode="auto", family_m=None):
     """Honest BoundSpec for a synthetic model, or ConfigError on mismatch.
 
@@ -390,21 +393,19 @@ def coverage_study(
             "coverage study does not support IndSvm: its population projections "
             "are not available in closed form for data-dependent dictionaries"
         )
-    if spec is None:
-        spec = _auto_bound_spec(variant, model, epsilon, family_m=m)
+    spec = _study_spec(spec, variant, model, epsilon, m)
     transductive = spec.transductive
     if k_test is None:
         k_test = 1 if transductive else 0
     family = model.family(m)
     seeds = _child_seeds(seed, replicates)
-    start = time.monotonic()
 
     def one(r):
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
         # An inductive replicate never reads the features again: the slabs
         # evaluate the family one row block at a time.
         features = split_features(family, data) if transductive else family
-        moments = empirical_test_moments(features.test, n_train, k_test) if transductive else exact_moments(family)
+        moments = empirical_test_moments(features.test) if transductive else exact_moments(family)
         slabs = slab_setup(features, data, moments, spec)
         if transductive:
             excess = _per_feature_excess_transductive(features.test, data.hidden_y, slabs.centers, moments)
@@ -434,7 +435,6 @@ def coverage_study(
         },
         rows=rows,
         coverage=coverage,
-        runtime_seconds=time.monotonic() - start,
     )
 
 
@@ -511,7 +511,6 @@ def rate_experiment(
         slope=slope,
         slope_stderr=stderr,
         partial=partial,
-        runtime_seconds=time.monotonic() - start,
     )
 
 
@@ -532,16 +531,14 @@ def transductive_experiment(
     Reports per-replicate test mse, the frequency of the per-step risk
     decrease chain r2(new) <= r2(old) - d2^2(new, old), and bound coverage.
     """
-    if spec is None:
-        spec = _auto_bound_spec(variant, model, epsilon, family_m=m)
+    spec = _study_spec(spec, variant, model, epsilon, m)
     family = model.family(m)
     seeds = _child_seeds(seed, replicates)
-    start = time.monotonic()
 
     def one(r):
         data = generate(model, n_train, k_test, seed=int(seeds[r]))
         blocks = split_features(family, data)
-        moments = empirical_test_moments(blocks.test, n_train, k_test)
+        moments = empirical_test_moments(blocks.test)
         fit = run_selection(data, family, moments, spec, schedule="GreedyMax", blocks=blocks)
         preds = blocks.test @ fit.coefficients
         hidden = data.hidden_y
@@ -584,7 +581,6 @@ def transductive_experiment(
             "beats_zero_fraction": beats_zero,
             "mean_steps": mean_steps,
         },
-        runtime_seconds=time.monotonic() - start,
     )
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dictionary import FeatureDictionary, ORTHONORMAL_KINDS, validate_feature_matrix
+from .dictionary import FeatureDictionary, ORTHONORMAL_KINDS, as_feature_matrix, validate_feature_matrix
 from .errors import ConfigError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-12
@@ -147,25 +147,25 @@ def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, 
     return DesignMoments(g, "MonteCarlo", {"n_samples": n_samples, "seed": int(seed)})
 
 
-def empirical_test_moments(test: np.ndarray, n_train: int, k_test: int) -> DesignMoments:
+def empirical_test_moments(test: np.ndarray) -> DesignMoments:
     """Empirical Gram of the test design block, normalized by 1/(kN).
 
     ``test`` is the (kN, m) test block alone (``bounds.split_features``);
-    the training rows never enter the test geometry.
+    the training rows never enter the test geometry, and kN is its row
+    count. Its entries are not checked one by one: a NaN or an infinity
+    in a column leaves a NaN or an infinity on the Gram's diagonal, which
+    ``DesignMoments`` rejects.
     """
-    test = validate_feature_matrix(test)
-    n_train, k_test = int(n_train), int(k_test)
-    if k_test * n_train <= 0:
-        raise ConfigError("empirical test moments need k_test >= 1 and n_train >= 1")
-    if test.shape[0] != k_test * n_train:
-        raise DataError(f"test block has {test.shape[0]} rows, expected kN = {k_test * n_train}")
+    test = as_feature_matrix(test)
+    if test.shape[0] == 0:
+        raise ConfigError("empirical test moments need a nonempty test block")
     g = test.T @ test
-    g /= k_test * n_train
+    g /= test.shape[0]
     # numpy's T.T @ T is a symmetric rank-k update, exactly symmetric, and
     # then 0.5 * (g + g.T) would equal g bitwise.
     if not np.array_equal(g, g.T):
         g = _symmetrize(g)
-    mom = DesignMoments(g, "EmpiricalTest", {"n_train": n_train, "k_test": k_test})
+    mom = DesignMoments(g, "EmpiricalTest")
     _warn_degenerate(mom)
     return mom
 

@@ -29,7 +29,7 @@ def test_c1_soft_threshold_equivalence():
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + 0.4 * np.cos(4 * np.pi * x[:, 0]) + rng.normal(0, 0.3, n)
     family = Trigonometric(m)
-    ds = data.Dataset(x=x, y=y, n_train=n)
+    ds = data.Dataset(x=x, y=y)
     mom = exact_moments(family)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
     model = selector.run_selection(ds, family, mom, spec, schedule="RoundRobin")
@@ -142,10 +142,10 @@ def test_c6_variance_bound_beats_basic_on_low_variance_features():
         x = rng.uniform(size=(2 * n, 1))
         family = MultiscaleGaussian(rng.uniform(0.2, 0.8, size=(8, 1)), [0.5, 1.0])
         y_all = 1.0 + rng.uniform(-0.05, 0.05, size=2 * n)
-        ds = data.Dataset(x=x, y=y_all[:n], n_train=n, k_test=1, hidden_y=y_all[n:])
+        ds = data.Dataset(x=x, y=y_all[:n], hidden_y=y_all[n:])
         feats = family.evaluate(x)
         stats = bounds.compute_stats(feats, ds)
-        mom = empirical_test_moments(feats[n:], n, 1)
+        mom = empirical_test_moments(feats[n:])
         basic = bounds.tr_basic_bounded(stats, mom, bounds.BoundSpec("TrBasicBounded", 0.1, B=1.05))
         varb = bounds.tr_variance(stats, mom, bounds.BoundSpec("TrVariance", 0.1, B=1.05))
         wins.append(float(np.mean(varb.beta < basic.beta)))

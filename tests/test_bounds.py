@@ -17,16 +17,13 @@ def make_stats(train_feats, y, test_feats=None, y_test=None, loo_index=None):
     y = np.asarray(y, dtype=float)
     n = train_feats.shape[0]
     if test_feats is None:
-        ds = Dataset(x=np.zeros((n, 1)), y=y, n_train=n, k_test=0)
+        ds = Dataset(x=np.zeros((n, 1)), y=y)
         feats = train_feats
     else:
         test_feats = np.asarray(test_feats, dtype=float)
-        k = test_feats.shape[0] // n
         ds = Dataset(
             x=np.zeros((n + test_feats.shape[0], 1)),
             y=y,
-            n_train=n,
-            k_test=k,
             hidden_y=None if y_test is None else np.asarray(y_test, dtype=float),
         )
         feats = np.vstack([train_feats, test_feats])
@@ -97,7 +94,7 @@ def test_ind_var_linear_in_vhat():
 def test_ind_svm_zero_responses():
     stats, _ = make_stats(np.ones((3, 1)), np.zeros(3), loo_index=[0])
     spec = bounds.BoundSpec("IndSvm", 0.1)
-    radius = bounds.ind_svm(stats, design_moments([1.0]), spec, loo_index=np.array([0]))
+    radius = bounds.ind_svm(stats, design_moments([1.0]), spec)
     assert radius.beta[0] == 0.0
 
 
@@ -105,7 +102,7 @@ def test_ind_svm_loo_variance_oracle():
     # leave out i=1 on y = (1, 2, 3), theta == 1: variance of {2, 3} is 0.25
     stats, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), loo_index=[0])
     spec = bounds.BoundSpec("IndSvm", 0.1)
-    radius = bounds.ind_svm(stats, design_moments([1.0]), spec, loo_index=np.array([0]))
+    radius = bounds.ind_svm(stats, design_moments([1.0]), spec)
     assert radius.observables["vhat_loo"][0] == pytest.approx(0.25, abs=1e-15)
     expected = 2.0 * math.log(2.0 * 3 * 1 / 0.1) / 2.0 * 0.25
     assert radius.beta[0] == pytest.approx(expected, rel=1e-12)
@@ -115,11 +112,9 @@ def test_ind_svm_log_grows_with_features_per_point():
     eps = 0.1
     stats, _ = make_stats(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]), loo_index=[0, 0])
     spec = bounds.BoundSpec("IndSvm", eps)
-    both = bounds.ind_svm(
-        stats, design_moments([1.0, 1.0]), spec, loo_index=np.array([0, 0])
-    )
+    both = bounds.ind_svm(stats, design_moments([1.0, 1.0]), spec)
     single, _ = make_stats(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]), loo_index=[0])
-    one = bounds.ind_svm(single, design_moments([1.0]), spec, loo_index=np.array([0]))
+    one = bounds.ind_svm(single, design_moments([1.0]), spec)
     assert both.beta[0] / one.beta[0] == pytest.approx(
         math.log(12.0 / eps) / math.log(6.0 / eps), rel=1e-12
     )
@@ -128,12 +123,12 @@ def test_ind_svm_log_grows_with_features_per_point():
 def test_ind_svm_needs_two_points():
     stats, _ = make_stats(np.ones((1, 1)), np.array([1.0]), loo_index=[0])
     with pytest.raises(ConfigError, match="N >= 2"):
-        bounds.ind_svm(stats, design_moments([1.0]), bounds.BoundSpec("IndSvm", 0.1), np.array([0]))
+        bounds.ind_svm(stats, design_moments([1.0]), bounds.BoundSpec("IndSvm", 0.1))
 
 
 def tr_setup(train_feats, y, test_feats, y_test=None):
     stats, feats = make_stats(train_feats, y, test_feats, y_test)
-    mom = empirical_test_moments(feats[stats.n_train :], stats.n_train, stats.k_test)
+    mom = empirical_test_moments(feats[stats.n_train :])
     return stats, mom
 
 
@@ -348,7 +343,7 @@ def scaled_pair(variant, scale):
             kw["subexp"] = ((1.0 / s, 5.0),)
         stats, feats = make_stats(train * s, y, test * s, y_test=y[:n])
         if variant.startswith("Tr"):
-            mom = empirical_test_moments(feats[n:], n, 1)
+            mom = empirical_test_moments(feats[n:])
         else:
             base = np.cov(train.T, bias=True) + np.outer(train.mean(0), train.mean(0))
             mom = DesignMoments(base * s * s, "UserSupplied")
@@ -451,16 +446,10 @@ def radius_case(variant, k_test, labels, seed=21):
     n, m = 64, 4
     feats = rng.normal(size=((k_test + 1) * n, m))
     y_all = rng.normal(size=(k_test + 1) * n)
-    ds = Dataset(
-        x=np.zeros((feats.shape[0], 1)),
-        y=y_all[:n],
-        n_train=n,
-        k_test=k_test,
-        hidden_y=y_all[n:] if labels else None,
-    )
+    ds = Dataset(x=np.zeros((feats.shape[0], 1)), y=y_all[:n], hidden_y=y_all[n:] if labels else None)
     spec = bounds.BoundSpec(variant, 0.1, **ALL_CONSTANTS)
     if spec.transductive:
-        mom = empirical_test_moments(feats[n:], n, k_test)
+        mom = empirical_test_moments(feats[n:])
     else:
         mom = DesignMoments(feats[:n].T @ feats[:n] / n, "EmpiricalAll")
     loo = {"loo_index": np.arange(m)} if variant == "IndSvm" else {}
@@ -478,9 +467,9 @@ RADIUS_CASES = [
 @pytest.mark.parametrize("variant,k_test,labels", RADIUS_CASES)
 def test_declared_needs_radius_equals_all_variants_radius(variant, k_test, labels):
     feats, ds, spec, mom, loo = radius_case(variant, k_test, labels)
-    full = bounds.compute_radius(spec, bounds.compute_stats(feats, ds, **loo), mom, **loo)
+    full = bounds.compute_radius(spec, bounds.compute_stats(feats, ds, **loo), mom)
     own_stats = bounds.compute_stats(feats, ds, (variant,), **loo)
-    own = bounds.compute_radius(spec, own_stats, mom, **loo)
+    own = bounds.compute_radius(spec, own_stats, mom)
     assert own.beta.tobytes() == full.beta.tobytes()
     assert own.tau.tobytes() == full.tau.tobytes()
     assert own.observables["mode"] == full.observables["mode"]
@@ -520,7 +509,7 @@ def test_radius_without_its_statistics_is_config_error(variant):
         missing = [name for name in bounds.VARIANT_TABLE[variant].reads if getattr(stats, name) is None]
         assert missing
         with pytest.raises(ConfigError, match=f"{variant} reads {missing[0]}"):
-            bounds.compute_radius(spec, stats, mom, **loo)
+            bounds.compute_radius(spec, stats, mom)
 
 
 def test_compute_stats_rejects_unknown_variant():
@@ -557,6 +546,7 @@ def dense_compute_stats(features, data, variants=bounds.VARIANTS, loo_index=None
         own = ty[loo_index, np.arange(ty.shape[1])]
         out["train_loo_sum_ty"] = ty.sum(axis=0) - own
         out["train_loo_sum_ty2"] = (ty**2).sum(axis=0) - own**2
+        out["features_per_point"] = int(np.unique(loo_index, return_counts=True)[1].max())
     return bounds.FeatureStats(
         n_train=n, k_test=data.k_test, has_test_labels=has_test_labels,
         train_mean_sq=t2.mean(axis=0), train_mean_ty=mean_ty, **out,
@@ -596,8 +586,7 @@ def test_row_block_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
     rows = (k_test + 1) * n
     feats = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
     y_all = 3.0 * rng.normal(size=rows)
-    ds = Dataset(x=np.zeros((rows, 1)), y=y_all[:n], n_train=n, k_test=k_test,
-                 hidden_y=y_all[n:] if labels else None)
+    ds = Dataset(x=np.zeros((rows, 1)), y=y_all[:n], hidden_y=y_all[n:] if labels else None)
     loo = rng.integers(0, n, size=m)
     for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
         got = bounds.compute_stats(feats, ds, variants, loo_index=loo)
@@ -609,7 +598,7 @@ def test_row_block_stats_reject_nonfinite_in_any_block():
     for row in (0, n - 1, n + 5):
         feats = np.ones((2 * n, m))
         feats[row, 3] = np.nan
-        ds = Dataset(x=np.zeros((2 * n, 1)), y=np.ones(n), n_train=n, k_test=1)
+        ds = Dataset(x=np.zeros((2 * n, 1)), y=np.ones(n))
         with pytest.raises(NumericalError, match="NaN or Inf"):
             bounds.compute_stats(feats, ds, ("TrBasicBounded",))
 
@@ -618,7 +607,7 @@ def test_row_block_stats_stay_small_in_memory(peak_bytes):
     rng = np.random.default_rng(5)
     n = m = 2048
     feats = rng.uniform(-1.0, 1.0, size=(n, m))
-    ds = Dataset(x=np.zeros((n, 1)), y=rng.normal(size=n), n_train=n)
+    ds = Dataset(x=np.zeros((n, 1)), y=rng.normal(size=n))
     peak = peak_bytes(lambda: bounds.compute_stats(feats, ds, ("IndExact",)))
     # the dense reduction held three 32 MB temporaries at once
     assert peak < 8 * 2**20
@@ -666,7 +655,7 @@ def test_dictionary_stats_equal_matrix_stats_bitwise(kind, m, n, k_test, labels)
     rows = (k_test + 1) * n
     x = stream_points(rows, seed=m + n)
     y_all = 3.0 * np.random.default_rng(m).normal(size=rows)
-    ds = Dataset(x=x, y=y_all[:n], n_train=n, k_test=k_test, hidden_y=y_all[n:] if labels else None)
+    ds = Dataset(x=x, y=y_all[:n], hidden_y=y_all[n:] if labels else None)
     features = family.evaluate(x)
     loo = np.arange(m) * 7 % n
     for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
@@ -675,7 +664,7 @@ def test_dictionary_stats_equal_matrix_stats_bitwise(kind, m, n, k_test, labels)
         assert_stats_identical(got, dense_compute_stats(features, ds, variants, loo), variants)
     spec = bounds.BoundSpec("IndSvm", 0.1)
     mom = DesignMoments(np.eye(m), "Exact")
-    radius = bounds.compute_radius(spec, bounds.compute_stats(family, ds, ("IndSvm",), loo_index=loo), mom, loo)
+    radius = bounds.compute_radius(spec, bounds.compute_stats(family, ds, ("IndSvm",), loo_index=loo), mom)
     vhat, beta = reference_ind_svm(features[:n] * ds.y[:, None], loo, spec.epsilon)
     assert radius.observables["vhat_loo"].tobytes() == vhat.tobytes()
     assert radius.beta.tobytes() == beta.tobytes()
@@ -699,15 +688,15 @@ def test_streamed_training_rows_and_test_block_equal_dense_stats_bitwise(kind, m
     rows = (k_test + 1) * n
     x = stream_points(rows, seed=m + k_test)
     y_all = 3.0 * np.random.default_rng(m + 1).normal(size=rows)
-    ds = Dataset(x=x, y=y_all[:n], n_train=n, k_test=k_test, hidden_y=y_all[n:] if labels else None)
+    ds = Dataset(x=x, y=y_all[:n], hidden_y=y_all[n:] if labels else None)
     blocks = bounds.split_features(family, ds)
     assert blocks.train is family and blocks.test.shape == (k_test * n, m)
     stacked = family.evaluate(x)
     for variants in [TRANSDUCTIVE, *((v,) for v in TRANSDUCTIVE)]:
         got = bounds.compute_stats(blocks, ds, variants)
         assert_stats_identical(got, dense_compute_stats(stacked, ds, variants), variants)
-    mom = empirical_test_moments(blocks.test, n, k_test)
-    assert mom.gram.tobytes() == empirical_test_moments(stacked[n:], n, k_test).gram.tobytes()
+    mom = empirical_test_moments(blocks.test)
+    assert mom.gram.tobytes() == empirical_test_moments(stacked[n:]).gram.tobytes()
 
 
 def test_split_of_other_dictionaries_is_two_views_of_one_matrix(evaluations):
@@ -716,7 +705,7 @@ def test_split_of_other_dictionaries_is_two_views_of_one_matrix(evaluations):
     x = rng.uniform(size=(2 * n, 1))
     family = fd.KernelPCA(x[:30], {"kind": "gaussian", "gamma": 30.0}, top=m)
     log = evaluations(fd.KernelPCA)
-    blocks = bounds.split_features(family, Dataset(x=x, y=np.ones(n), n_train=n, k_test=1))
+    blocks = bounds.split_features(family, Dataset(x=x, y=np.ones(n)))
     assert log.rows == [2 * n]
     assert blocks.train.base is blocks.test.base is not None
     assert blocks.train.shape == blocks.test.shape == (n, m)
@@ -738,7 +727,7 @@ def test_rowwise_dictionary_is_evaluated_one_row_block_at_a_time(evaluations):
     n, m = STREAM_MANY, 256
     log = evaluations(fd.Trigonometric)
     x = stream_points(2 * n, seed=3)
-    ds = Dataset(x=x, y=np.ones(n), n_train=n, k_test=1)
+    ds = Dataset(x=x, y=np.ones(n))
     bounds.compute_stats(fd.Trigonometric(m), ds)
     step = CELLS // m
     # the test block in one call, then the training rows block by block
@@ -749,7 +738,7 @@ def test_rowwise_dictionary_is_evaluated_one_row_block_at_a_time(evaluations):
 def test_rowwise_test_rows_are_evaluated_only_for_the_fourth_moments(variant, evaluations):
     n, m = 300, 8
     log = evaluations(fd.Trigonometric)
-    ds = Dataset(x=stream_points(2 * n, seed=5), y=np.ones(n), n_train=n, k_test=1)
+    ds = Dataset(x=stream_points(2 * n, seed=5), y=np.ones(n))
     stats = bounds.compute_stats(fd.Trigonometric(m), ds, (variant,), loo_index=np.arange(m))
     sums_test_rows = not set(bounds.VARIANT_TABLE[variant].reads).isdisjoint(bounds.FOURTH_MOMENTS)
     assert log.rows == ([n] if sums_test_rows else []) + [n]
@@ -767,7 +756,7 @@ def test_other_dictionaries_are_evaluated_once_as_a_matrix(kind, evaluations, mo
         family = fd.ExplicitMatrix(rng.normal(size=(n, m)))
     assert not family.rowwise
     log = evaluations(type(family))
-    ds = Dataset(x=x, y=rng.normal(size=n), n_train=n)
+    ds = Dataset(x=x, y=rng.normal(size=n))
     got = bounds.compute_stats(family, ds)
     assert log.rows == [n]
     monkeypatch.undo()
@@ -789,7 +778,7 @@ def test_streamed_bad_point_names_its_row_in_the_sample(kind, bad, message):
     assert CELLS // m < 100  # the point lies past the first block
     x = stream_points(n, seed=4)
     x[100, 0] = bad
-    ds = Dataset(x=x, y=np.ones(n), n_train=n)
+    ds = Dataset(x=x, y=np.ones(n))
     family = rowwise_family(kind, m)
     with pytest.raises(DataError, match=message):
         family.evaluate(x)
@@ -811,9 +800,9 @@ def test_wrong_geometry_is_one_config_error_from_every_entry_point(variant):
     if spec.transductive:
         mom = DesignMoments(np.eye(feats.shape[1]), "Exact")
     else:
-        mom = empirical_test_moments(feats[ds.n_train :], ds.n_train, ds.k_test)
+        mom = empirical_test_moments(feats[ds.n_train :])
     with pytest.raises(ConfigError, match="geometry"):
-        bounds.compute_radius(spec, bounds.compute_stats(feats, ds, **loo), mom, **loo)
+        bounds.compute_radius(spec, bounds.compute_stats(feats, ds, **loo), mom)
     with pytest.raises(ConfigError, match="geometry"):
         selector.run_selection(ds, ExplicitMatrix(feats), mom, spec, **loo)
 
@@ -822,13 +811,13 @@ def test_wrong_geometry_is_one_config_error_from_every_entry_point(variant):
 def test_test_block_of_two_rejected_exactly_for_k_one_variants(variant):
     feats, ds, spec, mom, loo = radius_case(variant, 2, labels=True)
     if spec.transductive:
-        mom = empirical_test_moments(feats[ds.n_train :], ds.n_train, ds.k_test)
+        mom = empirical_test_moments(feats[ds.n_train :])
     stats = bounds.compute_stats(feats, ds, (variant,), **loo)
     if variant in K_ONE_VARIANTS:
         with pytest.raises(ConfigError, match=f"{variant} is stated for k_test = 1"):
-            bounds.compute_radius(spec, stats, mom, **loo)
+            bounds.compute_radius(spec, stats, mom)
     else:
-        assert np.all(bounds.compute_radius(spec, stats, mom, **loo).beta >= 0.0)
+        assert np.all(bounds.compute_radius(spec, stats, mom).beta >= 0.0)
 
 
 def test_ind_svm_without_loo_index_is_config_error():
@@ -849,10 +838,24 @@ def test_ind_svm_uneven_anchor_map_counts_the_largest_anchor():
     eps = 0.1
     stats, _ = make_stats(np.ones((3, 3)), np.array([1.0, 2.0, 3.0]), loo_index=[0, 0, 1])
     spec = bounds.BoundSpec("IndSvm", eps)
-    radius = bounds.ind_svm(stats, design_moments([1.0, 1.0, 1.0]), spec, loo_index=np.array([0, 0, 1]))
+    radius = bounds.ind_svm(stats, design_moments([1.0, 1.0, 1.0]), spec)
     assert radius.observables["features_per_point"] == 2
     # leave out row 0 on y = (1, 2, 3), theta == 1: variance of {2, 3} is 0.25
     assert radius.beta[0] == pytest.approx(2.0 * math.log(2.0 * 3 * 2 / eps) / 2.0 * 0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "loo,want", [([0, 0, 1], 2), ([2, 2, 2], 3), ([0, 1, 2], 1), ([3, 0, 3, 1, 3, 0], 3), ([4], 1)]
+)
+def test_streamed_stats_record_the_dense_references_features_per_point(loo, want):
+    n, m = 5, len(loo)
+    rng = np.random.default_rng(m)
+    feats = rng.normal(size=(n, m))
+    ds = Dataset(x=np.zeros((n, 1)), y=rng.normal(size=n))
+    got = bounds.compute_stats(feats, ds, ("IndSvm",), loo_index=loo)
+    assert got.features_per_point == dense_compute_stats(feats, ds, ("IndSvm",), np.asarray(loo)).features_per_point
+    assert got.features_per_point == want
+    assert bounds.compute_stats(feats, ds, ("IndSvm",)).features_per_point is None
 
 
 def test_two_scale_gaussian_ind_svm_fit_records_two_features_per_point():
@@ -862,7 +865,7 @@ def test_two_scale_gaussian_ind_svm_fit_records_two_features_per_point():
     rng = np.random.default_rng(12)
     n = 16
     x = rng.uniform(size=(n, 1))
-    ds = Dataset(x=x, y=np.sin(3.0 * x[:, 0]) + rng.normal(0.0, 0.05, n), n_train=n)
+    ds = Dataset(x=x, y=np.sin(3.0 * x[:, 0]) + rng.normal(0.0, 0.05, n))
     family = MultiscaleGaussian(x, [2.0, 4.0])
     grid = family.evaluate(np.linspace(0.0, 1.0, 257))
     mom = DesignMoments(grid.T @ grid / grid.shape[0], "UserSupplied")

@@ -122,10 +122,10 @@ def test_transduce_predictions_match_library(tmp_path, train_csv, test_csv):
     assert code == 0
     x_train, y = data.load_labeled_csv(train_csv)
     x_test = data.load_unlabeled_csv(test_csv)
-    ds = data.Dataset(x=np.vstack([x_train, x_test]), y=y, n_train=10, k_test=1)
+    ds = data.Dataset(x=np.vstack([x_train, x_test]), y=y)
     family = dict_from_spec(json.loads(TRIG5))
     feats = family.evaluate(ds.x)
-    mom = empirical_test_moments(feats[10:], 10, 1)
+    mom = empirical_test_moments(feats[10:])
     model = selector.run_selection(
         ds, family, mom, bounds.BoundSpec.from_json_dict(json.loads(TRB)), kappa=0.01
     )
@@ -147,7 +147,7 @@ def test_bounds_json_has_m_rows_and_matches_library(tmp_path, train_csv, capsys)
     rows = payload["rows"]
     assert len(rows) == 5
     x, y = data.load_labeled_csv(train_csv)
-    ds = data.Dataset(x=x, y=y, n_train=10, k_test=0)
+    ds = data.Dataset(x=x, y=y)
     family = dict_from_spec(json.loads(TRIG5))
     stats = bounds.compute_stats(family.evaluate(x), ds)
     from slabreg.moments import exact_moments
@@ -982,7 +982,7 @@ def test_fit_reads_loo_index_from_the_config(tmp_path, train_csv, capsys):
     from slabreg.moments import exact_moments
 
     direct = selector.run_selection(
-        data.Dataset(x=x, y=y, n_train=10), family, exact_moments(family),
+        data.Dataset(x=x, y=y), family, exact_moments(family),
         bounds.BoundSpec("IndSvm", 0.1), kappa=0.01, loo_index=np.arange(5),
     )
     model = json.loads((out / "model.json").read_text())

@@ -233,6 +233,30 @@ def test_coverage_rejects_ind_svm():
         ex.coverage_study("IndSvm", model, 64, 16, 0.25, replicates=100, seed=1)
 
 
+def test_coverage_spec_for_another_variant_is_config_error(monkeypatch):
+    # an IndSvm spec would otherwise slip past the IndSvm guard and fail mid-study
+    monkeypatch.setattr(ex, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    with pytest.raises(ConfigError, match="bound spec is for IndSvm at epsilon 0.25, the study for IndExact"):
+        ex.coverage_study(
+            "IndExact", small_sobolev(), 64, 16, 0.25, replicates=100, seed=1, spec=bounds.BoundSpec("IndSvm", 0.25)
+        )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [bounds.BoundSpec("TrGeneralK", 0.3, subexp=((0.5, 3.0),)), bounds.BoundSpec("TrBasicBounded", 0.3, B=2.0)],
+    ids=["variant", "epsilon"],
+)
+def test_transductive_spec_disagreeing_with_the_report_is_config_error(spec, monkeypatch):
+    # the report would record TrBasicBounded at 0.1 for a fit with another spec
+    monkeypatch.setattr(ex, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    with pytest.raises(ConfigError, match=f"bound spec is for {spec.variant} at epsilon 0.3"):
+        ex.transductive_experiment(
+            small_sobolev(), n_train=32, k_test=1, m=8, variant="TrBasicBounded", epsilon=0.1,
+            replicates=3, seed=4, spec=spec,
+        )
+
+
 def reference_per_feature_excess(model, centers):
     """The per-feature excess as first written: 2m calls of the exact risk oracle."""
     m = centers.shape[0]
@@ -399,7 +423,7 @@ def test_transductive_general_k_bound_shrinks_with_more_test_points():
             stats = bounds.compute_stats(feats, ds)
             from slabreg.moments import empirical_test_moments
 
-            mom = empirical_test_moments(feats[256:], 256, k)
+            mom = empirical_test_moments(feats[256:])
             vals.append(float(np.median(bounds.tr_general_k(stats, mom, spec).beta)))
         medians[k] = vals
     assert all(b < a for a, b in zip(medians[1], medians[3]))
@@ -408,7 +432,6 @@ def test_transductive_general_k_bound_shrinks_with_more_test_points():
 def test_report_json_excludes_runtime():
     model = small_sobolev(noise=ex.NoiseSpec("gaussian", 0.2), size=64)
     report = ex.coverage_study("IndExact", model, 32, 4, 0.25, replicates=100, seed=1)
-    assert report.runtime_seconds is not None
     payload = report.to_json_dict()
     assert "runtime" not in str(payload)
 
@@ -501,7 +524,7 @@ def reference_coverage_event(spec, model, family, data):
     stats = bounds.compute_stats(features, data, (spec.variant,))
     if spec.transductive:
         test = features[data.n_train :]
-        moments = empirical_test_moments(test, data.n_train, data.k_test)
+        moments = empirical_test_moments(test)
         num = (test * data.hidden_y[:, None]).sum(axis=0)
         den = (test**2).sum(axis=0)
         alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)

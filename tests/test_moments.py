@@ -64,14 +64,14 @@ def test_montecarlo_variance_halves_when_samples_double():
 
 
 def test_empirical_test_constant_feature():
-    mom = dm.empirical_test_moments(np.ones((2, 1)), n_train=2, k_test=1)
+    mom = dm.empirical_test_moments(np.ones((2, 1)))
     np.testing.assert_array_equal(mom.gram, [[1.0]])
     assert mom.provenance == "EmpiricalTest"
 
 
 def test_empirical_test_orthogonal_indicators():
     test = np.array([[1.0, 0.0], [0.0, 1.0]])
-    mom = dm.empirical_test_moments(test, n_train=2, k_test=1)
+    mom = dm.empirical_test_moments(test)
     np.testing.assert_array_equal(mom.gram, np.diag([0.5, 0.5]))
 
 
@@ -79,7 +79,7 @@ def test_empirical_test_brute_force_oracle():
     rng = np.random.default_rng(12)
     n, k, m = 4, 2, 3
     feats = rng.normal(size=((k + 1) * n, m))
-    mom = dm.empirical_test_moments(feats[n:], n_train=n, k_test=k)
+    mom = dm.empirical_test_moments(feats[n:])
     brute = np.zeros((m, m))
     for j in range(m):
         for h in range(m):
@@ -90,19 +90,27 @@ def test_empirical_test_brute_force_oracle():
 def test_empirical_test_permutation_invariant_rows():
     rng = np.random.default_rng(13)
     feats = rng.normal(size=(12, 2))
-    mom = dm.empirical_test_moments(feats[4:], n_train=4, k_test=2)
+    mom = dm.empirical_test_moments(feats[4:])
     perm = rng.permutation(8)
     shuffled = feats.copy()
     shuffled[4:] = feats[4:][perm]
-    mom2 = dm.empirical_test_moments(shuffled[4:], n_train=4, k_test=2)
+    mom2 = dm.empirical_test_moments(shuffled[4:])
     np.testing.assert_allclose(mom.gram, mom2.gram, atol=1e-12)
 
 
 def test_empirical_test_requires_test_block():
-    with pytest.raises(ConfigError):
-        dm.empirical_test_moments(np.ones((4, 1)), n_train=4, k_test=0)
-    with pytest.raises(DataError):
-        dm.empirical_test_moments(np.ones((3, 1)), n_train=2, k_test=1)
+    # k = 0: a sample without test rows has an empty test block
+    with pytest.raises(ConfigError, match="nonempty test block"):
+        dm.empirical_test_moments(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1), (4, 2)])
+def test_empirical_test_rejects_nonfinite_entry(bad, where):
+    test = np.random.default_rng(5).normal(size=(5, 3))
+    test[where] = bad
+    with pytest.raises(NumericalError, match="NaN or Inf"):
+        dm.empirical_test_moments(test)
 
 
 def test_user_gram_roundtrip(tmp_path):
@@ -150,7 +158,7 @@ def test_user_gram_malformed_number_names_row(tmp_path):
 def test_degenerate_diag_flagged():
     test = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.warns(UserWarning, match="degenerate"):
-        mom = dm.empirical_test_moments(test, n_train=2, k_test=1)
+        mom = dm.empirical_test_moments(test)
     assert mom.degenerate.tolist() == [True, False]
 
 
@@ -189,7 +197,7 @@ def test_empirical_test_gram_equals_symmetrized_product_bitwise():
         feats = rng.normal(size=((k + 1) * n, m)) * rng.uniform(0.1, 10.0, size=m)
         test = feats[n:]
         want = dm._symmetrize(test.T @ test / (k * n))
-        got = dm.empirical_test_moments(test, n_train=n, k_test=k).gram
+        got = dm.empirical_test_moments(test).gram
         assert got.tobytes() == want.tobytes()
 
 

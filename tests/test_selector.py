@@ -112,7 +112,7 @@ def fit_trig(y, n, m=8, eps=0.1, schedule="GreedyMax", seed=0, **spec_kwargs):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, 1))
     family = Trigonometric(m)
-    ds = Dataset(x=x, y=np.asarray(y, dtype=float), n_train=n)
+    ds = Dataset(x=x, y=np.asarray(y, dtype=float))
     mom = exact_moments(family)
     spec_kwargs.setdefault("B", 2.0)
     spec_kwargs.setdefault("sigma2", 1.0)
@@ -147,7 +147,7 @@ def test_roundrobin_second_pass_is_noop():
     model, stats, mom, spec = fit_trig(y, n, m=6, schedule="RoundRobin", seed=4)
     # replay: warm start from the fitted coefficients must change nothing
     family = Trigonometric(6)
-    ds = Dataset(x=np.random.default_rng(4).uniform(size=(n, 1)), y=y, n_train=n)
+    ds = Dataset(x=np.random.default_rng(4).uniform(size=(n, 1)), y=y)
     again = selector.run_selection(
         ds, family, mom, spec, schedule="RoundRobin", warm_start=model.coefficients
     )
@@ -161,7 +161,7 @@ def test_greedy_first_pick_matches_bruteforce_argmax():
     x = rng.uniform(size=(n, 1))
     y = np.cos(2 * np.pi * x[:, 0]) * 2.0 + rng.normal(0, 0.1, size=n)
     family = Trigonometric(8)
-    ds = Dataset(x=x, y=y, n_train=n)
+    ds = Dataset(x=x, y=y)
     mom = exact_moments(family)
     spec = bounds.BoundSpec("IndExact", 0.1, B=2.5, sigma2=0.05)
     model = selector.run_selection(ds, family, mom, spec)
@@ -181,7 +181,7 @@ def test_trace_deltas_meet_kappa_except_final_probe():
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + 0.5 * np.cos(4 * np.pi * x[:, 0]) + rng.normal(0, 0.2, n)
     family = Trigonometric(10)
-    ds = Dataset(x=x, y=y, n_train=n)
+    ds = Dataset(x=x, y=y)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.4)
     model = selector.run_selection(ds, family, exact_moments(family), spec)
     assert model.stopped_at >= 1
@@ -208,7 +208,7 @@ def test_termination_within_movement_budget():
     x = rng.uniform(size=(n, 1))
     y = rng.normal(size=n) * 2.0
     family = Trigonometric(12)
-    ds = Dataset(x=x, y=y, n_train=n)
+    ds = Dataset(x=x, y=y)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     model = selector.run_selection(ds, family, exact_moments(family), spec)
     total = float(model.coefficients @ model.coefficients)
@@ -222,7 +222,7 @@ def test_iteration_cap_is_an_error():
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) * 3.0
     family = Trigonometric(6)
-    ds = Dataset(x=x, y=y, n_train=n)
+    ds = Dataset(x=x, y=y)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     with pytest.raises(NumericalError, match="terminate"):
         selector.run_selection(ds, family, exact_moments(family), spec, max_iterations=1)
@@ -232,7 +232,7 @@ def test_round_robin_iteration_cap_is_an_error():
     rng = np.random.default_rng(19)
     x = rng.uniform(size=(64, 1))
     family = Trigonometric(6)
-    ds = Dataset(x=x, y=np.sin(2 * np.pi * x[:, 0]) * 3.0, n_train=64)
+    ds = Dataset(x=x, y=np.sin(2 * np.pi * x[:, 0]) * 3.0)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     # one pass takes 6 visits; 5 cannot finish it
     with pytest.raises(NumericalError, match="within 5 feature visits"):
@@ -243,7 +243,7 @@ def test_round_robin_iteration_cap_is_an_error():
 def test_all_degenerate_warns_and_returns_zero_model():
     family = Trigonometric(2)
     n = 16
-    ds = Dataset(x=np.zeros((n, 1)), y=np.ones(n), n_train=n)
+    ds = Dataset(x=np.zeros((n, 1)), y=np.ones(n))
     # zero design moments for every feature
     mom = DesignMoments(np.zeros((2, 2)), "UserSupplied")
     spec = bounds.BoundSpec("IndExact", 0.1, B=1.0, sigma2=1.0)
@@ -255,7 +255,7 @@ def test_all_degenerate_warns_and_returns_zero_model():
 
 def test_kappa_range_enforced():
     family = Trigonometric(2)
-    ds = Dataset(x=np.full((4, 1), 0.3), y=np.ones(4), n_train=4)
+    ds = Dataset(x=np.full((4, 1), 0.3), y=np.ones(4))
     spec = bounds.BoundSpec("IndExact", 0.1, B=1.0, sigma2=1.0)
     with pytest.raises(ConfigError, match="kappa"):
         selector.run_selection(ds, family, exact_moments(family), spec, kappa=0.5)
@@ -349,7 +349,7 @@ def test_model_json_roundtrip_bit_stable():
     x = rng.uniform(size=(n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + rng.normal(0, 0.1, n)
     family = Trigonometric(6)
-    ds = Dataset(x=x, y=y, n_train=n)
+    ds = Dataset(x=x, y=y)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.3)
     model = selector.run_selection(ds, family, exact_moments(family), spec, seed=5)
     blob = json.dumps(model.to_json_dict(), sort_keys=True)
@@ -368,8 +368,8 @@ def test_transductive_fit_shares_engine():
     y = f + rng.uniform(-0.2, 0.2, size=2 * n)
     family = Trigonometric(8)
     feats = family.evaluate(x)
-    ds = Dataset(x=x, y=y[:n], n_train=n, k_test=1, hidden_y=y[n:])
-    mom = empirical_test_moments(feats[n:], n, 1)
+    ds = Dataset(x=x, y=y[:n], hidden_y=y[n:])
+    mom = empirical_test_moments(feats[n:])
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=1.2)
     model = selector.run_selection(ds, family, mom, spec)
     assert model.moments_provenance == "EmpiricalTest"
@@ -381,7 +381,7 @@ def test_variant_geometry_mismatch_is_config_error():
     n = 32
     x = rng.uniform(size=(n, 1))
     family = Trigonometric(4)
-    ds = Dataset(x=x, y=np.ones(n), n_train=n)
+    ds = Dataset(x=x, y=np.ones(n))
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=1.0)
     with pytest.raises(ConfigError, match="geometry"):
         selector.run_selection(ds, family, exact_moments(family), spec)
@@ -462,12 +462,11 @@ def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, 
         feats[:n, 2] = 0.0  # zero training moment
     truth = rng.normal(0.0, 1.0, size=m)
     y_all = feats @ truth + rng.normal(0.0, 0.3, size=feats.shape[0])
-    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], n_train=n, k_test=k_test,
-                 hidden_y=y_all[n:] if k_test else None)
+    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], hidden_y=y_all[n:] if k_test else None)
     if geometry == "identity":
         mom = DesignMoments(np.eye(m), "Exact")
     elif geometry == "empirical_test":
-        mom = empirical_test_moments(feats[n:], n, k_test)
+        mom = empirical_test_moments(feats[n:])
     else:
         a = rng.normal(size=(2 * m, m))
         gram = a.T @ a / (2 * m)
@@ -505,10 +504,10 @@ def test_non_finite_label_is_data_error_not_zero_model(field, bad):
     labels = {"y": y[:n].copy(), "hidden_y": y[n:].copy()}
     labels[field][3] = bad
     family = Trigonometric(4)
-    mom = empirical_test_moments(family.evaluate(x[n:]), n, 1)
+    mom = empirical_test_moments(family.evaluate(x[n:]))
     spec = bounds.BoundSpec("TrFirstOrder", 0.1)
     with pytest.raises(DataError, match="non-finite"):
-        selector.run_selection(Dataset(x=x, n_train=n, k_test=1, **labels), family, mom, spec)
+        selector.run_selection(Dataset(x=x, **labels), family, mom, spec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,7 +528,7 @@ def test_greedy_stop_leaves_every_active_movement_below_kappa(seed, m, geometry,
     n = 64
     feats = rng.normal(size=(n, m))
     y = feats @ rng.normal(size=m) + noise * rng.normal(size=n)
-    ds = Dataset(x=np.arange(n, dtype=float), y=y, n_train=n)
+    ds = Dataset(x=np.arange(n, dtype=float), y=y)
     if geometry == "identity":
         gram = np.eye(m)
     else:
@@ -564,14 +563,13 @@ def test_model_keeps_the_slabs_it_fitted_against(geometry):
     if geometry == "degenerate":
         feats[:n, 1] = 0.0
     y_all = feats @ rng.normal(size=m) + rng.normal(0.0, 0.3, size=feats.shape[0])
-    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], n_train=n, k_test=k_test,
-                 hidden_y=y_all[n:] if k_test else None)
+    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], hidden_y=y_all[n:] if k_test else None)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.2)
     loo = {}
     if geometry == "identity":
         mom = DesignMoments(np.eye(m), "Exact")
     elif geometry == "empirical_test":
-        mom = empirical_test_moments(feats[n:], n, k_test)
+        mom = empirical_test_moments(feats[n:])
         spec = bounds.BoundSpec("TrFirstOrder", 0.2)
     else:
         a = rng.normal(size=(2 * m, m))
@@ -600,7 +598,7 @@ def test_inductive_trigonometric_fit_holds_no_feature_matrix(peak_bytes):
     rng = np.random.default_rng(78)
     n = m = 2048
     x = rng.uniform(size=n)
-    ds = Dataset(x=x, y=np.cos(2 * np.pi * 3 * x) + rng.uniform(-0.1, 0.1, size=n), n_train=n)
+    ds = Dataset(x=x, y=np.cos(2 * np.pi * 3 * x) + rng.uniform(-0.1, 0.1, size=n))
     family = Trigonometric(m)
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
     mom = exact_moments(family)
@@ -626,7 +624,7 @@ def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, eval
         family = KernelPCA(x[:600], {"kind": "gaussian", "gamma": 50.0}, top=m)
     else:
         family = ExplicitMatrix(rng.normal(size=(n, m)))
-    ds = Dataset(x=x, y=rng.normal(size=n), n_train=n)
+    ds = Dataset(x=x, y=rng.normal(size=n))
     features = family.evaluate(x)
     a = rng.normal(size=(2 * m, m))
     mom = DesignMoments(a.T @ a / (2 * m), "UserSupplied")
