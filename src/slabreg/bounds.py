@@ -18,8 +18,9 @@ back to the documented observable majorants ("deployment" mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf, log, sqrt
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -407,8 +408,9 @@ VARIANTS = tuple(VARIANT_TABLE)
 STATS_BLOCK_CELLS = 1 << 17
 
 
-def _row_blocks(rows: int, m: int, contiguous: bool) -> list[slice]:
-    """Row slices for column sums carried across blocks.
+def _row_blocks(rows: int, m: int, contiguous: bool, read) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(block, read(block))`` for row slices whose column sums can be
+    carried across blocks.
 
     numpy reduces axis 0 of a C-contiguous (rows, m) array row by row when
     m >= 2, so adding the running sum into a block's first row before
@@ -416,19 +418,25 @@ def _row_blocks(rows: int, m: int, contiguous: bool) -> list[slice]:
     column (summed pairwise) or another layout is one block.
     """
     step = max(1, STATS_BLOCK_CELLS // m) if m >= 2 and contiguous else max(rows, 1)
-    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+    for a in range(0, rows, step):
+        block = slice(a, min(a + step, rows))
+        yield block, read(block)
+
+
+def _matrix_blocks(matrix: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    return _row_blocks(*matrix.shape, matrix.flags.c_contiguous, matrix.__getitem__)
 
 
 class FeatureBlocks(NamedTuple):
     """A sample's features split at its N training rows (``split_features``).
 
-    ``train`` is the rowwise dictionary, which ``compute_stats`` evaluates at
-    the training points one row block at a time, or the (N, m) row view of
-    a matrix evaluated once; ``test`` is the (kN, m) test block (no rows
+    ``train()`` reads the (N, m) training features as ``_row_blocks`` pairs:
+    a rowwise dictionary evaluated one row block at a time, or the row views
+    of a matrix evaluated once; ``test`` is the (kN, m) test block (no rows
     when it was left unevaluated).
     """
 
-    train: FeatureDictionary | np.ndarray
+    train: Callable[[], Iterator[tuple[slice, np.ndarray]]]
     test: np.ndarray
 
 
@@ -436,11 +444,12 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
     """The features of ``data.x`` split into their training and test sides.
 
     ``features`` is the dictionary or the ((k+1)N, m) feature matrix of
-    ``data.x`` (a split is returned as it is). A rowwise dictionary is
-    evaluated on the test points alone, in one call, and stays the training
-    side, so no (k+1)N x m array exists; without ``with_test`` its test
-    block is left empty instead. Any other dictionary, like a given matrix,
-    is evaluated once and handed out as two row views.
+    ``data.x`` (a split is returned as it is); this is where the training
+    rows' reader is chosen. A rowwise dictionary is evaluated on the test
+    points alone, in one call, and on the training points, checked here with
+    the sample, one row block at a time, so no (k+1)N x m array exists;
+    without ``with_test`` its test block is left empty instead. Any other
+    dictionary, like a given matrix, is evaluated once and read as row views.
     """
     if isinstance(features, FeatureBlocks):
         return features
@@ -449,13 +458,14 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
         # Points are checked whole, so an error names the row in the sample.
         points = features.check_points(data.x)
         test = features.evaluate(points[n:]) if data.k_test and with_test else np.empty((0, features.m))
-        return FeatureBlocks(features, test)
+        read = partial(_row_blocks, n, features.m, True, lambda rows: features.evaluate(points[rows]))
+        return FeatureBlocks(read, test)
     if isinstance(features, FeatureDictionary):
         features = features.evaluate(data.x)
     matrix = as_feature_matrix(features)
     if matrix.shape[0] != data.x.shape[0]:
         raise ConfigError(f"feature matrix has {matrix.shape[0]} rows, dataset expects {data.x.shape[0]}")
-    return FeatureBlocks(matrix[:n], matrix[n:])
+    return FeatureBlocks(partial(_matrix_blocks, matrix[:n]), matrix[n:])
 
 
 def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) -> FeatureStats:
@@ -464,11 +474,10 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     kN test rows.
 
     ``features`` is a ``FeatureBlocks`` split, or the dictionary or
-    ((k+1)N, m) matrix for ``split_features`` to split. The training rows of
-    a rowwise dictionary are evaluated one row block at a time, so they
-    never exist as an N x m array, and its test rows only for the fourth
-    moments, the one statistic summed over them; a given split is read as
-    it is.
+    ((k+1)N, m) matrix for ``split_features`` to split, whose ``train()``
+    reads the training rows (a rowwise dictionary's never exist as an N x m
+    array); the test rows of a rowwise dictionary are evaluated only for the
+    fourth moments, the one statistic summed over them.
 
     The training means of theta_k^2 and theta_k Y are always computed (slab
     centers, alpha_hat and the degeneracy mask read them). Beyond those,
@@ -487,11 +496,11 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     when the hidden test labels are known). Statistics no given variant
     reads are None; the default computes them all.
 
-    Both sides are walked in row blocks (``_row_blocks``), so no temporary
-    is as large as either of them, and every statistic is bitwise that of
-    reducing the whole matrix at once. The leave-one-out sums subtract each
-    anchor's own product, gathered from the block that holds its row, from
-    the column sums.
+    Both sides are walked in row blocks (``_row_blocks``), the test block as
+    a matrix's rows, so no temporary is as large as either of them, and
+    every statistic is bitwise that of reducing the whole matrix at once.
+    The leave-one-out sums subtract each anchor's own product, gathered from
+    the block that holds its row, from the column sums.
     """
     reads = set()
     for variant in variants:
@@ -499,20 +508,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             raise ConfigError(f"unknown bound variant {variant!r}; choose from {VARIANTS}")
         reads.update(VARIANT_TABLE[variant].reads)
     train, test = split_features(features, data, with_test=not reads.isdisjoint(FOURTH_MOMENTS))
-    n = data.n_train
-    if isinstance(train, FeatureDictionary):
-        points = train.check_points(data.x[:n])
-        m, contiguous = train.m, True
-
-        def block(rows):
-            return train.evaluate(points[rows])
-
-    else:
-        m, contiguous = train.shape[1], train.flags.c_contiguous
-
-        def block(rows):
-            return train[rows]
-
+    n, m = data.n_train, test.shape[1]
     has_test_labels = data.k_test > 0 and data.hidden_y is not None
     anchors = None
     if "train_loo_sum_ty" in reads and loo_index is not None:
@@ -531,8 +527,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             values[0] += sums[name]
         sums[name] = np.add.reduce(values, axis=0)
 
-    for rows in _row_blocks(n, m, contiguous):
-        t = block(rows)
+    for rows, t in train():
         require_finite(t)
         y = data.y[rows, None]
         ty = t * y
@@ -550,8 +545,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             held = (anchors >= rows.start) & (anchors < rows.stop)
             own[held] = ty[anchors[held] - rows.start, cols[held]]
         add("train_mean_ty", ty)
-    for rows in _row_blocks(test.shape[0], m, test.flags.c_contiguous):
-        t = test[rows]
+    for rows, t in _matrix_blocks(test):
         require_finite(t)
         if "train_mean_t4" in reads:
             add("test_sum_t4", t**4)

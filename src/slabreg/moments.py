@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +29,11 @@ MC_BATCH = 100_000
 
 @dataclass(frozen=True)
 class DesignMoments:
-    """Symmetric PSD Gram matrix with provenance and a degeneracy mask."""
+    """Symmetric PSD Gram matrix with provenance and a degeneracy mask; the
+    projection loop reads ``diag`` and the two Gram products below alone."""
 
     gram: np.ndarray
     provenance: str
-    detail: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
@@ -63,21 +63,27 @@ class DesignMoments:
         from a user file counts too."""
         return bool(np.all(self.diag == 1.0) and np.count_nonzero(self.gram) == self.m)
 
+    def interactions(self, c: np.ndarray) -> np.ndarray:
+        """c @ G. Under the identity, it and G[:, k] @ c have one nonzero term
+        of weight exactly 1.0, so c gives their bits (orthonormal-design soft
+        thresholding)."""
+        return c if self.identity else c @ self.gram
+
+    def interaction(self, c: np.ndarray, k: int) -> float:
+        """G[:, k] @ c, the kth (0-based) entry of ``interactions``."""
+        return c[k] if self.identity else self.gram[:, k] @ c
+
 
 class IdentityMoments(DesignMoments):
     """The m x m identity Gram, stored as its size: ``m``, ``diag``,
-    ``degenerate`` and ``identity`` come from the structure, and ``gram`` is
-    built only if something reads it (the projection loop does not)."""
+    ``identity`` and the two products come from the structure, and ``gram``
+    is built only if something reads it (the projection loop does not)."""
 
     identity = True
 
     def __init__(self, m: int, provenance: str):
         object.__setattr__(self, "size", int(m))
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "detail", {})
-
-    def __repr__(self):
-        return f"IdentityMoments(m={self.size}, provenance={self.provenance!r})"
 
     @property
     def m(self) -> int:
@@ -86,10 +92,6 @@ class IdentityMoments(DesignMoments):
     @cached_property
     def diag(self) -> np.ndarray:
         return np.ones(self.size)
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return np.zeros(self.size, dtype=bool)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -144,7 +146,7 @@ def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, 
         acc += feats.T @ feats
         done += take
     g = _symmetrize(acc / n_samples)
-    return DesignMoments(g, "MonteCarlo", {"n_samples": n_samples, "seed": int(seed)})
+    return DesignMoments(g, "MonteCarlo")
 
 
 def empirical_test_moments(test: np.ndarray) -> DesignMoments:
@@ -190,7 +192,7 @@ def load_gram_csv(path) -> DesignMoments:
     if not np.all(np.isfinite(g)):
         raise DataError(f"{path}: gram file contains non-finite values")
     g = _repair_psd(_symmetrize(g))
-    mom = DesignMoments(g, "UserSupplied", {"file": str(path)})
+    mom = DesignMoments(g, "UserSupplied")
     _warn_degenerate(mom)
     return mom
 

@@ -153,9 +153,7 @@ def residual_gamma(coefficients, k: int, centers, moments: DesignMoments) -> flo
     v = moments.diag[k]
     if v <= 0.0:
         raise ConfigError(f"feature {k + 1} is degenerate (zero design second moment)")
-    c = np.asarray(coefficients, dtype=float)
-    # Under the identity Gram, g[:, k] @ c is c[k] bitwise (see _iterate).
-    interaction = float(c[k] if moments.identity else moments.gram[:, k] @ c)
+    interaction = float(moments.interaction(np.asarray(coefficients, dtype=float), k))
     return float(centers[k]) - interaction / v
 
 
@@ -188,11 +186,8 @@ def _project(c, k: int, gamma: float, tau: float, v: float, n: int):
 
 
 def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
-    # Under the identity Gram, c @ g and g[:, k] @ c have one nonzero term of
-    # weight exactly 1.0, so reading c directly gives the same values bitwise
-    # (orthonormal-design soft thresholding).
-    identity = moments.identity
-    g = None if identity else moments.gram
+    """The projection loop; of the moments it reads ``diag``, ``interactions``
+    (c @ G, each GreedyMax step) and ``interaction`` (each RoundRobin visit)."""
     v = moments.diag
     tau = radius.tau
     m = centers.shape[0]
@@ -214,7 +209,7 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
         # movement drops below kappa.
         safe_v = np.where(active, v, 1.0)
         for _ in range(max_iterations):
-            gamma = np.where(active, centers - (c if identity else c @ g) / safe_v, 0.0)
+            gamma = np.where(active, centers - moments.interactions(c) / safe_v, 0.0)
             over = np.abs(gamma) - tau
             delta = np.where(active & (over > 0.0), safe_v * over * over, 0.0)
             best = int(np.argmax(delta))
@@ -225,12 +220,12 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
         raise NumericalError(f"selection did not terminate within {max_iterations} iterations")
     # RoundRobin: cycle the features in index order, applying every positive
     # projection; stop when a full pass yields no improvement >= kappa.
+    interaction = moments.interaction
     pass_best = 0.0
     for visit in range(max_iterations):
         k = visit % m
         if active[k]:
-            interaction = c[k] if identity else g[:, k] @ c
-            pass_best = max(pass_best, apply(k, float(centers[k]) - float(interaction) / float(v[k])))
+            pass_best = max(pass_best, apply(k, float(centers[k]) - float(interaction(c, k)) / float(v[k])))
         if k == m - 1:
             if pass_best < kappa:
                 return c, trace

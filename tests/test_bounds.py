@@ -593,6 +593,23 @@ def test_row_block_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
         assert_stats_identical(got, dense_compute_stats(feats, ds, variants, loo), variants)
 
 
+@pytest.mark.parametrize(
+    "n,m,k_test,labels", [(CELLS // 2 + 7, 2, 1, True), (MANY, 257, 0, False), (MANY, 257, 2, True)]
+)
+def test_fortran_order_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
+    # A matrix that is not C-contiguous is read as one block (_row_blocks).
+    rng = np.random.default_rng(n + 3 * m + k_test)
+    rows = (k_test + 1) * n
+    feats = np.asfortranarray(rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m))
+    assert not feats.flags.c_contiguous
+    y_all = 3.0 * rng.normal(size=rows)
+    ds = Dataset(x=np.zeros((rows, 1)), y=y_all[:n], hidden_y=y_all[n:] if labels else None)
+    loo = rng.integers(0, n, size=m)
+    for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
+        got = bounds.compute_stats(feats, ds, variants, loo_index=loo)
+        assert_stats_identical(got, dense_compute_stats(feats, ds, variants, loo), variants)
+
+
 def test_row_block_stats_reject_nonfinite_in_any_block():
     n, m = 3 * (CELLS // 8), 8
     for row in (0, n - 1, n + 5):
@@ -690,7 +707,8 @@ def test_streamed_training_rows_and_test_block_equal_dense_stats_bitwise(kind, m
     y_all = 3.0 * np.random.default_rng(m + 1).normal(size=rows)
     ds = Dataset(x=x, y=y_all[:n], hidden_y=y_all[n:] if labels else None)
     blocks = bounds.split_features(family, ds)
-    assert blocks.train is family and blocks.test.shape == (k_test * n, m)
+    assert np.vstack([t for _, t in blocks.train()]).tobytes() == family.evaluate(x[:n]).tobytes()
+    assert blocks.test.shape == (k_test * n, m)
     stacked = family.evaluate(x)
     for variants in [TRANSDUCTIVE, *((v,) for v in TRANSDUCTIVE)]:
         got = bounds.compute_stats(blocks, ds, variants)
@@ -707,8 +725,9 @@ def test_split_of_other_dictionaries_is_two_views_of_one_matrix(evaluations):
     log = evaluations(fd.KernelPCA)
     blocks = bounds.split_features(family, Dataset(x=x, y=np.ones(n)))
     assert log.rows == [2 * n]
-    assert blocks.train.base is blocks.test.base is not None
-    assert blocks.train.shape == blocks.test.shape == (n, m)
+    train = [t for _, t in blocks.train()]
+    assert all(t.base is blocks.test.base is not None for t in train)
+    assert sum(t.shape[0] for t in train) == n and blocks.test.shape == (n, m)
 
 
 def reference_ind_svm(ty, loo_index, epsilon):
@@ -818,6 +837,17 @@ def test_test_block_of_two_rejected_exactly_for_k_one_variants(variant):
             bounds.compute_radius(spec, stats, mom)
     else:
         assert np.all(bounds.compute_radius(spec, stats, mom).beta >= 0.0)
+
+
+@pytest.mark.parametrize("variant", [v for v in bounds.VARIANTS if bounds.VARIANT_TABLE[v].transductive])
+def test_transductive_radius_without_test_rows_is_config_error(variant):
+    feats, _, spec, mom, _ = radius_case(variant, 1, labels=False)
+    n = feats.shape[0] // 2
+    train_only = Dataset(x=np.zeros((n, 1)), y=np.ones(n))
+    stats = bounds.compute_stats(feats[:n], train_only, (variant,))
+    assert mom.provenance == "EmpiricalTest" and stats.k_test == 0
+    with pytest.raises(ConfigError, match=r"needs a test block \(k_test >= 1\)"):
+        bounds.compute_radius(spec, stats, mom)
 
 
 def test_ind_svm_without_loo_index_is_config_error():

@@ -62,6 +62,21 @@ def test_source_reads_no_private_name_of_another_module(path):
     assert reads == []
 
 
+def test_selector_reads_only_the_moments_products_and_diagonal():
+    # The loop asks the moments for c @ G and G[:, k] @ c; the identity
+    # structure is read once, to record orthonormal_design.
+    tree = ast.parse((Path(slabreg.__file__).parent / "selector.py").read_text())
+    recorded = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "orthonormal_design"
+    }
+    attrs = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert not [node.lineno for node in attrs if node.attr == "gram"]
+    identity = [node for node in attrs if node.attr == "identity"]
+    assert identity and all(id(node) in recorded for node in identity)
+
+
 def _subparsers():
     parser = cli.build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices

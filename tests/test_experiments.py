@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slabreg import bounds, dictionary as fd, experiments as ex
 from slabreg.errors import ConfigError, DataError
+from slabreg.moments import empirical_test_moments
+from slabreg.selector import run_selection
 
 
 def small_sobolev(noise=None, size=64):
@@ -408,6 +411,23 @@ def test_transductive_chain_fraction_high():
     )
     assert report.extras["chain_fraction"] >= 0.9 - ex.binomial_slack(0.9, 100)
     assert report.coverage >= 0.9 - ex.binomial_slack(0.9, 100)
+
+
+def test_chain_check_rejects_a_delta_above_the_hidden_risk_drop():
+    model = ex.SyntheticModel(
+        coefficients=np.array([1.0, -0.8, 0.5, 0.3]), basis="Trigonometric", noise=ex.NoiseSpec("uniform", 0.1)
+    )
+    data = ex.generate(model, 256, 1, seed=3)
+    family = model.family(8)
+    blocks = bounds.split_features(family, data)
+    spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=2.75)
+    fit = run_selection(data, family, empirical_test_moments(blocks.test), spec, blocks=blocks)
+    assert fit.trace and ex._chain_holds(fit, blocks.test, data.hidden_y)
+    first = fit.trace[0]
+    test = blocks.test[:, first.feature - 1]
+    drop = np.mean(data.hidden_y**2) - np.mean((data.hidden_y - first.update * test) ** 2)
+    claimed = replace(fit, trace=(replace(first, delta=drop + 1e-6), *fit.trace[1:]))
+    assert not ex._chain_holds(claimed, blocks.test, data.hidden_y)
 
 
 def test_transductive_general_k_bound_shrinks_with_more_test_points():

@@ -637,3 +637,35 @@ def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, eval
     reference = selector.run_selection(ds, family, mom, spec, blocks=bounds.split_features(features, ds))
     assert model.coefficients.tobytes() == reference.coefficients.tobytes()
     assert model.trace == reference.trace
+
+
+@pytest.mark.parametrize("transductive", [False, True])
+def test_rowwise_fit_checks_the_sample_once_outside_evaluate(transductive, monkeypatch):
+    n, m = 300, 8
+    x = np.linspace(0.0, 1.0, 2 * n if transductive else n)[:, None]
+    ds = Dataset(x=x, y=np.cos(2 * np.pi * x[:n, 0]))
+    family = Trigonometric(m)
+    check, evaluate = Trigonometric.check_points, Trigonometric.evaluate
+    outside, depth = [], []
+
+    def checked(self, points):
+        if not depth:
+            outside.append(np.asarray(points).shape[0])
+        return check(self, points)
+
+    def evaluated(self, points):
+        depth.append(points)
+        try:
+            return evaluate(self, points)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(Trigonometric, "check_points", checked)
+    monkeypatch.setattr(Trigonometric, "evaluate", evaluated)
+    if transductive:
+        blocks = bounds.split_features(family, ds)
+        mom, spec = empirical_test_moments(blocks.test), bounds.BoundSpec("TrBasicBounded", 0.1, B=2.0)
+    else:
+        blocks, mom, spec = None, exact_moments(family), bounds.BoundSpec("IndVarFirstOrder", 0.1)
+    selector.run_selection(ds, family, mom, spec, blocks=blocks)
+    assert outside == [x.shape[0]]
