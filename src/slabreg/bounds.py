@@ -104,7 +104,7 @@ class BoundSpec:
             y_subexp = (keyed(y_subexp, "b_y", "y_subexp"), keyed(y_subexp, "B_y", "y_subexp"))
         return cls(
             variant=obj["variant"],
-            epsilon=number(obj["epsilon"], "epsilon"),
+            epsilon=json_number(obj["epsilon"], "bound epsilon"),
             B=number(obj.get("B"), "B"),
             sigma2=number(obj.get("sigma2"), "sigma2"),
             subexp=subexp,

@@ -8,6 +8,7 @@ experiments get corrupted.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,19 +89,20 @@ def _check_header(path, header, labeled: bool):
 
 
 def _parse(path, rows, lines, width):
-    """Rows of fields read from the given file lines; errors name the line."""
-    out = np.empty((len(rows), width))
-    for i, (line, row) in enumerate(zip(lines, rows)):
+    """Rows of fields read from the given file lines; errors name the line of
+    the first bad row. Fields become Python floats in one pass, then one array."""
+    values = []
+    for line, row in zip(lines, rows):
         if len(row) != width:
             raise DataError(f"{path}: row {line}: expected {width} fields, got {len(row)}")
-        for j, value in enumerate(row):
+        for value in row:
             try:
-                out[i, j] = float(value)
+                values.append(float(value))
             except ValueError:
                 raise DataError(f"{path}: row {line}: malformed number {value!r}") from None
-        if not np.all(np.isfinite(out[i])):
+        if not all(map(math.isfinite, values[-width:])):
             raise DataError(f"{path}: row {line}: non-finite value")
-    return out
+    return np.array(values, dtype=float).reshape(len(rows), width)
 
 
 def load_labeled_csv(path):

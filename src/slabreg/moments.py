@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ class DesignMoments:
     """Symmetric PSD Gram matrix with provenance and a degeneracy mask; the
     projection loop reads ``diag`` and the two Gram products below alone."""
 
-    gram: np.ndarray
+    gram: np.ndarray = field(repr=False)
     provenance: str
 
     def __post_init__(self):
@@ -153,20 +153,17 @@ def empirical_test_moments(test: np.ndarray) -> DesignMoments:
     """Empirical Gram of the test design block, normalized by 1/(kN).
 
     ``test`` is the (kN, m) test block alone (``bounds.split_features``);
-    the training rows never enter the test geometry, and kN is its row
-    count. Its entries are not checked one by one: a NaN or an infinity
-    in a column leaves a NaN or an infinity on the Gram's diagonal, which
-    ``DesignMoments`` rejects.
+    the training rows never enter the test geometry. A NaN or an infinity
+    in a column leaves one on the Gram's diagonal, which ``DesignMoments``
+    rejects. The product is one BLAS ``syrk`` of the C-contiguous block (a
+    dictionary's block is one already), which fills one triangle and copies
+    it onto the other, so the Gram is exactly symmetric by construction.
     """
-    test = as_feature_matrix(test)
+    test = np.ascontiguousarray(as_feature_matrix(test))
     if test.shape[0] == 0:
         raise ConfigError("empirical test moments need a nonempty test block")
     g = test.T @ test
     g /= test.shape[0]
-    # numpy's T.T @ T is a symmetric rank-k update, exactly symmetric, and
-    # then 0.5 * (g + g.T) would equal g bitwise.
-    if not np.array_equal(g, g.T):
-        g = _symmetrize(g)
     mom = DesignMoments(g, "EmpiricalTest")
     _warn_degenerate(mom)
     return mom

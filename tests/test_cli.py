@@ -713,6 +713,22 @@ def test_missing_key_in_json_spec_exits_2(tmp_path, train_csv, key, capsys):
     assert f"config error: missing key '{key}'" in err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_null_epsilon_is_a_config_error_naming_the_key(tmp_path, train_csv, where, capsys):
+    bound = {**json.loads(IND), "epsilon": None}
+    argv = ["fit", "--train", train_csv, "--dictionary", TRIG5, "--out", tmp_path / "run"]
+    if where == "flag":
+        argv += ["--bound", json.dumps(bound)]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bound": bound}))
+        argv += ["--config", path]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: bound epsilon must be a number, got None" in err
+    assert "Traceback" not in err
+
+
 def _sample(train_csv, test_csv):
     x_train, _ = data.load_labeled_csv(train_csv)
     return np.vstack([x_train, data.load_unlabeled_csv(test_csv)]), x_train.shape[0]

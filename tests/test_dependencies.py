@@ -77,6 +77,32 @@ def test_selector_reads_only_the_moments_products_and_diagonal():
     assert identity and all(id(node) in recorded for node in identity)
 
 
+def _function(module, name):
+    tree = ast.parse((Path(slabreg.__file__).parent / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _called_names(node):
+    calls = [call.func for call in ast.walk(node) if isinstance(call, ast.Call)]
+    return {func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None) for func in calls}
+
+
+def test_test_gram_is_not_compared_with_its_transpose():
+    # The test Gram is exactly symmetric as built; nothing compares or averages it with its transpose.
+    assert not _called_names(_function("moments", "empirical_test_moments")) & {"array_equal", "_symmetrize"}
+
+
+def test_csv_row_loop_makes_no_numpy_call():
+    # CSV rows are parsed in Python floats; numpy sees the values once, after the row loop.
+    loop = next(node for node in ast.walk(_function("data", "_parse")) if isinstance(node, ast.For))
+    numpy_calls = [
+        node.lineno
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+    ]
+    assert numpy_calls == []
+
+
 def _subparsers():
     parser = cli.build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices

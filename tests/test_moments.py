@@ -219,3 +219,34 @@ def test_identity_structure_of_user_gram_file(tmp_path):
     for gram, identity in ((np.eye(3), True), (_identity_with_tiny_off_diagonal(), False)):
         np.savetxt(path, gram, delimiter=",")
         assert dm.load_gram_csv(path).identity is identity
+
+
+def _test_blocks():
+    """Test blocks of every layout: (name, block); the 300 x 260 ones are
+    large enough for BLAS to block the product."""
+    rng = np.random.default_rng(23)
+    for kn, m in ((9, 4), (300, 260)):
+        feats = rng.normal(size=(2 * kn, m + 3)) * rng.uniform(0.1, 10.0, size=m + 3)
+        yield f"C-{kn}x{m}", np.ascontiguousarray(feats[kn:, :m])
+        yield f"F-{kn}x{m}", np.asfortranarray(feats[kn:, :m])
+        yield f"row-strided-{kn}x{m}", feats[1::2, :m]
+        yield f"column-sliced-{kn}x{m}", feats[kn:, 3:]
+
+
+TEST_BLOCKS = dict(_test_blocks())
+
+
+@pytest.mark.parametrize("name", TEST_BLOCKS)
+def test_empirical_test_gram_is_exactly_symmetric_for_every_layout(name):
+    test = TEST_BLOCKS[name]
+    got = dm.empirical_test_moments(test).gram
+    assert got.tobytes() == got.T.tobytes()
+    assert got.tobytes() == dm._symmetrize(test.T @ test / test.shape[0]).tobytes()
+
+
+def test_identity_moments_repr_builds_no_gram(peak_bytes):
+    mom = dm.exact_moments(fd.Trigonometric(2048))
+    text = []
+    peak = peak_bytes(lambda: text.append(repr(mom)))
+    assert peak < 2**20  # the dense identity is 32 MB
+    assert text == ["IdentityMoments(provenance='Exact')"]
