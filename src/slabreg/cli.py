@@ -296,20 +296,22 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# Sample size N and dictionary size m of the studies that have no grid, when
-# the config gives none.
-STUDY_SIZES = {"coverage": {"N": 128, "m": 64}, "transductive": {"N": 64, "m": 32}}
+# The defaults of the studies that have no grid, for the keys the config omits.
+STUDY_DEFAULTS = {
+    "coverage": {"N": 128, "m": 64, "variant": "IndExact", "epsilon": 0.25, "replicates": 500, "k_test": None},
+    "transductive": {"N": 64, "m": 32, "variant": "TrBasicBounded", "epsilon": 0.1, "replicates": 100, "k_test": 1},
+}
 
 
-def _study_size(config, key):
-    return _number(config, key, STUDY_SIZES[config["kind"]][key], kind=int)
+def _study_number(config, key, kind=int):
+    return _number(config, key, STUDY_DEFAULTS[config["kind"]][key], kind=kind)
 
 
 def _default_truth_size(config) -> int:
     """Coefficients of a sobolev truth whose config gives no ``size``: the
     largest grid size for rate runs, max(N, m) for the other studies."""
-    if config["kind"] in STUDY_SIZES:
-        return max(_study_size(config, "N"), _study_size(config, "m"))
+    if config["kind"] in STUDY_DEFAULTS:
+        return max(_study_number(config, "N"), _study_number(config, "m"))
     return max(config["grid"])
 
 
@@ -369,29 +371,16 @@ def cmd_experiment(args) -> int:
             budget_seconds=_number(config, "budget_seconds", None),
         )
         report.kind = kind
-    elif kind == "coverage":
-        model = _experiment_model(config)
-        report = experiments.coverage_study(
-            config.get("variant", "IndExact"),
-            model,
-            n_train=_study_size(config, "N"),
-            m=_study_size(config, "m"),
-            epsilon=_number(config, "epsilon", 0.25),
-            replicates=_number(config, "replicates", 500, kind=int),
-            seed=seed,
-            k_test=_number(config, "k_test", None, kind=int),
-            threads=threads,
-        )
     else:
-        model = _experiment_model(config)
-        report = experiments.transductive_experiment(
-            model,
-            n_train=_study_size(config, "N"),
-            k_test=_number(config, "k_test", 1, kind=int),
-            m=_study_size(config, "m"),
-            variant=config.get("variant", "TrBasicBounded"),
-            epsilon=_number(config, "epsilon", 0.1),
-            replicates=_number(config, "replicates", 100, kind=int),
+        study = experiments.coverage_study if kind == "coverage" else experiments.transductive_experiment
+        report = study(
+            model=_experiment_model(config),
+            n_train=_study_number(config, "N"),
+            m=_study_number(config, "m"),
+            variant=config.get("variant", STUDY_DEFAULTS[kind]["variant"]),
+            epsilon=_study_number(config, "epsilon", float),
+            replicates=_study_number(config, "replicates"),
+            k_test=_study_number(config, "k_test"),
             seed=seed,
             threads=threads,
         )

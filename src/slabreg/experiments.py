@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .bounds import BoundSpec, slab_setup, split_features
+from .bounds import BoundSpec, FeatureBlocks, slab_setup, split_features
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric
 from .errors import ConfigError, json_field, json_number
@@ -227,9 +227,13 @@ def exact_excess_risk(model: SyntheticModel, coefficients) -> float:
     return float(((cc - ff) ** 2).sum())
 
 
-def _child_seeds(seed: int, count: int) -> np.ndarray:
+def _child_seeds(seed: int, replicates: int, sizes: int = 1) -> np.ndarray:
+    """One seed per replicate at each of ``sizes`` sample sizes; every study
+    draws its seeds here, so a bad count fails before any replicate runs."""
+    if replicates < 1:
+        raise ConfigError(f"replicates must be at least 1, got {replicates}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
+    return rng.integers(0, 2**63 - 1, size=sizes * replicates, dtype=np.int64)
 
 
 def _map_ordered(fn, count: int, threads: int):
@@ -317,9 +321,27 @@ def _per_feature_excess_transductive(test, hidden_y, centers, moments) -> np.nda
     return moments.diag * (centers - alpha2) ** 2
 
 
-def _covered(excess, radius) -> bool:
-    """Whether every feature's excess is within its radius."""
-    return bool(np.all(excess <= radius.beta * (1 + 1e-12) + 1e-15))
+def _covered(model: SyntheticModel, data: Dataset, features, moments, slabs) -> bool:
+    """Whether every feature's excess is within its radius: the test-risk
+    excess when the features are a replicate's split, else the exact one."""
+    if isinstance(features, FeatureBlocks):
+        excess = _per_feature_excess_transductive(features.test, data.hidden_y, slabs.centers, moments)
+    else:
+        excess = _per_feature_excess_inductive(model, slabs.centers)
+    return bool(np.all(excess <= slabs.radius.beta * (1 + 1e-12) + 1e-15))
+
+
+def _replicate(model: SyntheticModel, family, spec: BoundSpec, n_train: int, k_test: int, seed: int):
+    """One replicate's sample and the spec's geometry, as ``(data, features,
+    moments)``: the split of the sample and its test Gram for a transductive
+    spec, else the family and its exact moments (an inductive replicate never
+    reads the features again: the slabs evaluate the family one row block at
+    a time)."""
+    data = generate(model, n_train, k_test, seed=seed)
+    if spec.transductive:
+        blocks = split_features(family, data)
+        return data, blocks, empirical_test_moments(blocks.test)
+    return data, family, exact_moments(family)
 
 
 def _study_spec(spec, variant, model, epsilon, family_m):
@@ -335,27 +357,22 @@ def _study_spec(spec, variant, model, epsilon, family_m):
     return spec
 
 
-def _auto_bound_spec(variant, model, epsilon, mode="auto", family_m=None):
+def _auto_bound_spec(variant, model, epsilon, family_m=None):
     """Honest BoundSpec for a synthetic model, or ConfigError on mismatch.
 
     The truth's sup bound is computed once, and only for the variants that read it.
+    Every study replicate keeps its hidden labels, so TrFirstOrder runs in
+    simulation mode and needs no label constants.
     """
     if variant == "IndExact":
         return BoundSpec(variant, epsilon, B=model.sup_bound(), sigma2=model.noise.second_moment)
-    if variant == "IndVarFirstOrder":
+    if variant in ("IndVarFirstOrder", "TrFirstOrder"):
         return BoundSpec(variant, epsilon)
     if variant in ("TrBasicBounded", "TrVariance"):
         label_bound = model.label_bound()
         if label_bound is None:
             raise ConfigError(f"{variant} needs bounded labels; the model's noise is unbounded")
         return BoundSpec(variant, epsilon, B=label_bound)
-    if variant == "TrFirstOrder":
-        if mode == "deployment":
-            label_bound = model.label_bound()
-            if label_bound is None:
-                raise ConfigError("TrFirstOrder deployment mode needs bounded labels here")
-            return BoundSpec(variant, epsilon, y_subexp=(1.0, float(np.exp(label_bound))))
-        return BoundSpec(variant, epsilon)
     if variant == "TrGeneralK":
         label_bound = model.label_bound()
         if label_bound is None:
@@ -366,6 +383,38 @@ def _auto_bound_spec(variant, model, epsilon, mode="auto", family_m=None):
         rate = 1.0 / max(theta_sup * label_bound, 1e-12)
         return BoundSpec(variant, epsilon, subexp=((rate, float(np.e)),))
     raise ConfigError(f"coverage study does not support variant {variant!r}")
+
+
+def _study(kind: str, model: SyntheticModel, spec: BoundSpec, n_train, m, replicates, seed, k_test, threads, columns):
+    """The replicates of a coverage or transductive study, each a sample with
+    the spec's geometry (``_replicate``) and a row of ``columns(family, data,
+    features, moments)``, which holds its ``coverage_event``; k_test
+    defaults to 1 for a transductive spec and 0 otherwise."""
+    if k_test is None:
+        k_test = 1 if spec.transductive else 0
+    family = model.family(m)
+    seeds = _child_seeds(seed, replicates)
+
+    def one(r):
+        replicate = _replicate(model, family, spec, n_train, k_test, int(seeds[r]))
+        return {"N": n_train, "replicate": r, "seed": int(seeds[r]), **columns(family, *replicate)}
+
+    rows = _map_ordered(one, replicates, threads)
+    return ExperimentReport(
+        kind=kind,
+        config={
+            "variant": spec.variant,
+            "model": model.to_spec(),
+            "N": n_train,
+            "m": m,
+            "epsilon": spec.epsilon,
+            "replicates": replicates,
+            "seed": seed,
+            "k_test": k_test,
+        },
+        rows=rows,
+        coverage=float(np.mean([row["coverage_event"] for row in rows])),
+    )
 
 
 def coverage_study(
@@ -394,48 +443,12 @@ def coverage_study(
             "are not available in closed form for data-dependent dictionaries"
         )
     spec = _study_spec(spec, variant, model, epsilon, m)
-    transductive = spec.transductive
-    if k_test is None:
-        k_test = 1 if transductive else 0
-    family = model.family(m)
-    seeds = _child_seeds(seed, replicates)
 
-    def one(r):
-        data = generate(model, n_train, k_test, seed=int(seeds[r]))
-        # An inductive replicate never reads the features again: the slabs
-        # evaluate the family one row block at a time.
-        features = split_features(family, data) if transductive else family
-        moments = empirical_test_moments(features.test) if transductive else exact_moments(family)
+    def columns(family, data, features, moments):
         slabs = slab_setup(features, data, moments, spec)
-        if transductive:
-            excess = _per_feature_excess_transductive(features.test, data.hidden_y, slabs.centers, moments)
-        else:
-            excess = _per_feature_excess_inductive(model, slabs.centers)
-        return {
-            "N": n_train,
-            "replicate": r,
-            "mse": None,
-            "coverage_event": _covered(excess, slabs.radius),
-            "seed": int(seeds[r]),
-        }
+        return {"mse": None, "coverage_event": _covered(model, data, features, moments, slabs)}
 
-    rows = _map_ordered(one, replicates, threads)
-    coverage = float(np.mean([r["coverage_event"] for r in rows]))
-    return ExperimentReport(
-        kind="coverage",
-        config={
-            "variant": variant,
-            "model": model.to_spec(),
-            "N": n_train,
-            "m": m,
-            "epsilon": epsilon,
-            "replicates": replicates,
-            "seed": seed,
-            "k_test": k_test,
-        },
-        rows=rows,
-        coverage=coverage,
-    )
+    return _study("coverage", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
 
 
 def rate_experiment(
@@ -461,23 +474,20 @@ def rate_experiment(
         raise ConfigError("rate experiments need a grid of at least 4 distinct sizes, each >= 32")
     sup = model.sup_bound()
     sigma2 = model.noise.second_moment * sigma_scale**2
-    seeds = _child_seeds(seed, len(grid) * replicates)
+    seeds = _child_seeds(seed, replicates, len(grid))
     start = time.monotonic()
     rows = []
     partial = False
 
     def one(idx):
         n = grid[idx // replicates]
-        r = idx % replicates
         task_seed = int(seeds[idx])
-        data = generate(model, n, 0, seed=task_seed)
         family = model.family(n if model.basis == "Trigonometric" else 2 ** int(np.log2(n)))
-        moments = exact_moments(family)
         spec = BoundSpec("IndExact", float(n) ** -2, B=sup, sigma2=sigma2)
-        fit = run_selection(data, family, moments, spec, schedule="RoundRobin")
-        fit = clip_coefficients(fit, sup)
+        data, _, moments = _replicate(model, family, spec, n, 0, task_seed)
+        fit = clip_coefficients(run_selection(data, family, moments, spec, schedule="RoundRobin"), sup)
         mse = exact_excess_risk(model, fit.coefficients)
-        return {"N": n, "replicate": r, "mse": mse, "coverage_event": None, "seed": task_seed}
+        return {"N": n, "replicate": idx % replicates, "mse": mse, "coverage_event": None, "seed": task_seed}
 
     # Budget is checked between grid sizes; replicates of one size run as a
     # block (optionally threaded) so row content never depends on timing
@@ -532,56 +542,28 @@ def transductive_experiment(
     decrease chain r2(new) <= r2(old) - d2^2(new, old), and bound coverage.
     """
     spec = _study_spec(spec, variant, model, epsilon, m)
-    family = model.family(m)
-    seeds = _child_seeds(seed, replicates)
+    if not spec.transductive:
+        raise ConfigError(f"transductive experiments need a transductive variant, got {variant}")
 
-    def one(r):
-        data = generate(model, n_train, k_test, seed=int(seeds[r]))
-        blocks = split_features(family, data)
-        moments = empirical_test_moments(blocks.test)
+    def columns(family, data, blocks, moments):
         fit = run_selection(data, family, moments, spec, schedule="GreedyMax", blocks=blocks)
-        preds = blocks.test @ fit.coefficients
         hidden = data.hidden_y
-        mse = float(np.mean((hidden - preds) ** 2))
-        zero_mse = float(np.mean(hidden**2))
-        chain_ok = _chain_holds(fit, blocks.test, hidden)
-        excess = _per_feature_excess_transductive(blocks.test, hidden, fit.slabs.centers, moments)
         return {
-            "N": n_train,
-            "replicate": r,
-            "mse": mse,
-            "coverage_event": _covered(excess, fit.slabs.radius),
-            "seed": int(seeds[r]),
-            "chain_ok": bool(chain_ok),
-            "zero_mse": zero_mse,
+            "mse": float(np.mean((hidden - blocks.test @ fit.coefficients) ** 2)),
+            "coverage_event": _covered(model, data, blocks, moments, fit.slabs),
+            "chain_ok": _chain_holds(fit, blocks.test, hidden),
+            "zero_mse": float(np.mean(hidden**2)),
             "steps": fit.stopped_at,
         }
 
-    rows = _map_ordered(one, replicates, threads)
-    coverage = float(np.mean([row["coverage_event"] for row in rows]))
-    chain_fraction = float(np.mean([row["chain_ok"] for row in rows]))
-    beats_zero = float(np.mean([row["mse"] < row["zero_mse"] for row in rows]))
-    mean_steps = float(np.mean([row["steps"] for row in rows]))
-    return ExperimentReport(
-        kind="transductive",
-        config={
-            "variant": variant,
-            "model": model.to_spec(),
-            "N": n_train,
-            "k_test": k_test,
-            "m": m,
-            "epsilon": epsilon,
-            "replicates": replicates,
-            "seed": seed,
-        },
-        rows=rows,
-        coverage=coverage,
-        extras={
-            "chain_fraction": chain_fraction,
-            "beats_zero_fraction": beats_zero,
-            "mean_steps": mean_steps,
-        },
-    )
+    report = _study("transductive", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
+    rows = report.rows
+    report.extras = {
+        "chain_fraction": float(np.mean([row["chain_ok"] for row in rows])),
+        "beats_zero_fraction": float(np.mean([row["mse"] < row["zero_mse"] for row in rows])),
+        "mean_steps": float(np.mean([row["steps"] for row in rows])),
+    }
+    return report
 
 
 def _chain_holds(fit: SelectionModel, test_feats: np.ndarray, hidden: np.ndarray, slack: float = 1e-9) -> bool:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -352,6 +353,52 @@ def test_experiment_budget_exceeded_exits_5(tmp_path, capsys):
 def test_experiment_unknown_kind_exits_2(tmp_path, capsys):
     code = run_cli(["experiment", "--kind", "coverage", "--config", "/nonexistent.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["coverage", "transductive", "rate-sobolev"])
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_experiment_bad_replicate_count_exits_2_before_any_replicate(tmp_path, monkeypatch, kind, replicates, capsys):
+    monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": kind, "replicates": replicates, "grid": [32, 48, 64, 96]}))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "replicates" in err
+    assert not out.exists()
+
+
+STUDY_DEFAULTS = {
+    "coverage": (
+        "coverage_study",
+        {"n_train": 128, "m": 64, "variant": "IndExact", "epsilon": 0.25, "replicates": 500, "k_test": None},
+    ),
+    "transductive": (
+        "transductive_experiment",
+        {"n_train": 64, "m": 32, "variant": "TrBasicBounded", "epsilon": 0.1, "replicates": 100, "k_test": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STUDY_DEFAULTS))
+def test_experiment_study_defaults(tmp_path, monkeypatch, kind):
+    """A config holding only its kind runs the README's documented defaults."""
+    name, expected = STUDY_DEFAULTS[kind]
+    signature = inspect.signature(getattr(experiments, name))
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return experiments.ExperimentReport(kind=kind, config={}, rows=[])
+
+    monkeypatch.setattr(experiments, name, record)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": kind}))
+    assert run_cli(["experiment", "--config", config, "--out", tmp_path / "run"]) == 0
+    (arguments,) = calls
+    assert {key: arguments[key] for key in expected} == expected
+    assert (arguments["seed"], arguments["threads"]) == (0, 1)
+    assert arguments["model"].size == max(expected["n_train"], expected["m"])
 
 
 def test_csv_roundtrip_identity(tmp_path):

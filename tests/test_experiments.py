@@ -179,22 +179,21 @@ def test_sup_bound_of_full_sobolev_truth_stays_small_in_memory(peak_bytes):
 
 
 @pytest.mark.parametrize(
-    "variant,mode,calls",
+    "variant,calls",
     [
-        ("IndExact", "auto", 1),
-        ("IndVarFirstOrder", "auto", 0),
-        ("TrFirstOrder", "auto", 0),
-        ("TrFirstOrder", "deployment", 1),
-        ("TrBasicBounded", "auto", 1),
-        ("TrVariance", "auto", 1),
-        ("TrGeneralK", "auto", 1),
+        ("IndExact", 1),
+        ("IndVarFirstOrder", 0),
+        ("TrFirstOrder", 0),
+        ("TrBasicBounded", 1),
+        ("TrVariance", 1),
+        ("TrGeneralK", 1),
     ],
 )
-def test_auto_bound_spec_computes_sup_bound_only_when_read(variant, mode, calls, monkeypatch):
+def test_auto_bound_spec_computes_sup_bound_only_when_read(variant, calls, monkeypatch):
     count = []
     sup_bound = ex.SyntheticModel.sup_bound
     monkeypatch.setattr(ex.SyntheticModel, "sup_bound", lambda self: count.append(1) or sup_bound(self))
-    ex._auto_bound_spec(variant, small_sobolev(noise=ex.NoiseSpec("uniform", 0.1)), 0.1, mode=mode)
+    ex._auto_bound_spec(variant, small_sobolev(noise=ex.NoiseSpec("uniform", 0.1)), 0.1)
     assert len(count) == calls
 
 
@@ -258,6 +257,28 @@ def test_transductive_spec_disagreeing_with_the_report_is_config_error(spec, mon
             small_sobolev(), n_train=32, k_test=1, m=8, variant="TrBasicBounded", epsilon=0.1,
             replicates=3, seed=4, spec=spec,
         )
+
+
+@pytest.mark.parametrize("variant", ["IndExact", "IndVarFirstOrder"])
+def test_transductive_experiment_rejects_an_inductive_variant_before_any_replicate(variant, monkeypatch):
+    monkeypatch.setattr(ex, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    with pytest.raises(ConfigError, match=f"transductive experiments need a transductive variant, got {variant}"):
+        ex.transductive_experiment(
+            small_sobolev(), n_train=32, k_test=1, m=8, variant=variant, epsilon=0.1, replicates=3, seed=4
+        )
+
+
+def test_coverage_and_transductive_studies_share_their_replicates():
+    # B = 0 and epsilon = 0.9 mix covered and uncovered replicates
+    model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
+    spec = bounds.BoundSpec("TrBasicBounded", 0.9, B=0.0)
+    shared = dict(n_train=32, m=16, epsilon=spec.epsilon, replicates=100, seed=6, k_test=1, spec=spec)
+    coverage = ex.coverage_study(spec.variant, model, **shared)
+    transductive = ex.transductive_experiment(model, variant=spec.variant, **shared)
+    assert 0.0 < coverage.coverage < 1.0
+    events = [[(row["seed"], row["coverage_event"]) for row in report.rows] for report in (coverage, transductive)]
+    assert events[0] == events[1]
+    assert coverage.config == transductive.config
 
 
 def reference_per_feature_excess(model, centers):
