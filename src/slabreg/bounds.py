@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .dictionary import FeatureDictionary, as_feature_matrix, require_finite
+from .dictionary import FeatureDictionary, as_feature_matrix, matrix_blocks, require_finite, row_blocks
 from .errors import ConfigError, json_field, json_number
 from .moments import DesignMoments
 
@@ -403,34 +403,10 @@ VARIANT_TABLE = {
 VARIANTS = tuple(VARIANT_TABLE)
 
 
-# Cells (rows x m) per row block of compute_stats. Any block size gives the
-# same bits (see _row_blocks); this one keeps each temporary at 1 MB.
-STATS_BLOCK_CELLS = 1 << 17
-
-
-def _row_blocks(rows: int, m: int, contiguous: bool, read) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(block, read(block))`` for row slices whose column sums can be
-    carried across blocks.
-
-    numpy reduces axis 0 of a C-contiguous (rows, m) array row by row when
-    m >= 2, so adding the running sum into a block's first row before
-    reducing the block continues the same sequence of additions. A single
-    column (summed pairwise) or another layout is one block.
-    """
-    step = max(1, STATS_BLOCK_CELLS // m) if m >= 2 and contiguous else max(rows, 1)
-    for a in range(0, rows, step):
-        block = slice(a, min(a + step, rows))
-        yield block, read(block)
-
-
-def _matrix_blocks(matrix: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    return _row_blocks(*matrix.shape, matrix.flags.c_contiguous, matrix.__getitem__)
-
-
 class FeatureBlocks(NamedTuple):
     """A sample's features split at its N training rows (``split_features``).
 
-    ``train()`` reads the (N, m) training features as ``_row_blocks`` pairs:
+    ``train()`` reads the (N, m) training features as ``row_blocks`` pairs:
     a rowwise dictionary evaluated one row block at a time, or the row views
     of a matrix evaluated once; ``test`` is the (kN, m) test block (no rows
     when it was left unevaluated).
@@ -458,14 +434,14 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
         # Points are checked whole, so an error names the row in the sample.
         points = features.check_points(data.x)
         test = features.evaluate(points[n:]) if data.k_test and with_test else np.empty((0, features.m))
-        read = partial(_row_blocks, n, features.m, True, lambda rows: features.evaluate(points[rows]))
+        read = partial(row_blocks, n, features.m, True, lambda rows: features.evaluate(points[rows]))
         return FeatureBlocks(read, test)
     if isinstance(features, FeatureDictionary):
         features = features.evaluate(data.x)
     matrix = as_feature_matrix(features)
     if matrix.shape[0] != data.x.shape[0]:
         raise ConfigError(f"feature matrix has {matrix.shape[0]} rows, dataset expects {data.x.shape[0]}")
-    return FeatureBlocks(partial(_matrix_blocks, matrix[:n]), matrix[n:])
+    return FeatureBlocks(partial(matrix_blocks, matrix[:n]), matrix[n:])
 
 
 def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) -> FeatureStats:
@@ -496,7 +472,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     when the hidden test labels are known). Statistics no given variant
     reads are None; the default computes them all.
 
-    Both sides are walked in row blocks (``_row_blocks``), the test block as
+    Both sides are walked in row blocks (``row_blocks``), the test block as
     a matrix's rows, so no temporary is as large as either of them, and
     every statistic is bitwise that of reducing the whole matrix at once.
     The leave-one-out sums subtract each anchor's own product, gathered from
@@ -545,7 +521,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             held = (anchors >= rows.start) & (anchors < rows.stop)
             own[held] = ty[anchors[held] - rows.start, cols[held]]
         add("train_mean_ty", ty)
-    for rows, t in _matrix_blocks(test):
+    for rows, t in matrix_blocks(test):
         require_finite(t)
         if "train_mean_t4" in reads:
             add("test_sum_t4", t**4)

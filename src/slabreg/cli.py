@@ -304,7 +304,9 @@ STUDY_DEFAULTS = {
 
 
 def _study_number(config, key, kind=int):
-    return _number(config, key, STUDY_DEFAULTS[config["kind"]][key], kind=kind)
+    """A study's ``key``, or its default when the config omits it; null is
+    not a number (only ``k_test`` may be null, and is read with ``_number``)."""
+    return json_number(config.get(key, STUDY_DEFAULTS[config["kind"]][key]), key, kind)
 
 
 def _default_truth_size(config) -> int:
@@ -364,7 +366,7 @@ def cmd_experiment(args) -> int:
         report = experiments.rate_experiment(
             model,
             grid,
-            replicates=_number(config, "replicates", 20, kind=int),
+            replicates=json_number(config.get("replicates", 20), "replicates", int),
             seed=seed,
             sigma_scale=_number(config, "sigma_scale", 1.0),
             threads=threads,
@@ -380,7 +382,7 @@ def cmd_experiment(args) -> int:
             variant=config.get("variant", STUDY_DEFAULTS[kind]["variant"]),
             epsilon=_study_number(config, "epsilon", float),
             replicates=_study_number(config, "replicates"),
-            k_test=_study_number(config, "k_test"),
+            k_test=_number(config, "k_test", STUDY_DEFAULTS[kind]["k_test"], kind=int),
             seed=seed,
             threads=threads,
         )

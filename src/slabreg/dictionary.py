@@ -14,6 +14,7 @@ eigenvectors so a saved dictionary evaluates identically later.
 from __future__ import annotations
 
 from math import sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -84,6 +85,31 @@ def validate_feature_matrix(values) -> np.ndarray:
     values = as_feature_matrix(values)
     require_finite(values)
     return values
+
+
+# Cells (rows x m) per row block of a reduction over feature rows (the
+# statistics, the test block's squared norms). Any block size gives the same
+# bits (see row_blocks); this one keeps each temporary at 1 MB.
+STATS_BLOCK_CELLS = 1 << 17
+
+
+def row_blocks(rows: int, m: int, contiguous: bool, read) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(block, read(block))`` for row slices whose column sums can be
+    carried across blocks.
+
+    numpy reduces axis 0 of a C-contiguous (rows, m) array row by row when
+    m >= 2, so adding the running sum into a block's first row before
+    reducing the block continues the same sequence of additions. A single
+    column (summed pairwise) or another layout is one block.
+    """
+    step = max(1, STATS_BLOCK_CELLS // m) if m >= 2 and contiguous else max(rows, 1)
+    for a in range(0, rows, step):
+        block = slice(a, min(a + step, rows))
+        yield block, read(block)
+
+
+def matrix_blocks(matrix: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    return row_blocks(*matrix.shape, matrix.flags.c_contiguous, matrix.__getitem__)
 
 
 class FeatureDictionary:
@@ -335,7 +361,9 @@ class MultiscaleGaussian(FeatureDictionary):
         c = self.centers.shape[0]
         out = np.empty((pts.shape[0], self.m))
         for i, g in enumerate(self.scales):
-            np.exp(-0.5 * g * d2, out=out[:, i * c : (i + 1) * c])
+            cols = out[:, i * c : (i + 1) * c]
+            np.multiply(-0.5 * g, d2, out=cols)
+            np.exp(cols, out=cols)
         return out
 
     def parameters(self):

@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .bounds import BoundSpec, FeatureBlocks, slab_setup, split_features
+from .bounds import VARIANT_TABLE, BoundSpec, FeatureBlocks, slab_setup, split_features
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric
 from .errors import ConfigError, json_field, json_number
@@ -382,7 +382,7 @@ def _auto_bound_spec(variant, model, epsilon, family_m=None):
         # P exp(rate |theta Y|) <= e when rate = 1 / sup|theta Y|
         rate = 1.0 / max(theta_sup * label_bound, 1e-12)
         return BoundSpec(variant, epsilon, subexp=((rate, float(np.e)),))
-    raise ConfigError(f"coverage study does not support variant {variant!r}")
+    raise ConfigError(f"studies derive no bound spec for variant {variant!r}")
 
 
 def _study(kind: str, model: SyntheticModel, spec: BoundSpec, n_train, m, replicates, seed, k_test, threads, columns):
@@ -541,9 +541,10 @@ def transductive_experiment(
     Reports per-replicate test mse, the frequency of the per-step risk
     decrease chain r2(new) <= r2(old) - d2^2(new, old), and bound coverage.
     """
-    spec = _study_spec(spec, variant, model, epsilon, m)
-    if not spec.transductive:
+    entry = VARIANT_TABLE.get(variant)
+    if entry is None or not entry.transductive:
         raise ConfigError(f"transductive experiments need a transductive variant, got {variant}")
+    spec = _study_spec(spec, variant, model, epsilon, m)
 
     def columns(family, data, blocks, moments):
         fit = run_selection(data, family, moments, spec, schedule="GreedyMax", blocks=blocks)

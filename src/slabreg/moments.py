@@ -6,7 +6,9 @@ transductive engine uses the empirical moments of the unlabeled test design,
 normalized by 1/(kN) so that the diagonal matches the squared empirical norm.
 Both are carried by the same immutable ``DesignMoments`` and everything
 downstream is agnostic to which one it got. Exact moments are the identity
-(``IdentityMoments``), answered from that structure without an m x m matrix.
+(``IdentityMoments``), answered from that structure without an m x m matrix;
+the empirical test moments (``EmpiricalTestMoments``) answer through the test
+block itself, so neither forms its Gram unless something reads ``gram``.
 """
 
 from __future__ import annotations
@@ -18,19 +20,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .dictionary import FeatureDictionary, ORTHONORMAL_KINDS, as_feature_matrix, validate_feature_matrix
+from .dictionary import FeatureDictionary, ORTHONORMAL_KINDS, as_feature_matrix, matrix_blocks, validate_feature_matrix
 from .errors import ConfigError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-8
 # Sampler draws per Monte Carlo batch; fixed so the accumulation order is too.
 MC_BATCH = 100_000
+# Test-block columns per product of a RoundRobin pass (BlockSweep).
+SWEEP_COLUMNS = 32
 
 
 @dataclass(frozen=True)
 class DesignMoments:
     """Symmetric PSD Gram matrix with provenance and a degeneracy mask; the
-    projection loop reads ``diag`` and the two Gram products below alone."""
+    projection loop reads ``diag`` and the Gram products below alone."""
 
     gram: np.ndarray = field(repr=False)
     provenance: str
@@ -69,9 +73,67 @@ class DesignMoments:
         thresholding)."""
         return c if self.identity else c @ self.gram
 
-    def interaction(self, c: np.ndarray, k: int) -> float:
-        """G[:, k] @ c, the kth (0-based) entry of ``interactions``."""
-        return c[k] if self.identity else self.gram[:, k] @ c
+    def sweep(self, c: np.ndarray) -> "GramSweep":
+        """G[:, k] @ c, one feature at a time, from the point c of a
+        RoundRobin pass on (see ``GramSweep``)."""
+        return IdentitySweep(c) if self.identity else GramSweep(c, self.gram)
+
+
+class GramSweep:
+    """One RoundRobin pass's Gram products: ``interaction(k)`` is G[:, k] @ c
+    at the pass's coefficients c, which the pass moves in place, one
+    coordinate at a time, and reports through ``move``. Read here from the
+    dense Gram."""
+
+    # Whether each feature's product reads its own coefficient alone, so
+    # that ``interaction`` answers every feature of the pass at once.
+    elementwise = False
+
+    def __init__(self, c: np.ndarray, gram: np.ndarray):
+        self.c, self.gram = c, gram
+
+    def interaction(self, k):
+        return self.gram[:, k] @ self.c
+
+    def move(self, k: int, step: float) -> None:
+        """Coordinate k of c has just moved by ``step``."""
+
+
+class IdentitySweep(GramSweep):
+    """Under the identity Gram G[:, k] @ c is c[k], with its bits."""
+
+    elementwise = True
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def interaction(self, k):
+        return self.c[k]
+
+
+class BlockSweep(GramSweep):
+    """The test Gram's products through the test block T: G[:, k] @ c =
+    r @ T[:, k] / kN with r = T c, computed exactly when the pass starts
+    and then moved with c (the "naive update" of coordinate descent).
+
+    A column of a C-contiguous T touches every row's page, so the products
+    are taken for ``SWEEP_COLUMNS`` features from k on at once, and kept
+    until c moves."""
+
+    def __init__(self, c: np.ndarray, block: np.ndarray):
+        self.block = block
+        self.r = block @ c
+        self.start = self.stop = 0  # the features [start, stop) of ``products``
+
+    def interaction(self, k):
+        if not self.start <= k < self.stop:
+            self.start, self.stop = k, min(k + SWEEP_COLUMNS, self.block.shape[1])
+            self.products = (self.r @ self.block[:, self.start : self.stop]) / self.block.shape[0]
+        return self.products[k - self.start]
+
+    def move(self, k: int, step: float) -> None:
+        self.r += step * self.block[:, k]
+        self.stop = self.start
 
 
 class IdentityMoments(DesignMoments):
@@ -96,6 +158,50 @@ class IdentityMoments(DesignMoments):
     @cached_property
     def gram(self) -> np.ndarray:
         return np.eye(self.size)
+
+
+class EmpiricalTestMoments(DesignMoments):
+    """The empirical test Gram G = T^T T / kN, stored as the (kN, m) test
+    block T itself (not a copy): ``diag`` is the columns' squared norms over
+    kN, and the products go through T, so the m x m ``gram`` is built only
+    if something reads it (the projection loop does not). ``identity``
+    reads the Gram only once every diagonal entry is exactly 1.0."""
+
+    def __init__(self, block: np.ndarray):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "provenance", "EmpiricalTest")
+        if not np.all(np.isfinite(self.diag)):
+            raise NumericalError("gram matrix contains NaN or Inf")
+
+    @property
+    def m(self) -> int:
+        return self.block.shape[1]
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        # Column sums of squares in row blocks, carried as compute_stats
+        # carries its sums, so no temporary is as large as the block.
+        total = None
+        for _, t in matrix_blocks(self.block):
+            t2 = t**2
+            if total is not None:
+                t2[0] += total
+            total = np.add.reduce(t2, axis=0)
+        return total / self.block.shape[0]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        # One BLAS syrk of the C-contiguous block, which fills one triangle
+        # and copies it onto the other: exactly symmetric by construction.
+        g = self.block.T @ self.block
+        g /= self.block.shape[0]
+        return g
+
+    def interactions(self, c: np.ndarray) -> np.ndarray:
+        return c if self.identity else (self.block @ c) @ self.block / self.block.shape[0]
+
+    def sweep(self, c: np.ndarray) -> GramSweep:
+        return IdentitySweep(c) if self.identity else BlockSweep(c, self.block)
 
 
 def _symmetrize(g: np.ndarray) -> np.ndarray:
@@ -149,22 +255,19 @@ def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, 
     return DesignMoments(g, "MonteCarlo")
 
 
-def empirical_test_moments(test: np.ndarray) -> DesignMoments:
+def empirical_test_moments(test: np.ndarray) -> EmpiricalTestMoments:
     """Empirical Gram of the test design block, normalized by 1/(kN).
 
     ``test`` is the (kN, m) test block alone (``bounds.split_features``);
-    the training rows never enter the test geometry. A NaN or an infinity
-    in a column leaves one on the Gram's diagonal, which ``DesignMoments``
-    rejects. The product is one BLAS ``syrk`` of the C-contiguous block (a
-    dictionary's block is one already), which fills one triangle and copies
-    it onto the other, so the Gram is exactly symmetric by construction.
+    the training rows never enter the test geometry. The moments hold the
+    block, as a C-contiguous array (a dictionary's block is one already, and
+    is held as it is), and never form the m x m Gram for a fit. A NaN or an
+    infinity in a column leaves one on the diagonal, which is rejected.
     """
     test = np.ascontiguousarray(as_feature_matrix(test))
     if test.shape[0] == 0:
         raise ConfigError("empirical test moments need a nonempty test block")
-    g = test.T @ test
-    g /= test.shape[0]
-    mom = DesignMoments(g, "EmpiricalTest")
+    mom = EmpiricalTestMoments(test)
     _warn_degenerate(mom)
     return mom
 

@@ -153,7 +153,7 @@ def residual_gamma(coefficients, k: int, centers, moments: DesignMoments) -> flo
     v = moments.diag[k]
     if v <= 0.0:
         raise ConfigError(f"feature {k + 1} is degenerate (zero design second moment)")
-    interaction = float(moments.interaction(np.asarray(coefficients, dtype=float), k))
+    interaction = float(moments.sweep(np.asarray(coefficients, dtype=float)).interaction(k))
     return float(centers[k]) - interaction / v
 
 
@@ -187,7 +187,8 @@ def _project(c, k: int, gamma: float, tau: float, v: float, n: int):
 
 def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
     """The projection loop; of the moments it reads ``diag``, ``interactions``
-    (c @ G, each GreedyMax step) and ``interaction`` (each RoundRobin visit)."""
+    (c @ G, each GreedyMax step) and ``sweep`` (G[:, k] @ c, each RoundRobin
+    pass)."""
     v = moments.diag
     tau = radius.tau
     m = centers.shape[0]
@@ -199,10 +200,9 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
 
     def apply(k, gamma):
         record = _project(c, k, gamma, float(tau[k]), float(v[k]), len(trace) + 1)
-        if record is None:
-            return 0.0
-        trace.append(record)
-        return record.delta
+        if record is not None:
+            trace.append(record)
+        return record
 
     if schedule == "GreedyMax":
         # Project onto the slab with the largest movement; stop when that
@@ -220,17 +220,44 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
         raise NumericalError(f"selection did not terminate within {max_iterations} iterations")
     # RoundRobin: cycle the features in index order, applying every positive
     # projection; stop when a full pass yields no improvement >= kappa.
-    interaction = moments.interaction
-    pass_best = 0.0
-    for visit in range(max_iterations):
-        k = visit % m
-        if active[k]:
-            pass_best = max(pass_best, apply(k, float(centers[k]) - float(interaction(c, k)) / float(v[k])))
-        if k == m - 1:
-            if pass_best < kappa:
-                return c, trace
+    # max_iterations counts feature visits, so it allows that many full passes.
+    features = np.flatnonzero(active)
+    for _ in range(max_iterations // m):
+        sweep = moments.sweep(c)
+        if sweep.elementwise:
+            pass_best = _elementwise_pass(c, features, centers, v, tau, sweep, trace)
+        else:
             pass_best = 0.0
+            for k in features.tolist():
+                record = apply(k, float(centers[k]) - float(sweep.interaction(k)) / float(v[k]))
+                if record is not None:
+                    sweep.move(k, record.update)
+                    pass_best = max(pass_best, record.delta)
+        if pass_best < kappa:
+            return c, trace
     raise NumericalError(f"selection did not terminate within {max_iterations} feature visits")
+
+
+def _elementwise_pass(c, features, centers, v, tau, sweep, trace) -> float:
+    """One RoundRobin pass over ``features`` whose residuals read their own
+    coefficients alone: ``_project`` on each, with its bits, taken as array
+    operations. Records are appended in index order; returns the pass's
+    largest movement (0.0 without one)."""
+    gamma = centers[features] - sweep.interaction(features) / v[features]
+    over = np.abs(gamma) - tau[features]
+    hit = over > 0.0
+    ks, gamma, over = features[hit], gamma[hit], over[hit]
+    step = np.copysign(over, gamma)
+    c[ks] += step
+    delta = v[ks] * over * over
+    first = len(trace) + 1
+    trace.extend(
+        IterationRecord(n=first + i, feature=k + 1, gamma=g, tau=t, delta=d, update=u)
+        for i, (k, g, t, d, u) in enumerate(
+            zip(ks.tolist(), gamma.tolist(), tau[ks].tolist(), delta.tolist(), step.tolist())
+        )
+    )
+    return float(delta.max(initial=0.0))
 
 
 def run_selection(

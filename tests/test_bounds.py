@@ -563,7 +563,7 @@ def assert_stats_identical(got, want, context=None):
             assert a == b, (context, name)
 
 
-CELLS = bounds.STATS_BLOCK_CELLS
+CELLS = fd.STATS_BLOCK_CELLS
 MANY = 3 * (CELLS // 257) + 11
 # (N, m, k, hidden labels): a single column longer than one block would be,
 # two columns over one block and a remainder, 257 columns over three blocks
@@ -597,7 +597,7 @@ def test_row_block_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
     "n,m,k_test,labels", [(CELLS // 2 + 7, 2, 1, True), (MANY, 257, 0, False), (MANY, 257, 2, True)]
 )
 def test_fortran_order_stats_equal_dense_stats_bitwise(n, m, k_test, labels):
-    # A matrix that is not C-contiguous is read as one block (_row_blocks).
+    # A matrix that is not C-contiguous is read as one block (dictionary.row_blocks).
     rng = np.random.default_rng(n + 3 * m + k_test)
     rows = (k_test + 1) * n
     feats = np.asfortranarray(rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m))

@@ -368,6 +368,21 @@ def test_experiment_bad_replicate_count_exits_2_before_any_replicate(tmp_path, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind,key",
+    [(kind, "replicates") for kind in ("coverage", "transductive", "rate-sobolev")]
+    + [(kind, key) for kind in ("coverage", "transductive") for key in ("N", "m", "epsilon")],
+)
+def test_experiment_null_number_is_a_config_error_naming_the_key(tmp_path, monkeypatch, kind, key, capsys):
+    monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": kind, key: None, "grid": [32, 48, 64, 96]}))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be a number, got None\n"
+    assert not out.exists()
+
+
 STUDY_DEFAULTS = {
     "coverage": (
         "coverage_study",
@@ -853,6 +868,23 @@ def test_transduce_holds_the_test_block_and_its_gram_only(tmp_path, peak_bytes, 
     # the kN x m test block and the m x m Gram, plus row-block temporaries;
     # the N x m training rows would add another 8 MB
     assert peak < (n * m + m * m) * 8 + 6 * 2**20
+
+
+@pytest.mark.parametrize("schedule", selector.SCHEDULES)
+def test_transduce_holds_the_test_block_alone(tmp_path, peak_bytes, schedule):
+    n = m = 1024
+    argv = _transduce_inputs(tmp_path, n, 1, seed=32)
+    centers = m // 4
+    family = {"kind": "MultiscaleGaussian",
+              "parameters": {"centers": [[c] for c in np.linspace(0.0, 1.0, centers)], "scales": [4.0, 16.0, 64.0, 256.0]}}
+    argv += ["--dictionary", json.dumps(family), "--bound", TRB, "--schedule", schedule, "--out", tmp_path / "run"]
+    peak = peak_bytes(lambda: run_cli(argv))
+    model = json.loads((tmp_path / "run" / "model.json").read_text())
+    assert model["schedule"] == schedule and model["stopped_at"] >= 1
+    # the kN x m test block and the kN x centers squared distances that its
+    # Gaussians are evaluated from, plus row-block temporaries; the m x m
+    # test Gram would add another 8 MB
+    assert peak < (n * m + n * centers) * 8 + 6 * 2**20
 
 
 def test_bounds_text_table_agrees_with_json_rows(train_csv, capsys):

@@ -259,7 +259,7 @@ def test_transductive_spec_disagreeing_with_the_report_is_config_error(spec, mon
         )
 
 
-@pytest.mark.parametrize("variant", ["IndExact", "IndVarFirstOrder"])
+@pytest.mark.parametrize("variant", ["IndExact", "IndVarFirstOrder", "IndSvm"])
 def test_transductive_experiment_rejects_an_inductive_variant_before_any_replicate(variant, monkeypatch):
     monkeypatch.setattr(ex, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
     with pytest.raises(ConfigError, match=f"transductive experiments need a transductive variant, got {variant}"):

@@ -112,6 +112,19 @@ def test_empirical_test_rejects_nonfinite_entry(bad, where):
         dm.empirical_test_moments(test)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 250, 399])
+def test_empirical_test_rejects_nonfinite_entry_in_any_row_block(bad, row):
+    # 400 x 600 is read in blocks of 218 rows; the dense Gram raised the same
+    test = np.random.default_rng(6).normal(size=(400, 600))
+    test[row, 17] = bad
+    with pytest.raises(NumericalError) as dense:
+        dm.DesignMoments(test.T @ test / 400, "EmpiricalTest")
+    with pytest.raises(NumericalError) as raised:
+        dm.empirical_test_moments(test)
+    assert str(raised.value) == str(dense.value) == "gram matrix contains NaN or Inf"
+
+
 def test_user_gram_roundtrip(tmp_path):
     g = np.array([[2.0, 0.5], [0.5, 1.0]])
     path = tmp_path / "gram.csv"
@@ -242,6 +255,15 @@ def test_empirical_test_gram_is_exactly_symmetric_for_every_layout(name):
     got = dm.empirical_test_moments(test).gram
     assert got.tobytes() == got.T.tobytes()
     assert got.tobytes() == dm._symmetrize(test.T @ test / test.shape[0]).tobytes()
+
+
+@pytest.mark.parametrize("rows,m", [(9, 4), (300, 260), (1100, 260), (5, 1)])
+def test_empirical_test_diagonal_is_the_whole_block_reduction_bitwise(rows, m):
+    # read in row blocks of STATS_BLOCK_CELLS // m rows: 1100 x 260 in three
+    test = np.random.default_rng(29).normal(size=(rows, m)) * np.linspace(0.1, 10.0, m)
+    mom = dm.empirical_test_moments(test)
+    assert mom.diag.tobytes() == (np.add.reduce(test**2, axis=0) / rows).tobytes()
+    np.testing.assert_allclose(mom.diag, np.diag(test.T @ test / rows), rtol=1e-13, atol=0.0)
 
 
 def test_identity_moments_repr_builds_no_gram(peak_bytes):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slabreg import bounds, selector
 from slabreg.data import Dataset
-from slabreg.dictionary import ExplicitMatrix, Haar, KernelPCA, Trigonometric
+from slabreg.dictionary import STATS_BLOCK_CELLS, ExplicitMatrix, Haar, KernelPCA, Trigonometric
 from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments
 
@@ -466,7 +466,10 @@ def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, 
     if geometry == "identity":
         mom = DesignMoments(np.eye(m), "Exact")
     elif geometry == "empirical_test":
-        mom = empirical_test_moments(feats[n:])
+        # the dense engine on the test Gram; empirical_test_moments answers
+        # through the block (test_gram_free_test_moments_follow_the_dense_loop)
+        test = feats[n:]
+        mom = DesignMoments(test.T @ test / test.shape[0], "EmpiricalTest")
     else:
         a = rng.normal(size=(2 * m, m))
         gram = a.T @ a / (2 * m)
@@ -493,6 +496,90 @@ def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, 
     assert model.stopped_at >= 1
     assert model.coefficients.tobytes() == c.tobytes()
     assert [r.to_json_dict() for r in model.trace] == [r.to_json_dict() for r in trace]
+
+
+def _transductive_fit_inputs(seed, n, m, k_test):
+    """A transductive sample on an explicit (k+1)N x m design whose columns
+    share a common factor, so the test Gram is far from diagonal."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=((k_test + 1) * n, m)) + rng.normal(size=((k_test + 1) * n, 1))
+    y_all = feats @ rng.normal(0.0, 1.0, size=m) + rng.normal(0.0, 0.3, size=feats.shape[0])
+    ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], hidden_y=y_all[n:])
+    return feats, ds
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k_test", [1, 2])
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("schedule", selector.SCHEDULES)
+def test_gram_free_test_moments_follow_the_dense_loop(schedule, warm, k_test, seed):
+    """The fit through the test block against the reference loop over the
+    test Gram as a matrix: the same steps, to rounding.
+
+    A feature projected onto its slab's edge sits there to an ulp, so
+    either loop may record one more projection that moves a coefficient by
+    an ulp (GreedyMax's final probe, a later RoundRobin pass); those
+    records, under the coefficients' tolerance of 1e-12, are left out of
+    the sequences. delta = v (|gamma| - tau)^2 carries the error of
+    |gamma| - tau, which is relative to |gamma| + tau, not to the difference."""
+    n, m = 2048, 16
+    feats, ds = _transductive_fit_inputs(2000 + seed, n, m, k_test)
+    warm_start = np.random.default_rng(seed).normal(0.0, 0.1, size=m) if warm else None
+    spec = bounds.BoundSpec("TrFirstOrder", 0.2) if k_test == 1 else bounds.BoundSpec("TrGeneralK", 0.2, subexp=((3.0, 3.0),))
+    mom = empirical_test_moments(feats[n:])
+    model = selector.run_selection(ds, ExplicitMatrix(feats), mom, spec, schedule=schedule, warm_start=warm_start)
+    dense = DesignMoments(mom.gram, "EmpiricalTest")
+    stats = bounds.compute_stats(feats, ds, (spec.variant,))
+    c, trace = reference_iterate(
+        bounds.slab_centers(stats, dense),
+        dense,
+        bounds.compute_radius(spec, stats, dense),
+        model.kappa,
+        schedule,
+        ~dense.degenerate & ~stats.train_degenerate,
+        selector.DEFAULT_MAX_ITERATIONS,
+        warm_start,
+    )
+    assert np.max(np.abs(model.coefficients - c)) <= 1e-12
+    got, want = ([r for r in records if abs(r.update) > 1e-12] for records in (model.trace, trace))
+    assert len(want) >= 4
+    assert [r.feature for r in got] == [r.feature for r in want]
+    field = {name: np.array([[getattr(r, name) for r in got], [getattr(r, name) for r in want]]) for name in ("gamma", "tau", "delta", "update")}
+    for name in ("gamma", "tau"):
+        np.testing.assert_allclose(*field[name], rtol=1e-12, atol=0.0, err_msg=name)
+    v = mom.diag[[r.feature - 1 for r in want]]
+    over = np.abs(field["update"][1])
+    bound = 2e-12 * v * over * (np.abs(field["gamma"][1]) + field["tau"][1])
+    assert np.all(np.abs(field["delta"][0] - field["delta"][1]) <= bound)
+
+
+@pytest.mark.parametrize("schedule", selector.SCHEDULES)
+def test_transductive_fit_forms_no_test_gram(schedule):
+    n, m = 2048, 16
+    feats, ds = _transductive_fit_inputs(2000, n, m, 1)
+    mom = empirical_test_moments(feats[n:])
+    model = selector.run_selection(ds, ExplicitMatrix(feats), mom, bounds.BoundSpec("TrFirstOrder", 0.2), schedule=schedule)
+    assert model.stopped_at >= 1 and not model.orthonormal_design
+    assert "gram" not in vars(mom)
+    assert np.shares_memory(mom.block, feats)  # the test block itself, not a copy
+
+
+@pytest.mark.parametrize("schedule", selector.SCHEDULES)
+def test_exactly_orthonormal_test_block_is_an_orthonormal_design(schedule):
+    # A 4 x 4 Hadamard block has the test Gram H^T H / 4 = I exactly.
+    h = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+    rng = np.random.default_rng(2200)
+    feats = np.vstack([rng.normal(size=(4, 4)), h])
+    y_all = feats @ np.array([1.0, -0.5, 0.0, 0.25]) + rng.uniform(-0.1, 0.1, size=8)
+    ds = Dataset(x=np.arange(8, dtype=float), y=y_all[:4], hidden_y=y_all[4:])
+    spec = bounds.BoundSpec("TrBasicBounded", 0.5, B=3.0)
+    mom = empirical_test_moments(feats[4:])
+    model = selector.run_selection(ds, ExplicitMatrix(feats), mom, spec, schedule=schedule)
+    assert mom.identity and mom.diag.tolist() == [1.0] * 4
+    assert model.orthonormal_design and model.to_json_dict()["orthonormal_design"] is True
+    exact = selector.run_selection(ds, ExplicitMatrix(feats), DesignMoments(np.eye(4), "EmpiricalTest"), spec, schedule=schedule)
+    assert model.coefficients.tobytes() == exact.coefficients.tobytes()
+    assert model.trace == exact.trace
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -631,7 +718,7 @@ def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, eval
     spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
     log = evaluations(type(family))
     model = selector.run_selection(ds, family, mom, spec)
-    step = bounds.STATS_BLOCK_CELLS // m
+    step = STATS_BLOCK_CELLS // m
     assert log.rows == ([step] * (n // step) + [n % step] if family.rowwise else [n])
     monkeypatch.undo()
     reference = selector.run_selection(ds, family, mom, spec, blocks=bounds.split_features(features, ds))
