@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .dictionary import FeatureDictionary, as_feature_matrix, matrix_blocks, require_finite, row_blocks
+from .dictionary import FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks, require_finite, row_blocks
 from .errors import ConfigError, json_field, json_number
 from .moments import DesignMoments
 
@@ -498,10 +498,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     sums = {}
 
     def add(name, values):
-        # values is a fresh block; its first row takes the running sum.
-        if name in sums:
-            values[0] += sums[name]
-        sums[name] = np.add.reduce(values, axis=0)
+        sums[name] = carry_sum(sums.get(name), values)
 
     for rows, t in train():
         require_finite(t)

@@ -108,6 +108,16 @@ def row_blocks(rows: int, m: int, contiguous: bool, read) -> Iterator[tuple[slic
         yield block, read(block)
 
 
+def carry_sum(total, block: np.ndarray) -> np.ndarray:
+    """The column sums of ``block``, a fresh array of rows from a
+    ``row_blocks`` walk, carried on from ``total``, the sums of the blocks
+    before it (None for the first): the running sum is added into the
+    block's first row, then the block is reduced."""
+    if total is not None:
+        block[0] += total
+    return np.add.reduce(block, axis=0)
+
+
 def matrix_blocks(matrix: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     return row_blocks(*matrix.shape, matrix.flags.c_contiguous, matrix.__getitem__)
 

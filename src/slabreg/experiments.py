@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import VARIANT_TABLE, BoundSpec, FeatureBlocks, slab_setup, split_features
 from .data import Dataset
-from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric
+from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric, carry_sum, matrix_blocks
 from .errors import ConfigError, json_field, json_number
 from .moments import empirical_test_moments, exact_moments
 from .selector import SelectionModel, clip_coefficients, run_selection
@@ -314,9 +314,13 @@ def _per_feature_excess_inductive(model: SyntheticModel, centers: np.ndarray) ->
 
 def _per_feature_excess_transductive(test, hidden_y, centers, moments) -> np.ndarray:
     """Test-risk excess of each recentred one-feature fit, from the test
-    block and its hidden labels."""
-    num = (test * hidden_y[:, None]).sum(axis=0)
-    den = (test**2).sum(axis=0)
+    block and its hidden labels. The column sums are carried over the
+    block's rows (``matrix_blocks``), so no temporary is as large as the
+    block, with the bits of reducing the whole block at once."""
+    num = den = None
+    for rows, t in matrix_blocks(test):
+        num = carry_sum(num, t * hidden_y[rows, None])
+        den = carry_sum(den, t**2)
     alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
     return moments.diag * (centers - alpha2) ** 2
 

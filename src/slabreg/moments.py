@@ -20,7 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dictionary import FeatureDictionary, ORTHONORMAL_KINDS, as_feature_matrix, matrix_blocks, validate_feature_matrix
+from .dictionary import (
+    FeatureDictionary,
+    ORTHONORMAL_KINDS,
+    as_feature_matrix,
+    carry_sum,
+    matrix_blocks,
+    validate_feature_matrix,
+)
 from .errors import ConfigError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-12
@@ -183,10 +190,7 @@ class EmpiricalTestMoments(DesignMoments):
         # carries its sums, so no temporary is as large as the block.
         total = None
         for _, t in matrix_blocks(self.block):
-            t2 = t**2
-            if total is not None:
-                t2[0] += total
-            total = np.add.reduce(t2, axis=0)
+            total = carry_sum(total, t**2)
         return total / self.block.shape[0]
 
     @cached_property

@@ -165,24 +165,27 @@ def project_feature(coefficients, k: int, centers, moments: DesignMoments, radiu
     """
     c = np.array(coefficients, dtype=float, copy=True)
     gamma = residual_gamma(c, k, centers, moments)
-    record = _project(c, k, gamma, float(radius.tau[k]), float(moments.diag[k]), n=1)
+    record = _project(c, k, gamma, float(radius.tau[k]), float(moments.diag[k]), [])
     return c, 0.0 if record is None else record.delta
 
 
-def _project(c, k: int, gamma: float, tau: float, v: float, n: int):
+def _project(c, k: int, gamma: float, tau: float, v: float, trace: list):
     """The projection step: soft threshold coordinate k of c in place.
 
     gamma is feature k's residual at c, computed by the caller. The
-    coefficient moves by sgn(gamma) (|gamma| - tau)_+; the returned record
-    (step number n) carries the squared movement v (|gamma| - tau)_+^2, or
-    None when c already lies in the slab.
+    coefficient moves by sgn(gamma) (|gamma| - tau)_+; the step's record,
+    numbered on from the trace, carries the squared movement
+    v (|gamma| - tau)_+^2 and is appended to ``trace`` and returned. None
+    when c already lies in the slab.
     """
     over = abs(gamma) - tau
     if over <= 0.0:
         return None
     step = math.copysign(over, gamma)
     c[k] += step
-    return IterationRecord(n=n, feature=k + 1, gamma=gamma, tau=tau, delta=v * over * over, update=step)
+    record = IterationRecord(n=len(trace) + 1, feature=k + 1, gamma=gamma, tau=tau, delta=v * over * over, update=step)
+    trace.append(record)
+    return record
 
 
 def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
@@ -197,67 +200,42 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
     if not np.any(active):
         warnings.warn("all features are degenerate; returning the zero model", stacklevel=3)
         return c, trace
-
-    def apply(k, gamma):
-        record = _project(c, k, gamma, float(tau[k]), float(v[k]), len(trace) + 1)
-        if record is not None:
-            trace.append(record)
-        return record
-
+    features = np.flatnonzero(active)
     if schedule == "GreedyMax":
         # Project onto the slab with the largest movement; stop when that
         # movement drops below kappa.
-        safe_v = np.where(active, v, 1.0)
+        v_a, tau_a, centers_a = v[features], tau[features], centers[features]
         for _ in range(max_iterations):
-            gamma = np.where(active, centers - moments.interactions(c) / safe_v, 0.0)
-            over = np.abs(gamma) - tau
-            delta = np.where(active & (over > 0.0), safe_v * over * over, 0.0)
+            gamma = centers_a - moments.interactions(c)[features] / v_a
+            over = np.abs(gamma) - tau_a
+            delta = np.where(over > 0.0, v_a * over * over, 0.0)
             best = int(np.argmax(delta))
             if delta[best] > 0.0:
-                apply(best, float(gamma[best]))
+                _project(c, int(features[best]), float(gamma[best]), float(tau_a[best]), float(v_a[best]), trace)
             if delta[best] < kappa:
                 return c, trace
         raise NumericalError(f"selection did not terminate within {max_iterations} iterations")
     # RoundRobin: cycle the features in index order, applying every positive
     # projection; stop when a full pass yields no improvement >= kappa.
     # max_iterations counts feature visits, so it allows that many full passes.
-    features = np.flatnonzero(active)
     for _ in range(max_iterations // m):
         sweep = moments.sweep(c)
+        visits = features
         if sweep.elementwise:
-            pass_best = _elementwise_pass(c, features, centers, v, tau, sweep, trace)
-        else:
-            pass_best = 0.0
-            for k in features.tolist():
-                record = apply(k, float(centers[k]) - float(sweep.interaction(k)) / float(v[k]))
-                if record is not None:
-                    sweep.move(k, record.update)
-                    pass_best = max(pass_best, record.delta)
+            # Each residual reads its own coefficient alone, which no earlier
+            # visit of the pass moves: visit the features outside their slabs.
+            gamma = centers[features] - sweep.interaction(features) / v[features]
+            visits = features[np.abs(gamma) - tau[features] > 0.0]
+        pass_best = 0.0
+        for k in visits.tolist():
+            gamma = float(centers[k]) - float(sweep.interaction(k)) / float(v[k])
+            record = _project(c, k, gamma, float(tau[k]), float(v[k]), trace)
+            if record is not None:
+                sweep.move(k, record.update)
+                pass_best = max(pass_best, record.delta)
         if pass_best < kappa:
             return c, trace
     raise NumericalError(f"selection did not terminate within {max_iterations} feature visits")
-
-
-def _elementwise_pass(c, features, centers, v, tau, sweep, trace) -> float:
-    """One RoundRobin pass over ``features`` whose residuals read their own
-    coefficients alone: ``_project`` on each, with its bits, taken as array
-    operations. Records are appended in index order; returns the pass's
-    largest movement (0.0 without one)."""
-    gamma = centers[features] - sweep.interaction(features) / v[features]
-    over = np.abs(gamma) - tau[features]
-    hit = over > 0.0
-    ks, gamma, over = features[hit], gamma[hit], over[hit]
-    step = np.copysign(over, gamma)
-    c[ks] += step
-    delta = v[ks] * over * over
-    first = len(trace) + 1
-    trace.extend(
-        IterationRecord(n=first + i, feature=k + 1, gamma=g, tau=t, delta=d, update=u)
-        for i, (k, g, t, d, u) in enumerate(
-            zip(ks.tolist(), gamma.tolist(), tau[ks].tolist(), delta.tolist(), step.tolist())
-        )
-    )
-    return float(delta.max(initial=0.0))
 
 
 def run_selection(

@@ -87,6 +87,18 @@ def _called_names(node):
     return {func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None) for func in calls}
 
 
+def test_selector_builds_iteration_records_in_the_projection_step_alone():
+    # One step moves a coefficient and records it; from_json_dict builds records through ``cls``.
+    tree = ast.parse((Path(slabreg.__file__).parent / "selector.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "IterationRecord"
+    ]
+    step = _function("selector", "_project")
+    assert calls and all(step.lineno <= line <= step.end_lineno for line in calls)
+
+
 def test_test_gram_is_not_compared_with_its_transpose():
     # The test Gram is exactly symmetric as built; nothing compares or averages it with its transpose.
     assert not _called_names(_function("moments", "empirical_test_moments")) & {"array_equal", "_symmetrize"}

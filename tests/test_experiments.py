@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,6 +312,39 @@ def test_per_feature_excess_closed_form_matches_oracle_loop(size, m):
             rtol=0.0,
             atol=1e-12,
         )
+
+
+def whole_block_excess(test, hidden_y, centers, diag):
+    """The transductive excess as first written, from whole-block temporaries."""
+    num = (test * hidden_y[:, None]).sum(axis=0)
+    den = (test**2).sum(axis=0)
+    alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    return diag * (centers - alpha2) ** 2
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "row_strided"])
+@pytest.mark.parametrize("rows,m", [(300, 16), (1100, 260), (50, 1)])
+def test_transductive_excess_in_row_blocks_is_the_whole_block_formula_bitwise(layout, rows, m):
+    # a C-ordered 1100 x 260 block is read in three row blocks of STATS_BLOCK_CELLS // m rows
+    rng = np.random.default_rng(rows + m)
+    test = rng.normal(size=(2 * rows, m)) * np.linspace(0.1, 10.0, m)
+    test = {"C": test[:rows], "F": np.asfortranarray(test[:rows]), "row_strided": test[::2]}[layout]
+    if m > 1:
+        test[:, 1] = 0.0  # a feature with no test moment
+    hidden_y, centers = rng.normal(size=rows), rng.normal(size=m)
+    moments = SimpleNamespace(diag=rng.uniform(0.5, 2.0, size=m))
+    excess = ex._per_feature_excess_transductive(test, hidden_y, centers, moments)
+    assert excess.tobytes() == whole_block_excess(test, hidden_y, centers, moments.diag).tobytes()
+
+
+def test_transductive_excess_stays_small_in_memory(peak_bytes):
+    rng = np.random.default_rng(7)
+    test = rng.normal(size=(2048, 2048))
+    hidden_y, centers = rng.normal(size=2048), rng.normal(size=2048)
+    moments = SimpleNamespace(diag=np.ones(2048))
+    peak = peak_bytes(lambda: ex._per_feature_excess_transductive(test, hidden_y, centers, moments))
+    # each whole-block temporary, test * y or test**2, is 32 MB
+    assert peak < 4 * 2**20
 
 
 def test_inductive_coverage_rows_equal_whole_matrix_rows(monkeypatch):

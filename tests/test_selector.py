@@ -450,20 +450,20 @@ def reference_iterate(centers, moments, radius, kappa, schedule, active, max_ite
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("geometry", ["identity", "dense", "degenerate", "empirical_test"])
+@pytest.mark.parametrize("warm", [False, True, "far"])
+@pytest.mark.parametrize("geometry", ["identity", "dense", "degenerate", "empirical_test", "identity_degenerate"])
 @pytest.mark.parametrize("schedule", selector.SCHEDULES)
 def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, seed):
     rng = np.random.default_rng(1000 + seed)
     n, m = 2048, 7
     k_test = 1 if geometry == "empirical_test" else 0
     feats = rng.normal(size=((k_test + 1) * n, m))
-    if geometry == "degenerate":
+    if geometry in ("degenerate", "identity_degenerate"):
         feats[:n, 2] = 0.0  # zero training moment
     truth = rng.normal(0.0, 1.0, size=m)
     y_all = feats @ truth + rng.normal(0.0, 0.3, size=feats.shape[0])
     ds = Dataset(x=np.arange(feats.shape[0], dtype=float), y=y_all[:n], hidden_y=y_all[n:] if k_test else None)
-    if geometry == "identity":
+    if geometry in ("identity", "identity_degenerate"):
         mom = DesignMoments(np.eye(m), "Exact")
     elif geometry == "empirical_test":
         # the dense engine on the test Gram; empirical_test_moments answers
@@ -481,7 +481,8 @@ def test_run_selection_matches_reference_loop_bitwise(schedule, geometry, warm, 
         if k_test
         else bounds.BoundSpec("IndVarFirstOrder", 0.2)
     )
-    warm_start = rng.normal(0.0, 0.1, size=m) if warm else None
+    # a "far" start lies outside every slab: under the identity the first pass moves every active feature
+    warm_start = rng.normal(0.0, {True: 0.1, "far": 10.0}[warm], size=m) if warm else None
     family = ExplicitMatrix(feats)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
