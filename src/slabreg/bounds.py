@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks, require_finite, row_blocks
-from .errors import ConfigError, json_field, json_number
+from .errors import REQUIRED, ConfigError, list_of, number, optional, read, text
 from .moments import DesignMoments
 
 @dataclass(frozen=True)
@@ -87,29 +87,29 @@ class BoundSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoundSpec":
-        if "variant" not in obj or "epsilon" not in obj:
-            raise ConfigError("bound spec needs 'variant' and 'epsilon'")
+        return cls(**read(obj, BOUND_KEYS, "bound "))
 
-        def number(value, name):
-            return None if value is None else json_number(value, f"bound {name}")
 
-        def keyed(part, key, where):
-            return number(json_field(part, key, f"bound {where}"), f"{where} {key}")
+def _pair(first: str, second: str):
+    """The kind of an object of two numbers, read as ``(first, second)``."""
+    table = {first: (number, REQUIRED), second: (number, REQUIRED)}
 
-        subexp = obj.get("subexp")
-        if subexp is not None:
-            subexp = tuple((keyed(p, "beta_h", "subexp"), keyed(p, "B_h", "subexp")) for p in subexp)
-        y_subexp = obj.get("y_subexp")
-        if y_subexp is not None:
-            y_subexp = (keyed(y_subexp, "b_y", "y_subexp"), keyed(y_subexp, "B_y", "y_subexp"))
-        return cls(
-            variant=obj["variant"],
-            epsilon=json_number(obj["epsilon"], "bound epsilon"),
-            B=number(obj.get("B"), "B"),
-            sigma2=number(obj.get("sigma2"), "sigma2"),
-            subexp=subexp,
-            y_subexp=y_subexp,
-        )
+    def read_pair(value, name: str) -> tuple:
+        values = read(value, table, name + " ")
+        return values[first], values[second]
+
+    return read_pair
+
+
+# A bound spec's keys; BoundSpec checks their domains.
+BOUND_KEYS = {
+    "variant": (text, REQUIRED),
+    "epsilon": (number, REQUIRED),
+    "B": (optional(number), None),
+    "sigma2": (optional(number), None),
+    "subexp": (optional(list_of(_pair("beta_h", "B_h"))), None),
+    "y_subexp": (optional(_pair("b_y", "B_y")), None),
+}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, data, dictionary, experiments, moments, selector
-from .errors import BudgetError, ConfigError, DataError, SlabregError, json_number
+from .errors import DIM_CAP, K_TEST_CAP, LEVELS_CAP, N_SAMPLES_CAP, REPLICATES_CAP, REQUIRED, SIZE_CAP, THREADS_CAP
+from .errors import BudgetError, ConfigError, DataError, NumericalError, SlabregError
+from .errors import choice, count, list_of, number, optional, path, probability, read, read_kind, seed, spec_object, text
 
 
 def _load_config(path):
@@ -36,34 +38,50 @@ def _load_config(path):
     return obj
 
 
+# The keys every subcommand reads, from its flags or its config file.
+COMMON_KEYS = {"seed": (seed, 0), "threads": (count(THREADS_CAP), 1), "out": (text, ".")}
+# The keys of fit, transduce and bounds, with each spec read as a JSON object
+# (from_spec and from_json_dict read its keys).
+DATA_KEYS = {
+    "train": (path, REQUIRED),
+    "dictionary": (spec_object, REQUIRED),
+    "bound": (spec_object, REQUIRED),
+    "epsilon": (optional(number), None),
+    "loo_index": (optional(list_of(count(SIZE_CAP, low=0))), None),
+}
+FIT_KEYS = {**DATA_KEYS, "kappa": (optional(number), None), "schedule": (choice(*selector.SCHEDULES), "GreedyMax")}
+INDUCTIVE_KEYS = {"moments": (spec_object, {"kind": "exact"})}
+COMMAND_KEYS = {
+    "fit": {**FIT_KEYS, **INDUCTIVE_KEYS},
+    "transduce": {**FIT_KEYS, "test": (path, REQUIRED)},
+    "bounds": {**DATA_KEYS, **INDUCTIVE_KEYS, "bound": (spec_object, {}), "test": (optional(path), None),
+               "variants": (optional(list_of(text)), None)},
+}
+# The keys of each kind of inductive moments.
+MOMENTS_KEYS = {
+    "exact": {},
+    "monte_carlo": {
+        "low": (number, 0.0),
+        "high": (number, 1.0),
+        "dim": (count(DIM_CAP), 1),
+        "n_samples": (count(N_SAMPLES_CAP), 100_000),
+        "seed": (seed, None),  # the run's seed
+    },
+    "file": {"path": (path, REQUIRED)},
+}
+
+
 def _resolve(args):
     """The config file with every flag given on the command line laid over it,
-    each under its own name; --json only shapes stdout."""
+    each under its own name, and the keys every subcommand reads resolved;
+    --json only shapes stdout."""
     flags = vars(args)
     config = _load_config(flags["config"])
     for key, value in flags.items():
         if value is not None and key not in ("command", "func", "config", "json"):
             config[key] = value
-    config["seed"] = _seed(config, "seed", 0)
-    config["threads"] = json_number(config.get("threads", 1), "threads", int)
-    config.setdefault("out", ".")
+    config.update(read(config, COMMON_KEYS))
     return config
-
-
-def _number(obj: dict, key: str, default, where: str = "", kind=float):
-    """``obj[key]``, or ``default`` when absent, read as a number; None stays
-    None. A malformed value is a ConfigError naming ``where + key``."""
-    value = obj.get(key, default)
-    return None if value is None else json_number(value, where + key, kind)
-
-
-def _seed(obj: dict, key: str, default, where: str = "") -> int:
-    """``obj[key]``, or ``default`` when absent, read as a seed: a
-    non-negative integer (numpy's SeedSequence takes no other)."""
-    seed = json_number(obj.get(key, default), where + key, int)
-    if seed < 0:
-        raise ConfigError(f"{where}{key} must be a non-negative integer, got {seed}")
-    return seed
 
 
 def _echoed(config):
@@ -76,18 +94,6 @@ def _echoed(config):
     return {k: v for k, v in config.items() if k not in ("threads", "out")}
 
 
-def _parse_inline_json(text, what):
-    """A spec given inline as a JSON string or already as an object."""
-    if isinstance(text, str):
-        try:
-            text = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(text, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {text!r}")
-    return text
-
-
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
@@ -97,60 +103,31 @@ def _write(path: Path, payload: bytes):
     path.write_bytes(payload)
 
 
-def _bound_spec(config) -> bounds.BoundSpec:
-    obj = config.get("bound")
-    if obj is None:
-        raise ConfigError("missing 'bound' specification ({variant, epsilon, ...})")
-    obj = _parse_inline_json(obj, "bound spec")
-    if "epsilon" not in obj and config.get("epsilon") is not None:
-        obj = {**obj, "epsilon": config["epsilon"]}
-    return bounds.BoundSpec.from_json_dict(obj)
+def _bound_spec(bound, epsilon) -> bounds.BoundSpec:
+    """The bound spec, with the config's epsilon when it gives none."""
+    if "epsilon" not in bound and epsilon is not None:
+        bound = {**bound, "epsilon": epsilon}
+    return bounds.BoundSpec.from_json_dict(bound)
 
 
-def _dictionary(config) -> dictionary.FeatureDictionary:
-    obj = config.get("dictionary")
-    if obj is None:
-        raise ConfigError("missing 'dictionary' specification ({kind, m, parameters})")
-    return dictionary.from_spec(_parse_inline_json(obj, "dictionary spec"))
-
-
-def _inductive_moments(config, family, seed):
-    spec = config.get("moments", {"kind": "exact"})
-    spec = _parse_inline_json(spec, "moments spec")
-    kind = spec.get("kind", "exact")
+def _inductive_moments(moments_spec, family, seed):
+    kind, spec = moments_spec
     if kind == "exact":
         return moments.exact_moments(family)
     if kind == "monte_carlo":
-        sampler = moments.uniform_sampler(
-            _number(spec, "low", 0.0, "moments."),
-            _number(spec, "high", 1.0, "moments."),
-            _number(spec, "dim", 1, "moments.", int),
-        )
-        return moments.monte_carlo_moments(
-            family,
-            sampler,
-            _number(spec, "n_samples", 100_000, "moments.", int),
-            _seed(spec, "seed", seed, "moments."),
-        )
-    if kind == "file":
-        if "path" not in spec:
-            raise ConfigError("moments kind 'file' needs a 'path'")
-        gram = moments.load_gram_csv(spec["path"])
-        if gram.m != family.m:
-            raise ConfigError(f"gram file covers {gram.m} features, dictionary has {family.m}")
-        return gram
-    raise ConfigError(f"unknown moments kind {kind!r} (exact, monte_carlo, file)")
+        sampler = moments.uniform_sampler(spec["low"], spec["high"], spec["dim"])
+        seed = seed if spec["seed"] is None else spec["seed"]
+        return moments.monte_carlo_moments(family, sampler, spec["n_samples"], seed)
+    gram = moments.load_gram_csv(spec["path"])
+    if gram.m != family.m:
+        raise ConfigError(f"gram file covers {gram.m} features, dictionary has {family.m}")
+    return gram
 
 
-def _loo_arguments(config, family):
+def _loo_arguments(loo_index, family):
     if isinstance(family, dictionary.MultiscaleGaussian):
         return family.center_train_indices
-    loo = config.get("loo_index")
-    if loo is None:
-        return None
-    if not isinstance(loo, list):
-        raise ConfigError(f"loo_index must be a list of training indices, got {loo!r}")
-    return np.asarray([json_number(i, "loo_index", int) for i in loo], dtype=int)
+    return None if loo_index is None else np.asarray(loo_index, dtype=int)
 
 
 def _with_test_block(x_train, y, x_test) -> data.Dataset:
@@ -177,43 +154,49 @@ def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _data_config(args):
+    """The resolved config of fit, transduce or bounds, its values, and the
+    dictionary it names, all read before any data file is."""
+    config = _resolve(args)
+    values = read(config, COMMAND_KEYS[args.command])
+    family = dictionary.from_spec(values["dictionary"])
+    values["loo_index"] = _loo_arguments(values["loo_index"], family)
+    if "moments" in values:
+        values["moments"] = read_kind(values["moments"], MOMENTS_KEYS, "moments.", "exact")
+    return config, values, family
+
+
 def cmd_fit(args) -> int:
     """``fit`` and ``transduce``: one pipeline, which branches only on the
     geometry, that is on whether a test block joins the training rows."""
-    config = _resolve(args)
+    config, values, family = _data_config(args)
     transductive = args.command == "transduce"
-    for key in ("train", "test") if transductive else ("train",):
-        if key not in config:
-            raise ConfigError(f"{args.command} needs a '{key}' file")
-    x, y = data.load_labeled_csv(config["train"])
+    spec = _bound_spec(values["bound"], values["epsilon"])
+    if spec.transductive != transductive:
+        raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
+    x, y = data.load_labeled_csv(values["train"])
     out = Path(config["out"])
     if transductive:
-        x_test = data.load_unlabeled_csv(config["test"])
+        x_test = data.load_unlabeled_csv(values["test"])
         if x_test.shape[0] == 0:
             sys.stderr.write("warning: empty test file, writing empty predictions\n")
             out.mkdir(parents=True, exist_ok=True)
             data.write_predictions_csv(out / "predictions.csv", np.empty(0))
             return 0
         ds = _with_test_block(x, y, x_test)
-    else:
-        ds = data.Dataset(x=x, y=y)
-    family = _dictionary(config)
-    spec = _bound_spec(config)
-    if spec.transductive != transductive:
-        raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
-    if transductive:
         blocks = bounds.split_features(family, ds)
         mom = moments.empirical_test_moments(blocks.test)
     else:
-        blocks, mom = None, _inductive_moments(config, family, config["seed"])
+        ds = data.Dataset(x=x, y=y)
+        blocks, mom = None, _inductive_moments(values["moments"], family, config["seed"])
     model = selector.run_selection(
         ds,
         family,
         mom,
         spec,
-        kappa=config.get("kappa"),
-        schedule=config.get("schedule", "GreedyMax"),
-        loo_index=_loo_arguments(config, family),
+        kappa=values["kappa"],
+        schedule=values["schedule"],
+        loo_index=values["loo_index"],
         seed=config["seed"],
         blocks=blocks,
     )
@@ -228,24 +211,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _bounds_table(config):
-    x, y = data.load_labeled_csv(config["train"])
-    family = _dictionary(config)
-    bound = _parse_inline_json(config.get("bound", {}), "bound spec")
-    variants = config.get("variants") or [_bound_spec(config).variant]
-    specs = [_bound_spec({**config, "bound": {**bound, "variant": name}}) for name in variants]
-    test_path = config.get("test")
+def _bounds_table(config, values, family):
+    bound = values["bound"]
+    variants = values["variants"] or [_bound_spec(bound, values["epsilon"]).variant]
+    specs = [_bound_spec({**bound, "variant": name}, values["epsilon"]) for name in variants]
     transductive = any(s.transductive for s in specs)
+    if transductive and values["test"] is None:
+        raise ConfigError("transductive bound variants need a 'test' file")
+    x, y = data.load_labeled_csv(values["train"])
     if transductive:
-        if test_path is None:
-            raise ConfigError("transductive bound variants need a 'test' file")
-        ds = _with_test_block(x, y, data.load_unlabeled_csv(test_path))
+        ds = _with_test_block(x, y, data.load_unlabeled_csv(values["test"]))
     else:
         ds = data.Dataset(x=x, y=y)
     # Only the empirical test Gram reads the test block.
     features = bounds.split_features(family, ds) if transductive else family
-    loo_index = _loo_arguments(config, family)
-    stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs], loo_index=loo_index)
+    stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs], loo_index=values["loo_index"])
     geometries = {}  # spec.transductive -> moments, each built on first use
     columns = {}
     for spec in specs:
@@ -253,7 +233,7 @@ def _bounds_table(config):
             geometries[spec.transductive] = (
                 moments.empirical_test_moments(features.test)
                 if spec.transductive
-                else _inductive_moments(config, family, config["seed"])
+                else _inductive_moments(values["moments"], family, config["seed"])
             )
         mom = geometries[spec.transductive]
         columns[spec.variant] = bounds.compute_radius(spec, stats, mom)
@@ -282,10 +262,8 @@ def _bounds_table(config):
 
 
 def cmd_bounds(args) -> int:
-    config = _resolve(args)
-    if "train" not in config:
-        raise ConfigError("bounds needs a labeled training file ('train')")
-    rows = _bounds_table(config)
+    config, values, family = _data_config(args)
+    rows = _bounds_table(config, values, family)
     if args.json:
         sys.stdout.write(_json_bytes({"config": _echoed(config), "rows": rows}).decode())
         return 0
@@ -296,95 +274,73 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-# The defaults of the studies that have no grid, for the keys the config omits.
+EXPERIMENT_KINDS = ("rate-sobolev", "rate-besov", "coverage", "transductive")
+RATE_KEYS = {
+    "grid": (list_of(count(SIZE_CAP), least=1), [64, 128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096]),
+    "replicates": (count(REPLICATES_CAP), 20),
+    "sigma_scale": (number, 1.0),
+    "budget_seconds": (optional(number), None),
+}
+# The defaults of the studies that have no grid, for the keys the config
+# omits, and the kinds of those keys.
 STUDY_DEFAULTS = {
     "coverage": {"N": 128, "m": 64, "variant": "IndExact", "epsilon": 0.25, "replicates": 500, "k_test": None},
     "transductive": {"N": 64, "m": 32, "variant": "TrBasicBounded", "epsilon": 0.1, "replicates": 100, "k_test": 1},
 }
+STUDY_KINDS = {
+    "N": count(SIZE_CAP),
+    "m": count(SIZE_CAP),
+    "variant": text,
+    "epsilon": probability,
+    "replicates": count(REPLICATES_CAP),
+    "k_test": optional(count(K_TEST_CAP, low=0)),
+}
+# The keys of each kind of truth given by its family rather than its coefficients.
+TRUTH_KEYS = {"smoothness": (number, 1.0), "scale": (number, 1.0), "noise": (experiments.NoiseSpec.from_spec, None)}
+MODEL_KEYS = {
+    "sobolev": {**TRUTH_KEYS, "size": (count(SIZE_CAP), None)},
+    "besov": {**TRUTH_KEYS, "levels": (count(LEVELS_CAP), 11), "seed": (seed, 0)},
+}
 
 
-def _study_number(config, key, kind=int):
-    """A study's ``key``, or its default when the config omits it; null is
-    not a number (only ``k_test`` may be null, and is read with ``_number``)."""
-    return json_number(config.get(key, STUDY_DEFAULTS[config["kind"]][key]), key, kind)
-
-
-def _default_truth_size(config) -> int:
-    """Coefficients of a sobolev truth whose config gives no ``size``: the
-    largest grid size for rate runs, max(N, m) for the other studies."""
-    if config["kind"] in STUDY_DEFAULTS:
-        return max(_study_number(config, "N"), _study_number(config, "m"))
-    return max(config["grid"])
-
-
-def _experiment_model(config) -> experiments.SyntheticModel:
-    spec = config.get("model")
-    if spec is not None:
-        spec = _parse_inline_json(spec, "model spec")
-        if "coefficients" in spec:
-            return experiments.SyntheticModel.from_spec(spec)
-        noise = experiments.NoiseSpec.from_spec(spec.get("noise", {"kind": "uniform", "scale": 0.05}))
-        kind = spec.get("kind", "sobolev")
-        smoothness = _number(spec, "smoothness", 1.0, "model.")
-        scale = _number(spec, "scale", 1.0, "model.")
-        if kind == "sobolev":
-            return experiments.sobolev_model(
-                smoothness=smoothness,
-                size=_number(spec, "size", _default_truth_size(config), "model.", int),
-                scale=scale,
-                noise=noise,
-            )
-        if kind == "besov":
-            return experiments.besov_spike_model(
-                smoothness=smoothness,
-                levels=_number(spec, "levels", 11, "model.", int),
-                scale=scale,
-                noise=noise,
-                seed=_seed(spec, "seed", 0, "model."),
-            )
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return experiments.sobolev_model(size=_default_truth_size(config))
+def _experiment_model(config, size) -> experiments.SyntheticModel:
+    """The config's truth; a sobolev truth whose config gives no ``size``
+    has ``size`` coefficients."""
+    spec = read(config, {"model": (optional(spec_object), None)})["model"]
+    if spec is None:
+        return experiments.sobolev_model(size=size)
+    if "coefficients" in spec:
+        return experiments.SyntheticModel.from_spec(spec)
+    kind, values = read_kind(spec, MODEL_KEYS, "model.", "sobolev")
+    if kind == "sobolev":
+        size = size if values["size"] is None else values["size"]
+        return experiments.sobolev_model(values["smoothness"], size, values["scale"], values["noise"])
+    return experiments.besov_spike_model(**values)
 
 
 def cmd_experiment(args) -> int:
     config = _resolve(args)
-    kind = config.get("kind")
-    if kind not in ("rate-sobolev", "rate-besov", "coverage", "transductive"):
-        raise ConfigError(
-            "experiment kind must be one of rate-sobolev, rate-besov, coverage, transductive"
-        )
+    kind = read(config, {"kind": (choice(*EXPERIMENT_KINDS), REQUIRED)})["kind"]
     threads, seed = config["threads"], config["seed"]
     started = time.monotonic()
     if kind in ("rate-sobolev", "rate-besov"):
-        grid = config.get("grid", [64, 128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096])
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError(f"grid must be a nonempty list of sample sizes, got {grid!r}")
-        config["grid"] = grid = [json_number(n, "grid", int) for n in grid]
+        values = read(config, RATE_KEYS)
+        config["grid"] = grid = values.pop("grid")
         if kind == "rate-besov" and "model" not in config:
             config["model"] = {"kind": "besov", "levels": max(grid).bit_length() - 1}
-        model = _experiment_model(config)
-        report = experiments.rate_experiment(
-            model,
-            grid,
-            replicates=json_number(config.get("replicates", 20), "replicates", int),
-            seed=seed,
-            sigma_scale=_number(config, "sigma_scale", 1.0),
-            threads=threads,
-            budget_seconds=_number(config, "budget_seconds", None),
-        )
+        model = _experiment_model(config, max(grid))
+        report = experiments.rate_experiment(model, grid, seed=seed, threads=threads, **values)
         report.kind = kind
     else:
+        defaults = STUDY_DEFAULTS[kind]
+        values = read(config, {key: (STUDY_KINDS[key], default) for key, default in defaults.items()})
         study = experiments.coverage_study if kind == "coverage" else experiments.transductive_experiment
         report = study(
-            model=_experiment_model(config),
-            n_train=_study_number(config, "N"),
-            m=_study_number(config, "m"),
-            variant=config.get("variant", STUDY_DEFAULTS[kind]["variant"]),
-            epsilon=_study_number(config, "epsilon", float),
-            replicates=_study_number(config, "replicates"),
-            k_test=_number(config, "k_test", STUDY_DEFAULTS[kind]["k_test"], kind=int),
+            model=_experiment_model(config, max(values["N"], values["m"])),
+            n_train=values.pop("N"),
             seed=seed,
             threads=threads,
+            **values,
         )
     out = Path(config["out"])
     payload = report.to_json_dict()
@@ -434,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--variant", {"dest": "variants", "metavar": "VARIANT", "action": "append",
                        "help": "repeatable; adds a beta/tau column per variant"}, ("bounds",)),
         ("--json", {"action": "store_true", "help": "machine-readable stdout"}, ("bounds",)),
-        ("--kind", {"choices": ["rate-sobolev", "rate-besov", "coverage", "transductive"]}, ("experiment",)),
+        ("--kind", {"choices": EXPERIMENT_KINDS}, ("experiment",)),
     ]
     for name, (func, text) in commands.items():
         command = sub.add_parser(name, help=text)
@@ -450,10 +406,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ArithmeticError as exc:  # float arithmetic on constants too large for it
+        error = NumericalError(f"{type(exc).__name__}: {exc}")
     except SlabregError as exc:
-        label = type(exc).__name__.removesuffix("Error").lower()
-        sys.stderr.write(f"{label} error: {exc}\n")
-        return exc.exit_code
+        error = exc
+    label = type(error).__name__.removesuffix("Error").lower()
+    sys.stderr.write(f"{label} error: {error}\n")
+    return error.exit_code
 
 
 def app() -> None:

@@ -18,7 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, json_field, json_number
+from .errors import LEVELS_CAP, REQUIRED, SIZE_CAP, ConfigError, DataError, NumericalError
+from .errors import count, matrix, number, optional, read, read_kind, spec_object
 
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
 # Angles per row block of Trigonometric.evaluate (1 MB of float64).
@@ -532,7 +533,7 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _restore_center_origin(family: MultiscaleGaussian, p: dict) -> MultiscaleGaussian:
+def _restore_center_origin(family: MultiscaleGaussian, origin) -> MultiscaleGaussian:
     """Give a rebuilt Gaussian family the stored ``center_origin``.
 
     The spec lists the centers already sorted, so the constructor's sort is
@@ -540,44 +541,52 @@ def _restore_center_origin(family: MultiscaleGaussian, p: dict) -> MultiscaleGau
     stored map refers to the listed order; composing it with the sort keeps
     it right for centers listed in any order.
     """
-    if "center_origin" not in p:
-        return family
     n = family.centers.shape[0]
-    origin = np.asarray(p["center_origin"])
-    if origin.shape != (n,) or origin.dtype.kind not in "iu" or not np.array_equal(np.sort(origin), np.arange(n)):
-        raise ConfigError(f"dictionary parameters.center_origin must be a permutation of range({n})")
-    family.center_origin = origin[family.center_origin]
+    if sorted(origin) != list(range(n)):
+        raise ConfigError(f"dictionary center_origin must be a permutation of range({n})")
+    family.center_origin = np.asarray(origin)[family.center_origin]
     return family
+
+
+def _origin(value, name: str) -> list:
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ConfigError(f"{name} must be a permutation of range(n), got {value!r}")
+    return value
+
+
+def _kernel(value, name: str) -> dict:
+    read_kind(value, KERNEL_KEYS, name + ".")
+    return value
+
+
+# The keys of each kernel of KernelPCA.
+KERNEL_KEYS = {"gaussian": {"gamma": (number, REQUIRED)}, "linear": {}, "explicit": {"matrix": (matrix, REQUIRED)}}
+_CENTERS = {"centers": (matrix, REQUIRED), "center_origin": (optional(_origin), None)}
+# The keys of each dictionary kind, read from its spec's parameters (and m
+# from the spec itself).
+DICTIONARY_KEYS = {
+    "Trigonometric": {"m": (count(SIZE_CAP), REQUIRED)},
+    "Haar": {"levels": (count(LEVELS_CAP, low=0), REQUIRED)},
+    "MultiscaleGaussian": {**_CENTERS, "scales": (matrix, REQUIRED)},
+    "GaussianKernel": {**_CENTERS, "scale": (number, REQUIRED)},
+    "KernelPCA": {
+        "points": (matrix, REQUIRED),
+        "kernel": (_kernel, REQUIRED),
+        "top": (count(SIZE_CAP), REQUIRED),
+        "eigenvalues": (optional(matrix), None),
+        "eigenvectors": (optional(matrix), None),
+    },
+    "ExplicitMatrix": {"values": (matrix, REQUIRED)},
+}
+DICTIONARY_CLASSES = {
+    cls.kind: cls for cls in (Trigonometric, Haar, MultiscaleGaussian, GaussianKernel, KernelPCA, ExplicitMatrix)
+}
 
 
 def from_spec(spec: dict) -> FeatureDictionary:
     """Rebuild a dictionary from its serialized {kind, m, parameters} form."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("dictionary spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    p = spec.get("parameters", {})
-
-    def param(key):
-        return json_field(p, key, f"{kind} dictionary parameters")
-
-    if kind == "Trigonometric":
-        return Trigonometric(json_number(spec.get("m", p.get("m", 0)), "dictionary m", int))
-    if kind == "Haar":
-        return Haar(json_number(param("levels"), "dictionary parameters.levels", int))
-    if kind == "MultiscaleGaussian":
-        scales = [json_number(s, "dictionary parameters.scales") for s in np.ravel(param("scales"))]
-        return _restore_center_origin(MultiscaleGaussian(param("centers"), scales), p)
-    if kind == "GaussianKernel":
-        scale = json_number(param("scale"), "dictionary parameters.scale")
-        return _restore_center_origin(GaussianKernel(param("centers"), scale), p)
-    if kind == "KernelPCA":
-        return KernelPCA(
-            param("points"),
-            param("kernel"),
-            json_number(param("top"), "dictionary parameters.top", int),
-            eigenvalues=p.get("eigenvalues"),
-            eigenvectors=p.get("eigenvectors"),
-        )
-    if kind == "ExplicitMatrix":
-        return ExplicitMatrix(param("values"))
-    raise ConfigError(f"unknown dictionary kind {kind!r}")
+    parameters = read(spec, {"parameters": (spec_object, {})}, "dictionary ")["parameters"]
+    kind, p = read_kind({**parameters, **spec}, DICTIONARY_KEYS, "dictionary ")
+    origin = p.pop("center_origin", None)
+    family = DICTIONARY_CLASSES[kind](**p)
+    return family if origin is None else _restore_center_origin(family, origin)

@@ -1,7 +1,32 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy shared by the library and the CLI, and the one reader
+of config values.
 
 Exit codes: 2 configuration, 3 data, 4 numerical, 5 budget.
+
+A config value is checked once, where it is read: ``read(obj, table, where)``
+reads a JSON object through a table of ``key -> (kind, default)``, and a kind
+is a function ``kind(value, name)`` that returns the checked value or raises
+a ConfigError naming the key. The caps below bound every size a config can
+name, and are checked before anything of that size is allocated.
 """
+
+import json
+import os
+from math import isfinite
+
+# N, m, grid sizes, truth sizes, kernel PCA's top and loo_index entries.
+SIZE_CAP = 1 << 18
+# Haar dictionary and Besov truth levels (2 ** (levels + 1) and 2 ** levels terms).
+LEVELS_CAP = 18
+K_TEST_CAP = 64
+REPLICATES_CAP = 100_000
+N_SAMPLES_CAP = 1 << 24
+# Coordinates of a Monte Carlo design point.
+DIM_CAP = 64
+THREADS_CAP = 16
+
+# The default of a key that must be present.
+REQUIRED = object()
 
 
 class SlabregError(Exception):
@@ -32,6 +57,31 @@ class BudgetError(SlabregError):
     exit_code = 5
 
 
+def read(obj, table: dict, where: str = "") -> dict:
+    """``{key: kind(obj[key], where + key)}`` for every key of ``table``, a
+    JSON object; an absent key takes its default, or is a ConfigError when
+    that default is REQUIRED."""
+    place = where.rstrip(". ") or "config"
+    if not isinstance(obj, dict):
+        raise _invalid(place, "a JSON object", obj)
+    values = {}
+    for key, (kind, default) in table.items():
+        if key in obj:
+            values[key] = kind(obj[key], where + key)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {key!r} in {place}")
+        else:
+            values[key] = default
+    return values
+
+
+def read_kind(obj, tables: dict, where: str, default=REQUIRED) -> tuple:
+    """``obj``'s ``kind``, one of ``tables``' keys, and ``obj`` read through
+    that kind's table."""
+    kind = read(obj, {"kind": (choice(*tables), default)}, where)["kind"]
+    return kind, read(obj, tables[kind], where)
+
+
 def json_number(value, field: str, kind=float):
     """``kind(value)`` for a number read from a JSON spec. A string, a boolean,
     a value ``kind`` rejects, or a fractional value read as an int is a
@@ -47,9 +97,110 @@ def json_number(value, field: str, kind=float):
     return number
 
 
-def json_field(obj, key: str, where: str):
-    """``obj[key]`` for an object read from a JSON spec. A missing key, or an
-    ``obj`` that is not an object, is a ConfigError naming the key."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return obj[key]
+def _invalid(name: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def number(value, name: str) -> float:
+    """A finite float."""
+    x = json_number(value, name)
+    if not isfinite(x):
+        raise _invalid(name, "finite", value)
+    return x
+
+
+def probability(value, name: str) -> float:
+    """A float in (0, 1)."""
+    p = number(value, name)
+    if not 0.0 < p < 1.0:
+        raise _invalid(name, "in (0, 1)", p)
+    return p
+
+
+def count(cap: int, low: int = 1):
+    """The kind of an integer in low..cap."""
+
+    def read_count(value, name: str) -> int:
+        n = json_number(value, name, int)
+        if not low <= n <= cap:
+            raise _invalid(name, f"in {low}..{cap}", n)
+        return n
+
+    return read_count
+
+
+def seed(value, name: str) -> int:
+    """A non-negative integer (numpy's SeedSequence takes no other)."""
+    n = json_number(value, name, int)
+    if n < 0:
+        raise _invalid(name, "a non-negative integer", n)
+    return n
+
+
+def text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise _invalid(name, "a string", value)
+    return value
+
+
+def choice(*options: str):
+    """The kind of one of ``options``."""
+
+    def read_choice(value, name: str) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise _invalid(name, f"one of {', '.join(options)}", value)
+        return value
+
+    return read_choice
+
+
+def path(value, name: str) -> str:
+    """A string naming an existing file."""
+    if not (isinstance(value, str) and os.path.isfile(value)):
+        raise _invalid(name, "an existing file", value)
+    return value
+
+
+def spec_object(value, name: str) -> dict:
+    """A JSON object, given as one or as a string holding one (an inline flag)."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{name} spec is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise _invalid(f"{name} spec", "a JSON object", value)
+    return value
+
+
+def matrix(value, name: str):
+    """Points or a matrix, as given: a number, a list of numbers, or a list
+    of equal-length lists of numbers, every number finite."""
+    rows = value if isinstance(value, list) else [value]
+    if len({len(row) if isinstance(row, list) else -1 for row in rows}) > 1:
+        raise _invalid(name, "a list of numbers or of equal-length lists", value)
+    for row in rows:
+        cells = row if isinstance(row, list) else (row,)
+        # A row of plain finite floats and ints passes in one generator; any
+        # other row is read cell by cell through ``number``, which names the
+        # first bad cell.
+        if not all(type(c) is float and isfinite(c) or type(c) is int and abs(c) < 1e308 for c in cells):
+            for cell in cells:
+                number(cell, name)
+    return value
+
+
+def list_of(kind, least: int = 0):
+    """The kind of a list of at least ``least`` values of ``kind``."""
+
+    def read_list(value, name: str) -> list:
+        if not isinstance(value, list) or len(value) < least:
+            raise _invalid(name, f"a list of at least {least} values" if least else "a list", value)
+        return [kind(item, name) for item in value]
+
+    return read_list
+
+
+def optional(kind):
+    """The kind of null or a value of ``kind``."""
+    return lambda value, name: None if value is None else kind(value, name)

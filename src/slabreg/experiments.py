@@ -20,11 +20,13 @@ import numpy as np
 from .bounds import VARIANT_TABLE, BoundSpec, FeatureBlocks, slab_setup, split_features
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric, carry_sum, matrix_blocks
-from .errors import ConfigError, json_field, json_number
+from .errors import REQUIRED, ConfigError, list_of, number, optional, read, text
 from .moments import empirical_test_moments, exact_moments
 from .selector import SelectionModel, clip_coefficients, run_selection
 
 NOISE_KINDS = ("gaussian", "uniform", "rademacher", "none")
+# A noise spec's keys; NoiseSpec checks their domains.
+NOISE_KEYS = {"kind": (text, "gaussian"), "scale": (number, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ class NoiseSpec:
         return {"kind": self.kind, "scale": self.scale}
 
     @classmethod
-    def from_spec(cls, obj):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"noise must be an object {{kind, scale}}, got {obj!r}")
-        return cls(kind=obj.get("kind", "gaussian"), scale=json_number(obj.get("scale", 0.0), "noise.scale"))
+    def from_spec(cls, obj, *_):
+        """Also the kind of a model's noise key: whatever key holds the
+        spec, its errors name ``noise.<key>``."""
+        return cls(**read(obj, NOISE_KEYS, "noise."))
 
 
 @dataclass(frozen=True)
@@ -135,16 +137,16 @@ class SyntheticModel:
 
     @classmethod
     def from_spec(cls, obj):
-        coefs = json_field(obj, "coefficients", "model spec")
-        if not isinstance(coefs, list):
-            raise ConfigError(f"model.coefficients must be a list of numbers, got {coefs!r}")
-        regularity = obj.get("regularity")
-        return cls(
-            coefficients=np.asarray([json_number(c, "model.coefficients") for c in coefs]),
-            basis=obj.get("basis", "Trigonometric"),
-            noise=NoiseSpec.from_spec(obj.get("noise", {})),
-            regularity=None if regularity is None else json_number(regularity, "model.regularity"),
-        )
+        return cls(**read(obj, MODEL_KEYS, "model."))
+
+
+# The keys of a truth given by its coefficients.
+MODEL_KEYS = {
+    "coefficients": (list_of(number), REQUIRED),
+    "basis": (text, "Trigonometric"),
+    "noise": (NoiseSpec.from_spec, NoiseSpec()),
+    "regularity": (optional(number), None),
+}
 
 
 def sobolev_model(
@@ -314,13 +316,14 @@ def _per_feature_excess_inductive(model: SyntheticModel, centers: np.ndarray) ->
 
 def _per_feature_excess_transductive(test, hidden_y, centers, moments) -> np.ndarray:
     """Test-risk excess of each recentred one-feature fit, from the test
-    block and its hidden labels. The column sums are carried over the
-    block's rows (``matrix_blocks``), so no temporary is as large as the
-    block, with the bits of reducing the whole block at once."""
-    num = den = None
+    block, its hidden labels and its moments' column sums of squares. The
+    label sums are carried over the block's rows (``matrix_blocks``), so no
+    temporary is as large as the block, with the bits of reducing the whole
+    block at once."""
+    num = None
     for rows, t in matrix_blocks(test):
         num = carry_sum(num, t * hidden_y[rows, None])
-        den = carry_sum(den, t**2)
+    den = moments.sum_squares
     alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
     return moments.diag * (centers - alpha2) ** 2
 

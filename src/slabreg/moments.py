@@ -185,13 +185,18 @@ class EmpiricalTestMoments(DesignMoments):
         return self.block.shape[1]
 
     @cached_property
-    def diag(self) -> np.ndarray:
-        # Column sums of squares in row blocks, carried as compute_stats
-        # carries its sums, so no temporary is as large as the block.
+    def sum_squares(self) -> np.ndarray:
+        """The columns' sums of squares (``diag`` times kN), in row blocks
+        carried as compute_stats carries its sums, so no temporary is as
+        large as the block."""
         total = None
         for _, t in matrix_blocks(self.block):
             total = carry_sum(total, t**2)
-        return total / self.block.shape[0]
+        return total
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return self.sum_squares / self.block.shape[0]
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -253,10 +258,9 @@ def monte_carlo_moments(dictionary: FeatureDictionary, sampler, n_samples: int, 
         take = min(MC_BATCH, n_samples - done)
         pts = sampler(rng, take)
         feats = validate_feature_matrix(dictionary.evaluate(pts))
-        acc += feats.T @ feats
+        acc += feats.T @ feats  # one syrk: exactly symmetric
         done += take
-    g = _symmetrize(acc / n_samples)
-    return DesignMoments(g, "MonteCarlo")
+    return DesignMoments(acc / n_samples, "MonteCarlo")
 
 
 def empirical_test_moments(test: np.ndarray) -> EmpiricalTestMoments:

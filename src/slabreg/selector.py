@@ -35,7 +35,7 @@ from . import __version__
 from .bounds import BoundSpec, ConfidenceRadius, FeatureBlocks, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
-from .errors import ConfigError, NumericalError, json_number
+from .errors import ConfigError, NumericalError
 from .moments import DesignMoments
 
 SCHEDULES = ("GreedyMax", "RoundRobin")
@@ -264,7 +264,7 @@ def run_selection(
     if schedule not in SCHEDULES:
         raise ConfigError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
     n = data.n_train
-    kappa = 1.0 / (2.0 * n) if kappa is None else json_number(kappa, "kappa")
+    kappa = 1.0 / (2.0 * n) if kappa is None else float(kappa)
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
     slabs = slab_setup(dictionary if blocks is None else blocks, data, moments, spec, loo_index=loo_index)

@@ -93,6 +93,22 @@ def test_transduce_empty_test_warns_and_writes_empty(tmp_path, train_csv, capsys
     assert (out / "predictions.csv").read_text() == "index,prediction\n"
 
 
+@pytest.mark.parametrize(
+    "dictionary_spec,bound,message",
+    [('{"kind":"Nope"}', '{"variant":"Bogus","epsilon":0.1}', "dictionary kind must be one of"),
+     (TRIG5, '{"variant":"Bogus","epsilon":0.1}', "unknown bound variant 'Bogus'")],
+)
+def test_transduce_empty_test_file_reads_the_whole_config_first(tmp_path, train_csv, dictionary_spec, bound, message, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1\n")
+    out = tmp_path / "run"
+    code = run_cli(["transduce", "--train", train_csv, "--test", empty, "--dictionary", dictionary_spec,
+                    "--bound", bound, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 def test_transduce_infers_k_from_row_counts(tmp_path, train_csv):
     rng = np.random.default_rng(5)
     test2 = tmp_path / "test2.csv"
@@ -913,6 +929,8 @@ MALFORMED_FIT_VALUES = {
     "threads": {"threads": "x"},
     "loo_index": {"loo_index": "abc"},
     "moments spec": {"moments": [1, 2]},
+    "kappa": {"kappa": float("nan")},
+    "moments.high": {"moments": {"kind": "monte_carlo", "n_samples": 100, "high": float("inf")}},
 }
 
 
@@ -953,6 +971,12 @@ MALFORMED_EXPERIMENT_VALUES = [
     ("model.coefficients", {"kind": "coverage", "model": {"coefficients": "abc"}}),
     ("model.coefficients", {"kind": "coverage", "model": {"coefficients": [1.0, "x"]}}),
     ("model.regularity", {"kind": "coverage", "model": {"coefficients": [1.0, 0.5], "regularity": "x"}}),
+    ("sigma_scale", {**RATE, "sigma_scale": float("nan")}),
+    ("budget_seconds", {**RATE, "budget_seconds": float("nan")}),
+    ("epsilon", {"kind": "coverage", "epsilon": float("nan")}),
+    ("model.smoothness", {"kind": "coverage", "model": {"kind": "sobolev", "smoothness": float("inf")}}),
+    ("model.scale", {"kind": "coverage", "model": {"kind": "besov", "scale": float("nan")}}),
+    ("noise.scale", {"kind": "coverage", "model": {"kind": "sobolev", "noise": {"kind": "uniform", "scale": float("inf")}}}),
 ]
 
 

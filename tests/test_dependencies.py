@@ -115,6 +115,31 @@ def test_csv_row_loop_makes_no_numpy_call():
     assert numpy_calls == []
 
 
+# The reader's plain kinds and the converters they replaced: outside the
+# reader's module a table may name a kind, but no code calls one.
+CONVERTERS = {"json_number", "json_field", "number", "probability", "seed", "text", "path", "spec_object", "matrix"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_reader_converts_config_values(path):
+    if path.name == "errors.py":
+        return
+    tree = ast.parse(path.read_text())
+    calls = [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in CONVERTERS
+    ]
+    if path.name == "cli.py":
+        calls += [
+            f"{node.lineno}: def {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("_number", "_seed", "_study_number")
+        ]
+    assert calls == []
+
+
 def _subparsers():
     parser = cli.build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices

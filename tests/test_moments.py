@@ -49,6 +49,22 @@ def test_montecarlo_deterministic_given_seed():
     np.testing.assert_array_equal(a.gram, b.gram)
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        fd.Trigonometric(9),
+        fd.MultiscaleGaussian([[0.1], [0.4], [0.8]], [2.0, 30.0]),
+        fd.KernelPCA(np.linspace(0.0, 1.0, 12), {"kind": "gaussian", "gamma": 5.0}, 6),
+    ],
+    ids=lambda family: family.kind,
+)
+def test_montecarlo_gram_is_exactly_symmetric_without_averaging(family):
+    # Each batch's product is one syrk, so the Gram needs no 0.5 * (G + G.T).
+    gram = dm.monte_carlo_moments(family, dm.uniform_sampler(), 2 * dm.MC_BATCH + 17, seed=3).gram
+    assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+    assert gram.tobytes() == dm._symmetrize(gram).tobytes()
+
+
 def test_montecarlo_variance_halves_when_samples_double():
     family = fd.Trigonometric(3)
     entry = []
