@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks, require_finite, row_blocks
-from .errors import REQUIRED, ConfigError, list_of, number, optional, read, text
+from .errors import REQUIRED, ConfigError, NumericalError, json_object, list_of, number, optional, read, text
 from .moments import DesignMoments
 
 @dataclass(frozen=True)
@@ -87,29 +87,26 @@ class BoundSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoundSpec":
-        return cls(**read(obj, BOUND_KEYS, "bound "))
+        values = read(obj, BOUND_KEYS, "bound ")
+        if values["subexp"] is not None:
+            values["subexp"] = [tuple(read(p, SUBEXP_KEYS, "bound subexp ").values()) for p in values["subexp"]]
+        if values["y_subexp"] is not None:
+            values["y_subexp"] = tuple(read(values["y_subexp"], Y_SUBEXP_KEYS, "bound y_subexp ").values())
+        return cls(**values)
 
 
-def _pair(first: str, second: str):
-    """The kind of an object of two numbers, read as ``(first, second)``."""
-    table = {first: (number, REQUIRED), second: (number, REQUIRED)}
-
-    def read_pair(value, name: str) -> tuple:
-        values = read(value, table, name + " ")
-        return values[first], values[second]
-
-    return read_pair
-
-
-# A bound spec's keys; BoundSpec checks their domains.
+# A bound spec's keys, and those of its subexp pairs, each read in this
+# order; BoundSpec checks their domains.
 BOUND_KEYS = {
     "variant": (text, REQUIRED),
     "epsilon": (number, REQUIRED),
     "B": (optional(number), None),
     "sigma2": (optional(number), None),
-    "subexp": (optional(list_of(_pair("beta_h", "B_h"))), None),
-    "y_subexp": (optional(_pair("b_y", "B_y")), None),
+    "subexp": (optional(list_of(json_object)), None),
+    "y_subexp": (optional(json_object), None),
 }
+SUBEXP_KEYS = {"beta_h": (number, REQUIRED), "B_h": (number, REQUIRED)}
+Y_SUBEXP_KEYS = {"b_y": (number, REQUIRED), "B_y": (number, REQUIRED)}
 
 
 @dataclass(frozen=True)
@@ -549,7 +546,10 @@ def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments)
             f"{spec.variant} reads {', '.join(missing)}, which these statistics lack; "
             f"compute them with compute_stats for variant {spec.variant!r}{also}"
         )
-    return entry.radius(stats, moments, spec)
+    try:
+        return entry.radius(stats, moments, spec)
+    except OverflowError:  # a finite constant whose power is past the float range
+        raise NumericalError(f"{spec.variant} radius overflows with bound constants {spec.to_json_dict()}") from None
 
 
 def alpha_hat(stats: FeatureStats) -> np.ndarray:

@@ -295,8 +295,10 @@ STUDY_KINDS = {
     "replicates": count(REPLICATES_CAP),
     "k_test": optional(count(K_TEST_CAP, low=0)),
 }
-# The keys of each kind of truth given by its family rather than its coefficients.
-TRUTH_KEYS = {"smoothness": (number, 1.0), "scale": (number, 1.0), "noise": (experiments.NoiseSpec.from_spec, None)}
+# The keys of each kind of truth given by its family rather than its
+# coefficients, besides its ``noise`` (a noise spec, as in a truth given by
+# its coefficients).
+TRUTH_KEYS = {"smoothness": (number, 1.0), "scale": (number, 1.0)}
 MODEL_KEYS = {
     "sobolev": {**TRUTH_KEYS, "size": (count(SIZE_CAP), None)},
     "besov": {**TRUTH_KEYS, "levels": (count(LEVELS_CAP), 11), "seed": (seed, 0)},
@@ -312,10 +314,11 @@ def _experiment_model(config, size) -> experiments.SyntheticModel:
     if "coefficients" in spec:
         return experiments.SyntheticModel.from_spec(spec)
     kind, values = read_kind(spec, MODEL_KEYS, "model.", "sobolev")
+    noise = experiments.NoiseSpec.from_spec(spec["noise"]) if "noise" in spec else None
     if kind == "sobolev":
         size = size if values["size"] is None else values["size"]
-        return experiments.sobolev_model(values["smoothness"], size, values["scale"], values["noise"])
-    return experiments.besov_spike_model(**values)
+        return experiments.sobolev_model(values["smoothness"], size, values["scale"], noise)
+    return experiments.besov_spike_model(**values, noise=noise)
 
 
 def cmd_experiment(args) -> int:
@@ -406,8 +409,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArithmeticError as exc:  # float arithmetic on constants too large for it
-        error = NumericalError(f"{type(exc).__name__}: {exc}")
     except SlabregError as exc:
         error = exc
     label = type(error).__name__.removesuffix("Error").lower()

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import LEVELS_CAP, REQUIRED, SIZE_CAP, ConfigError, DataError, NumericalError
-from .errors import count, matrix, number, optional, read, read_kind, spec_object
+from .errors import count, json_object, number, optional, read, read_kind
 
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
 # Angles per row block of Trigonometric.evaluate (1 MB of float64).
@@ -29,9 +29,19 @@ ANGLE_BLOCK_CELLS = 1 << 17
 TRIG_BLOCK = 64
 
 
+def as_floats(values, name: str = "design points") -> np.ndarray:
+    """``values`` as a float array; ragged or non-numeric input is a
+    ConfigError naming it. Also the kind of a spec key holding points or a
+    matrix."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number or a list of numbers or of equal-length lists of numbers") from None
+
+
 def as_points(points) -> np.ndarray:
     """Coerce input to an (n, d) float array; 1-d input becomes a column."""
-    a = np.asarray(points, dtype=float)
+    a = as_floats(points)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -71,7 +81,7 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def as_feature_matrix(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
+    values = as_floats(values, "feature matrix")
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {values.shape}")
     return values
@@ -340,7 +350,7 @@ class MultiscaleGaussian(FeatureDictionary):
         centers = as_points(centers)
         if centers.shape[0] == 0:
             raise ConfigError("gaussian dictionary needs at least one center")
-        scales = np.asarray(scales, dtype=float).ravel()
+        scales = as_floats(scales, "scales").ravel()
         if scales.size == 0 or np.any(scales <= 0) or not np.all(np.isfinite(scales)):
             raise ConfigError("gaussian dictionary needs positive finite scales")
         order = np.lexsort(centers.T[::-1])
@@ -399,15 +409,9 @@ class GaussianKernel(MultiscaleGaussian):
 
 
 def _kernel_matrix(kernel: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    kind = kernel.get("kind")
-    if kind == "gaussian":
-        gamma = float(kernel["gamma"])
-        if gamma <= 0:
-            raise ConfigError("gaussian kernel needs gamma > 0")
-        return np.exp(-0.5 * gamma * squared_distances(a, b))
-    if kind == "linear":
-        return a @ b.T
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+    if kernel["kind"] == "gaussian":
+        return np.exp(-0.5 * float(kernel["gamma"]) * squared_distances(a, b))
+    return a @ b.T
 
 
 class KernelPCA(FeatureDictionary):
@@ -426,14 +430,18 @@ class KernelPCA(FeatureDictionary):
         n = self.points.shape[0]
         if n == 0:
             raise ConfigError("kernel PCA needs a nonempty design sample")
-        self.kernel = dict(kernel)
+        kind, values = read_kind(kernel, KERNEL_KEYS, "dictionary kernel.")
+        if kind == "gaussian" and values["gamma"] <= 0:
+            raise ConfigError("gaussian kernel needs gamma > 0")
+        # An explicit kernel keeps its matrix as read, a float array.
+        self.kernel = {**kernel, **values} if kind == "explicit" else dict(kernel)
         top = int(top)
         if not 1 <= top <= n:
             raise ConfigError(f"top must be in 1..{n}, got {top}")
         self.top = top
         if eigenvalues is not None and eigenvectors is not None:
-            self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-            self.eigenvectors = np.asarray(eigenvectors, dtype=float)
+            self.eigenvalues = as_floats(eigenvalues, "eigenvalues")
+            self.eigenvectors = as_floats(eigenvectors, "eigenvectors")
             if self.eigenvectors.shape != (n, top) or self.eigenvalues.shape != (top,):
                 raise ConfigError(
                     f"kernel PCA spec needs eigenvectors of shape {(n, top)} and eigenvalues "
@@ -457,8 +465,8 @@ class KernelPCA(FeatureDictionary):
         self.eigenvectors = vecs[:, :top].copy()
 
     def _gram(self) -> np.ndarray:
-        if self.kernel.get("kind") == "explicit":
-            K = np.asarray(self.kernel["matrix"], dtype=float)
+        if self.kernel["kind"] == "explicit":
+            K = self.kernel["matrix"]
             n = self.points.shape[0]
             if K.shape != (n, n):
                 raise ConfigError(f"explicit kernel matrix must be {n}x{n}, got {K.shape}")
@@ -473,7 +481,7 @@ class KernelPCA(FeatureDictionary):
 
     def evaluate(self, points):
         pts = as_points(points)
-        if self.kernel.get("kind") == "explicit":
+        if self.kernel["kind"] == "explicit":
             if pts.shape != self.points.shape or not np.array_equal(pts, self.points):
                 raise DataError("explicit-kernel PCA features evaluate only at the stored sample")
             cross = self._gram()
@@ -484,7 +492,7 @@ class KernelPCA(FeatureDictionary):
     def parameters(self):
         kernel = dict(self.kernel)
         if "matrix" in kernel:
-            kernel["matrix"] = np.asarray(kernel["matrix"], dtype=float).tolist()
+            kernel["matrix"] = kernel["matrix"].tolist()
         return {
             "points": self.points.tolist(),
             "kernel": kernel,
@@ -554,29 +562,24 @@ def _origin(value, name: str) -> list:
     return value
 
 
-def _kernel(value, name: str) -> dict:
-    read_kind(value, KERNEL_KEYS, name + ".")
-    return value
-
-
 # The keys of each kernel of KernelPCA.
-KERNEL_KEYS = {"gaussian": {"gamma": (number, REQUIRED)}, "linear": {}, "explicit": {"matrix": (matrix, REQUIRED)}}
-_CENTERS = {"centers": (matrix, REQUIRED), "center_origin": (optional(_origin), None)}
+KERNEL_KEYS = {"gaussian": {"gamma": (number, REQUIRED)}, "linear": {}, "explicit": {"matrix": (as_floats, REQUIRED)}}
+_CENTERS = {"centers": (as_floats, REQUIRED), "center_origin": (optional(_origin), None)}
 # The keys of each dictionary kind, read from its spec's parameters (and m
 # from the spec itself).
 DICTIONARY_KEYS = {
     "Trigonometric": {"m": (count(SIZE_CAP), REQUIRED)},
     "Haar": {"levels": (count(LEVELS_CAP, low=0), REQUIRED)},
-    "MultiscaleGaussian": {**_CENTERS, "scales": (matrix, REQUIRED)},
+    "MultiscaleGaussian": {**_CENTERS, "scales": (as_floats, REQUIRED)},
     "GaussianKernel": {**_CENTERS, "scale": (number, REQUIRED)},
     "KernelPCA": {
-        "points": (matrix, REQUIRED),
-        "kernel": (_kernel, REQUIRED),
+        "points": (as_floats, REQUIRED),
+        "kernel": (json_object, REQUIRED),
         "top": (count(SIZE_CAP), REQUIRED),
-        "eigenvalues": (optional(matrix), None),
-        "eigenvectors": (optional(matrix), None),
+        "eigenvalues": (optional(as_floats), None),
+        "eigenvectors": (optional(as_floats), None),
     },
-    "ExplicitMatrix": {"values": (matrix, REQUIRED)},
+    "ExplicitMatrix": {"values": (as_floats, REQUIRED)},
 }
 DICTIONARY_CLASSES = {
     cls.kind: cls for cls in (Trigonometric, Haar, MultiscaleGaussian, GaussianKernel, KernelPCA, ExplicitMatrix)
@@ -585,7 +588,7 @@ DICTIONARY_CLASSES = {
 
 def from_spec(spec: dict) -> FeatureDictionary:
     """Rebuild a dictionary from its serialized {kind, m, parameters} form."""
-    parameters = read(spec, {"parameters": (spec_object, {})}, "dictionary ")["parameters"]
+    parameters = read(spec, {"parameters": (json_object, {})}, "dictionary ")["parameters"]
     kind, p = read_kind({**parameters, **spec}, DICTIONARY_KEYS, "dictionary ")
     origin = p.pop("center_origin", None)
     family = DICTIONARY_CLASSES[kind](**p)

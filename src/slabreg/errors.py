@@ -62,8 +62,7 @@ def read(obj, table: dict, where: str = "") -> dict:
     JSON object; an absent key takes its default, or is a ConfigError when
     that default is REQUIRED."""
     place = where.rstrip(". ") or "config"
-    if not isinstance(obj, dict):
-        raise _invalid(place, "a JSON object", obj)
+    json_object(obj, place)
     values = {}
     for key, (kind, default) in table.items():
         if key in obj:
@@ -155,9 +154,16 @@ def choice(*options: str):
 
 
 def path(value, name: str) -> str:
-    """A string naming an existing file."""
-    if not (isinstance(value, str) and os.path.isfile(value)):
+    """A string naming an existing file, or anything else one can open to
+    read that is not a directory (a pipe, /dev/stdin)."""
+    if not (isinstance(value, str) and os.path.exists(value) and not os.path.isdir(value)):
         raise _invalid(name, "an existing file", value)
+    return value
+
+
+def json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise _invalid(name, "a JSON object", value)
     return value
 
 
@@ -168,26 +174,7 @@ def spec_object(value, name: str) -> dict:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name} spec is not valid JSON: {exc}") from None
-    if not isinstance(value, dict):
-        raise _invalid(f"{name} spec", "a JSON object", value)
-    return value
-
-
-def matrix(value, name: str):
-    """Points or a matrix, as given: a number, a list of numbers, or a list
-    of equal-length lists of numbers, every number finite."""
-    rows = value if isinstance(value, list) else [value]
-    if len({len(row) if isinstance(row, list) else -1 for row in rows}) > 1:
-        raise _invalid(name, "a list of numbers or of equal-length lists", value)
-    for row in rows:
-        cells = row if isinstance(row, list) else (row,)
-        # A row of plain finite floats and ints passes in one generator; any
-        # other row is read cell by cell through ``number``, which names the
-        # first bad cell.
-        if not all(type(c) is float and isfinite(c) or type(c) is int and abs(c) < 1e308 for c in cells):
-            for cell in cells:
-                number(cell, name)
-    return value
+    return json_object(value, f"{name} spec")
 
 
 def list_of(kind, least: int = 0):

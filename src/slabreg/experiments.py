@@ -41,6 +41,10 @@ class NoiseSpec:
             raise ConfigError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if self.scale < 0:
             raise ConfigError(f"noise scale must be >= 0, got {self.scale}")
+        try:
+            self.second_moment
+        except OverflowError:
+            raise ConfigError(f"noise scale must be small enough to square, got {self.scale}") from None
 
     @property
     def second_moment(self) -> float:
@@ -72,9 +76,7 @@ class NoiseSpec:
         return {"kind": self.kind, "scale": self.scale}
 
     @classmethod
-    def from_spec(cls, obj, *_):
-        """Also the kind of a model's noise key: whatever key holds the
-        spec, its errors name ``noise.<key>``."""
+    def from_spec(cls, obj):
         return cls(**read(obj, NOISE_KEYS, "noise."))
 
 
@@ -137,14 +139,14 @@ class SyntheticModel:
 
     @classmethod
     def from_spec(cls, obj):
-        return cls(**read(obj, MODEL_KEYS, "model."))
+        return cls(**read(obj, MODEL_KEYS, "model."), noise=NoiseSpec.from_spec(obj.get("noise", {})))
 
 
-# The keys of a truth given by its coefficients.
+# The keys of a truth given by its coefficients, besides its ``noise``, a
+# noise spec whose errors name ``noise`` as a key of its own.
 MODEL_KEYS = {
     "coefficients": (list_of(number), REQUIRED),
     "basis": (text, "Trigonometric"),
-    "noise": (NoiseSpec.from_spec, NoiseSpec()),
     "regularity": (optional(number), None),
 }
 
@@ -314,14 +316,14 @@ def _per_feature_excess_inductive(model: SyntheticModel, centers: np.ndarray) ->
     return (centers - truth) ** 2
 
 
-def _per_feature_excess_transductive(test, hidden_y, centers, moments) -> np.ndarray:
+def _per_feature_excess_transductive(hidden_y, centers, moments) -> np.ndarray:
     """Test-risk excess of each recentred one-feature fit, from the test
-    block, its hidden labels and its moments' column sums of squares. The
-    label sums are carried over the block's rows (``matrix_blocks``), so no
-    temporary is as large as the block, with the bits of reducing the whole
-    block at once."""
+    moments (their block and its column sums of squares) and the block's
+    hidden labels. The label sums are carried over the block's rows
+    (``matrix_blocks``), so no temporary is as large as the block, with the
+    bits of reducing the whole block at once."""
     num = None
-    for rows, t in matrix_blocks(test):
+    for rows, t in matrix_blocks(moments.block):
         num = carry_sum(num, t * hidden_y[rows, None])
     den = moments.sum_squares
     alpha2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -332,7 +334,7 @@ def _covered(model: SyntheticModel, data: Dataset, features, moments, slabs) -> 
     """Whether every feature's excess is within its radius: the test-risk
     excess when the features are a replicate's split, else the exact one."""
     if isinstance(features, FeatureBlocks):
-        excess = _per_feature_excess_transductive(features.test, data.hidden_y, slabs.centers, moments)
+        excess = _per_feature_excess_transductive(data.hidden_y, slabs.centers, moments)
     else:
         excess = _per_feature_excess_inductive(model, slabs.centers)
     return bool(np.all(excess <= slabs.radius.beta * (1 + 1e-12) + 1e-15))
@@ -480,7 +482,10 @@ def rate_experiment(
     if len(grid) < 4 or any(n < 32 for n in grid):
         raise ConfigError("rate experiments need a grid of at least 4 distinct sizes, each >= 32")
     sup = model.sup_bound()
-    sigma2 = model.noise.second_moment * sigma_scale**2
+    try:
+        sigma2 = model.noise.second_moment * sigma_scale**2
+    except OverflowError:
+        raise ConfigError(f"sigma_scale must be small enough to square, got {sigma_scale}") from None
     seeds = _child_seeds(seed, replicates, len(grid))
     start = time.monotonic()
     rows = []

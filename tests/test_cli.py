@@ -972,6 +972,7 @@ MALFORMED_EXPERIMENT_VALUES = [
     ("model.coefficients", {"kind": "coverage", "model": {"coefficients": [1.0, "x"]}}),
     ("model.regularity", {"kind": "coverage", "model": {"coefficients": [1.0, 0.5], "regularity": "x"}}),
     ("sigma_scale", {**RATE, "sigma_scale": float("nan")}),
+    ("sigma_scale", {**RATE, "sigma_scale": 1e308}),
     ("budget_seconds", {**RATE, "budget_seconds": float("nan")}),
     ("epsilon", {"kind": "coverage", "epsilon": float("nan")}),
     ("model.smoothness", {"kind": "coverage", "model": {"kind": "sobolev", "smoothness": float("inf")}}),

@@ -56,6 +56,15 @@ def configs(tmp_path):
             "variants": ["IndExact", "IndVarFirstOrder"],
             "loo_index": [0, 1],
         },
+        "bounds-kernel-pca": {
+            "train": str(train),
+            "dictionary": {
+                "kind": "KernelPCA",
+                "parameters": {"points": [[0.1], [0.5], [0.9]], "kernel": {"kind": "gaussian", "gamma": 2.0}, "top": 2},
+            },
+            "bound": ind,
+            "moments": {"kind": "monte_carlo", "n_samples": 100},
+        },
         "coverage": {
             "kind": "coverage",
             "N": 32,
@@ -135,7 +144,7 @@ def test_every_mutated_value_ends_in_a_documented_exit(tmp_path, configs, capsys
     path, out = tmp_path / "config.json", tmp_path / "run"
     failures = []
     for name, config, where, value in _cases(configs):
-        command = name if name in ("fit", "transduce", "bounds") else "experiment"
+        command = next((c for c in ("fit", "transduce", "bounds") if name.startswith(c)), "experiment")
         path.write_text(json.dumps(config))
         failure = _failure(command, path, out, capsys)
         if failure is not None:

@@ -117,7 +117,7 @@ def test_csv_row_loop_makes_no_numpy_call():
 
 # The reader's plain kinds and the converters they replaced: outside the
 # reader's module a table may name a kind, but no code calls one.
-CONVERTERS = {"json_number", "json_field", "number", "probability", "seed", "text", "path", "spec_object", "matrix"}
+CONVERTERS = {"json_number", "json_field", "number", "probability", "seed", "text", "path", "json_object", "spec_object"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,17 +331,17 @@ def test_transductive_excess_in_row_blocks_is_the_whole_block_formula_bitwise(la
     if m > 1:
         test[:, 1] = 0.0  # a feature with no test moment
     hidden_y, centers = rng.normal(size=rows), rng.normal(size=m)
-    moments = SimpleNamespace(diag=rng.uniform(0.5, 2.0, size=m), sum_squares=(test**2).sum(axis=0))
-    excess = ex._per_feature_excess_transductive(test, hidden_y, centers, moments)
-    assert excess.tobytes() == whole_block_excess(test, hidden_y, centers, moments.diag).tobytes()
+    # the moments hold the block C-contiguous, whatever its layout
+    moments = empirical_test_moments(test)
+    excess = ex._per_feature_excess_transductive(hidden_y, centers, moments)
+    assert excess.tobytes() == whole_block_excess(moments.block, hidden_y, centers, moments.diag).tobytes()
 
 
 def test_transductive_excess_stays_small_in_memory(peak_bytes):
     rng = np.random.default_rng(7)
     test = rng.normal(size=(2048, 2048))
     hidden_y, centers = rng.normal(size=2048), rng.normal(size=2048)
-    moments = SimpleNamespace(diag=np.ones(2048), sum_squares=(test**2).sum(axis=0))
-    peak = peak_bytes(lambda: ex._per_feature_excess_transductive(test, hidden_y, centers, moments))
+    peak = peak_bytes(lambda: ex._per_feature_excess_transductive(hidden_y, centers, empirical_test_moments(test)))
     # each whole-block temporary, test * y or test**2, is 32 MB
     assert peak < 4 * 2**20
 
