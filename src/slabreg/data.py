@@ -64,8 +64,17 @@ class Dataset:
         return self.x.shape[0] - self.y.size
 
 
+def open_csv(path):
+    """Open a CSV file to read; a file that cannot be opened (a socket, or
+    one removed since the config was read) is a DataError naming it."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
+
+
 def _read_rows(path):
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -481,6 +481,8 @@ def rate_experiment(
     grid = sorted({int(n) for n in grid})
     if len(grid) < 4 or any(n < 32 for n in grid):
         raise ConfigError("rate experiments need a grid of at least 4 distinct sizes, each >= 32")
+    if budget_seconds is not None and not budget_seconds > 0.0:
+        raise ConfigError(f"budget_seconds must be positive, got {budget_seconds}")
     sup = model.sup_bound()
     try:
         sigma2 = model.noise.second_moment * sigma_scale**2

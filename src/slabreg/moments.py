@@ -5,10 +5,12 @@ orthonormal families, Monte Carlo or a user-supplied Gram otherwise); the
 transductive engine uses the empirical moments of the unlabeled test design,
 normalized by 1/(kN) so that the diagonal matches the squared empirical norm.
 Both are carried by the same immutable ``DesignMoments`` and everything
-downstream is agnostic to which one it got. Exact moments are the identity
-(``IdentityMoments``), answered from that structure without an m x m matrix;
-the empirical test moments (``EmpiricalTestMoments``) answer through the test
-block itself, so neither forms its Gram unless something reads ``gram``.
+downstream is agnostic to which one it got. The projection loop reads only
+``diag`` and a ``sweep`` per pass (a GreedyMax step is a one-visit pass).
+Exact moments are the identity (``IdentityMoments``), answered from that
+structure without an m x m matrix; the empirical test moments
+(``EmpiricalTestMoments``) answer through the test block itself, so neither
+forms its Gram unless something reads ``gram``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import open_csv
 from .dictionary import (
     FeatureDictionary,
     ORTHONORMAL_KINDS,
@@ -41,7 +44,7 @@ SWEEP_COLUMNS = 32
 @dataclass(frozen=True)
 class DesignMoments:
     """Symmetric PSD Gram matrix with provenance and a degeneracy mask; the
-    projection loop reads ``diag`` and the Gram products below alone."""
+    projection loop reads ``diag`` and ``sweep`` alone."""
 
     gram: np.ndarray = field(repr=False)
     provenance: str
@@ -74,32 +77,29 @@ class DesignMoments:
         from a user file counts too."""
         return bool(np.all(self.diag == 1.0) and np.count_nonzero(self.gram) == self.m)
 
-    def interactions(self, c: np.ndarray) -> np.ndarray:
-        """c @ G. Under the identity, it and G[:, k] @ c have one nonzero term
-        of weight exactly 1.0, so c gives their bits (orthonormal-design soft
-        thresholding)."""
-        return c if self.identity else c @ self.gram
-
     def sweep(self, c: np.ndarray) -> "GramSweep":
-        """G[:, k] @ c, one feature at a time, from the point c of a
-        RoundRobin pass on (see ``GramSweep``)."""
+        """The Gram products of one pass of the projection loop from the
+        point c on (see ``GramSweep``): the loop's only view of the Gram."""
         return IdentitySweep(c) if self.identity else GramSweep(c, self.gram)
 
 
 class GramSweep:
-    """One RoundRobin pass's Gram products: ``interaction(k)`` is G[:, k] @ c
-    at the pass's coefficients c, which the pass moves in place, one
-    coordinate at a time, and reports through ``move``. Read here from the
-    dense Gram."""
+    """One pass's Gram products: ``interactions()`` is c @ G at the pass's
+    start and ``interaction(k)`` is G[:, k] @ c at the current c, which the
+    pass moves in place, one coordinate at a time, and reports through
+    ``move``. Read here from the dense Gram."""
 
     # Whether each feature's product reads its own coefficient alone, so
-    # that ``interaction`` answers every feature of the pass at once.
+    # that ``interactions()`` answers every feature of the pass.
     elementwise = False
 
     def __init__(self, c: np.ndarray, gram: np.ndarray):
         self.c, self.gram = c, gram
 
-    def interaction(self, k):
+    def interactions(self) -> np.ndarray:
+        return self.c @ self.gram
+
+    def interaction(self, k: int):
         return self.gram[:, k] @ self.c
 
     def move(self, k: int, step: float) -> None:
@@ -107,21 +107,25 @@ class GramSweep:
 
 
 class IdentitySweep(GramSweep):
-    """Under the identity Gram G[:, k] @ c is c[k], with its bits."""
+    """Under the identity c @ G and G[:, k] @ c have one nonzero term of
+    weight exactly 1.0, so c gives their bits (soft thresholding)."""
 
     elementwise = True
 
     def __init__(self, c: np.ndarray):
         self.c = c
 
-    def interaction(self, k):
+    def interactions(self) -> np.ndarray:
+        return self.c
+
+    def interaction(self, k: int):
         return self.c[k]
 
 
 class BlockSweep(GramSweep):
-    """The test Gram's products through the test block T: G[:, k] @ c =
-    r @ T[:, k] / kN with r = T c, computed exactly when the pass starts
-    and then moved with c (the "naive update" of coordinate descent).
+    """The test Gram's products through the test block T, c @ G = r @ T / kN
+    and G[:, k] @ c = r @ T[:, k] / kN with r = T c: r is computed exactly at
+    the pass's start, then moved with c (coordinate descent's naive update).
 
     A column of a C-contiguous T touches every row's page, so the products
     are taken for ``SWEEP_COLUMNS`` features from k on at once, and kept
@@ -132,7 +136,10 @@ class BlockSweep(GramSweep):
         self.r = block @ c
         self.start = self.stop = 0  # the features [start, stop) of ``products``
 
-    def interaction(self, k):
+    def interactions(self) -> np.ndarray:
+        return self.r @ self.block / self.block.shape[0]
+
+    def interaction(self, k: int):
         if not self.start <= k < self.stop:
             self.start, self.stop = k, min(k + SWEEP_COLUMNS, self.block.shape[1])
             self.products = (self.r @ self.block[:, self.start : self.stop]) / self.block.shape[0]
@@ -145,7 +152,7 @@ class BlockSweep(GramSweep):
 
 class IdentityMoments(DesignMoments):
     """The m x m identity Gram, stored as its size: ``m``, ``diag``,
-    ``identity`` and the two products come from the structure, and ``gram``
+    ``identity`` and the sweep come from the structure, and ``gram``
     is built only if something reads it (the projection loop does not)."""
 
     identity = True
@@ -205,9 +212,6 @@ class EmpiricalTestMoments(DesignMoments):
         g = self.block.T @ self.block
         g /= self.block.shape[0]
         return g
-
-    def interactions(self, c: np.ndarray) -> np.ndarray:
-        return c if self.identity else (self.block @ c) @ self.block / self.block.shape[0]
 
     def sweep(self, c: np.ndarray) -> GramSweep:
         return IdentitySweep(c) if self.identity else BlockSweep(c, self.block)
@@ -283,7 +287,7 @@ def empirical_test_moments(test: np.ndarray) -> EmpiricalTestMoments:
 def load_gram_csv(path) -> DesignMoments:
     """User-supplied Gram: a headerless CSV of m rows by m columns."""
     rows = []
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

@@ -189,9 +189,8 @@ def _project(c, k: int, gamma: float, tau: float, v: float, trace: list):
 
 
 def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
-    """The projection loop; of the moments it reads ``diag``, ``interactions``
-    (c @ G, each GreedyMax step) and ``sweep`` (G[:, k] @ c, each RoundRobin
-    pass)."""
+    """The projection loop; of the moments it reads ``diag`` and ``sweep``
+    (the Gram products of one pass, from its start on)."""
     v = moments.diag
     tau = radius.tau
     m = centers.shape[0]
@@ -201,41 +200,37 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
         warnings.warn("all features are degenerate; returning the zero model", stacklevel=3)
         return c, trace
     features = np.flatnonzero(active)
-    if schedule == "GreedyMax":
-        # Project onto the slab with the largest movement; stop when that
-        # movement drops below kappa.
-        v_a, tau_a, centers_a = v[features], tau[features], centers[features]
-        for _ in range(max_iterations):
-            gamma = centers_a - moments.interactions(c)[features] / v_a
+    v_a, tau_a, centers_a = v[features], tau[features], centers[features]
+    greedy = schedule == "GreedyMax"
+    # A GreedyMax step is a pass that visits the feature with the largest
+    # movement alone. A RoundRobin pass visits the features in index order;
+    # max_iterations counts its feature visits, m to a pass. The loop stops
+    # after a pass whose best movement is below kappa.
+    passes, unit = (max_iterations, "iterations") if greedy else (max_iterations // m, "feature visits")
+    for _ in range(passes):
+        sweep = moments.sweep(c)
+        if greedy or sweep.elementwise:
+            # The residuals at the pass's start: a visit's own when the pass
+            # visits one feature, or when each reads its own coefficient alone.
+            gamma = centers_a - sweep.interactions()[features] / v_a
             over = np.abs(gamma) - tau_a
             delta = np.where(over > 0.0, v_a * over * over, 0.0)
             best = int(np.argmax(delta))
-            if delta[best] > 0.0:
-                _project(c, int(features[best]), float(gamma[best]), float(tau_a[best]), float(v_a[best]), trace)
-            if delta[best] < kappa:
-                return c, trace
-        raise NumericalError(f"selection did not terminate within {max_iterations} iterations")
-    # RoundRobin: cycle the features in index order, applying every positive
-    # projection; stop when a full pass yields no improvement >= kappa.
-    # max_iterations counts feature visits, so it allows that many full passes.
-    for _ in range(max_iterations // m):
-        sweep = moments.sweep(c)
-        visits = features
-        if sweep.elementwise:
-            # Each residual reads its own coefficient alone, which no earlier
-            # visit of the pass moves: visit the features outside their slabs.
-            gamma = centers[features] - sweep.interaction(features) / v[features]
-            visits = features[np.abs(gamma) - tau[features] > 0.0]
+            pick = ([best] if delta[best] > 0.0 else []) if greedy else over > 0.0
+            visits = zip(features[pick].tolist(), gamma[pick].tolist())
+        else:
+            visits = ((k, None) for k in features.tolist())
         pass_best = 0.0
-        for k in visits.tolist():
-            gamma = float(centers[k]) - float(sweep.interaction(k)) / float(v[k])
+        for k, gamma in visits:
+            if gamma is None:
+                gamma = float(centers[k]) - float(sweep.interaction(k)) / float(v[k])
             record = _project(c, k, gamma, float(tau[k]), float(v[k]), trace)
             if record is not None:
                 sweep.move(k, record.update)
                 pass_best = max(pass_best, record.delta)
         if pass_best < kappa:
             return c, trace
-    raise NumericalError(f"selection did not terminate within {max_iterations} feature visits")
+    raise NumericalError(f"selection did not terminate within {max_iterations} {unit}")
 
 
 def run_selection(

@@ -9,7 +9,8 @@ from slabreg import bounds
 from slabreg import dictionary as fd
 from slabreg.data import Dataset
 from slabreg.errors import ConfigError, DataError, NumericalError
-from slabreg.moments import DesignMoments, empirical_test_moments
+from slabreg.dictionary import ORTHONORMAL_KINDS
+from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments, monte_carlo_moments, uniform_sampler
 
 
 def make_stats(train_feats, y, test_feats=None, y_test=None, loo_index=None):
@@ -158,6 +159,55 @@ def test_tr_basic_invariant_under_train_permutation():
     stats2, mom2 = tr_setup(train[perm], y[perm], test)
     beta2 = bounds.tr_basic_bounded(stats2, mom2, spec).beta
     np.testing.assert_allclose(beta, beta2, rtol=1e-12)
+
+
+PERMUTED_FAMILIES = {
+    "Trigonometric": lambda x: fd.Trigonometric(7),
+    "Haar": lambda x: fd.Haar(3),
+    "MultiscaleGaussian": lambda x: fd.MultiscaleGaussian([[0.8], [0.1], [0.4]], [2.0, 8.0]),
+    "GaussianKernel": lambda x: fd.GaussianKernel(x, 4.0),  # centred on the training points
+    "KernelPCA": lambda x: fd.KernelPCA([[0.1], [0.3], [0.5], [0.9]], {"kind": "gaussian", "gamma": 2.0}, 3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PERMUTED_FAMILIES)),
+    n=st.integers(12, 32),
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.booleans(),
+)
+def test_slab_setup_is_invariant_under_permuted_training_rows(kind, n, seed, hidden):
+    # Every variant's slabs read the training rows through means and sums,
+    # which a permutation reorders: equal up to rounding. A center is a signed
+    # mean, so its tolerance is relative to the largest center. IndSvm's
+    # anchors are the Gaussian kernel's centres, so its map moves with the rows.
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(size=(2 * n, 1)), rng.uniform(-1, 1, n)
+    hidden_y = rng.uniform(-1, 1, n) if hidden else None  # TrFirstOrder's simulation mode, else deployment
+    perm = rng.permutation(n)
+    family = PERMUTED_FAMILIES[kind](x[:n])
+    loo = family.center_train_indices if kind == "GaussianKernel" else None
+    design = exact_moments(family) if kind in ORTHONORMAL_KINDS else monte_carlo_moments(family, uniform_sampler(), 200, 0)
+    samples = [(x, y, loo), (np.vstack([x[:n][perm], x[n:]]), y[perm], None if loo is None else np.argsort(perm)[loo])]
+    for variant, entry in bounds.VARIANT_TABLE.items():
+        if variant == "IndSvm" and loo is None:
+            continue
+        spec = bounds.BoundSpec(variant, 0.5, B=2.0, sigma2=0.1, subexp=((1.0, math.e),), y_subexp=(1.0, 3.0))
+        slabs = []
+        for points, labels, anchors in samples:
+            if entry.transductive:
+                data = Dataset(points, labels, hidden_y)
+                blocks = bounds.split_features(family, data)
+                slabs.append(bounds.slab_setup(blocks, data, empirical_test_moments(blocks.test), spec))
+            else:
+                slabs.append(bounds.slab_setup(family, Dataset(points[:n], labels), design, spec, anchors))
+        a, b = slabs
+        np.testing.assert_allclose(b.radius.beta, a.radius.beta, rtol=1e-12, err_msg=variant)
+        np.testing.assert_allclose(b.radius.tau, a.radius.tau, rtol=1e-12, err_msg=variant)
+        scale = np.abs(a.centers).max()
+        np.testing.assert_allclose(b.centers, a.centers, rtol=1e-12, atol=1e-12 * scale, err_msg=variant)
+        assert np.array_equal(b.active, a.active), variant
 
 
 def test_tr_basic_rejects_general_k():

@@ -1,7 +1,10 @@
 import inspect
+import itertools
 import json
+import socket
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +84,17 @@ def test_fit_malformed_csv_exits_3(tmp_path, capsys):
     code = run_cli(["fit", "--train", bad, "--dictionary", TRIG5, "--bound", IND, "--out", tmp_path])
     assert code == 3
     assert "row 2" in capsys.readouterr().err
+
+
+def test_fit_train_file_that_cannot_be_opened_exits_3(tmp_path, capsys):
+    # A socket file passes the config's path check (it exists and is no directory); opening it fails.
+    sock = tmp_path / "train.csv"
+    with socket.socket(socket.AF_UNIX) as server:
+        server.bind(str(sock))
+        code = run_cli(["fit", "--train", sock, "--dictionary", TRIG5, "--bound", IND, "--out", tmp_path / "run"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {sock}: cannot open: ")
 
 
 def test_transduce_empty_test_warns_and_writes_empty(tmp_path, train_csv, capsys):
@@ -350,13 +364,15 @@ def test_experiment_truth_size_defaults_to_study_size(tmp_path, kind, sizes, tru
     assert len(report["config"]["model"]["coefficients"]) == truth_size
 
 
-def test_experiment_budget_exceeded_exits_5(tmp_path, capsys):
+def test_experiment_budget_exceeded_exits_5(tmp_path, capsys, monkeypatch):
+    # A clock that advances one second per reading spends the budget before the first grid size.
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(monotonic=itertools.count().__next__))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "kind": "rate-sobolev",
         "grid": [32, 48, 64, 96],
         "replicates": 2,
-        "budget_seconds": 0.0,
+        "budget_seconds": 0.5,
         "model": {"kind": "sobolev", "size": 96},
     }))
     out = tmp_path / "run"
@@ -974,6 +990,8 @@ MALFORMED_EXPERIMENT_VALUES = [
     ("sigma_scale", {**RATE, "sigma_scale": float("nan")}),
     ("sigma_scale", {**RATE, "sigma_scale": 1e308}),
     ("budget_seconds", {**RATE, "budget_seconds": float("nan")}),
+    ("budget_seconds", {**RATE, "budget_seconds": -1}),
+    ("budget_seconds", {**RATE, "budget_seconds": 0}),
     ("epsilon", {"kind": "coverage", "epsilon": float("nan")}),
     ("model.smoothness", {"kind": "coverage", "model": {"kind": "sobolev", "smoothness": float("inf")}}),
     ("model.scale", {"kind": "coverage", "model": {"kind": "besov", "scale": float("nan")}}),

@@ -29,6 +29,9 @@ def configs(tmp_path):
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     data.write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 10))
     data.write_unlabeled_csv(test, rng.uniform(size=(10, 1)))
+    gram3, gram5 = tmp_path / "gram3.csv", tmp_path / "gram5.csv"
+    np.savetxt(gram3, [[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.5]], delimiter=",")
+    np.savetxt(gram5, 0.9 * np.eye(5) + 0.1, delimiter=",")
     ind = {"variant": "IndExact", "epsilon": 0.1, "B": 1.5, "sigma2": 0.04}
     noise = {"kind": "uniform", "scale": 0.05}
     return {
@@ -41,6 +44,20 @@ def configs(tmp_path):
             "schedule": "RoundRobin",
             "seed": 1,
             "threads": 1,
+        },
+        "fit-explicit-gram-file": {
+            "train": str(train),
+            "dictionary": {"kind": "ExplicitMatrix", "parameters": {"values": rng.uniform(-1, 1, (10, 3)).tolist()}},
+            "bound": ind,
+            "moments": {"kind": "file", "path": str(gram3)},
+            "kappa": 0.01,
+        },
+        "fit-trig-gram-file": {
+            "train": str(train),
+            "dictionary": {"kind": "Trigonometric", "m": 5},
+            "bound": ind,
+            "moments": {"kind": "file", "path": str(gram5)},
+            "schedule": "RoundRobin",
         },
         "transduce": {
             "train": str(train),
@@ -92,6 +109,12 @@ def configs(tmp_path):
             "budget_seconds": 100.0,
             "model": {"coefficients": [0.5, 0.25, -0.125], "noise": noise, "regularity": 1.0},
         },
+        "rate-besov": {
+            "kind": "rate-besov",
+            "grid": [32, 48, 64, 96],
+            "replicates": 2,
+            "model": {"kind": "besov", "levels": 4, "seed": 1, "smoothness": 1.0, "noise": noise},
+        },
     }
 
 
@@ -117,7 +140,7 @@ def _cases(configs):
     draw = random.Random(20)
     for name, config in configs.items():
         cases = [(path, value) for path in _paths(config) for value in MUTATIONS]
-        if name in ("coverage", "transductive", "rate-sobolev"):
+        if name in ("coverage", "transductive", "rate-sobolev", "rate-besov"):
             cases = draw.sample(cases, min(EXPERIMENT_SAMPLE, len(cases)))
         for path, value in cases:
             yield name, _mutated(config, path, value), path, value

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from slabreg import data
 from slabreg.data import Dataset
 from slabreg.errors import DataError
+from slabreg.moments import load_gram_csv
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,6 +66,14 @@ def test_csv_rows_report_the_first_bad_file_line(tmp_path, labeled, rows, messag
     header = "x1,y\n" if labeled else "x1,x2\n"
     with pytest.raises(DataError, match=message.format(w=2)):
         _load(tmp_path, header + rows, labeled)
+
+
+@pytest.mark.parametrize("load", [data.load_labeled_csv, data.load_unlabeled_csv, load_gram_csv])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_a_path_that_cannot_be_opened_is_a_data_error_naming_it(tmp_path, load, missing):
+    path = tmp_path / "rows.csv" if missing else tmp_path
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot open: "):
+        load(path)
 
 
 def test_csv_values_are_the_doubles_float_reads(tmp_path):

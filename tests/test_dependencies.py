@@ -63,8 +63,9 @@ def test_source_reads_no_private_name_of_another_module(path):
 
 
 def test_selector_reads_only_the_moments_products_and_diagonal():
-    # The loop asks the moments for c @ G and G[:, k] @ c; the identity
-    # structure is read once, to record orthonormal_design.
+    # The loop reads of the moments the diagonal and, per pass, a sweep: the
+    # sweeps alone answer c @ G and G[:, k] @ c. The identity structure is
+    # read once, to record orthonormal_design.
     tree = ast.parse((Path(slabreg.__file__).parent / "selector.py").read_text())
     recorded = {
         id(node.value)
@@ -75,6 +76,21 @@ def test_selector_reads_only_the_moments_products_and_diagonal():
     assert not [node.lineno for node in attrs if node.attr == "gram"]
     identity = [node for node in attrs if node.attr == "identity"]
     assert identity and all(id(node) in recorded for node in identity)
+    loop = _function("selector", "_iterate")
+    reads = {
+        node.attr
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "moments"
+    }
+    assert reads == {"diag", "sweep"}
+    moments = ast.parse((Path(slabreg.__file__).parent / "moments.py").read_text())
+    products = {
+        cls.name
+        for cls in ast.walk(moments)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(node, ast.FunctionDef) and node.name == "interactions" for node in cls.body)
+    }
+    assert products == {"GramSweep", "IdentitySweep", "BlockSweep"}
 
 
 def _function(module, name):

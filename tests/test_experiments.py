@@ -1,5 +1,7 @@
+import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -414,9 +416,15 @@ def test_rate_sigma_scale_knob_inflates_radii():
     assert inflated.medians[256] >= base.medians[256] - 1e-12
 
 
-def test_rate_budget_zero_marks_partial():
+def test_rate_budget_spent_before_the_first_size_marks_partial(monkeypatch):
     model = small_sobolev(size=256)
-    report = ex.rate_experiment(model, [32, 48, 64, 96], replicates=2, seed=0, budget_seconds=0.0)
+    for budget in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="budget_seconds must be positive"):
+            ex.rate_experiment(model, [32, 48, 64, 96], replicates=2, budget_seconds=budget)
+    # A clock that advances one second per reading spends a half-second
+    # budget before the first grid size.
+    monkeypatch.setattr(ex, "time", SimpleNamespace(monotonic=itertools.count().__next__))
+    report = ex.rate_experiment(model, [32, 48, 64, 96], replicates=2, seed=0, budget_seconds=0.5)
     assert report.partial
     assert report.rows == []
 
