@@ -25,7 +25,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .dictionary import FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks, require_finite, row_blocks
+from .dictionary import FeatureDictionary, Trigonometric, as_feature_matrix, carry_sum, matrix_blocks, require_finite
+from .dictionary import row_blocks, wave_sums
 from .errors import REQUIRED, ConfigError, NumericalError, json_object, list_of, number, optional, read, text
 from .moments import DesignMoments
 
@@ -441,6 +442,51 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
     return FeatureBlocks(partial(matrix_blocks, matrix[:n]), matrix[n:])
 
 
+# The reads beyond the first moments that a trigonometric family's adjoint
+# sums give on a sample without a test block (_trigonometric_sums).
+ADJOINT_READS = frozenset({"train_mean_sq_ysq", "train_var_ty"})
+
+
+def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, reads) -> dict | None:
+    """The column sums of t^2, t y and (t y)^2 over a trigonometric family's
+    training rows, without its feature rows: ``wave_sums`` with the weights
+    1, y and y^2, the squares by the double angles 2 cos^2 a = 1 + cos 2a
+    and 2 sin^2 a = 1 - cos 2a. None when the row walk must decide instead.
+
+    The double angle turns a column whose squares are all tiny but not all
+    zero (sines at x = 0, 1/2 or 1, on a dyadic grid, or at tiny x) into a
+    cancellation that may end at 0.0, where the row walk finds a positive
+    sum. So every column's sum of squares D must exceed
+    E = eps n (3A + n + 32), with A = 2 pi x_max 2 (m // 2) the largest
+    angle and eps = 2u = 2^-52. Per point, the computed cos 2jt is within
+    4.02uA of cos 2t', t' being the angle that ``evaluate`` rounds (two
+    roundings in each angle), plus 32u for angle addition over table entries
+    within 4 ulp; the sums over the n points add at most (n + 6)u per unit
+    weight. So |D - 2 sum_i sin^2 t'_i| <= u n (4.02A + n + 38), and D > E
+    leaves 2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least u / 2,
+    which ``evaluate`` squares to a positive entry, and the column is active
+    on both paths. A sum that is not finite also returns None.
+    """
+    n, nfreq = y.size, family.m // 2
+    cos, sin = wave_sums(x, np.stack([np.ones(n), y, y**2], axis=1), 2 * nfreq)
+    # cos[p, 0] is sum_i w_ip; cos[p, 2j] the double angle's sum
+    squares, ysq_squares = (family.columns(c[0], c[0] + c[::2], c[0] - c[::2]) for c in cos[[0, 2]])
+    largest = 2.0 * np.pi * float(x.max(initial=0.0)) * 2 * nfreq
+    if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n):
+        return None
+    ty = family.columns(cos[1, 0], np.sqrt(2.0) * cos[1], np.sqrt(2.0) * sin[1])
+    if not (np.isfinite(ty).all() and np.isfinite(ysq_squares).all()):
+        return None
+    sums = {"train_mean_sq": squares, "train_mean_ty": ty}
+    # (t y)^2 = t^2 y^2: one sum, never below zero
+    ysq_squares = np.maximum(ysq_squares, 0.0)
+    if "train_mean_sq_ysq" in reads:
+        sums["train_mean_sq_ysq"] = ysq_squares
+    if "train_var_ty" in reads:
+        sums["train_mean_ty2"] = ysq_squares
+    return sums
+
+
 def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) -> FeatureStats:
     """Accumulate the statistics that the given bound variants read from the
     features of ``data.x``: means over the N training rows, sums over the
@@ -469,8 +515,14 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     when the hidden test labels are known). Statistics no given variant
     reads are None; the default computes them all.
 
-    Both sides are walked in row blocks (``row_blocks``), the test block as
-    a matrix's rows, so no temporary is as large as either of them, and
+    A ``Trigonometric`` family on a sample without a test block, for
+    variants that read nothing beyond ``ADJOINT_READS``, evaluates no
+    feature rows: its sums come from the transpose of ``combine``
+    (``_trigonometric_sums``), within rounding of the walk below (about
+    1e-14 of each statistic's scale at m = 4096), with the same degeneracy
+    mask. Every other case, and that one when a sum of squares is near
+    zero, walks both sides in row blocks (``row_blocks``), the test block
+    as a matrix's rows, so no temporary is as large as either of them, and
     every statistic is bitwise that of reducing the whole matrix at once.
     The leave-one-out sums subtract each anchor's own product, gathered from
     the block that holds its row, from the column sums.
@@ -490,13 +542,38 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             raise ConfigError(f"loo_index must map each of the {m} features to a training row")
         if anchors.min(initial=0) < 0 or anchors.max(initial=0) >= n:
             raise ConfigError("loo_index entries must be valid training rows")
-        own = np.empty(m)
-        cols = np.arange(m)
-    sums = {}
+    sums = own = None
+    if isinstance(features, Trigonometric) and data.k_test == 0 and reads <= ADJOINT_READS:
+        # the split has checked the points
+        sums = _trigonometric_sums(features, data.x[:, 0], data.y, reads)
+    if sums is None:
+        sums, own = _row_block_sums(train, test, data, reads, anchors, has_test_labels)
+    out = {}
+    if anchors is not None:
+        out["train_loo_sum_ty"] = sums["train_mean_ty"] - own
+        out["train_loo_sum_ty2"] = sums["train_mean_ty2"] - own**2
+        out["features_per_point"] = int(np.bincount(anchors).max())
+    # training statistics are means over the N rows; the test ones stay sums
+    for name, total in sums.items():
+        out[name] = total if name.startswith("test_") else total / n
+    mean_ty2 = out.pop("train_mean_ty2", None)
+    if "train_var_ty" in reads:
+        out["train_var_ty"] = np.maximum(mean_ty2 - out["train_mean_ty"] ** 2, 0.0)
+    return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
+
+
+def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels) -> tuple[dict, np.ndarray | None]:
+    """``compute_stats``' column sums from the row blocks of the training
+    rows and of the test block, and, with ``anchors``, each feature's
+    product on its anchor row (else None)."""
+    sums, own = {}, None
 
     def add(name, values):
         sums[name] = carry_sum(sums.get(name), values)
 
+    if anchors is not None:
+        own = np.empty(anchors.size)
+        cols = np.arange(anchors.size)
     for rows, t in train():
         require_finite(t)
         y = data.y[rows, None]
@@ -521,18 +598,7 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             add("test_sum_t4", t**4)
         if "train_mean_t4y4" in reads and has_test_labels:
             add("test_sum_t4y4", (t * data.hidden_y[rows, None]) ** 4)
-    out = {}
-    if anchors is not None:
-        out["train_loo_sum_ty"] = sums["train_mean_ty"] - own
-        out["train_loo_sum_ty2"] = sums["train_mean_ty2"] - own**2
-        out["features_per_point"] = int(np.bincount(anchors).max())
-    # training statistics are means over the N rows; the test ones stay sums
-    for name, total in sums.items():
-        out[name] = total if name.startswith("test_") else total / n
-    mean_ty2 = out.pop("train_mean_ty2", None)
-    if "train_var_ty" in reads:
-        out["train_var_ty"] = np.maximum(mean_ty2 - out["train_mean_ty"] ** 2, 0.0)
-    return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
+    return sums, own
 
 
 def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments) -> ConfidenceRadius:

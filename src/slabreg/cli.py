@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, bounds, data, dictionary, experiments, moments, selector
 from .errors import DIM_CAP, K_TEST_CAP, LEVELS_CAP, N_SAMPLES_CAP, REPLICATES_CAP, REQUIRED, SIZE_CAP, THREADS_CAP
-from .errors import BudgetError, ConfigError, DataError, NumericalError, SlabregError
+from .errors import BudgetError, ConfigError, DataError, NumericalError, SlabregError, dense_gram
 from .errors import choice, count, list_of, number, optional, path, probability, read, read_kind, seed, spec_object, text
 
 
@@ -27,10 +27,14 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, a socket, an unreadable file
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: byte {exc.start} cannot be decoded") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -163,6 +167,8 @@ def _data_config(args):
     values["loo_index"] = _loo_arguments(values["loo_index"], family)
     if "moments" in values:
         values["moments"] = read_kind(values["moments"], MOMENTS_KEYS, "moments.", "exact")
+        if values["moments"][0] != "exact":
+            dense_gram(family.m, f"dictionary m with moments.kind {values['moments'][0]!r}")
     return config, values, family
 
 

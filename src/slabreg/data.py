@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,22 @@ class Dataset:
         return self.x.shape[0] - self.y.size
 
 
+@contextmanager
 def open_csv(path):
-    """Open a CSV file to read; a file that cannot be opened (a socket, or
-    one removed since the config was read) is a DataError naming it."""
+    """A CSV file open to read as UTF-8 text, for a ``with`` block: a file
+    that cannot be opened (a socket, or one removed since the config was
+    read) or read, or that is not UTF-8, is a DataError naming it."""
     try:
-        return open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from None
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _read_rows(path):

@@ -139,9 +139,11 @@ class FeatureDictionary:
     ``rowwise`` kinds compute each row of ``evaluate`` from its own point
     alone, elementwise, so evaluating any slice of the points gives that
     slice of the matrix bitwise; ``bounds.compute_stats`` evaluates them one
-    row block at a time. A kind whose rows pass through a matrix product
-    (kernel PCA: its bits may change with the block size) or are tied to a
-    stored sample (an explicit matrix) is not rowwise.
+    row block at a time (or, for an inductive Trigonometric fit, not at
+    all: it sums the family's adjoint instead). A kind whose rows pass
+    through a matrix product (kernel PCA: its bits may change with the
+    block size) or are tied to a stored sample (an explicit matrix) is not
+    rowwise.
     """
 
     kind = "?"
@@ -177,7 +179,14 @@ def _spec_equal(a, b) -> bool:
 
 
 class Trigonometric(FeatureDictionary):
-    """1, sqrt(2) cos(2 pi j x), sqrt(2) sin(2 pi j x) on [0, 1], in that order."""
+    """1, sqrt(2) cos(2 pi j x), sqrt(2) sin(2 pi j x) on [0, 1], in that order.
+
+    Besides ``evaluate``, the family sums itself without its feature
+    matrix, both ways, from one pair of angle tables (``angle_table``):
+    ``combine`` is sum_k c_k theta_k(x_i) for every point, and ``adjoint``,
+    its transpose, sum_i w_i theta_k(x_i) for every feature (``wave_sums``,
+    which ``bounds.compute_stats`` reads for an inductive fit).
+    """
 
     kind = "Trigonometric"
     rowwise = True
@@ -222,7 +231,8 @@ class Trigonometric(FeatureDictionary):
                                    + sin(qKt) (b_j cos(rt) - a_j sin(rt)),
         so the sums over r are two matrix products of cos(rt) and sin(rt)
         (n x K) against the coefficients reshaped to (Q, K), weighted by
-        cos(qKt) and sin(qKt) (n x Q). Only 2n(K + Q) waves are computed.
+        cos(qKt) and sin(qKt) (n x Q), the tables of ``angle_table``. Only
+        2n(K + Q) waves are computed. ``adjoint`` is its transpose.
         """
         x = self.check_points(points)
         c = coefficients
@@ -232,12 +242,30 @@ class Trigonometric(FeatureDictionary):
         ab[0, 1 : 1 + c[1::2].size] = c[1::2]
         ab[1, 1 : 1 + c[2::2].size] = c[2::2]
         ab = ab.reshape(2 * blocks, TRIG_BLOCK).T  # (K, 2Q): a blocks, then b blocks
-        inner = 2.0 * np.pi * np.outer(x, np.arange(TRIG_BLOCK))
-        cos_a, cos_b = np.split(np.cos(inner) @ ab, 2, axis=1)
-        sin_a, sin_b = np.split(np.sin(inner) @ ab, 2, axis=1)
-        outer = 2.0 * np.pi * np.outer(x, np.arange(blocks) * TRIG_BLOCK)
-        waves = (np.cos(outer) * (cos_a + sin_b)).sum(axis=1) + (np.sin(outer) * (cos_b - sin_a)).sum(axis=1)
+        cos_r, sin_r = angle_table(x, np.arange(TRIG_BLOCK))
+        cos_a, cos_b = np.split(cos_r @ ab, 2, axis=1)
+        sin_a, sin_b = np.split(sin_r @ ab, 2, axis=1)
+        del cos_r, sin_r
+        cos_q, sin_q = angle_table(x, np.arange(blocks) * TRIG_BLOCK)
+        waves = (cos_q * (cos_a + sin_b)).sum(axis=1) + (sin_q * (cos_b - sin_a)).sum(axis=1)
         return c[0] + np.sqrt(2.0) * waves
+
+    def adjoint(self, weights, points) -> np.ndarray:
+        """sum_i w_i theta_k(x_i) for every k: the transpose of ``combine``,
+        from the same angle tables (``wave_sums``), without the (n, m)
+        feature matrix."""
+        x = self.check_points(points)
+        cos, sin = wave_sums(x, np.asarray(weights, dtype=float)[:, None], self._m // 2)
+        return self.columns(cos[0, 0], np.sqrt(2.0) * cos[0], np.sqrt(2.0) * sin[0])
+
+    def columns(self, constant, cos, sin) -> np.ndarray:
+        """The family's m entries from the constant's, ``constant``, and the
+        cosines' and sines', ``cos[j]`` and ``sin[j]`` at frequency j."""
+        out = np.empty(self._m)
+        out[0] = constant
+        out[1::2] = cos[1 : 1 + self._m // 2]
+        out[2::2] = sin[1 : 1 + (self._m - 1) // 2]
+        return out
 
     def sup_bound(self, coefficients: np.ndarray) -> float:
         """Certified upper bound on sup |sum_k c_k theta_k| over [0, 1].
@@ -261,6 +289,51 @@ class Trigonometric(FeatureDictionary):
 
     def parameters(self):
         return {}
+
+
+def angle_table(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi x f for every point x and frequency f, two
+    (n, len(freqs)) arrays: the tables of ``Trigonometric.combine`` and of
+    its transpose ``wave_sums``."""
+    angles = 2.0 * np.pi * np.outer(x, freqs)
+    cos = np.cos(angles)
+    return cos, np.sin(angles, out=angles)
+
+
+def wave_sums(x: np.ndarray, weights: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i w_ip cos(2 pi j x_i) and sum_i w_ip sin(2 pi j x_i) for every
+    column p of the (n, p) ``weights`` and j = 0..top: two (p, top + 1)
+    arrays. The adjoint non-uniform DFT, by the angle addition of
+    ``combine``: with j = qK + r and t = 2 pi x,
+    cos(jt) = cos(qKt) cos(rt) - sin(qKt) sin(rt) and
+    sin(jt) = sin(qKt) cos(rt) + cos(qKt) sin(rt),
+    so for each block of points the sums are four products of the r tables
+    (rows x K) against the weighted q tables (rows x pQ). The points are
+    walked in row blocks of a size fixed by m and p, whose tables hold
+    about ``STATS_BLOCK_CELLS`` cells together; the (K, pQ) sums are the
+    only other arrays.
+    """
+    n, p = weights.shape
+    blocks = top // TRIG_BLOCK + 1
+    width = p * blocks
+    cos_sums = np.zeros((TRIG_BLOCK, width))
+    sin_sums = np.zeros((TRIG_BLOCK, width))
+    step = max(1, STATS_BLOCK_CELLS // (2 * (TRIG_BLOCK + blocks + width)))
+    for a in range(0, n, step):
+        cos_r, sin_r = angle_table(x[a : a + step], np.arange(TRIG_BLOCK))
+        cos_q, sin_q = angle_table(x[a : a + step], np.arange(blocks) * TRIG_BLOCK)
+        w = weights[a : a + step, :, None]
+        w_cos = (w * cos_q[:, None, :]).reshape(-1, width)
+        w_sin = (w * sin_q[:, None, :]).reshape(-1, width)
+        cos_sums += cos_r.T @ w_cos
+        cos_sums -= sin_r.T @ w_sin
+        sin_sums += cos_r.T @ w_sin
+        sin_sums += sin_r.T @ w_cos
+    # column p * Q + q, row r holds frequency qK + r of weight p
+    return tuple(
+        sums.reshape(TRIG_BLOCK, p, blocks).transpose(1, 2, 0).reshape(p, -1)[:, : top + 1]
+        for sums in (cos_sums, sin_sums)
+    )
 
 
 class Haar(FeatureDictionary):

@@ -12,7 +12,7 @@ name, and are checked before anything of that size is allocated.
 
 import json
 import os
-from math import isfinite
+from math import isfinite, isqrt
 
 # N, m, grid sizes, truth sizes, kernel PCA's top and loo_index entries.
 SIZE_CAP = 1 << 18
@@ -24,6 +24,8 @@ N_SAMPLES_CAP = 1 << 24
 # Coordinates of a Monte Carlo design point.
 DIM_CAP = 64
 THREADS_CAP = 16
+# Bytes of a dense m x m Gram (Monte Carlo or Gram-file moments): m <= 16384.
+GRAM_BYTES_CAP = 1 << 31
 
 # The default of a key that must be present.
 REQUIRED = object()
@@ -191,3 +193,13 @@ def list_of(kind, least: int = 0):
 def optional(kind):
     """The kind of null or a value of ``kind``."""
     return lambda value, name: None if value is None else kind(value, name)
+
+
+def dense_gram(m: int, name: str) -> None:
+    """Check, before a dense m x m float Gram is allocated, that its
+    m * m * 8 bytes are within ``GRAM_BYTES_CAP``; ``name`` is the key of m."""
+    if 8 * m * m > GRAM_BYTES_CAP:
+        raise ConfigError(
+            f"{name} must be at most {isqrt(GRAM_BYTES_CAP // 8)} (a dense m x m Gram of at most "
+            f"{GRAM_BYTES_CAP / 2**30:g} GiB), got {m}: its Gram would take {8 * m * m:,} bytes"
+        )

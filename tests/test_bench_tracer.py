@@ -76,8 +76,9 @@ for name, argv in commands.items():
 """
 
 TRACED_SPANS = {
+    # an inductive trigonometric fit evaluates no feature rows (bounds.compute_stats)
     "fit": [
-        "data.load_labeled_csv", "dictionary.evaluate", "bounds.compute_stats", "bounds.compute_radius",
+        "data.load_labeled_csv", "bounds.compute_stats", "bounds.compute_radius",
         "bounds.slab_centers", "moments.exact_moments", "selector.run_selection",
     ],
     "transduce": [

@@ -613,6 +613,38 @@ def assert_stats_identical(got, want, context=None):
             assert a == b, (context, name)
 
 
+def takes_adjoint(family, data, variants):
+    """Whether ``compute_stats`` may take the family's statistics from the
+    adjoint sums rather than from its feature rows."""
+    reads = {name for variant in variants for name in bounds.VARIANT_TABLE[variant].reads}
+    return isinstance(family, fd.Trigonometric) and data.k_test == 0 and reads <= bounds.ADJOINT_READS
+
+
+# The weights whose mean scales each statistic of a trigonometric family
+# (|theta_k|^2 <= 2), and the differential gate's tolerance in those units.
+STAT_WEIGHTS = {
+    "train_mean_sq": lambda y: np.ones_like(y),
+    "train_mean_ty": np.abs,
+    "train_mean_sq_ysq": np.square,
+    "train_var_ty": np.square,
+}
+ADJOINT_TOLERANCE = 1e-12
+
+
+def assert_stats_close(got, want, y, context=None):
+    """The differential gate of the adjoint statistics: every statistic
+    within ``ADJOINT_TOLERANCE`` of its scale, 2 mean |w|, the same fields
+    present, and the same degeneracy mask."""
+    for name in bounds.FeatureStats.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if name in STAT_WEIGHTS and b is not None:
+            scale = 2.0 * STAT_WEIGHTS[name](y).mean()
+            assert a.shape == b.shape and np.abs(a - b).max() <= ADJOINT_TOLERANCE * scale, (context, name)
+        else:
+            assert (a is None) == (b is None) and (a is None or a == b), (context, name)
+    assert got.train_degenerate.tolist() == want.train_degenerate.tolist(), context
+
+
 CELLS = fd.STATS_BLOCK_CELLS
 MANY = 3 * (CELLS // 257) + 11
 # (N, m, k, hidden labels): a single column longer than one block would be,
@@ -727,14 +759,78 @@ def test_dictionary_stats_equal_matrix_stats_bitwise(kind, m, n, k_test, labels)
     loo = np.arange(m) * 7 % n
     for variants in [bounds.VARIANTS, *((v,) for v in bounds.VARIANTS)]:
         got = bounds.compute_stats(family, ds, variants, loo_index=loo)
-        assert_stats_identical(got, bounds.compute_stats(features, ds, variants, loo_index=loo), variants)
-        assert_stats_identical(got, dense_compute_stats(features, ds, variants, loo), variants)
+        matrix = bounds.compute_stats(features, ds, variants, loo_index=loo)
+        assert_stats_identical(matrix, dense_compute_stats(features, ds, variants, loo), variants)
+        if takes_adjoint(family, ds, variants):
+            assert_stats_close(got, matrix, ds.y, variants)
+        else:
+            assert_stats_identical(got, matrix, variants)
     spec = bounds.BoundSpec("IndSvm", 0.1)
     mom = DesignMoments(np.eye(m), "Exact")
     radius = bounds.compute_radius(spec, bounds.compute_stats(family, ds, ("IndSvm",), loo_index=loo), mom)
     vhat, beta = reference_ind_svm(features[:n] * ds.y[:, None], loo, spec.epsilon)
     assert radius.observables["vhat_loo"].tobytes() == vhat.tobytes()
     assert radius.beta.tobytes() == beta.tobytes()
+
+
+ADJOINT_VARIANTS = [("IndExact",), ("IndVarFirstOrder",), ("IndExact", "IndVarFirstOrder")]
+
+
+@pytest.mark.parametrize("m,n", [(1, 300), (2, 300), (3, 300), (257, 1100), (4096, 1100)])
+def test_adjoint_stats_match_the_row_block_walk(m, n, evaluations):
+    rng = np.random.default_rng(m + n)
+    x = rng.uniform(size=(n, 1))
+    ds = Dataset(x=x, y=3.0 * rng.normal(size=n))
+    family = fd.Trigonometric(m)
+    features = family.evaluate(x)
+    log = evaluations(fd.Trigonometric)
+    for variants in ADJOINT_VARIANTS:
+        assert takes_adjoint(family, ds, variants)
+        got = bounds.compute_stats(family, ds, variants)
+        assert_stats_close(got, bounds.compute_stats(features, ds, variants), ds.y, variants)
+    assert log.rows == []  # no feature row was evaluated
+
+
+def adversarial_points(kind, n, rng):
+    """Points on which some column's squares are all tiny but not all zero
+    (or all zero), so that the double angle cancels."""
+    if kind == "zeros plus one":
+        return np.concatenate([np.zeros(n - 1), [0.5]])
+    return {
+        "zeros": np.zeros(n),
+        "halves": np.full(n, 0.5),
+        "ones": np.ones(n),
+        "zeros and ones": rng.integers(0, 2, size=n).astype(float),
+        "dyadic": rng.integers(0, 9, size=n) / 8.0,
+        "near halves": 0.5 + rng.uniform(size=n) * 1e-8,
+        "small": rng.uniform(size=n) * 1e-8,
+        "tiny": rng.uniform(0.5, 2.0, size=n) * 1e-170,
+    }[kind]
+
+
+# m = 3 has one sine, sin(2 pi x); the dyadic grid's tiny columns start at
+# sin(16 pi x). Near 1/2 and near 0 no sum of squares cancels to 0.0, but
+# some are positive and within their rounding bound of zero.
+CANCELLING = [
+    *((kind, m) for kind in ("zeros", "halves", "ones", "zeros and ones", "zeros plus one", "tiny") for m in (3, 257)),
+    *((kind, 257) for kind in ("dyadic", "near halves", "small")),
+]
+
+
+@pytest.mark.parametrize("kind,m", CANCELLING)
+def test_adjoint_stats_fall_back_where_the_double_angle_cancels(kind, m, evaluations):
+    n = 300
+    rng = np.random.default_rng(m)
+    x = adversarial_points(kind, n, rng)[:, None]
+    ds = Dataset(x=x, y=3.0 * rng.normal(size=n))
+    family = fd.Trigonometric(m)
+    features = family.evaluate(x)
+    log = evaluations(fd.Trigonometric)
+    for variants in ADJOINT_VARIANTS:
+        got = bounds.compute_stats(family, ds, variants)
+        # the fallback walks the rows: bitwise today's, with today's mask
+        assert_stats_identical(got, bounds.compute_stats(features, ds, variants), variants)
+    assert log.rows == [n] * len(ADJOINT_VARIANTS)
 
 
 TRANSDUCTIVE = tuple(v for v in bounds.VARIANTS if bounds.VARIANT_TABLE[v].transductive)

@@ -97,6 +97,68 @@ def test_fit_train_file_that_cannot_be_opened_exits_3(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"data error: {sock}: cannot open: ")
 
 
+@pytest.mark.parametrize("kind", ["directory", "socket", "undecodable"])
+def test_config_file_that_cannot_be_read_exits_2(tmp_path, kind, capsys):
+    path = tmp_path / "config.json"
+    argv = ["fit", "--config", path, "--out", tmp_path / "run"]
+    if kind == "directory":
+        path.mkdir()
+        code = run_cli(argv)
+    elif kind == "socket":
+        with socket.socket(socket.AF_UNIX) as server:
+            server.bind(str(path))
+            code = run_cli(argv)
+    else:
+        path.write_bytes(b'{"seed": 1, "out": "caf\xe9"}')  # Latin-1, byte 23
+        code = run_cli(argv)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: config file {path} "), lines
+    assert ("not UTF-8 text: byte 23 " if kind == "undecodable" else "cannot be read: ") in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("which", ["train", "test", "gram"])
+def test_csv_file_that_is_not_utf8_exits_3(tmp_path, train_csv, test_csv, which, capsys):
+    bad = tmp_path / "bad.csv"
+    good = {"train": train_csv.read_bytes(), "test": test_csv.read_bytes(), "gram": b"1.0,0.0\n0.0,1.0\n"}[which]
+    bad.write_bytes(good.replace(b"\n", b"\n\xff", 1))
+    sample = ["--dictionary", '{"kind": "Trigonometric", "m": 2}', "--out", tmp_path / "run"]
+    if which == "train":
+        argv = ["fit", "--train", bad, "--bound", IND, *sample]
+    elif which == "test":
+        argv = ["transduce", "--train", train_csv, "--test", bad, "--bound", TRB, *sample]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"moments": {"kind": "file", "path": str(bad)}}))
+        argv = ["fit", "--config", config, "--train", train_csv, "--bound", IND, *sample]
+    assert run_cli(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"data error: {bad}: not UTF-8 text: byte {good.index(10) + 1} cannot be decoded"]
+
+
+@pytest.mark.parametrize("kind", ["monte_carlo", "file"])
+def test_dense_gram_past_its_cap_exits_2_before_allocating(tmp_path, train_csv, kind, peak_bytes, capsys):
+    m = 16385  # 8 m^2 bytes is just over GRAM_BYTES_CAP (2 GiB)
+    gram = tmp_path / "gram.csv"
+    gram.write_text("1.0\n")
+    moments = {"kind": "monte_carlo"} if kind == "monte_carlo" else {"kind": "file", "path": str(gram)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dictionary": {"kind": "Trigonometric", "m": m}, "moments": moments}))
+    codes = []
+    for command in ("fit", "bounds"):
+        argv = [command, "--config", config, "--train", train_csv, "--bound", IND, "--out", tmp_path / "run"]
+        peak = peak_bytes(lambda: codes.append(run_cli(argv)))
+        assert peak < 2**20
+    assert codes == [2, 2]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"config error: dictionary m with moments.kind {kind!r} must be at most 16384 (a dense m x m Gram of "
+        "at most 2 GiB), got 16385: its Gram would take 2,147,745,800 bytes"
+    ] * 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_transduce_empty_test_warns_and_writes_empty(tmp_path, train_csv, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("x1\n")
@@ -180,15 +242,16 @@ def test_bounds_json_has_m_rows_and_matches_library(tmp_path, train_csv, capsys)
     x, y = data.load_labeled_csv(train_csv)
     ds = data.Dataset(x=x, y=y)
     family = dict_from_spec(json.loads(TRIG5))
-    stats = bounds.compute_stats(family.evaluate(x), ds)
     from slabreg.moments import exact_moments
 
-    radius = bounds.compute_radius(
-        bounds.BoundSpec("IndExact", 0.1, B=1.5, sigma2=0.04), stats, exact_moments(family)
-    )
+    spec = bounds.BoundSpec("IndExact", 0.1, B=1.5, sigma2=0.04)
+    radius = bounds.compute_radius(spec, bounds.compute_stats(family, ds, ("IndExact",)), exact_moments(family))
+    # the feature matrix's statistics, within rounding of the adjoint sums
+    dense = bounds.compute_radius(spec, bounds.compute_stats(family.evaluate(x), ds), exact_moments(family))
     for k, row in enumerate(rows):
         assert row["beta[IndExact]"] == radius.beta[k]
         assert row["tau[IndExact]"] == radius.tau[k]
+        assert row["beta[IndExact]"] == pytest.approx(dense.beta[k], rel=1e-12)
 
 
 def test_bounds_two_variant_columns(train_csv, capsys):
@@ -724,15 +787,18 @@ def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, v
     transductive = any(v.startswith("Tr") for v in variants)
     assert (len(monte_carlo), len(test_gram), len(loo)) == (int(inductive), int(transductive), 1)
     # Each variant's columns equal those of a table built for that variant alone,
-    # and the shared columns come from the first variant's geometry.
+    # and the shared columns come from the first variant's geometry. An
+    # inductive variant's table alone takes the adjoint statistics, a mixed
+    # table the feature rows: those agree to rounding.
+    tolerance = 1e-12 if inductive and transductive else 0.0
     for variant in variants:
         for k, row in enumerate(rows):
             for column in (f"beta[{variant}]", f"tau[{variant}]"):
-                assert row[column] == single[variant][k][column]
+                assert row[column] == pytest.approx(single[variant][k][column], rel=tolerance, abs=tolerance)
     first = single[variants[0]]
-    assert [{key: row[key] for key in ("feature", "v", "alpha_hat", "c_ratio")} for row in rows] == [
-        {key: row[key] for key in ("feature", "v", "alpha_hat", "c_ratio")} for row in first
-    ]
+    for row, alone in zip(rows, first, strict=True):
+        for key in ("feature", "v", "alpha_hat", "c_ratio"):
+            assert row[key] == pytest.approx(alone[key], rel=tolerance, abs=tolerance)
 
 
 @pytest.mark.parametrize("labeled", [True, False])
@@ -1043,10 +1109,18 @@ def test_inductive_bounds_table_streams_the_dictionary_with_the_same_rows(tmp_pa
     }
     variants = ["IndExact", "IndVarFirstOrder"]
     calls = _counting(monkeypatch, dictionary.Trigonometric, "evaluate")
+    adjoint = _bounds_rows(tmp_path, config, variants, capsys)
+    assert calls == []  # the statistics are the adjoint sums
+    monkeypatch.setattr(bounds, "ADJOINT_READS", frozenset())
     streamed = _bounds_rows(tmp_path, config, variants, capsys)
     assert len(calls) == 3  # row blocks of 64, 64 and 22
     monkeypatch.setattr(dictionary.Trigonometric, "rowwise", False)
     assert streamed == _bounds_rows(tmp_path, config, variants, capsys)
+    # labels of order one, so 1e-12 is the differential gate's bound
+    for row, walked in zip(adjoint, streamed, strict=True):
+        assert row.keys() == walked.keys()
+        for key, value in row.items():
+            assert value == pytest.approx(walked[key], rel=1e-12, abs=1e-12), key
 
 
 @pytest.mark.parametrize("command", ["fit", "transduce", "experiment"])

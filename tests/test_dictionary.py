@@ -408,3 +408,33 @@ def test_rowwise_evaluation_of_a_slice_is_that_slice_bytewise(family):
         part = family.evaluate(x[a:b])
         assert part.shape == whole[a:b].shape
         assert part.tobytes() == whole[a:b].tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 257, 4096])
+def test_trigonometric_adjoint_is_the_transpose_of_combine(m):
+    rng = np.random.default_rng(m)
+    n = 700
+    x = rng.uniform(size=n)
+    c, w = rng.normal(size=m), rng.normal(size=n)
+    family = fd.Trigonometric(m)
+    adjoint = family.adjoint(w, x)
+    assert adjoint.shape == (m,)
+    # <combine(c, x), w> = <c, adjoint(w, x)>, to rounding
+    assert abs(family.combine(c, x) @ w - c @ adjoint) <= 1e-13 * np.abs(c).sum() * np.abs(w).sum()
+    # and each entry is the column sum of the weighted feature matrix
+    assert np.abs(adjoint - w @ family.evaluate(x)).max() <= 1e-12 * np.abs(w).sum()
+
+
+def test_trigonometric_adjoint_walks_fixed_row_blocks(peak_bytes):
+    rng = np.random.default_rng(4)
+    step = 1000  # more than one block's rows at m = 257 and at m = 4096
+    family = fd.Trigonometric(257)
+    x, w = rng.uniform(size=3 * step + 5), rng.normal(size=3 * step + 5)
+    assert np.abs(family.adjoint(w, x) - w @ family.evaluate(x)).max() <= 1e-12 * np.abs(w).sum()
+    family = fd.Trigonometric(4096)
+    x, w = rng.uniform(size=16 * step + 5), rng.normal(size=16 * step + 5)
+    peak = peak_bytes(lambda: family.adjoint(w, x))
+    # unblocked, the (n, 64) and (n, 33) tables alone would take 25 MB
+    assert peak < 4 * 2**20
+    with pytest.raises(DataError, match="outside"):
+        family.adjoint(w[:2], [0.5, 1.5])
