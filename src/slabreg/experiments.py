@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .bounds import VARIANT_TABLE, BoundSpec, FeatureBlocks, slab_setup, split_features
+from .bounds import VARIANT_TABLE, BoundSpec, slab_setup, split_features
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric, carry_sum, matrix_blocks
 from .errors import REQUIRED, ConfigError, list_of, number, optional, read, text
@@ -231,22 +231,6 @@ def exact_excess_risk(model: SyntheticModel, coefficients) -> float:
     return float(((cc - ff) ** 2).sum())
 
 
-def _child_seeds(seed: int, replicates: int, sizes: int = 1) -> np.ndarray:
-    """One seed per replicate at each of ``sizes`` sample sizes; every study
-    draws its seeds here, so a bad count fails before any replicate runs."""
-    if replicates < 1:
-        raise ConfigError(f"replicates must be at least 1, got {replicates}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return rng.integers(0, 2**63 - 1, size=sizes * replicates, dtype=np.int64)
-
-
-def _map_ordered(fn, count: int, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 @dataclass
 class ExperimentReport:
     """Flat replicate rows plus the aggregates the experiment defines; no
@@ -330,10 +314,10 @@ def _per_feature_excess_transductive(hidden_y, centers, moments) -> np.ndarray:
     return moments.diag * (centers - alpha2) ** 2
 
 
-def _covered(model: SyntheticModel, data: Dataset, features, moments, slabs) -> bool:
+def _covered(model: SyntheticModel, data: Dataset, moments, spec: BoundSpec, slabs) -> bool:
     """Whether every feature's excess is within its radius: the test-risk
-    excess when the features are a replicate's split, else the exact one."""
-    if isinstance(features, FeatureBlocks):
+    excess for a transductive spec, else the exact one."""
+    if spec.transductive:
         excess = _per_feature_excess_transductive(data.hidden_y, slabs.centers, moments)
     else:
         excess = _per_feature_excess_inductive(model, slabs.centers)
@@ -351,6 +335,40 @@ def _replicate(model: SyntheticModel, family, spec: BoundSpec, n_train: int, k_t
         blocks = split_features(family, data)
         return data, blocks, empirical_test_moments(blocks.test)
     return data, family, exact_moments(family)
+
+
+def _study(model: SyntheticModel, sizes, replicates, seed, threads, setup, columns, budget_seconds=None):
+    """The one replicate loop of every experiment, as ``(rows, partial)``.
+
+    Every child seed is drawn first, so a bad count fails before any
+    replicate runs. ``setup(n)`` gives a size's ``(family, spec, k_test)``;
+    a replicate is a sample with the spec's geometry (``_replicate``) and the
+    row ``{N, replicate, seed, **columns(family, data, features, moments,
+    spec)}``. The budget is checked between sizes, and one size's replicates
+    run as a block (threaded when threads > 1), so rows never depend on
+    timing or thread count."""
+    if replicates < 1:
+        raise ConfigError(f"replicates must be at least 1, got {replicates}")
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    seeds = rng.integers(0, 2**63 - 1, size=len(sizes) * replicates, dtype=np.int64).tolist()
+    start = time.monotonic()
+    rows = []
+    for i, n in enumerate(sizes):
+        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
+            return rows, True
+        family, spec, k_test = setup(n)
+        size_seeds = seeds[i * replicates : (i + 1) * replicates]
+
+        def one(r):
+            replicate = _replicate(model, family, spec, n, k_test, size_seeds[r])
+            return {"N": n, "replicate": r, "seed": size_seeds[r], **columns(family, *replicate, spec)}
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows.extend(pool.map(one, range(replicates)))
+        else:
+            rows.extend(map(one, range(replicates)))
+    return rows, False
 
 
 def _study_spec(spec, variant, model, epsilon, family_m):
@@ -394,21 +412,14 @@ def _auto_bound_spec(variant, model, epsilon, family_m=None):
     raise ConfigError(f"studies derive no bound spec for variant {variant!r}")
 
 
-def _study(kind: str, model: SyntheticModel, spec: BoundSpec, n_train, m, replicates, seed, k_test, threads, columns):
-    """The replicates of a coverage or transductive study, each a sample with
-    the spec's geometry (``_replicate``) and a row of ``columns(family, data,
-    features, moments)``, which holds its ``coverage_event``; k_test
+def _one_size_study(kind, model, spec, n_train, m, replicates, seed, k_test, threads, columns) -> ExperimentReport:
+    """A coverage or transductive study: ``_study`` at the one size N with
+    the family of m members, reported with the eight-key config; k_test
     defaults to 1 for a transductive spec and 0 otherwise."""
     if k_test is None:
         k_test = 1 if spec.transductive else 0
     family = model.family(m)
-    seeds = _child_seeds(seed, replicates)
-
-    def one(r):
-        replicate = _replicate(model, family, spec, n_train, k_test, int(seeds[r]))
-        return {"N": n_train, "replicate": r, "seed": int(seeds[r]), **columns(family, *replicate)}
-
-    rows = _map_ordered(one, replicates, threads)
+    rows, _ = _study(model, [n_train], replicates, seed, threads, lambda n: (family, spec, k_test), columns)
     return ExperimentReport(
         kind=kind,
         config={
@@ -453,11 +464,11 @@ def coverage_study(
         )
     spec = _study_spec(spec, variant, model, epsilon, m)
 
-    def columns(family, data, features, moments):
+    def columns(family, data, features, moments, spec):
         slabs = slab_setup(features, data, moments, spec)
-        return {"mse": None, "coverage_event": _covered(model, data, features, moments, slabs)}
+        return {"mse": None, "coverage_event": _covered(model, data, moments, spec, slabs)}
 
-    return _study("coverage", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
+    return _one_size_study("coverage", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
 
 
 def rate_experiment(
@@ -488,39 +499,19 @@ def rate_experiment(
         sigma2 = model.noise.second_moment * sigma_scale**2
     except OverflowError:
         raise ConfigError(f"sigma_scale must be small enough to square, got {sigma_scale}") from None
-    seeds = _child_seeds(seed, replicates, len(grid))
-    start = time.monotonic()
-    rows = []
-    partial = False
 
-    def one(idx):
-        n = grid[idx // replicates]
-        task_seed = int(seeds[idx])
+    def setup(n):
         family = model.family(n if model.basis == "Trigonometric" else 2 ** int(np.log2(n)))
-        spec = BoundSpec("IndExact", float(n) ** -2, B=sup, sigma2=sigma2)
-        data, _, moments = _replicate(model, family, spec, n, 0, task_seed)
+        return family, BoundSpec("IndExact", float(n) ** -2, B=sup, sigma2=sigma2), 0
+
+    def columns(family, data, features, moments, spec):
         fit = clip_coefficients(run_selection(data, family, moments, spec, schedule="RoundRobin"), sup)
-        mse = exact_excess_risk(model, fit.coefficients)
-        return {"N": n, "replicate": idx % replicates, "mse": mse, "coverage_event": None, "seed": task_seed}
+        return {"mse": exact_excess_risk(model, fit.coefficients), "coverage_event": None}
 
-    # Budget is checked between grid sizes; replicates of one size run as a
-    # block (optionally threaded) so row content never depends on timing
-    # granularity or thread count.
-    for gi, n in enumerate(grid):
-        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            partial = True
-            break
-        base = gi * replicates
-        rows.extend(_map_ordered(lambda r: one(base + r), replicates, threads))
-
-    medians = {}
-    for n in grid:
-        vals = [row["mse"] for row in rows if row["N"] == n]
-        if len(vals) == replicates:
-            medians[n] = float(np.median(vals))
-    slope = stderr = None
-    if len(medians) >= 3:
-        slope, stderr = _ols_loglog(list(medians), [medians[n] for n in medians])
+    rows, partial = _study(model, grid, replicates, seed, threads, setup, columns, budget_seconds)
+    done = grid[: len(rows) // replicates]
+    medians = {n: float(np.median([row["mse"] for row in rows if row["N"] == n])) for n in done}
+    slope, stderr = _ols_loglog(done, list(medians.values())) if len(done) >= 3 else (None, None)
     return ExperimentReport(
         kind="rate",
         config={
@@ -560,18 +551,18 @@ def transductive_experiment(
         raise ConfigError(f"transductive experiments need a transductive variant, got {variant}")
     spec = _study_spec(spec, variant, model, epsilon, m)
 
-    def columns(family, data, blocks, moments):
+    def columns(family, data, blocks, moments, spec):
         fit = run_selection(data, family, moments, spec, schedule="GreedyMax", blocks=blocks)
         hidden = data.hidden_y
         return {
             "mse": float(np.mean((hidden - blocks.test @ fit.coefficients) ** 2)),
-            "coverage_event": _covered(model, data, blocks, moments, fit.slabs),
+            "coverage_event": _covered(model, data, moments, spec, fit.slabs),
             "chain_ok": _chain_holds(fit, blocks.test, hidden),
             "zero_mse": float(np.mean(hidden**2)),
             "steps": fit.stopped_at,
         }
 
-    report = _study("transductive", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
+    report = _one_size_study("transductive", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
     rows = report.rows
     report.extras = {
         "chain_fraction": float(np.mean([row["chain_ok"] for row in rows])),

@@ -41,10 +41,11 @@ MC_BATCH = 100_000
 SWEEP_COLUMNS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMoments:
     """Symmetric PSD Gram matrix with provenance and a degeneracy mask; the
-    projection loop reads ``diag`` and ``sweep`` alone."""
+    projection loop reads ``diag`` and ``sweep`` alone. Moments compare and
+    hash by identity: a field-wise ``==`` would compare Gram arrays."""
 
     gram: np.ndarray = field(repr=False)
     provenance: str

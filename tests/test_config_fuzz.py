@@ -163,7 +163,7 @@ def _failure(command, path, out, capsys):
 
 
 def test_every_mutated_value_ends_in_a_documented_exit(tmp_path, configs, capsys):
-    started = time.monotonic()
+    started = time.process_time()
     path, out = tmp_path / "config.json", tmp_path / "run"
     failures = []
     for name, config, where, value in _cases(configs):
@@ -173,4 +173,5 @@ def test_every_mutated_value_ends_in_a_documented_exit(tmp_path, configs, capsys
         if failure is not None:
             failures.append(f"{name} {'.'.join(map(str, where))} = {value!r}: {failure}")
     assert failures == []
-    assert time.monotonic() - started < 10.0
+    # CPU time, the work the caps bound: a preempted run takes longer on the wall clock alone.
+    assert time.process_time() - started < 10.0

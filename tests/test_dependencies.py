@@ -115,6 +115,23 @@ def test_selector_builds_iteration_records_in_the_projection_step_alone():
     assert calls and all(step.lineno <= line <= step.end_lineno for line in calls)
 
 
+def test_experiments_run_one_replicate_loop():
+    # ``_study`` alone draws a replicate, starts a thread pool or loops over
+    # sizes and replicates; each experiment adds a setup and its columns.
+    tree = ast.parse((Path(slabreg.__file__).parent / "experiments.py").read_text())
+    loop = _function("experiments", "_study")
+    for name in ("_replicate", "ThreadPoolExecutor"):
+        calls = [
+            node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        ]
+        reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name]
+        assert len(calls) == 1 and all(loop.lineno <= line <= loop.end_lineno for line in reads), name
+    for name in ("rate_experiment", "coverage_study", "transductive_experiment"):
+        body = _function("experiments", name)
+        assert not [node for node in ast.walk(body) if isinstance(node, (ast.For, ast.AsyncFor))], name
+        assert "map" not in _called_names(body), name
+
+
 def test_test_gram_is_not_compared_with_its_transpose():
     # The test Gram is exactly symmetric as built; nothing compares or averages it with its transpose.
     assert not _called_names(_function("moments", "empirical_test_moments")) & {"array_equal", "_symmetrize"}

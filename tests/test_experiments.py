@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -427,6 +428,20 @@ def test_rate_budget_spent_before_the_first_size_marks_partial(monkeypatch):
     report = ex.rate_experiment(model, [32, 48, 64, 96], replicates=2, seed=0, budget_seconds=0.5)
     assert report.partial
     assert report.rows == []
+
+
+def test_rate_budget_spent_after_the_first_size_keeps_its_rows(monkeypatch):
+    model = small_sobolev(size=256)
+    whole = ex.rate_experiment(model, [32, 48, 64, 96], replicates=2, seed=0)
+    # A clock that advances one second per reading lets the first grid size
+    # run under a 1.5 s budget and cuts the run before the second.
+    monkeypatch.setattr(ex, "time", SimpleNamespace(monotonic=itertools.count().__next__))
+    report = ex.rate_experiment(model, [32, 48, 64, 96], replicates=2, seed=0, budget_seconds=1.5)
+    assert report.partial
+    first = [row for row in whole.rows if row["N"] == 32]
+    assert json.dumps(report.rows) == json.dumps(first) and len(first) == 2
+    assert report.medians == {32: whole.medians[32]}
+    assert report.slope is None
 
 
 def test_besov_rate_runs_and_reports():

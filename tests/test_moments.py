@@ -219,6 +219,15 @@ def test_exact_moments_store_no_gram(peak_bytes):
     assert peak < 2**20  # a dense identity is 128 MB
 
 
+def test_moments_compare_and_hash_by_identity(peak_bytes):
+    a, b = dm.DesignMoments(np.eye(2), "x"), dm.DesignMoments(np.eye(2), "x")
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
+    mom = dm.exact_moments(fd.Trigonometric(4096))
+    peak = peak_bytes(lambda: mom == mom and mom != dm.exact_moments(fd.Trigonometric(4096)))
+    assert peak < 2**20  # comparing through ``gram`` builds a 128 MB identity
+
+
 def test_empirical_test_gram_equals_symmetrized_product_bitwise():
     rng = np.random.default_rng(17)
     for n, k, m in ((7, 1, 5), (33, 2, 64), (300, 1, 257)):
