@@ -121,8 +121,13 @@ class SyntheticModel:
         return self.family().combine(self.coefficients, x)
 
     def sup_bound(self) -> float:
-        """Certified upper bound on sup |f| over [0, 1] (the family's ``sup_bound``)."""
-        return self.family().sup_bound(self.coefficients)
+        """Certified upper bound on sup |f| over [0, 1] (the family's ``sup_bound``);
+        a ConfigError when finite coefficients give no finite bound."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self.family().sup_bound(self.coefficients)
+        if not np.isfinite(bound):
+            raise ConfigError(f"model.coefficients must be small enough for a finite sup bound, got {bound}")
+        return bound
 
     def label_bound(self) -> float | None:
         """Almost-sure bound on |Y|, None when the noise is unbounded."""

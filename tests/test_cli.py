@@ -4,6 +4,7 @@ import json
 import socket
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -1062,6 +1063,11 @@ MALFORMED_EXPERIMENT_VALUES = [
     ("model.smoothness", {"kind": "coverage", "model": {"kind": "sobolev", "smoothness": float("inf")}}),
     ("model.scale", {"kind": "coverage", "model": {"kind": "besov", "scale": float("nan")}}),
     ("noise.scale", {"kind": "coverage", "model": {"kind": "sobolev", "noise": {"kind": "uniform", "scale": float("inf")}}}),
+    # finite coefficients whose sup bound overflows
+    ("model.coefficients", {**RATE, "model": {"coefficients": [0.5, 1e308, 0.2, 1e308]}}),
+    ("model.coefficients", {**RATE, "model": {"coefficients": [0.5, 1.7e308, 0.2, 1.7e308]}}),
+    ("model.coefficients", {"kind": "coverage", "model": {"coefficients": [0.5, 1e308, 0.2, 1e308]}}),
+    ("model.coefficients", {"kind": "transductive", "model": {"coefficients": [0.5, 1e308, 0.2, 1e308]}}),
 ]
 
 
@@ -1069,8 +1075,11 @@ MALFORMED_EXPERIMENT_VALUES = [
 def test_malformed_experiment_config_value_exits_2(tmp_path, key, config, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert run_cli(["experiment", "--config", path, "--out", tmp_path]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["experiment", "--config", path, "--out", tmp_path]) == 2
     assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # (command, key named in the error, config patch, extra flags)

@@ -19,11 +19,23 @@ SOURCES = sorted(Path(slabreg.__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, slabreg; print('scipy' in sys.modules)"
+def _loaded_by_import(module):
+    """Whether a fresh ``import slabreg`` loads ``module``."""
+    code = f"import sys, slabreg; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(slabreg.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_loads_no_scipy():
+    assert not _loaded_by_import("scipy")
+
+
+def test_import_loads_no_numpy_fft():
+    # numpy loads numpy.fft on first use; the truth's sup bound reads it
+    # there, so importing it at the top of a module would add its load to
+    # every command's start-up.
+    assert not _loaded_by_import("numpy.fft")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

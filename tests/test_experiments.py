@@ -178,7 +178,49 @@ def test_sup_bound_margin_is_half_the_grid_step():
 def test_sup_bound_of_full_sobolev_truth_stays_small_in_memory(peak_bytes):
     model = ex.sobolev_model(size=4096)
     peak = peak_bytes(model.sup_bound)
-    assert peak < 128 * 2**20
+    assert peak < 4 * 2**20
+
+
+SUP_STEPS = 2**14 - 1
+
+
+def exact_angle_sums(c, steps, points):
+    """The dense oracle: sum_k c_k theta_k(i / steps) at each grid index i of
+    ``points``, every angle 2 pi ((j i) mod steps) / steps taken from its
+    exact integer residue, summed in long double."""
+    turn = 2 * np.arccos(np.longdouble(-1)) * np.arange(steps, dtype=np.longdouble) / steps
+    cos, sin = np.cos(turn), np.sin(turn)
+    a, b = c[1::2].astype(np.longdouble), c[2::2].astype(np.longdouble)
+    out = [
+        (a * cos[np.arange(1, a.size + 1) * i % steps]).sum() + (b * sin[np.arange(1, b.size + 1) * i % steps]).sum()
+        for i in points
+    ]
+    return c[0] + np.sqrt(np.longdouble(2)) * np.array(out)
+
+
+# Past 2^14 - 2 coefficients the frequencies fold modulo the grid's step count.
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 129, 4096, 16383, 16384, 16385, 40000])
+def test_equispaced_sum_matches_exact_angles_and_combine(size):
+    rng = np.random.default_rng(size)
+    c = rng.normal(size=size)
+    scale = abs(c[0]) + math.sqrt(2.0) * np.abs(c[1:]).sum()
+    values = fd.equispaced_sum(c, SUP_STEPS)
+    assert values.shape == (SUP_STEPS,)
+    points = np.concatenate([[0, 1, 2, SUP_STEPS // 2, SUP_STEPS - 2, SUP_STEPS - 1], rng.integers(SUP_STEPS, size=250)])
+    oracle = exact_angle_sums(c, SUP_STEPS, points)
+    assert np.max(np.abs(values[points] - oracle)) <= 1e-14 * scale
+    # against combine on the linspace grid, whose point 1 repeats the point 0
+    angles = fd.Trigonometric(size).combine(c, np.linspace(0.0, 1.0, SUP_STEPS + 1))
+    assert np.max(np.abs(np.append(values, values[0]) - angles)) <= 1e-12 * scale
+
+
+def test_sup_bound_reads_no_angle_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sup bound evaluates the truth through its angle tables")
+
+    monkeypatch.setattr(fd, "angle_table", refuse)
+    monkeypatch.setattr(fd.Trigonometric, "combine", refuse)
+    assert np.isfinite(ex.sobolev_model(size=4096).sup_bound())
 
 
 @pytest.mark.parametrize(
