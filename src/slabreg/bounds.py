@@ -38,6 +38,9 @@ class BoundSpec:
     sigma2 is the noise second moment (IndExact); subexp holds per-feature
     (rate, bound) pairs with P exp(rate * |theta(X) Y|) <= bound (TrGeneralK);
     y_subexp = (b_y, B_y) with P exp(b_y |Y|) <= B_y (TrFirstOrder deployment).
+    The constants a variant reads in every mode are its row's ``constants``
+    in ``VARIANT_TABLE``, which ``compute_radius`` checks are set; one read
+    in a single mode is checked by the formula of that mode.
     """
 
     variant: str
@@ -166,7 +169,7 @@ class ConfidenceRadius:
 def _radius(beta, moments, spec, observables) -> ConfidenceRadius:
     beta = np.asarray(beta, dtype=float)
     v = moments.diag
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = np.where(v > 0.0, np.sqrt(np.maximum(beta, 0.0) / np.where(v > 0.0, v, 1.0)), np.inf)
     tau = np.where(np.isnan(tau), np.inf, tau)
     return ConfidenceRadius(beta=beta, tau=tau, variant=spec.variant, epsilon=spec.epsilon, observables=observables)
@@ -175,17 +178,16 @@ def _radius(beta, moments, spec, observables) -> ConfidenceRadius:
 def _safe_ratio(num, den):
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     return np.where((num == 0.0) & (den <= 0.0), 0.0, out)
 
 
-def _require_geometry(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments):
+def _require_geometry(entry, spec: BoundSpec, stats: FeatureStats, moments: DesignMoments):
     """Check the moments and the test block against the variant's entry in
     ``VARIANT_TABLE``: transductive variants need the empirical test Gram and
     a test block of k >= 1 (k = 1 where flagged), inductive ones design
     moments."""
-    entry = VARIANT_TABLE[spec.variant]
     if entry.transductive != (moments.provenance == "EmpiricalTest"):
         needs = "EmpiricalTest moments" if entry.transductive else "design moments (Exact, MonteCarlo or UserSupplied)"
         raise ConfigError(
@@ -200,10 +202,6 @@ def _require_geometry(spec: BoundSpec, stats: FeatureStats, moments: DesignMomen
 
 def ind_exact(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
     """beta_k = (4 (1 + log(2m/eps)) / N) (mean theta_k^2 Y^2 / v_k + B^2 + sigma^2)."""
-    _require_geometry(spec, stats, moments)
-    if spec.B is None or spec.sigma2 is None:
-        missing = "B" if spec.B is None else "sigma2"
-        raise ConfigError(f"IndExact needs the hypothesis constant {missing!r}")
     m, n = stats.m, stats.n_train
     lead = 4.0 * (1.0 + log(2.0 * m / spec.epsilon)) / n
     ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
@@ -214,7 +212,6 @@ def ind_exact(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> C
 def ind_var_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
     """beta_k = (2 log(4m/eps) / N) vhat_k / v_k, with vhat the empirical
     variance of theta_k(X_i) Y_i over the training sample."""
-    _require_geometry(spec, stats, moments)
     if stats.n_train < 2:
         raise ConfigError("IndVarFirstOrder needs N >= 2")
     m, n = stats.m, stats.n_train
@@ -231,7 +228,6 @@ def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> Con
     for an even map; N m' >= m bounds the union either way). The sums and
     m' come from ``compute_stats``, which read the map.
     """
-    _require_geometry(spec, stats, moments)
     n = stats.n_train
     if n < 2:
         raise ConfigError("IndSvm needs N >= 2 for a leave-one-out sample")
@@ -251,9 +247,6 @@ def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpe
 
     The declared label bound B stands in for the hidden test-label term.
     """
-    _require_geometry(spec, stats, moments)
-    if spec.B is None:
-        raise ConfigError("TrBasicBounded needs the label bound 'B'")
     m, n = stats.m, stats.n_train
     ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
     beta = 4.0 * (spec.B**2 + ratio) * log(2.0 * m / spec.epsilon) / n
@@ -273,7 +266,6 @@ def tr_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec)
                sqrt(t4_h log(4m/eps) log(4 N B_y/eps)^4 / (2 N b_y^4))]
     with t4_h = (1/N) sum over all 2N rows of theta_h^4.
     """
-    _require_geometry(spec, stats, moments)
     m, n = stats.m, stats.n_train
     eps = spec.epsilon
     ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
@@ -304,7 +296,6 @@ def tr_variance(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) ->
     theta_h(X_i) Y_i, and q4_h the 1/N-normalized fourth moment over all 2N
     rows (hidden test labels majorized by B^4 in deployment mode).
     """
-    _require_geometry(spec, stats, moments)
     m, n = stats.m, stats.n_train
     eps = spec.epsilon
     log4 = log(4.0 * m / eps)
@@ -352,9 +343,6 @@ def tr_general_k(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -
     higher-order terms driven by log(4 (k+1) m N B_h / eps) and the
     sub-exponential rates beta_h.
     """
-    _require_geometry(spec, stats, moments)
-    if spec.subexp is None:
-        raise ConfigError("TrGeneralK needs per-feature sub-exponential constants 'subexp'")
     m, n, k = stats.m, stats.n_train, stats.k_test
     pairs = spec.subexp
     if len(pairs) == 1:
@@ -372,15 +360,18 @@ def tr_general_k(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -
 
 
 class VariantEntry(NamedTuple):
-    """The declaration of one bound variant: its radius function and the
+    """The declaration of one bound variant: its radius function, the
     ``FeatureStats`` fields it reads beyond ``train_mean_sq`` and
-    ``train_mean_ty``. A train-side fourth moment brings its test-block sum
-    along. ``transductive`` variants measure risk on the kN test points and
+    ``train_mean_ty``, and the ``BoundSpec`` constants it reads in every
+    mode. A train-side fourth moment brings its test-block sum along.
+    ``transductive`` variants measure risk on the kN test points and
     project in the empirical test Gram; ``k_one`` ones are stated for k = 1
-    only. Every radius takes ``(stats, moments, spec)``."""
+    only. Every radius takes ``(stats, moments, spec)`` and holds only its
+    formula: ``compute_radius`` checks the row first."""
 
     radius: Callable[[FeatureStats, DesignMoments, BoundSpec], ConfidenceRadius]
     reads: tuple[str, ...]
+    constants: tuple[str, ...] = ()
     transductive: bool = False
     k_one: bool = False
 
@@ -388,15 +379,15 @@ class VariantEntry(NamedTuple):
 FOURTH_MOMENTS = ("train_mean_t4y4", "train_mean_t4")
 LEAVE_ONE_OUT_SUMS = ("train_loo_sum_ty", "train_loo_sum_ty2")
 VARIANT_TABLE = {
-    "IndExact": VariantEntry(ind_exact, ("train_mean_sq_ysq",)),
+    "IndExact": VariantEntry(ind_exact, ("train_mean_sq_ysq",), ("B", "sigma2")),
     "IndVarFirstOrder": VariantEntry(ind_var_first_order, ("train_var_ty",)),
     "IndSvm": VariantEntry(ind_svm, LEAVE_ONE_OUT_SUMS),
-    "TrBasicBounded": VariantEntry(tr_basic_bounded, ("train_mean_sq_ysq",), transductive=True, k_one=True),
+    "TrBasicBounded": VariantEntry(tr_basic_bounded, ("train_mean_sq_ysq",), ("B",), transductive=True, k_one=True),
     "TrFirstOrder": VariantEntry(
         tr_first_order, ("train_mean_sq_ysq", *FOURTH_MOMENTS), transductive=True, k_one=True
     ),
     "TrVariance": VariantEntry(tr_variance, ("train_var_ty", *FOURTH_MOMENTS), transductive=True, k_one=True),
-    "TrGeneralK": VariantEntry(tr_general_k, ("train_var_ty",), transductive=True),
+    "TrGeneralK": VariantEntry(tr_general_k, ("train_var_ty",), ("subexp",), transductive=True),
 }
 VARIANTS = tuple(VARIANT_TABLE)
 
@@ -602,9 +593,13 @@ def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels)
 
 
 def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments) -> ConfidenceRadius:
-    """Dispatch to the requested bound variant through ``VARIANT_TABLE``,
-    once the statistics are checked to hold every field it reads."""
+    """The radii of the variant's row of ``VARIANT_TABLE``, behind the one
+    gate of every formula, which checks in order: the same m in statistics
+    and moments, the statistics the row reads, its geometry, its constants.
+    A radius past the float range is a NumericalError."""
     entry = VARIANT_TABLE[spec.variant]
+    if stats.m != moments.m:
+        raise ConfigError(f"dictionary has {stats.m} features but moments cover {moments.m}")
     missing = [name for name in entry.reads if getattr(stats, name) is None]
     if missing:
         also = ", which needs loo_index mapping features to training rows" if entry.reads == LEAVE_ONE_OUT_SUMS else ""
@@ -612,9 +607,14 @@ def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments)
             f"{spec.variant} reads {', '.join(missing)}, which these statistics lack; "
             f"compute them with compute_stats for variant {spec.variant!r}{also}"
         )
+    _require_geometry(entry, spec, stats, moments)
+    for name in entry.constants:
+        if getattr(spec, name) is None:
+            raise ConfigError(f"{spec.variant} needs the bound constant {name!r}")
     try:
-        return entry.radius(stats, moments, spec)
-    except OverflowError:  # a finite constant whose power is past the float range
+        with np.errstate(over="raise"):
+            return entry.radius(stats, moments, spec)
+    except (OverflowError, FloatingPointError):  # finite constants whose radius is past the float range
         raise NumericalError(f"{spec.variant} radius overflows with bound constants {spec.to_json_dict()}") from None
 
 
@@ -654,8 +654,6 @@ def slab_setup(features, data: Dataset, moments: DesignMoments, spec: BoundSpec,
     ``features`` is the dictionary, the feature matrix of ``data.x`` or
     their ``FeatureBlocks`` split, as in ``compute_stats``."""
     stats = compute_stats(features, data, (spec.variant,), loo_index=loo_index)
-    if stats.m != moments.m:
-        raise ConfigError(f"dictionary has {stats.m} features but moments cover {moments.m}")
     radius = compute_radius(spec, stats, moments)
     centers = slab_centers(stats, moments)
     return Slabs(radius, centers, ~moments.degenerate & ~stats.train_degenerate)

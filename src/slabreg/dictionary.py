@@ -22,8 +22,6 @@ from .errors import LEVELS_CAP, REQUIRED, SIZE_CAP, ConfigError, DataError, Nume
 from .errors import count, json_object, number, optional, read, read_kind
 
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
-# Angles per row block of Trigonometric.evaluate (1 MB of float64).
-ANGLE_BLOCK_CELLS = 1 << 17
 # Frequencies j = q * TRIG_BLOCK + r (0 <= r < TRIG_BLOCK) of a trigonometric
 # expansion are summed by angle addition; see Trigonometric.combine.
 TRIG_BLOCK = 64
@@ -99,8 +97,9 @@ def validate_feature_matrix(values) -> np.ndarray:
 
 
 # Cells (rows x m) per row block of a reduction over feature rows (the
-# statistics, the test block's squared norms). Any block size gives the same
-# bits (see row_blocks); this one keeps each temporary at 1 MB.
+# statistics, the test block's squared norms), and angles per row block of
+# Trigonometric.evaluate. Any block size gives the same bits (see row_blocks;
+# evaluate is elementwise); this one keeps each temporary at 1 MB.
 STATS_BLOCK_CELLS = 1 << 17
 
 
@@ -214,7 +213,7 @@ class Trigonometric(FeatureDictionary):
         nfreq = m // 2
         if nfreq:
             freqs = np.arange(1, nfreq + 1)
-            step = max(1, ANGLE_BLOCK_CELLS // nfreq)
+            step = max(1, STATS_BLOCK_CELLS // nfreq)
             # The angles of one block of rows at a time; each wave is written
             # into its strided columns and all are scaled in place at the end.
             for a in range(0, n, step):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -390,31 +390,33 @@ def _study_spec(spec, variant, model, epsilon, family_m):
 
 
 def _auto_bound_spec(variant, model, epsilon, family_m=None):
-    """Honest BoundSpec for a synthetic model, or ConfigError on mismatch.
-
-    The truth's sup bound is computed once, and only for the variants that read it.
-    Every study replicate keeps its hidden labels, so TrFirstOrder runs in
-    simulation mode and needs no label constants.
-    """
-    if variant == "IndExact":
-        return BoundSpec(variant, epsilon, B=model.sup_bound(), sigma2=model.noise.second_moment)
-    if variant in ("IndVarFirstOrder", "TrFirstOrder"):
-        return BoundSpec(variant, epsilon)
-    if variant in ("TrBasicBounded", "TrVariance"):
+    """Honest BoundSpec for a synthetic model, or ConfigError on mismatch:
+    the constants of the variant's row of ``VARIANT_TABLE``, each computed
+    only then. B is sup |f| in the inductive geometry and the label bound in
+    the transductive one; replicates keep their hidden labels, so constants
+    of deployment mode alone are never set."""
+    entry = VARIANT_TABLE.get(variant)
+    if entry is None:
+        raise ConfigError(f"studies derive no bound spec for variant {variant!r}")
+    if entry.transductive and entry.constants:  # each derives from the label bound
         label_bound = model.label_bound()
         if label_bound is None:
             raise ConfigError(f"{variant} needs bounded labels; the model's noise is unbounded")
-        return BoundSpec(variant, epsilon, B=label_bound)
-    if variant == "TrGeneralK":
-        label_bound = model.label_bound()
-        if label_bound is None:
-            raise ConfigError("TrGeneralK auto-configuration needs bounded labels")
+
+    def subexp():
         width = max(model.size, family_m or 0)
-        theta_sup = sqrt(2.0) if model.basis == "Trigonometric" else sqrt(width / 2.0)
+        theta_ty = (sqrt(2.0) if model.basis == "Trigonometric" else sqrt(width / 2.0)) * label_bound
+        if not isfinite(theta_ty):
+            raise ConfigError(f"model.coefficients must be small enough for a finite sup |theta Y|, got {theta_ty}")
         # P exp(rate |theta Y|) <= e when rate = 1 / sup|theta Y|
-        rate = 1.0 / max(theta_sup * label_bound, 1e-12)
-        return BoundSpec(variant, epsilon, subexp=((rate, float(np.e)),))
-    raise ConfigError(f"studies derive no bound spec for variant {variant!r}")
+        return ((1.0 / max(theta_ty, 1e-12), float(np.e)),)
+
+    derive = {
+        "B": lambda: label_bound if entry.transductive else model.sup_bound(),
+        "sigma2": lambda: model.noise.second_moment,
+        "subexp": subexp,
+    }
+    return BoundSpec(variant, epsilon, **{name: derive[name]() for name in entry.constants})
 
 
 def _one_size_study(kind, model, spec, n_train, m, replicates, seed, k_test, threads, columns) -> ExperimentReport:

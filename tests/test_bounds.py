@@ -63,9 +63,9 @@ def test_ind_exact_halves_when_n_doubles():
 def test_ind_exact_requires_constants():
     stats, _ = make_stats(np.ones((4, 1)), np.zeros(4))
     with pytest.raises(ConfigError, match="sigma2"):
-        bounds.ind_exact(stats, design_moments([1.0]), bounds.BoundSpec("IndExact", 0.1, B=1.0))
+        bounds.compute_radius(bounds.BoundSpec("IndExact", 0.1, B=1.0), stats, design_moments([1.0]))
     with pytest.raises(ConfigError, match="B"):
-        bounds.ind_exact(stats, design_moments([1.0]), bounds.BoundSpec("IndExact", 0.1, sigma2=1.0))
+        bounds.compute_radius(bounds.BoundSpec("IndExact", 0.1, sigma2=1.0), stats, design_moments([1.0]))
 
 
 def test_ind_var_zero_empirical_variance():
@@ -213,7 +213,7 @@ def test_slab_setup_is_invariant_under_permuted_training_rows(kind, n, seed, hid
 def test_tr_basic_rejects_general_k():
     stats, mom = tr_setup(np.ones((2, 1)), np.zeros(2), np.ones((4, 1)))
     with pytest.raises(ConfigError, match="TrGeneralK"):
-        bounds.tr_basic_bounded(stats, mom, bounds.BoundSpec("TrBasicBounded", 0.1, B=1.0))
+        bounds.compute_radius(bounds.BoundSpec("TrBasicBounded", 0.1, B=1.0), stats, mom)
 
 
 def test_tr_first_order_zero_data():
@@ -327,7 +327,7 @@ def test_tr_general_k_decreases_in_k():
 def test_tr_general_k_needs_subexp():
     stats, mom = tr_setup(np.ones((4, 1)), np.ones(4), np.ones((4, 1)))
     with pytest.raises(ConfigError, match="subexp"):
-        bounds.tr_general_k(stats, mom, bounds.BoundSpec("TrGeneralK", 0.1))
+        bounds.compute_radius(bounds.BoundSpec("TrGeneralK", 0.1), stats, mom)
 
 
 @pytest.mark.parametrize("variant", ["IndExact", "IndVarFirstOrder"])

@@ -14,7 +14,7 @@ from slabreg import bounds, data, dictionary, experiments, selector
 from slabreg.cli import main
 from slabreg.dictionary import from_spec as dict_from_spec
 from slabreg.errors import ConfigError, json_number
-from slabreg.moments import empirical_test_moments
+from slabreg.moments import empirical_test_moments, exact_moments
 
 
 TRIG5 = '{"kind":"Trigonometric","m":5}'
@@ -678,6 +678,48 @@ def test_numerical_error_exits_4(tmp_path, train_csv, capsys):
     assert "indefinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("constant", ["B", "sigma2"])
+def test_radius_overflow_exits_4_with_one_error_line(tmp_path, train_csv, constant, capsys):
+    # finite constants whose radius is past the float range at N = 10
+    bound = json.dumps({**json.loads(IND), constant: 1e308})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["fit", "--train", train_csv, "--dictionary", TRIG5, "--bound", bound, "--out", tmp_path / "run"])
+    assert code == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical error: IndExact radius overflows"), lines
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+GATED_CONSTANTS = [(variant, name) for variant, entry in bounds.VARIANT_TABLE.items() for name in entry.constants]
+
+
+@pytest.mark.parametrize("variant,constant", GATED_CONSTANTS)
+def test_a_missing_bound_constant_is_a_config_error_naming_it(tmp_path, train_csv, test_csv, variant, constant, capsys):
+    constants = {"B": 1.5, "sigma2": 0.04, "subexp": [{"beta_h": 0.5, "B_h": 3.0}]}
+    del constants[constant]
+    bound = {"variant": variant, "epsilon": 0.1, **constants}
+    message = f"{variant} needs the bound constant {constant!r}"
+    # the library's gate
+    transductive = bounds.VARIANT_TABLE[variant].transductive
+    x, y = data.load_labeled_csv(train_csv)
+    family = dict_from_spec(json.loads(TRIG5))
+    if transductive:
+        ds = data.Dataset(np.vstack([x, data.load_unlabeled_csv(test_csv)]), y)
+        blocks = bounds.split_features(family, ds)
+        stats, mom = bounds.compute_stats(blocks, ds, (variant,)), empirical_test_moments(blocks.test)
+    else:
+        ds = data.Dataset(x, y)
+        stats, mom = bounds.compute_stats(family, ds, (variant,)), exact_moments(family)
+    with pytest.raises(ConfigError, match=message):
+        bounds.compute_radius(bounds.BoundSpec.from_json_dict(bound), stats, mom)
+    # the command's
+    command = ["transduce", "--test", test_csv] if transductive else ["fit"]
+    argv = [*command, "--train", train_csv, "--dictionary", TRIG5, "--bound", json.dumps(bound), "--out", tmp_path]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
 def test_flags_override_config_file(tmp_path, train_csv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -1033,6 +1075,7 @@ def test_malformed_fit_config_value_exits_2(tmp_path, train_csv, key, capsys):
 
 
 RATE = {"kind": "rate-sobolev", "grid": [64, 128, 256, 512]}
+HUGE_TRUTH = {"coefficients": [1.5e308], "noise": {"kind": "uniform", "scale": 0.1}}
 MALFORMED_EXPERIMENT_VALUES = [
     ("grid", {"kind": "rate-sobolev", "grid": ["a", 64, 128, 256]}),
     ("grid", {"kind": "rate-sobolev", "grid": 5}),
@@ -1068,6 +1111,9 @@ MALFORMED_EXPERIMENT_VALUES = [
     ("model.coefficients", {**RATE, "model": {"coefficients": [0.5, 1.7e308, 0.2, 1.7e308]}}),
     ("model.coefficients", {"kind": "coverage", "model": {"coefficients": [0.5, 1e308, 0.2, 1e308]}}),
     ("model.coefficients", {"kind": "transductive", "model": {"coefficients": [0.5, 1e308, 0.2, 1e308]}}),
+    # a finite label bound whose sup |theta Y|, TrGeneralK's rate, overflows
+    ("model.coefficients", {"kind": "transductive", "variant": "TrGeneralK", "model": HUGE_TRUTH}),
+    ("model.coefficients", {"kind": "coverage", "variant": "TrGeneralK", "model": HUGE_TRUTH}),
 ]
 
 

@@ -2,12 +2,14 @@
 per subcommand, a leaf or a spec holding others, is replaced by each of a few
 malformed or extreme values, and
 every run through ``cli.main`` must end with a documented exit code, one
-error line and no traceback. The caps keep every run small."""
+error line and no traceback; a run with a mutated bound spec must also emit
+no numpy RuntimeWarning. The caps keep every run small."""
 
 import json
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,13 @@ def configs(tmp_path):
             "bound": ind,
             "moments": {"kind": "monte_carlo", "n_samples": 100},
         },
+        "bounds-transductive": {
+            "train": str(train),
+            "test": str(test),
+            "dictionary": {"kind": "Trigonometric", "m": 3},
+            "bound": {"epsilon": 0.1, "B": 1.7, "subexp": [{"beta_h": 0.5, "B_h": 3.0}], "y_subexp": {"b_y": 0.5, "B_y": 2.0}},
+            "variants": ["TrBasicBounded", "TrFirstOrder", "TrVariance", "TrGeneralK"],
+        },
         "coverage": {
             "kind": "coverage",
             "N": 32,
@@ -146,13 +155,19 @@ def _cases(configs):
             yield name, _mutated(config, path, value), path, value
 
 
-def _failure(command, path, out, capsys):
-    """Why one run through ``main`` breaks the gate, or None."""
+def _failure(command, path, out, capsys, quiet=False):
+    """Why one run through ``main`` breaks the gate, or None; with ``quiet``
+    a numpy RuntimeWarning breaks it too."""
     try:
-        code = main([command, "--config", str(path), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(out)])
     except (Exception, SystemExit) as exc:  # the gate: nothing escapes main
         return f"raised {type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
+    noisy = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    if quiet and noisy:
+        return f"exit {code} after RuntimeWarning {noisy}"
     if code not in LABELS and code != 0 or "Traceback" in err:
         return f"exit {code}: {err}"
     lines = err.splitlines()
@@ -162,14 +177,25 @@ def _failure(command, path, out, capsys):
     return None
 
 
+def _command(name):
+    return next((c for c in ("fit", "transduce", "bounds") if name.startswith(c)), "experiment")
+
+
+def test_every_base_config_runs(tmp_path, configs, capsys):
+    path, out = tmp_path / "config.json", tmp_path / "run"
+    for name, config in configs.items():
+        path.write_text(json.dumps(config))
+        assert main([_command(name), "--config", str(path), "--out", str(out)]) == 0, name
+        capsys.readouterr()
+
+
 def test_every_mutated_value_ends_in_a_documented_exit(tmp_path, configs, capsys):
     started = time.process_time()
     path, out = tmp_path / "config.json", tmp_path / "run"
     failures = []
     for name, config, where, value in _cases(configs):
-        command = next((c for c in ("fit", "transduce", "bounds") if name.startswith(c)), "experiment")
         path.write_text(json.dumps(config))
-        failure = _failure(command, path, out, capsys)
+        failure = _failure(_command(name), path, out, capsys, quiet=where[0] == "bound")
         if failure is not None:
             failures.append(f"{name} {'.'.join(map(str, where))} = {value!r}: {failure}")
     assert failures == []

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import slabreg
-from slabreg import cli
+from slabreg import bounds, cli
 
 ALLOWED = {"numpy", "slabreg"}
 SOURCES = sorted(Path(slabreg.__file__).parent.glob("*.py"))
@@ -142,6 +142,37 @@ def test_experiments_run_one_replicate_loop():
         body = _function("experiments", name)
         assert not [node for node in ast.walk(body) if isinstance(node, (ast.For, ast.AsyncFor))], name
         assert "map" not in _called_names(body), name
+
+
+def test_compute_radius_is_the_one_gate_of_every_formula():
+    # compute_radius alone checks the geometry, compares the statistics' m
+    # with the moments' and calls a row's radius; no radius function tests
+    # a BoundSpec constant that its row declares.
+    gate = _function("bounds", "compute_radius")
+    sites = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            calls = isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "_require_geometry" or getattr(node.func, "attr", None) == "radius"
+            )
+            compares_m = isinstance(node, ast.Compare) and all(
+                getattr(side, "attr", None) == "m" and getattr(side.value, "id", None) in ("stats", "moments")
+                for side in (node.left, *node.comparators)
+            )
+            if calls or compares_m:
+                sites.append((path.name, node.lineno))
+    assert len(sites) == 3 and all(name == "bounds.py" and gate.lineno <= line <= gate.end_lineno for name, line in sites)
+    for variant, entry in bounds.VARIANT_TABLE.items():
+        formula = _function("bounds", entry.radius.__name__)
+        tests = [node for node in ast.walk(formula) if isinstance(node, ast.Compare)]
+        tests += [node.test for node in ast.walk(formula) if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert))]
+        read = {
+            node.attr
+            for test in tests
+            for node in ast.walk(test)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "spec"
+        }
+        assert not read & set(entry.constants), variant
 
 
 def test_test_gram_is_not_compared_with_its_transpose():

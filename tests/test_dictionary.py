@@ -43,7 +43,7 @@ def reference_trigonometric(x, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 4096])
 def test_trigonometric_matches_former_expression_bitwise(m):
     # three angle blocks and a remainder of rows
-    rows = 3 * max(1, fd.ANGLE_BLOCK_CELLS // max(1, m // 2)) + 5
+    rows = 3 * max(1, fd.STATS_BLOCK_CELLS // max(1, m // 2)) + 5
     x = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(m).uniform(size=rows)])
     assert np.array_equal(fd.Trigonometric(m).evaluate(x), reference_trigonometric(x, m))
 

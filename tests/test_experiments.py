@@ -230,7 +230,7 @@ def test_sup_bound_reads_no_angle_table(monkeypatch):
         ("IndVarFirstOrder", 0),
         ("TrFirstOrder", 0),
         ("TrBasicBounded", 1),
-        ("TrVariance", 1),
+        ("TrVariance", 0),  # B only in deployment mode, which no study replicate is in
         ("TrGeneralK", 1),
     ],
 )
@@ -272,6 +272,13 @@ def test_coverage_rejects_unbounded_noise_for_bounded_variant():
     model = small_sobolev(noise=ex.NoiseSpec("gaussian", 0.3))
     with pytest.raises(ConfigError, match="bounded"):
         ex.coverage_study("TrBasicBounded", model, 64, 16, 0.25, replicates=100, seed=1)
+
+
+def test_tr_variance_study_runs_with_unbounded_noise():
+    # TrVariance reads B in deployment mode alone; every replicate keeps its hidden labels
+    model = small_sobolev(noise=ex.NoiseSpec("gaussian", 0.3))
+    report = ex.transductive_experiment(model, 64, 1, 16, variant="TrVariance", replicates=5, seed=1)
+    assert len(report.rows) == 5 and all(np.isfinite(row["mse"]) for row in report.rows)
 
 
 def test_coverage_rejects_ind_svm():
