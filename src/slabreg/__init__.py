@@ -21,6 +21,7 @@ from .bounds import (
     compute_radius,
     compute_stats,
     normalization_ratio,
+    sample_geometry,
     slab_centers,
     slab_setup,
     split_features,
@@ -61,8 +62,6 @@ from .selector import (
     SelectionModel,
     clip_coefficients,
     predict,
-    project_feature,
-    residual_gamma,
     run_selection,
 )
 

@@ -28,6 +28,7 @@ from .data import Dataset
 from .dictionary import FeatureDictionary, Trigonometric, as_feature_matrix, carry_sum, matrix_blocks, require_finite
 from .dictionary import row_blocks, wave_sums
 from .errors import REQUIRED, ConfigError, NumericalError, json_object, list_of, number, optional, read, text
+from . import moments as design
 from .moments import DesignMoments
 
 @dataclass(frozen=True)
@@ -276,7 +277,9 @@ def tr_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec)
     elif spec.y_subexp is not None:
         b_y, big_y = spec.y_subexp
         t4 = stats.train_mean_t4 + stats.test_sum_t4 / n
-        inner = t4 * log(4.0 * m / eps) * log(4.0 * n * big_y / eps) ** 4 / (2.0 * n * b_y**4)
+        # log(4 N B_y / eps) as a sum stays finite for any finite B_y; a
+        # fourth power past the float range raises OverflowError
+        inner = t4 * log(4.0 * m / eps) * ((log(4.0 * n / eps) + log(big_y)) / b_y) ** 4 / (2.0 * n)
         beta = (8.0 * log(8.0 * m / eps) / n) * (ratio + np.sqrt(inner))
         mode = "deployment"
     else:
@@ -431,6 +434,21 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
     if matrix.shape[0] != data.x.shape[0]:
         raise ConfigError(f"feature matrix has {matrix.shape[0]} rows, dataset expects {data.x.shape[0]}")
     return FeatureBlocks(partial(matrix_blocks, matrix[:n]), matrix[n:])
+
+
+def sample_geometry(
+    family: FeatureDictionary, data: Dataset, transductive: bool, design_moments: Callable[[], DesignMoments]
+):
+    """A fit's features and moments, as ``(features, moments)``: the two
+    geometries of one estimator. A transductive fit projects in the test
+    block's empirical Gram, so it gets the split of the sample
+    (``split_features``) and the moments of its test block, which predict
+    as ``moments.block @ c``; an inductive one gets the family and
+    ``design_moments()``, which is called for an inductive fit alone."""
+    if transductive:
+        split = split_features(family, data)
+        return split, design.empirical_test_moments(split.test)
+    return family, design_moments()
 
 
 # The reads beyond the first moments that a trigonometric family's adjoint

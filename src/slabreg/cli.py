@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +115,10 @@ def _bound_spec(bound, epsilon) -> bounds.BoundSpec:
     return bounds.BoundSpec.from_json_dict(bound)
 
 
-def _inductive_moments(moments_spec, family, seed):
-    kind, spec = moments_spec
+def _inductive_moments(values, family, seed):
+    """The design moments of the config's ``moments``, for ``bounds.sample_geometry``
+    to build when the fit is inductive."""
+    kind, spec = values["moments"]
     if kind == "exact":
         return moments.exact_moments(family)
     if kind == "monte_carlo":
@@ -129,9 +132,13 @@ def _inductive_moments(moments_spec, family, seed):
 
 
 def _loo_arguments(loo_index, family):
+    """The config's anchor map; without one, a Gaussian family's own map of
+    its centers to the training rows they came from."""
+    if loo_index is not None:
+        return np.asarray(loo_index, dtype=int)
     if isinstance(family, dictionary.MultiscaleGaussian):
         return family.center_train_indices
-    return None if loo_index is None else np.asarray(loo_index, dtype=int)
+    return None
 
 
 def _with_test_block(x_train, y, x_test) -> data.Dataset:
@@ -190,11 +197,10 @@ def cmd_fit(args) -> int:
             data.write_predictions_csv(out / "predictions.csv", np.empty(0))
             return 0
         ds = _with_test_block(x, y, x_test)
-        blocks = bounds.split_features(family, ds)
-        mom = moments.empirical_test_moments(blocks.test)
     else:
         ds = data.Dataset(x=x, y=y)
-        blocks, mom = None, _inductive_moments(values["moments"], family, config["seed"])
+    design_moments = partial(_inductive_moments, values, family, config["seed"])
+    features, mom = bounds.sample_geometry(family, ds, transductive, design_moments)
     model = selector.run_selection(
         ds,
         family,
@@ -204,7 +210,7 @@ def cmd_fit(args) -> int:
         schedule=values["schedule"],
         loo_index=values["loo_index"],
         seed=config["seed"],
-        blocks=blocks,
+        features=features,
     )
     payload = model.to_json_dict()
     payload["config"] = _echoed(config)
@@ -212,7 +218,7 @@ def cmd_fit(args) -> int:
     summary = _summary_text(model)
     _write(out / "summary.txt", summary.encode())
     if transductive:
-        data.write_predictions_csv(out / "predictions.csv", blocks.test @ model.coefficients)
+        data.write_predictions_csv(out / "predictions.csv", mom.block @ model.coefficients)
     sys.stdout.write(summary)
     return 0
 
@@ -229,21 +235,17 @@ def _bounds_table(config, values, family):
         ds = _with_test_block(x, y, data.load_unlabeled_csv(values["test"]))
     else:
         ds = data.Dataset(x=x, y=y)
-    # Only the empirical test Gram reads the test block.
-    features = bounds.split_features(family, ds) if transductive else family
+    # spec.transductive -> (features, moments), once per geometry the variants use
+    design_moments = partial(_inductive_moments, values, family, config["seed"])
+    geometries = {
+        kind: bounds.sample_geometry(family, ds, kind, design_moments)
+        for kind in dict.fromkeys(spec.transductive for spec in specs)
+    }
+    # The statistics read the split whenever a transductive variant reads the test block.
+    features = geometries[True][0] if transductive else family
     stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs], loo_index=values["loo_index"])
-    geometries = {}  # spec.transductive -> moments, each built on first use
-    columns = {}
-    for spec in specs:
-        if spec.transductive not in geometries:
-            geometries[spec.transductive] = (
-                moments.empirical_test_moments(features.test)
-                if spec.transductive
-                else _inductive_moments(values["moments"], family, config["seed"])
-            )
-        mom = geometries[spec.transductive]
-        columns[spec.variant] = bounds.compute_radius(spec, stats, mom)
-    mom0 = geometries[specs[0].transductive]
+    columns = {spec.variant: bounds.compute_radius(spec, stats, geometries[spec.transductive][1]) for spec in specs}
+    mom0 = geometries[specs[0].transductive][1]
     ahat = bounds.alpha_hat(stats)
     ratio = bounds.normalization_ratio(stats, mom0)
 

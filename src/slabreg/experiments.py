@@ -17,11 +17,11 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .bounds import VARIANT_TABLE, BoundSpec, slab_setup, split_features
+from .bounds import VARIANT_TABLE, BoundSpec, sample_geometry, slab_setup
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric, carry_sum, matrix_blocks
 from .errors import REQUIRED, ConfigError, list_of, number, optional, read, text
-from .moments import empirical_test_moments, exact_moments
+from .moments import exact_moments
 from .selector import SelectionModel, clip_coefficients, run_selection
 
 NOISE_KINDS = ("gaussian", "uniform", "rademacher", "none")
@@ -330,16 +330,11 @@ def _covered(model: SyntheticModel, data: Dataset, moments, spec: BoundSpec, sla
 
 
 def _replicate(model: SyntheticModel, family, spec: BoundSpec, n_train: int, k_test: int, seed: int):
-    """One replicate's sample and the spec's geometry, as ``(data, features,
-    moments)``: the split of the sample and its test Gram for a transductive
-    spec, else the family and its exact moments (an inductive replicate never
-    reads the features again: the slabs evaluate the family one row block at
-    a time)."""
+    """One replicate's sample and the spec's geometry (``sample_geometry``),
+    as ``(data, features, moments)``; an inductive replicate's moments are
+    the family's exact ones."""
     data = generate(model, n_train, k_test, seed=seed)
-    if spec.transductive:
-        blocks = split_features(family, data)
-        return data, blocks, empirical_test_moments(blocks.test)
-    return data, family, exact_moments(family)
+    return (data, *sample_geometry(family, data, spec.transductive, lambda: exact_moments(family)))
 
 
 def _study(model: SyntheticModel, sizes, replicates, seed, threads, setup, columns, budget_seconds=None):
@@ -558,13 +553,13 @@ def transductive_experiment(
         raise ConfigError(f"transductive experiments need a transductive variant, got {variant}")
     spec = _study_spec(spec, variant, model, epsilon, m)
 
-    def columns(family, data, blocks, moments, spec):
-        fit = run_selection(data, family, moments, spec, schedule="GreedyMax", blocks=blocks)
+    def columns(family, data, features, moments, spec):
+        fit = run_selection(data, family, moments, spec, schedule="GreedyMax", features=features)
         hidden = data.hidden_y
         return {
-            "mse": float(np.mean((hidden - blocks.test @ fit.coefficients) ** 2)),
+            "mse": float(np.mean((hidden - moments.block @ fit.coefficients) ** 2)),
             "coverage_event": _covered(model, data, moments, spec, fit.slabs),
-            "chain_ok": _chain_holds(fit, blocks.test, hidden),
+            "chain_ok": _chain_holds(fit, moments.block, hidden),
             "zero_mse": float(np.mean(hidden**2)),
             "steps": fit.stopped_at,
         }

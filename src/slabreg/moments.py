@@ -88,7 +88,9 @@ class GramSweep:
     """One pass's Gram products: ``interactions()`` is c @ G at the pass's
     start and ``interaction(k)`` is G[:, k] @ c at the current c, which the
     pass moves in place, one coordinate at a time, and reports through
-    ``move``. Read here from the dense Gram."""
+    ``move``. Read here from the dense Gram. The loop reads
+    ``interaction(k)`` only from sweeps that are not ``elementwise``; an
+    elementwise sweep answers every feature from ``interactions()``."""
 
     # Whether each feature's product reads its own coefficient alone, so
     # that ``interactions()`` answers every feature of the pass.
@@ -108,8 +110,8 @@ class GramSweep:
 
 
 class IdentitySweep(GramSweep):
-    """Under the identity c @ G and G[:, k] @ c have one nonzero term of
-    weight exactly 1.0, so c gives their bits (soft thresholding)."""
+    """Under the identity c @ G has one nonzero term of weight exactly 1.0
+    per feature, so c gives its bits (soft thresholding)."""
 
     elementwise = True
 
@@ -118,9 +120,6 @@ class IdentitySweep(GramSweep):
 
     def interactions(self) -> np.ndarray:
         return self.c
-
-    def interaction(self, k: int):
-        return self.c[k]
 
 
 class BlockSweep(GramSweep):

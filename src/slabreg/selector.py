@@ -20,7 +20,8 @@ record; on a dense Gram the final projection can raise another feature's
 movement above kappa at the returned coefficients.
 
 The same engine serves the inductive setting (design moments) and the
-transductive one (empirical test moments); only the Gram differs.
+transductive one (empirical test moments); only the Gram differs, and
+``bounds.sample_geometry`` builds either from a sample.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bounds import BoundSpec, ConfidenceRadius, FeatureBlocks, Slabs, slab_setup
+from .bounds import BoundSpec, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
 from .errors import ConfigError, NumericalError
@@ -148,27 +149,6 @@ class SelectionModel:
         )
 
 
-def residual_gamma(coefficients, k: int, centers, moments: DesignMoments) -> float:
-    """Signed coefficient-space residual of feature k (0-based) at the current point."""
-    v = moments.diag[k]
-    if v <= 0.0:
-        raise ConfigError(f"feature {k + 1} is degenerate (zero design second moment)")
-    interaction = float(moments.sweep(np.asarray(coefficients, dtype=float)).interaction(k))
-    return float(centers[k]) - interaction / v
-
-
-def project_feature(coefficients, k: int, centers, moments: DesignMoments, radius: ConfidenceRadius):
-    """Project the current point onto feature k's slab.
-
-    Returns (new_coefficients, delta) with delta the squared ambient movement
-    v_k (|gamma| - tau)_+^2. Projecting twice is identical to projecting once.
-    """
-    c = np.array(coefficients, dtype=float, copy=True)
-    gamma = residual_gamma(c, k, centers, moments)
-    record = _project(c, k, gamma, float(radius.tau[k]), float(moments.diag[k]), [])
-    return c, 0.0 if record is None else record.delta
-
-
 def _project(c, k: int, gamma: float, tau: float, v: float, trace: list):
     """The projection step: soft threshold coordinate k of c in place.
 
@@ -244,15 +224,15 @@ def run_selection(
     warm_start=None,
     loo_index=None,
     seed: int | None = None,
-    blocks: FeatureBlocks | None = None,
+    features=None,
 ) -> SelectionModel:
     """Fit the selection model end to end.
 
     Sets up the slabs (``bounds.slab_setup``), which the model keeps, from
-    the dictionary at ``data.x`` (the training rows of a rowwise dictionary
-    one row block at a time), or from ``blocks``, the split of the sample
-    (``bounds.split_features``) that a transductive caller already holds
-    for its test Gram and predictions. Then runs the projection loop.
+    ``features``: by default the dictionary at ``data.x`` (the training rows
+    of a rowwise dictionary one row block at a time), or the features that
+    ``bounds.sample_geometry`` gives with the moments, the split of the
+    sample for a transductive fit. Then runs the projection loop.
     kappa defaults to 1/(2N), the midpoint of the admissible interval
     (0, 1/N). Deterministic given inputs.
     """
@@ -262,7 +242,7 @@ def run_selection(
     kappa = 1.0 / (2.0 * n) if kappa is None else float(kappa)
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
-    slabs = slab_setup(dictionary if blocks is None else blocks, data, moments, spec, loo_index=loo_index)
+    slabs = slab_setup(dictionary if features is None else features, data, moments, spec, loo_index=loo_index)
     dropped = int(slabs.active.size - slabs.active.sum())
     if dropped and np.any(slabs.active):
         warnings.warn(f"excluding {dropped} degenerate feature(s) from selection", stacklevel=2)

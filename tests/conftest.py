@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from slabreg import selector
 from slabreg.dictionary import as_points
 
 
@@ -62,3 +64,19 @@ def evaluations(monkeypatch):
         return log
 
     return record
+
+
+@pytest.fixture(scope="session")
+def project():
+    """``project(c, k, centers, moments, radius)``: c projected onto feature
+    k's slab by the projection loop itself (one GreedyMax step with k the
+    only active feature), as ``(new c, delta, gamma)`` from the step's
+    record; delta is 0.0 and gamma None when c already lies in the slab,
+    where the loop records no step."""
+
+    def step(c, k, centers, moments, radius):
+        active = np.arange(centers.shape[0]) == k
+        c, trace = selector._iterate(centers, moments, radius, math.inf, "GreedyMax", active, 1, warm_start=c)
+        return (c, trace[0].delta, trace[0].gamma) if trace else (c, 0.0, None)
+
+    return step

@@ -50,7 +50,7 @@ def test_c1_soft_threshold_equivalence():
     report("1 soft-threshold equivalence", f"max dev {np.max(np.abs(model.coefficients - soft)):.2e}, {elapsed:.2f}s")
 
 
-def test_c2_projection_geometry_randomized():
+def test_c2_projection_geometry_randomized(project):
     start = time.monotonic()
     rng = np.random.default_rng(202)
     worst_member, worst_idem, worst_delta = 0.0, 0.0, 0.0
@@ -64,10 +64,10 @@ def test_c2_projection_geometry_randomized():
         )
         centers = np.array([gamma])
         c0 = np.zeros(1)
-        c1, delta = selector.project_feature(c0, 0, centers, mom, radius)
+        c1, delta, _ = project(c0, 0, centers, mom, radius)
         inner = abs((c1[0] - gamma) * v) / math.sqrt(v)
         worst_member = max(worst_member, inner - math.sqrt(radius.beta[0]))
-        c2, delta2 = selector.project_feature(c1, 0, centers, mom, radius)
+        c2, delta2, _ = project(c1, 0, centers, mom, radius)
         worst_idem = max(worst_idem, abs(c2[0] - c1[0]), delta2)
         worst_delta = max(worst_delta, abs(delta - v * (c1[0] - c0[0]) ** 2))
     assert worst_member <= 1e-10
@@ -224,3 +224,43 @@ def test_c8_determinism_across_threads(tmp_path):
     json4 = json4.replace(b'"threads": 4', b'"threads": T')
     assert json1 == json4
     report("8 determinism", "fit and experiment artifacts byte-identical at threads 1 and 4")
+
+
+def test_c13_inductive_chain_in_a_dense_geometry():
+    # The design is uniform on a fixed population of M points, so its Gram,
+    # each feature's target coefficient and the risk are exact: on the
+    # coverage event every projection lowers the population risk by at
+    # least its delta (Pythagoras in the design's L2).
+    start = time.monotonic()
+    population = np.random.default_rng(0).uniform(size=(4096, 1))
+    family = MultiscaleGaussian(np.linspace(0.0, 1.0, 16)[:, None], [200.0, 800.0])
+    theta = family.evaluate(population)
+    mom = DesignMoments(theta.T @ theta / population.shape[0], "UserSupplied")
+    f = 2.0 * np.sin(2 * np.pi * population[:, 0]) + np.cos(6 * np.pi * population[:, 0])
+    target = (theta.T @ f / population.shape[0]) / mom.diag
+    n, eps, replicates = 512, 0.1, 200
+    specs = [
+        bounds.BoundSpec("IndExact", eps, B=float(np.abs(f).max()), sigma2=0.01 / 3),
+        bounds.BoundSpec("IndVarFirstOrder", eps),
+    ]
+    rng = np.random.default_rng(1313)
+    details = []
+    for spec in specs:
+        for schedule in selector.SCHEDULES:
+            covered = chained = steps = 0
+            for _ in range(replicates):
+                rows = rng.integers(0, population.shape[0], size=n)
+                ds = data.Dataset(x=population[rows], y=f[rows] + rng.uniform(-0.1, 0.1, n))
+                fit = selector.run_selection(ds, family, mom, spec, schedule=schedule)
+                steps += fit.stopped_at
+                if np.all(np.abs(fit.slabs.centers - target) <= fit.slabs.radius.tau):
+                    covered += 1
+                    chained += ex._chain_holds(fit, theta, f)
+            cell = f"{spec.variant}/{schedule}"
+            assert covered / replicates >= 1 - eps - ex.binomial_slack(1 - eps, replicates), cell
+            assert chained == covered, cell
+            assert steps / replicates >= 1.0, cell
+            details.append(f"{cell} coverage {covered / replicates:.3f}, steps {steps / replicates:.1f}")
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0
+    report("13 dense inductive chain", f"{'; '.join(details)}, {elapsed:.1f}s")

@@ -198,8 +198,8 @@ def test_slab_setup_is_invariant_under_permuted_training_rows(kind, n, seed, hid
         for points, labels, anchors in samples:
             if entry.transductive:
                 data = Dataset(points, labels, hidden_y)
-                blocks = bounds.split_features(family, data)
-                slabs.append(bounds.slab_setup(blocks, data, empirical_test_moments(blocks.test), spec))
+                features, mom = bounds.sample_geometry(family, data, True, None)
+                slabs.append(bounds.slab_setup(features, data, mom, spec))
             else:
                 slabs.append(bounds.slab_setup(family, Dataset(points[:n], labels), design, spec, anchors))
         a, b = slabs

@@ -691,6 +691,27 @@ def test_radius_overflow_exits_4_with_one_error_line(tmp_path, train_csv, consta
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "y_subexp,code", [({"b_y": 0.5, "B_y": 1e308}, 0), ({"b_y": 1e-100, "B_y": 2.0}, 4)], ids=["big-B_y", "small-b_y"]
+)
+def test_tr_first_order_deployment_radius_is_finite_or_one_error_line(tmp_path, train_csv, test_csv, y_subexp, code, capsys):
+    # A B_y near the float limit has a finite radius; a b_y whose fourth power
+    # underflows has a radius past the float range: one error line, no warning.
+    bound = json.dumps({"variant": "TrFirstOrder", "epsilon": 0.1, "y_subexp": y_subexp})
+    argv = ["bounds", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5, "--bound", bound, "--json"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    if code == 0:
+        betas = [row["beta[TrFirstOrder]"] for row in json.loads(out)["rows"]]
+        assert all(beta is not None and beta > 0.0 for beta in betas), betas  # a null cell is not finite
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: TrFirstOrder radius overflows"), lines
+
+
 GATED_CONSTANTS = [(variant, name) for variant, entry in bounds.VARIANT_TABLE.items() for name in entry.constants]
 
 
@@ -704,13 +725,9 @@ def test_a_missing_bound_constant_is_a_config_error_naming_it(tmp_path, train_cs
     transductive = bounds.VARIANT_TABLE[variant].transductive
     x, y = data.load_labeled_csv(train_csv)
     family = dict_from_spec(json.loads(TRIG5))
-    if transductive:
-        ds = data.Dataset(np.vstack([x, data.load_unlabeled_csv(test_csv)]), y)
-        blocks = bounds.split_features(family, ds)
-        stats, mom = bounds.compute_stats(blocks, ds, (variant,)), empirical_test_moments(blocks.test)
-    else:
-        ds = data.Dataset(x, y)
-        stats, mom = bounds.compute_stats(family, ds, (variant,)), exact_moments(family)
+    ds = data.Dataset(np.vstack([x, data.load_unlabeled_csv(test_csv)]) if transductive else x, y)
+    features, mom = bounds.sample_geometry(family, ds, transductive, lambda: exact_moments(family))
+    stats = bounds.compute_stats(features, ds, (variant,))
     with pytest.raises(ConfigError, match=message):
         bounds.compute_radius(bounds.BoundSpec.from_json_dict(bound), stats, mom)
     # the command's
@@ -1258,6 +1275,25 @@ def test_fit_reads_loo_index_from_the_config(tmp_path, train_csv, capsys):
     path.write_text(json.dumps({**config, "loo_index": [0, 1, 2, 3, 10]}))
     assert run_cli(["fit", "--config", path, "--out", out]) == 2
     assert "loo_index entries must be valid training rows" in capsys.readouterr().err
+
+
+def test_config_loo_index_overrides_a_gaussian_familys_own_map(tmp_path, capsys):
+    # The family's map of its centers to training rows is used only when the config gives none.
+    x = np.random.default_rng(12).uniform(size=(12, 1))
+    train = tmp_path / "train.csv"
+    data.write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]))
+    config = {
+        "train": str(train),
+        "dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": x.tolist(), "scales": [5.0, 50.0]}},
+        "bound": {"variant": "IndSvm", "epsilon": 0.1},
+        "moments": {"kind": "monte_carlo", "n_samples": 1000},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["fit", "--config", path, "--out", tmp_path / "run"]) == 0
+    path.write_text(json.dumps({**config, "loo_index": [99] * 24}))
+    assert run_cli(["fit", "--config", path, "--out", tmp_path / "bad"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: loo_index entries must be valid training rows"]
 
 
 def test_transduce_writes_its_summary_as_fit_does(tmp_path, train_csv, test_csv, capsys):

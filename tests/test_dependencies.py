@@ -175,6 +175,33 @@ def test_compute_radius_is_the_one_gate_of_every_formula():
         assert not read & set(entry.constants), variant
 
 
+@pytest.mark.parametrize(
+    "name,owners",
+    [
+        ("sweep", [("selector", "_iterate")]),
+        ("empirical_test_moments", [("bounds", "sample_geometry")]),
+        ("split_features", [("bounds", "sample_geometry"), ("bounds", "compute_stats")]),
+    ],
+    ids=["sweep", "empirical_test_moments", "split_features"],
+)
+def test_one_path_from_a_sample_to_a_fit(name, owners):
+    # The loop alone takes a pass's Gram products, so it alone computes a
+    # residual; sample_geometry alone pairs a sample's split with its test
+    # Gram, and compute_stats splits whatever else it is given.
+    spans = {(f"{module}.py", function): _function(module, function) for module, function in owners}
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    owner = {
+        site: next((key for key, fn in spans.items() if key[0] == site[0] and fn.lineno <= site[1] <= fn.end_lineno), None)
+        for site in sites
+    }
+    assert None not in owner.values() and set(owner.values()) == set(spans), sites
+
+
 def test_test_gram_is_not_compared_with_its_transpose():
     # The test Gram is exactly symmetric as built; nothing compares or averages it with its transpose.
     assert not _called_names(_function("moments", "empirical_test_moments")) & {"array_equal", "_symmetrize"}

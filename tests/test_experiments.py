@@ -545,15 +545,15 @@ def test_chain_check_rejects_a_delta_above_the_hidden_risk_drop():
     )
     data = ex.generate(model, 256, 1, seed=3)
     family = model.family(8)
-    blocks = bounds.split_features(family, data)
+    features, mom = bounds.sample_geometry(family, data, True, None)
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=2.75)
-    fit = run_selection(data, family, empirical_test_moments(blocks.test), spec, blocks=blocks)
-    assert fit.trace and ex._chain_holds(fit, blocks.test, data.hidden_y)
+    fit = run_selection(data, family, mom, spec, features=features)
+    assert fit.trace and ex._chain_holds(fit, mom.block, data.hidden_y)
     first = fit.trace[0]
-    test = blocks.test[:, first.feature - 1]
+    test = mom.block[:, first.feature - 1]
     drop = np.mean(data.hidden_y**2) - np.mean((data.hidden_y - first.update * test) ** 2)
     claimed = replace(fit, trace=(replace(first, delta=drop + 1e-6), *fit.trace[1:]))
-    assert not ex._chain_holds(claimed, blocks.test, data.hidden_y)
+    assert not ex._chain_holds(claimed, mom.block, data.hidden_y)
 
 
 def test_transductive_general_k_bound_shrinks_with_more_test_points():

@@ -22,47 +22,53 @@ def radius_from_tau(tau, v, variant="IndExact", epsilon=0.1):
     )
 
 
-def test_residual_gamma_empty_model():
+def zero_radius(m):
+    return radius_from_tau(np.zeros(m), np.ones(m))
+
+
+def test_residual_gamma_empty_model(project):
+    # at tau = 0 every step records its residual, gamma
     mom = DesignMoments(np.eye(3), "Exact")
     centers = np.array([0.3, -0.7, 1.1])
     for k in range(3):
-        assert selector.residual_gamma(np.zeros(3), k, centers, mom) == centers[k]
+        assert project(np.zeros(3), k, centers, mom, zero_radius(3))[2] == centers[k]
 
 
-def test_residual_gamma_centered_model():
+def test_residual_gamma_centered_model(project):
+    # at tau = 0 the loop records no step exactly when the residual is 0.0
     mom = DesignMoments(np.eye(2), "Exact")
     centers = np.array([0.5, -0.25])
-    assert selector.residual_gamma(centers.copy(), 0, centers, mom) == 0.0
-    assert selector.residual_gamma(centers.copy(), 1, centers, mom) == 0.0
+    assert project(centers.copy(), 0, centers, mom, zero_radius(2))[2] is None
+    assert project(centers.copy(), 1, centers, mom, zero_radius(2))[2] is None
 
 
-def test_residual_gamma_hand_gram():
+def test_residual_gamma_hand_gram(project):
     gram = np.array([[1.0, 0.5], [0.5, 1.0]])
     mom = DesignMoments(gram, "UserSupplied")
     centers = np.array([0.0, 0.8])
     c = np.array([1.0, 0.0])
-    assert selector.residual_gamma(c, 1, centers, mom) == pytest.approx(0.3, abs=1e-15)
+    assert project(c, 1, centers, mom, zero_radius(2))[2] == pytest.approx(0.3, abs=1e-15)
 
 
-def test_project_feature_dead_zone():
+def test_project_feature_dead_zone(project):
     mom = DesignMoments(np.eye(1), "Exact")
     radius = radius_from_tau([0.5], [1.0])
-    c, delta = selector.project_feature(np.zeros(1), 0, np.array([0.4]), mom, radius)
+    c, delta, _ = project(np.zeros(1), 0, np.array([0.4]), mom, radius)
     assert c[0] == 0.0 and delta == 0.0
 
 
-def test_project_feature_soft_threshold_arithmetic():
+def test_project_feature_soft_threshold_arithmetic(project):
     mom = DesignMoments(np.eye(1), "Exact")
     radius = radius_from_tau([0.2], [1.0])
-    c, delta = selector.project_feature(np.zeros(1), 0, np.array([0.5]), mom, radius)
+    c, delta, _ = project(np.zeros(1), 0, np.array([0.5]), mom, radius)
     assert c[0] == pytest.approx(0.3, abs=1e-15)
     assert delta == pytest.approx(0.09, abs=1e-15)
 
 
-def test_project_feature_sign_and_scale():
+def test_project_feature_sign_and_scale(project):
     mom = DesignMoments(np.diag([4.0]), "UserSupplied")
     radius = radius_from_tau([0.2], [4.0])
-    c, delta = selector.project_feature(np.zeros(1), 0, np.array([-0.5]), mom, radius)
+    c, delta, _ = project(np.zeros(1), 0, np.array([-0.5]), mom, radius)
     assert c[0] == pytest.approx(-0.3, abs=1e-15)
     assert delta == pytest.approx(4.0 * 0.09, abs=1e-14)
 
@@ -73,24 +79,24 @@ def test_project_feature_sign_and_scale():
     tau=st.floats(0, 3),
     v=st.floats(0.01, 10),
 )
-def test_projection_membership_idempotence_delta(gamma, tau, v):
+def test_projection_membership_idempotence_delta(project, gamma, tau, v):
     mom = DesignMoments(np.diag([v]), "UserSupplied")
     radius = radius_from_tau([tau], [v])
     centers = np.array([gamma])
     c0 = np.zeros(1)
-    c1, delta = selector.project_feature(c0, 0, centers, mom, radius)
+    c1, delta, _ = project(c0, 0, centers, mom, radius)
     # membership: |<theta_c1 - center*theta, theta/||theta||>| <= sqrt(beta) + 1e-10
     inner = abs((c1[0] - centers[0]) * v) / math.sqrt(v)
     assert inner <= math.sqrt(radius.beta[0]) + 1e-10
     # idempotence
-    c2, delta2 = selector.project_feature(c1, 0, centers, mom, radius)
+    c2, delta2, _ = project(c1, 0, centers, mom, radius)
     assert abs(c2[0] - c1[0]) <= 1e-12
     assert delta2 <= 1e-12 * max(1.0, v)
     # delta equals the squared ambient movement
     assert delta == pytest.approx(v * (c1[0] - c0[0]) ** 2, abs=1e-12)
 
 
-def test_projection_membership_under_correlated_gram():
+def test_projection_membership_under_correlated_gram(project):
     rng = np.random.default_rng(1)
     a = rng.normal(size=(6, 4))
     gram = a.T @ a / 6 + 0.1 * np.eye(4)
@@ -101,8 +107,8 @@ def test_projection_membership_under_correlated_gram():
     centers = rng.normal(size=4)
     c = rng.normal(size=4)
     for k in range(4):
-        c1, delta = selector.project_feature(c, k, centers, mom, radius)
-        gamma_after = selector.residual_gamma(c1, k, centers, mom)
+        c1, delta, _ = project(c, k, centers, mom, radius)
+        gamma_after = centers[k] - gram[:, k] @ c1 / v[k]
         assert abs(gamma_after) * math.sqrt(v[k]) <= math.sqrt(radius.beta[k]) + 1e-10
         move = c1 - c
         assert delta == pytest.approx(float(move @ gram @ move), abs=1e-12)
@@ -197,7 +203,7 @@ def test_trace_deltas_meet_kappa_except_final_probe():
     for record in model.trace:
         k = record.feature - 1
         c[k] += record.update
-        gamma_after = selector.residual_gamma(c, k, centers, mom)
+        gamma_after = centers[k] - mom.gram[:, k] @ c / mom.diag[k]
         assert abs(gamma_after) * math.sqrt(mom.diag[k]) <= math.sqrt(radius.beta[k]) + 1e-10
     np.testing.assert_array_equal(c, model.coefficients)
 
@@ -724,7 +730,7 @@ def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, eval
     log = evaluations(type(family))
     model = selector.run_selection(ds, family, mom, spec)
     monkeypatch.undo()
-    reference = selector.run_selection(ds, family, mom, spec, blocks=bounds.split_features(features, ds))
+    reference = selector.run_selection(ds, family, mom, spec, features=features)
     if kind == "Trigonometric":
         # an inductive trigonometric fit evaluates no feature row: its
         # statistics are the adjoint sums, within rounding of the matrix's
@@ -762,10 +768,7 @@ def test_rowwise_fit_checks_the_sample_once_outside_evaluate(transductive, monke
 
     monkeypatch.setattr(Trigonometric, "check_points", checked)
     monkeypatch.setattr(Trigonometric, "evaluate", evaluated)
-    if transductive:
-        blocks = bounds.split_features(family, ds)
-        mom, spec = empirical_test_moments(blocks.test), bounds.BoundSpec("TrBasicBounded", 0.1, B=2.0)
-    else:
-        blocks, mom, spec = None, exact_moments(family), bounds.BoundSpec("IndVarFirstOrder", 0.1)
-    selector.run_selection(ds, family, mom, spec, blocks=blocks)
+    features, mom = bounds.sample_geometry(family, ds, transductive, lambda: exact_moments(family))
+    spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=2.0) if transductive else bounds.BoundSpec("IndVarFirstOrder", 0.1)
+    selector.run_selection(ds, family, mom, spec, features=features)
     assert outside == [x.shape[0]]
