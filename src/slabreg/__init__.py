@@ -29,7 +29,6 @@ from .bounds import (
 from .data import Dataset, load_labeled_csv, load_unlabeled_csv
 from .dictionary import (
     ExplicitMatrix,
-    GaussianKernel,
     Haar,
     KernelPCA,
     MultiscaleGaussian,

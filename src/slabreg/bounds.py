@@ -17,6 +17,7 @@ back to the documented observable majorants ("deployment" mode).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf, log, sqrt
@@ -27,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .dictionary import FeatureDictionary, Trigonometric, as_feature_matrix, carry_sum, matrix_blocks, require_finite
 from .dictionary import row_blocks, wave_sums
-from .errors import REQUIRED, ConfigError, NumericalError, json_object, list_of, number, optional, read, text
+from .errors import REQUIRED, ConfigError, DataError, NumericalError, json_object, list_of, number, optional, read, text
 from . import moments as design
 from .moments import DesignMoments
 
@@ -158,8 +159,6 @@ class ConfidenceRadius:
 
     beta: np.ndarray
     tau: np.ndarray
-    variant: str
-    epsilon: float
     observables: dict = field(default_factory=dict)
 
     @property
@@ -167,13 +166,13 @@ class ConfidenceRadius:
         return self.beta.shape[0]
 
 
-def _radius(beta, moments, spec, observables) -> ConfidenceRadius:
+def _radius(beta, moments, observables) -> ConfidenceRadius:
     beta = np.asarray(beta, dtype=float)
     v = moments.diag
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = np.where(v > 0.0, np.sqrt(np.maximum(beta, 0.0) / np.where(v > 0.0, v, 1.0)), np.inf)
     tau = np.where(np.isnan(tau), np.inf, tau)
-    return ConfidenceRadius(beta=beta, tau=tau, variant=spec.variant, epsilon=spec.epsilon, observables=observables)
+    return ConfidenceRadius(beta=beta, tau=tau, observables=observables)
 
 
 def _safe_ratio(num, den):
@@ -207,7 +206,7 @@ def ind_exact(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> C
     lead = 4.0 * (1.0 + log(2.0 * m / spec.epsilon)) / n
     ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
     beta = lead * (ratio + spec.B**2 + spec.sigma2)
-    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "observable"})
+    return _radius(beta, moments, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "observable"})
 
 
 def ind_var_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -217,7 +216,7 @@ def ind_var_first_order(stats: FeatureStats, moments: DesignMoments, spec: Bound
         raise ConfigError("IndVarFirstOrder needs N >= 2")
     m, n = stats.m, stats.n_train
     beta = (2.0 * log(4.0 * m / spec.epsilon) / n) * _safe_ratio(stats.train_var_ty, moments.diag)
-    return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "mode": "observable"})
+    return _radius(beta, moments, {"vhat": stats.train_var_ty, "mode": "observable"})
 
 
 def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -238,9 +237,8 @@ def ind_svm(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> Con
     vhat = np.maximum(loo_sq - loo_mean**2, 0.0)
     lead = 2.0 * log(2.0 * n * features_per_point / spec.epsilon) / (n - 1)
     beta = lead * _safe_ratio(vhat, moments.diag)
-    return _radius(
-        beta, moments, spec, {"vhat_loo": vhat, "features_per_point": features_per_point, "mode": "observable"}
-    )
+    observables = {"vhat_loo": vhat, "features_per_point": features_per_point, "mode": "observable"}
+    return _radius(beta, moments, observables)
 
 
 def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -251,7 +249,7 @@ def tr_basic_bounded(stats: FeatureStats, moments: DesignMoments, spec: BoundSpe
     m, n = stats.m, stats.n_train
     ratio = _safe_ratio(stats.train_mean_sq_ysq, moments.diag)
     beta = 4.0 * (spec.B**2 + ratio) * log(2.0 * m / spec.epsilon) / n
-    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "deployment"})
+    return _radius(beta, moments, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": "deployment"})
 
 
 def tr_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -287,7 +285,7 @@ def tr_first_order(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec)
             "TrFirstOrder needs test labels (simulation) or sub-exponential label "
             "constants y_subexp = (b_y, B_y)"
         )
-    return _radius(beta, moments, spec, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": mode})
+    return _radius(beta, moments, {"mean_sq_ysq": stats.train_mean_sq_ysq, "mode": mode})
 
 
 def tr_variance(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -> ConfidenceRadius:
@@ -318,9 +316,7 @@ def tr_variance(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) ->
     lead = pref * (4.0 * log4 / n) * _safe_ratio(stats.train_var_ty, moments.diag)
     tail = pref * 2.0 * (2.0 + sqrt(2.0)) * (log(6.0 * m / eps) / n) ** 1.5
     beta = lead + tail * _safe_ratio(np.sqrt(q4), moments.diag)
-    return _radius(
-        beta, moments, spec, {"v1": stats.train_var_ty, "prefactor": pref, "mode": mode}
-    )
+    return _radius(beta, moments, {"v1": stats.train_var_ty, "prefactor": pref, "mode": mode})
 
 
 def _general_k_bracket(vhat, log4, big_log, rate, n):
@@ -359,7 +355,7 @@ def tr_general_k(stats: FeatureStats, moments: DesignMoments, spec: BoundSpec) -
     bracket = _general_k_bracket(stats.train_var_ty, log4, big_log, rates, n)
     pref = (1.0 + 1.0 / k) ** 2
     beta = pref * _safe_ratio(bracket, moments.diag)
-    return _radius(beta, moments, spec, {"vhat": stats.train_var_ty, "prefactor": pref, "mode": "observable"})
+    return _radius(beta, moments, {"vhat": stats.train_var_ty, "prefactor": pref, "mode": "observable"})
 
 
 class VariantEntry(NamedTuple):
@@ -474,7 +470,8 @@ def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, rea
     weight. So |D - 2 sum_i sin^2 t'_i| <= u n (4.02A + n + 38), and D > E
     leaves 2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least u / 2,
     which ``evaluate`` squares to a positive entry, and the column is active
-    on both paths. A sum that is not finite also returns None.
+    on both paths. ``compute_stats`` runs it with overflow raised, and walks
+    the rows instead when a sum overflows.
     """
     n, nfreq = y.size, family.m // 2
     cos, sin = wave_sums(x, np.stack([np.ones(n), y, y**2], axis=1), 2 * nfreq)
@@ -484,8 +481,6 @@ def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, rea
     if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n):
         return None
     ty = family.columns(cos[1, 0], np.sqrt(2.0) * cos[1], np.sqrt(2.0) * sin[1])
-    if not (np.isfinite(ty).all() and np.isfinite(ysq_squares).all()):
-        return None
     sums = {"train_mean_sq": squares, "train_mean_ty": ty}
     # (t y)^2 = t^2 y^2: one sum, never below zero
     ysq_squares = np.maximum(ysq_squares, 0.0)
@@ -553,8 +548,12 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             raise ConfigError("loo_index entries must be valid training rows")
     sums = own = None
     if isinstance(features, Trigonometric) and data.k_test == 0 and reads <= ADJOINT_READS:
-        # the split has checked the points
-        sums = _trigonometric_sums(features, data.x[:, 0], data.y, reads)
+        # the split has checked the points; on an overflow the row walk decides
+        try:
+            with np.errstate(over="raise"):
+                sums = _trigonometric_sums(features, data.x[:, 0], data.y, reads)
+        except FloatingPointError:
+            sums = None
     if sums is None:
         sums, own = _row_block_sums(train, test, data, reads, anchors, has_test_labels)
     out = {}
@@ -571,10 +570,23 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
 
 
+@contextmanager
+def _no_overflow(side: str, rows: slice):
+    """One row block's sums with overflow raised: one DataError naming the
+    block, instead of a numpy warning and an infinite statistic."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        what = "the powers of their feature values or labels overflow the float range"
+        raise DataError(f"{side} rows {rows.start}..{rows.stop - 1}: {what}") from None
+
+
 def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels) -> tuple[dict, np.ndarray | None]:
     """``compute_stats``' column sums from the row blocks of the training
     rows and of the test block, and, with ``anchors``, each feature's
-    product on its anchor row (else None)."""
+    product on its anchor row (else None). An overflow in a block is a
+    DataError (``_no_overflow``)."""
     sums, own = {}, None
 
     def add(name, values):
@@ -585,28 +597,30 @@ def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels)
         cols = np.arange(anchors.size)
     for rows, t in train():
         require_finite(t)
-        y = data.y[rows, None]
-        ty = t * y
-        t2 = t**2
-        if "train_mean_sq_ysq" in reads:
-            add("train_mean_sq_ysq", t2 * y**2)
-        if "train_mean_t4" in reads:
-            add("train_mean_t4", t2**2)
-        add("train_mean_sq", t2)
-        if "train_var_ty" in reads or anchors is not None:
-            add("train_mean_ty2", ty**2)
-        if "train_mean_t4y4" in reads:
-            add("train_mean_t4y4", ty**4)
-        if anchors is not None:
-            held = (anchors >= rows.start) & (anchors < rows.stop)
-            own[held] = ty[anchors[held] - rows.start, cols[held]]
-        add("train_mean_ty", ty)
+        with _no_overflow("training", rows):
+            y = data.y[rows, None]
+            ty = t * y
+            t2 = t**2
+            if "train_mean_sq_ysq" in reads:
+                add("train_mean_sq_ysq", t2 * y**2)
+            if "train_mean_t4" in reads:
+                add("train_mean_t4", t2**2)
+            add("train_mean_sq", t2)
+            if "train_var_ty" in reads or anchors is not None:
+                add("train_mean_ty2", ty**2)
+            if "train_mean_t4y4" in reads:
+                add("train_mean_t4y4", ty**4)
+            if anchors is not None:
+                held = (anchors >= rows.start) & (anchors < rows.stop)
+                own[held] = ty[anchors[held] - rows.start, cols[held]]
+            add("train_mean_ty", ty)
     for rows, t in matrix_blocks(test):
         require_finite(t)
-        if "train_mean_t4" in reads:
-            add("test_sum_t4", t**4)
-        if "train_mean_t4y4" in reads and has_test_labels:
-            add("test_sum_t4y4", (t * data.hidden_y[rows, None]) ** 4)
+        with _no_overflow("test", rows):
+            if "train_mean_t4" in reads:
+                add("test_sum_t4", t**4)
+            if "train_mean_t4y4" in reads and has_test_labels:
+                add("test_sum_t4y4", (t * data.hidden_y[rows, None]) ** 4)
     return sums, own
 
 

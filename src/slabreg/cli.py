@@ -51,7 +51,6 @@ DATA_KEYS = {
     "train": (path, REQUIRED),
     "dictionary": (spec_object, REQUIRED),
     "bound": (spec_object, REQUIRED),
-    "epsilon": (optional(number), None),
     "loo_index": (optional(list_of(count(SIZE_CAP, low=0))), None),
 }
 FIT_KEYS = {**DATA_KEYS, "kappa": (optional(number), None), "schedule": (choice(*selector.SCHEDULES), "GreedyMax")}
@@ -89,6 +88,15 @@ def _resolve(args):
     return config
 
 
+def _check_keys(config, *tables):
+    """Reject a config key that none of the command's tables declares: an
+    ignored key would still be echoed into the artifacts."""
+    unknown = sorted(set(config).difference(*tables))
+    if unknown:
+        known = ", ".join(sorted(set().union(*tables)))
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}; this command reads {known}")
+
+
 def _echoed(config):
     """Resolved config as embedded in artifacts.
 
@@ -106,13 +114,6 @@ def _json_bytes(obj) -> bytes:
 def _write(path: Path, payload: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(payload)
-
-
-def _bound_spec(bound, epsilon) -> bounds.BoundSpec:
-    """The bound spec, with the config's epsilon when it gives none."""
-    if "epsilon" not in bound and epsilon is not None:
-        bound = {**bound, "epsilon": epsilon}
-    return bounds.BoundSpec.from_json_dict(bound)
 
 
 def _inductive_moments(values, family, seed):
@@ -170,6 +171,7 @@ def _data_config(args):
     dictionary it names, all read before any data file is."""
     config = _resolve(args)
     values = read(config, COMMAND_KEYS[args.command])
+    _check_keys(config, COMMON_KEYS, COMMAND_KEYS[args.command])
     family = dictionary.from_spec(values["dictionary"])
     values["loo_index"] = _loo_arguments(values["loo_index"], family)
     if "moments" in values:
@@ -184,7 +186,7 @@ def cmd_fit(args) -> int:
     geometry, that is on whether a test block joins the training rows."""
     config, values, family = _data_config(args)
     transductive = args.command == "transduce"
-    spec = _bound_spec(values["bound"], values["epsilon"])
+    spec = bounds.BoundSpec.from_json_dict(values["bound"])
     if spec.transductive != transductive:
         raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
     x, y = data.load_labeled_csv(values["train"])
@@ -225,8 +227,8 @@ def cmd_fit(args) -> int:
 
 def _bounds_table(config, values, family):
     bound = values["bound"]
-    variants = values["variants"] or [_bound_spec(bound, values["epsilon"]).variant]
-    specs = [_bound_spec({**bound, "variant": name}, values["epsilon"]) for name in variants]
+    variants = values["variants"] or [bounds.BoundSpec.from_json_dict(bound).variant]
+    specs = [bounds.BoundSpec.from_json_dict({**bound, "variant": name}) for name in variants]
     transductive = any(s.transductive for s in specs)
     if transductive and values["test"] is None:
         raise ConfigError("transductive bound variants need a 'test' file")
@@ -332,9 +334,11 @@ def _experiment_model(config, size) -> experiments.SyntheticModel:
 def cmd_experiment(args) -> int:
     config = _resolve(args)
     kind = read(config, {"kind": (choice(*EXPERIMENT_KINDS), REQUIRED)})["kind"]
+    rate = kind in ("rate-sobolev", "rate-besov")
+    _check_keys(config, COMMON_KEYS, ("kind", "model"), RATE_KEYS if rate else STUDY_KINDS)
     threads, seed = config["threads"], config["seed"]
     started = time.monotonic()
-    if kind in ("rate-sobolev", "rate-besov"):
+    if rate:
         values = read(config, RATE_KEYS)
         config["grid"] = grid = values.pop("grid")
         if kind == "rate-besov" and "model" not in config:
@@ -395,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--test", {"help": "unlabeled CSV (x1..xd)"}, ("transduce", "bounds")),
         ("--dictionary", {"help": "inline dictionary spec JSON"}, data_commands),
         ("--bound", {"help": "inline bound spec JSON"}, data_commands),
-        ("--epsilon", {"type": float}, data_commands),
         ("--kappa", {"type": float}, ("fit", "transduce")),
         ("--schedule", {"choices": selector.SCHEDULES}, ("fit", "transduce")),
         ("--variant", {"dest": "variants", "metavar": "VARIANT", "action": "append",

@@ -486,19 +486,6 @@ class MultiscaleGaussian(FeatureDictionary):
         }
 
 
-class GaussianKernel(MultiscaleGaussian):
-    """Single-scale Gaussian kernel features."""
-
-    kind = "GaussianKernel"
-
-    def __init__(self, centers, scale):
-        super().__init__(centers, [float(scale)])
-
-    def parameters(self):
-        p = super().parameters()
-        return {"centers": p["centers"], "scale": self.scales[0], "center_origin": p["center_origin"]}
-
-
 def _kernel_matrix(kernel: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kernel["kind"] == "gaussian":
         return np.exp(-0.5 * float(kernel["gamma"]) * squared_distances(a, b))
@@ -655,14 +642,16 @@ def _origin(value, name: str) -> list:
 
 # The keys of each kernel of KernelPCA.
 KERNEL_KEYS = {"gaussian": {"gamma": (number, REQUIRED)}, "linear": {}, "explicit": {"matrix": (as_floats, REQUIRED)}}
-_CENTERS = {"centers": (as_floats, REQUIRED), "center_origin": (optional(_origin), None)}
 # The keys of each dictionary kind, read from its spec's parameters (and m
 # from the spec itself).
 DICTIONARY_KEYS = {
     "Trigonometric": {"m": (count(SIZE_CAP), REQUIRED)},
     "Haar": {"levels": (count(LEVELS_CAP, low=0), REQUIRED)},
-    "MultiscaleGaussian": {**_CENTERS, "scales": (as_floats, REQUIRED)},
-    "GaussianKernel": {**_CENTERS, "scale": (number, REQUIRED)},
+    "MultiscaleGaussian": {
+        "centers": (as_floats, REQUIRED),
+        "center_origin": (optional(_origin), None),
+        "scales": (as_floats, REQUIRED),
+    },
     "KernelPCA": {
         "points": (as_floats, REQUIRED),
         "kernel": (json_object, REQUIRED),
@@ -673,7 +662,7 @@ DICTIONARY_KEYS = {
     "ExplicitMatrix": {"values": (as_floats, REQUIRED)},
 }
 DICTIONARY_CLASSES = {
-    cls.kind: cls for cls in (Trigonometric, Haar, MultiscaleGaussian, GaussianKernel, KernelPCA, ExplicitMatrix)
+    cls.kind: cls for cls in (Trigonometric, Haar, MultiscaleGaussian, KernelPCA, ExplicitMatrix)
 }
 
 

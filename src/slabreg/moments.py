@@ -16,7 +16,6 @@ forms its Gram unless something reads ``gram``.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -279,9 +278,7 @@ def empirical_test_moments(test: np.ndarray) -> EmpiricalTestMoments:
     test = np.ascontiguousarray(as_feature_matrix(test))
     if test.shape[0] == 0:
         raise ConfigError("empirical test moments need a nonempty test block")
-    mom = EmpiricalTestMoments(test)
-    _warn_degenerate(mom)
-    return mom
+    return EmpiricalTestMoments(test)
 
 
 def load_gram_csv(path) -> DesignMoments:
@@ -304,19 +301,7 @@ def load_gram_csv(path) -> DesignMoments:
     if not np.all(np.isfinite(g)):
         raise DataError(f"{path}: gram file contains non-finite values")
     g = _repair_psd(_symmetrize(g))
-    mom = DesignMoments(g, "UserSupplied")
-    _warn_degenerate(mom)
-    return mom
-
-
-def _warn_degenerate(moments: DesignMoments) -> None:
-    bad = np.nonzero(moments.degenerate)[0]
-    if bad.size:
-        warnings.warn(
-            f"{bad.size} degenerate feature(s) with zero design second moment "
-            f"(first index {int(bad[0]) + 1}); they are excluded from selection",
-            stacklevel=3,
-        )
+    return DesignMoments(g, "UserSupplied")
 
 
 def uniform_sampler(low: float = 0.0, high: float = 1.0, dim: int = 1):

@@ -177,7 +177,6 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
     c = np.zeros(m) if warm_start is None else np.array(warm_start, dtype=float, copy=True)
     trace = []
     if not np.any(active):
-        warnings.warn("all features are degenerate; returning the zero model", stacklevel=3)
         return c, trace
     features = np.flatnonzero(active)
     v_a, tau_a, centers_a = v[features], tau[features], centers[features]
@@ -243,9 +242,13 @@ def run_selection(
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
     slabs = slab_setup(dictionary if features is None else features, data, moments, spec, loo_index=loo_index)
-    dropped = int(slabs.active.size - slabs.active.sum())
-    if dropped and np.any(slabs.active):
-        warnings.warn(f"excluding {dropped} degenerate feature(s) from selection", stacklevel=2)
+    dropped = np.flatnonzero(~slabs.active)
+    if dropped.size:
+        warnings.warn(
+            f"excluding {dropped.size} degenerate feature(s) from selection (first index {dropped[0] + 1}): "
+            "zero design or training second moment",
+            stacklevel=2,
+        )
     coeffs, trace = _iterate(
         slabs.centers, moments, slabs.radius, kappa, schedule, slabs.active, max_iterations, warm_start
     )

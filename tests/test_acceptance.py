@@ -59,9 +59,7 @@ def test_c2_projection_geometry_randomized(project):
         tau = float(rng.uniform(0, 2))
         v = float(rng.uniform(0.05, 8))
         mom = DesignMoments(np.diag([v]), "UserSupplied")
-        radius = bounds.ConfidenceRadius(
-            beta=np.array([tau * tau * v]), tau=np.array([tau]), variant="IndExact", epsilon=0.1
-        )
+        radius = bounds.ConfidenceRadius(beta=np.array([tau * tau * v]), tau=np.array([tau]))
         centers = np.array([gamma])
         c0 = np.zeros(1)
         c1, delta, _ = project(c0, 0, centers, mom, radius)
@@ -122,15 +120,62 @@ def test_c4_coverage_ind_exact():
     report("4 coverage", f"coverage {rep.coverage:.3f} >= {threshold:.4f}, {elapsed:.1f}s")
 
 
-def test_c5_sobolev_rate_slope():
+@pytest.fixture(scope="module")
+def sobolev_rate_run():
+    """C5's rate run, which C10 reads too: the truth, the report and the
+    run's own wall time."""
     start = time.monotonic()
     model = ex.sobolev_model(smoothness=1.0, size=4096, scale=1.0, noise=ex.NoiseSpec("uniform", 0.05))
     grid = [64, 128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096]
     rep = ex.rate_experiment(model, grid, replicates=20, seed=0, threads=4)
+    return model, rep, time.monotonic() - start
+
+
+def test_c5_sobolev_rate_slope(sobolev_rate_run):
+    _, rep, elapsed = sobolev_rate_run
     assert -0.83 <= rep.slope <= -0.50
-    elapsed = time.monotonic() - start
     assert elapsed < 600.0
     report("5 sobolev rate", f"slope {rep.slope:.4f} in [-0.83, -0.50], stderr {rep.slope_stderr:.3f}, {elapsed:.0f}s")
+
+
+def test_c10_oracle_inequality_on_covered_replicates(sobolev_rate_run):
+    # On a replicate whose slabs cover the truth, the soft-thresholded fit's
+    # risk is at most Donoho and Johnstone's ideal risk: per kept coordinate
+    # min(f_k^2, 4 tau_k^2), plus the squared tail of the truth past m. The
+    # clip at sup |f| only moves the fit closer (C7).
+    start = time.monotonic()
+    model, rep, _ = sobolev_rate_run
+    sup, sigma2, f2 = model.sup_bound(), model.noise.second_moment, model.coefficients**2
+    covered, below_zero, worst = 0, 0, 0.0
+    for row in rep.rows:
+        n = row["N"]
+        sample = ex.generate(model, n, 0, seed=row["seed"])
+        family = model.family(n)
+        moments = exact_moments(family)
+        spec = bounds.BoundSpec("IndExact", float(n) ** -2, B=sup, sigma2=sigma2)
+        slabs = bounds.slab_setup(family, sample, moments, spec)
+        if not ex._covered(model, sample, moments, spec, slabs):
+            continue
+        covered += 1
+        kept = f2[:n]
+        ideal = 4.0 * slabs.radius.tau[: kept.size] ** 2
+        oracle = float(np.minimum(kept, ideal).sum() + f2[n:].sum())
+        assert row["mse"] <= oracle * (1 + 1e-12), (n, row["replicate"])
+        # an oracle that keeps a coordinate is below the zero model's risk, sum f_k^2
+        if np.any(ideal < kept):
+            below_zero += 1
+            worst = max(worst, row["mse"] / oracle)
+    eps = max(float(row["N"]) ** -2 for row in rep.rows)
+    assert covered / len(rep.rows) >= 1.0 - eps - ex.binomial_slack(eps, len(rep.rows))
+    # the inequality is not vacuous: some oracle beats the zero model
+    assert below_zero >= 1
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0
+    report(
+        "10 oracle inequality",
+        f"held on {covered}/{len(rep.rows)} covered, {below_zero} below the zero model "
+        f"(worst mse/oracle {worst:.3f}), {elapsed:.1f}s",
+    )
 
 
 def test_c6_variance_bound_beats_basic_on_low_variance_features():

@@ -165,7 +165,7 @@ PERMUTED_FAMILIES = {
     "Trigonometric": lambda x: fd.Trigonometric(7),
     "Haar": lambda x: fd.Haar(3),
     "MultiscaleGaussian": lambda x: fd.MultiscaleGaussian([[0.8], [0.1], [0.4]], [2.0, 8.0]),
-    "GaussianKernel": lambda x: fd.GaussianKernel(x, 4.0),  # centred on the training points
+    "TrainingGaussian": lambda x: fd.MultiscaleGaussian(x, [4.0]),  # centred on the training points
     "KernelPCA": lambda x: fd.KernelPCA([[0.1], [0.3], [0.5], [0.9]], {"kind": "gaussian", "gamma": 2.0}, 3),
 }
 
@@ -181,13 +181,13 @@ def test_slab_setup_is_invariant_under_permuted_training_rows(kind, n, seed, hid
     # Every variant's slabs read the training rows through means and sums,
     # which a permutation reorders: equal up to rounding. A center is a signed
     # mean, so its tolerance is relative to the largest center. IndSvm's
-    # anchors are the Gaussian kernel's centres, so its map moves with the rows.
+    # anchors are the training Gaussian's centres, so its map moves with the rows.
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(size=(2 * n, 1)), rng.uniform(-1, 1, n)
     hidden_y = rng.uniform(-1, 1, n) if hidden else None  # TrFirstOrder's simulation mode, else deployment
     perm = rng.permutation(n)
     family = PERMUTED_FAMILIES[kind](x[:n])
-    loo = family.center_train_indices if kind == "GaussianKernel" else None
+    loo = family.center_train_indices if kind == "TrainingGaussian" else None
     design = exact_moments(family) if kind in ORTHONORMAL_KINDS else monte_carlo_moments(family, uniform_sampler(), 200, 0)
     samples = [(x, y, loo), (np.vstack([x[:n][perm], x[n:]]), y[perm], None if loo is None else np.argsort(perm)[loo])]
     for variant, entry in bounds.VARIANT_TABLE.items():
@@ -714,13 +714,14 @@ def test_row_block_stats_stay_small_in_memory(peak_bytes):
 
 def rowwise_family(kind, m):
     """A rowwise dictionary of the given kind with m features (Haar: m a
-    power of two; MultiscaleGaussian: two scales, one when m = 1)."""
+    power of two; MultiscaleGaussian: two scales, one when m = 1;
+    OneScaleGaussian: m centers at one scale)."""
     if kind == "Trigonometric":
         return fd.Trigonometric(m)
     if kind == "Haar":
         return fd.Haar(m.bit_length() - 2)
-    if kind == "GaussianKernel":
-        return fd.GaussianKernel(np.linspace(0.03, 0.97, m)[:, None], 40.0)
+    if kind == "OneScaleGaussian":
+        return fd.MultiscaleGaussian(np.linspace(0.03, 0.97, m)[:, None], [40.0])
     scales = [9.0, 300.0] if m > 1 else [9.0]
     return fd.MultiscaleGaussian(np.linspace(0.03, 0.97, m // len(scales))[:, None], scales)
 
@@ -739,7 +740,7 @@ STREAM_SIZES = {
     "Trigonometric": (1, 2, 3, 256),
     "Haar": (2, 4, 256),
     "MultiscaleGaussian": (2, 4, 256),
-    "GaussianKernel": (1, 2, 3, 256),
+    "OneScaleGaussian": (1, 2, 3, 256),
 }
 STREAM_CASES = [
     (kind, m, STREAM_MANY if m == 256 else 70) for kind, sizes in STREAM_SIZES.items() for m in sizes

@@ -451,12 +451,17 @@ def test_experiment_unknown_kind_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# Each experiment kind's config, but for the key under test; only the rate
+# experiments read a grid.
+EXPERIMENT_CONFIGS = {"coverage": {}, "transductive": {}, "rate-sobolev": {"grid": [32, 48, 64, 96]}}
+
+
 @pytest.mark.parametrize("kind", ["coverage", "transductive", "rate-sobolev"])
 @pytest.mark.parametrize("replicates", [0, -1])
 def test_experiment_bad_replicate_count_exits_2_before_any_replicate(tmp_path, monkeypatch, kind, replicates, capsys):
     monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"kind": kind, "replicates": replicates, "grid": [32, 48, 64, 96]}))
+    config.write_text(json.dumps({"kind": kind, "replicates": replicates, **EXPERIMENT_CONFIGS[kind]}))
     out = tmp_path / "run"
     assert run_cli(["experiment", "--config", config, "--out", out]) == 2
     err = capsys.readouterr().err
@@ -472,7 +477,7 @@ def test_experiment_bad_replicate_count_exits_2_before_any_replicate(tmp_path, m
 def test_experiment_null_number_is_a_config_error_naming_the_key(tmp_path, monkeypatch, kind, key, capsys):
     monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"kind": kind, key: None, "grid": [32, 48, 64, 96]}))
+    config.write_text(json.dumps({"kind": kind, key: None, **EXPERIMENT_CONFIGS[kind]}))
     out = tmp_path / "run"
     assert run_cli(["experiment", "--config", config, "--out", out]) == 2
     assert capsys.readouterr().err == f"config error: {key} must be a number, got None\n"
@@ -691,6 +696,31 @@ def test_radius_overflow_exits_4_with_one_error_line(tmp_path, train_csv, consta
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_feature_square_overflow_exits_3_with_one_error_line(tmp_path, train_csv, capsys):
+    # A finite feature value whose square is past the float range: one data
+    # error naming the row block, no infinite statistic, no zero model.
+    gram = tmp_path / "gram.csv"
+    np.savetxt(gram, np.eye(3), delimiter=",")
+    values = np.random.default_rng(2).uniform(-1, 1, (10, 3))
+    values[4, 1] = 1e308
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": str(train_csv),
+        "dictionary": {"kind": "ExplicitMatrix", "parameters": {"values": values.tolist()}},
+        "bound": json.loads(IND),
+        "moments": {"kind": "file", "path": str(gram)},
+    }))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["fit", "--config", config, "--out", out])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["data error: training rows 0..9: the powers of their feature values or labels overflow the float range"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "y_subexp,code", [({"b_y": 0.5, "B_y": 1e308}, 0), ({"b_y": 1e-100, "B_y": 2.0}, 4)], ids=["big-B_y", "small-b_y"]
 )
@@ -886,7 +916,6 @@ MALFORMED_NUMBERS = {
     "m": {"dictionary": {"kind": "Trigonometric", "m": "abc"}},
     "levels": {"dictionary": {"kind": "Haar", "parameters": {"levels": "x"}}},
     "scales": {"dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.5]], "scales": ["x"]}}},
-    "scale": {"dictionary": {"kind": "GaussianKernel", "parameters": {"centers": [[0.5]], "scale": "x"}}},
     "top": {"dictionary": {"kind": "KernelPCA",
                            "parameters": {"points": [[0.5]], "kernel": {"kind": "linear"}, "top": "x"}}},
 }
@@ -912,7 +941,7 @@ def test_malformed_number_in_json_spec_exits_2(tmp_path, train_csv, field, capsy
 MISSING_KEYS = {
     "B_h": {"bound": {**json.loads(IND), "subexp": [{"beta_h": 0.5}]}},
     "B_y": {"bound": {**json.loads(IND), "y_subexp": {"b_y": 0.5}}},
-    "centers": {"dictionary": {"kind": "GaussianKernel", "parameters": {"scale": 2.0}}},
+    "centers": {"dictionary": {"kind": "MultiscaleGaussian", "parameters": {"scales": [2.0]}}},
     "scales": {"dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.5]]}}},
 }
 
@@ -1241,12 +1270,41 @@ def test_rate_besov_default_truth_spans_the_largest_grid_size(tmp_path):
     assert report["kind"] == "rate-besov" and len(report["rows"]) == 8
 
 
-@pytest.mark.parametrize("bound,epsilon", [('{"variant":"IndExact","B":1.5,"sigma2":0.04}', 0.2), (IND, 0.1)])
-def test_epsilon_flag_fills_only_a_bound_spec_without_one(tmp_path, train_csv, bound, epsilon):
+@pytest.mark.parametrize("command", ["fit", "transduce", "bounds"])
+def test_epsilon_is_no_flag_it_lives_in_the_bound_spec(tmp_path, train_csv, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--train", train_csv, "--dictionary", TRIG5, "--bound", IND, "--epsilon", 0.2])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon 0.2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "transduce", "bounds"])
+def test_unknown_config_key_exits_2_before_any_data_file_is_read(tmp_path, train_csv, monkeypatch, command, capsys):
+    # epsilon lives in the bound spec; at the top level no command reads it.
+    monkeypatch.setattr(data, "load_labeled_csv", lambda *args: pytest.fail("a data file was read"))
+    config = {"train": str(train_csv), "dictionary": json.loads(TRIG5), "bound": json.loads(IND), "epsilon": 0.5}
+    if command == "transduce":
+        config["test"] = str(train_csv)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "run"
-    argv = ["fit", "--train", train_csv, "--dictionary", TRIG5, "--bound", bound, "--epsilon", 0.2, "--out", out]
-    assert run_cli(argv) == 0
-    assert json.loads((out / "model.json").read_text())["epsilon"] == epsilon
+    assert run_cli([command, "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config key 'epsilon'; this command reads ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_CONFIGS))
+def test_experiment_unknown_config_key_exits_2_before_any_replicate(tmp_path, monkeypatch, kind, capsys):
+    monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    # a rate experiment has no epsilon of its own; a study has no grid
+    extra = {"epsilon": 0.1} if kind == "rate-sobolev" else {"grid": [32, 64]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": kind, **EXPERIMENT_CONFIGS[kind], **extra}))
+    out = tmp_path / "run"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: unknown config key {next(iter(extra))!r}; ")
+    assert not out.exists()
 
 
 def test_fit_reads_loo_index_from_the_config(tmp_path, train_csv, capsys):

@@ -1,6 +1,6 @@
 """Lint checks: the program runs on the standard library and numpy alone, its
-modules keep out of each other's private names, and every CLI flag reaches
-the resolved config."""
+modules keep out of each other's private names, each input has one
+spelling, and every CLI flag reaches the resolved config."""
 
 import argparse
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import slabreg
-from slabreg import bounds, cli
+from slabreg import bounds, cli, dictionary
 
 ALLOWED = {"numpy", "slabreg"}
 SOURCES = sorted(Path(slabreg.__file__).parent.glob("*.py"))
@@ -200,6 +200,25 @@ def test_one_path_from_a_sample_to_a_fit(name, owners):
         for site in sites
     }
     assert None not in owner.values() and set(owner.values()) == set(spans), sites
+
+
+def test_excluded_features_warn_from_one_place():
+    # A fit warns once about the features it excludes, from run_selection;
+    # no other code of the program warns.
+    fit = _function("selector", "run_selection")
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "warn" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(sites) == 1 and sites[0][0] == "selector.py" and fit.lineno <= sites[0][1] <= fit.end_lineno, sites
+
+
+def test_no_dictionary_kind_is_an_alias_of_another():
+    # One kind name per family: no registered class subclasses another.
+    classes = list(dictionary.DICTIONARY_CLASSES.values())
+    assert not [(a.kind, b.kind) for a in classes for b in classes if a is not b and issubclass(a, b)]
 
 
 def test_test_gram_is_not_compared_with_its_transpose():

@@ -265,22 +265,19 @@ def test_evaluation_deterministic_to_the_bit():
     np.testing.assert_array_equal(family.evaluate(pts), family.evaluate(pts))
 
 
-def test_gaussian_kernel_spec_roundtrip_equals_one_scale_multiscale():
-    rng = np.random.default_rng(14)
-    centers = rng.uniform(size=(6, 2))
-    points = rng.uniform(size=(9, 2))
-    kernel = fd.GaussianKernel(centers, 3.0)
-    again = fd.from_spec(kernel.spec())
-    assert isinstance(again, fd.GaussianKernel) and again.m == 6
-    assert again.parameters()["scale"] == 3.0
-    expected = fd.MultiscaleGaussian(centers, [3.0]).evaluate(points)
-    assert again.evaluate(points).tobytes() == kernel.evaluate(points).tobytes() == expected.tobytes()
+def test_unknown_dictionary_kind_error_lists_the_kinds():
+    spec = {"kind": "GaussianKernel", "parameters": {"centers": [[0.5]], "scale": 2.0}}
+    with pytest.raises(ConfigError) as caught:
+        fd.from_spec(spec)
+    assert str(caught.value) == (
+        "dictionary kind must be one of Trigonometric, Haar, MultiscaleGaussian, KernelPCA, ExplicitMatrix, "
+        "got 'GaussianKernel'"
+    )
 
 
-@pytest.mark.parametrize("kind", ["MultiscaleGaussian", "GaussianKernel"])
-def test_gaussian_spec_roundtrip_keeps_center_origin(kind):
+def test_gaussian_spec_roundtrip_keeps_center_origin():
     centers = [[0.9], [0.1], [0.5]]
-    family = fd.MultiscaleGaussian(centers, [2.0]) if kind == "MultiscaleGaussian" else fd.GaussianKernel(centers, 2.0)
+    family = fd.MultiscaleGaussian(centers, [2.0])
     again = fd.from_spec(json.loads(json.dumps(family.spec())))
     np.testing.assert_array_equal(family.center_origin, [1, 2, 0])
     np.testing.assert_array_equal(again.center_origin, [1, 2, 0])
@@ -340,7 +337,6 @@ def gaussian_families():
     centers = rng.uniform(size=(37, 2))
     return [
         fd.MultiscaleGaussian(centers, [4.0, 0.5, 64.0]),
-        fd.GaussianKernel(centers, 9.0),
         fd.KernelPCA(centers, {"kind": "gaussian", "gamma": 6.0}, top=5),
     ]
 
@@ -380,7 +376,7 @@ def every_kind(cls=fd.FeatureDictionary):
 
 def test_rowwise_is_declared_by_the_elementwise_kinds_only():
     declared = {cls.kind for cls in every_kind() if cls.rowwise}
-    assert declared == {"Trigonometric", "Haar", "MultiscaleGaussian", "GaussianKernel"}
+    assert declared == {"Trigonometric", "Haar", "MultiscaleGaussian"}
 
 
 def rowwise_families():
@@ -393,7 +389,6 @@ def rowwise_families():
         fd.Haar(0),
         fd.Haar(7),
         fd.MultiscaleGaussian(centers, [4.0, 0.5, 64.0]),
-        fd.GaussianKernel(centers, 9.0),
     ]
 
 

@@ -14,12 +14,10 @@ from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments
 
 
-def radius_from_tau(tau, v, variant="IndExact", epsilon=0.1):
+def radius_from_tau(tau, v):
     tau = np.asarray(tau, dtype=float)
     v = np.asarray(v, dtype=float)
-    return bounds.ConfidenceRadius(
-        beta=tau**2 * v, tau=tau, variant=variant, epsilon=epsilon
-    )
+    return bounds.ConfidenceRadius(beta=tau**2 * v, tau=tau)
 
 
 def zero_radius(m):
@@ -253,10 +251,29 @@ def test_all_degenerate_warns_and_returns_zero_model():
     # zero design moments for every feature
     mom = DesignMoments(np.zeros((2, 2)), "UserSupplied")
     spec = bounds.BoundSpec("IndExact", 0.1, B=1.0, sigma2=1.0)
-    with pytest.warns(UserWarning, match="degenerate"):
+    with pytest.warns(UserWarning, match=r"^excluding 2 degenerate feature\(s\) from selection \(first index 1\)"):
         model = selector.run_selection(ds, family, mom, spec)
     np.testing.assert_array_equal(model.coefficients, np.zeros(2))
     assert model.stopped_at == 0
+
+
+def test_an_excluded_feature_warns_once_from_the_fit():
+    # Feature 3's test column is zero: one warning, from the fit, with the
+    # count and the first 1-based index; the test moments do not warn.
+    rng = np.random.default_rng(9)
+    n = 16
+    feats = rng.uniform(-1, 1, size=(2 * n, 4))
+    feats[n:, 2] = 0.0
+    ds = Dataset(x=np.zeros((2 * n, 1)), y=rng.normal(size=n))
+    family = ExplicitMatrix(feats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        features, mom = bounds.sample_geometry(family, ds, True, None)
+        model = selector.run_selection(ds, family, mom, bounds.BoundSpec("TrBasicBounded", 0.1, B=3.0), features=features)
+    assert [str(w.message) for w in caught] == [
+        "excluding 1 degenerate feature(s) from selection (first index 3): zero design or training second moment"
+    ]
+    assert model.slabs.active.tolist() == [True, True, False, True]
 
 
 def test_kappa_range_enforced():
@@ -682,7 +699,6 @@ def test_model_keeps_the_slabs_it_fitted_against(geometry):
     assert model.slabs.centers.tobytes() == fresh.centers.tobytes()
     assert model.slabs.active.tolist() == fresh.active.tolist()
     assert model.slabs.active.tolist() == [geometry != "degenerate" or k != 1 for k in range(m)]
-    assert (model.slabs.radius.variant, model.slabs.radius.epsilon) == (spec.variant, spec.epsilon)
     payload = model.to_json_dict()
     assert "slabs" not in payload
     assert selector.SelectionModel.from_json_dict(json.loads(json.dumps(payload))).slabs is None
