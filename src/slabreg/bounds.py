@@ -17,7 +17,6 @@ back to the documented observable majorants ("deployment" mode).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf, log, sqrt
@@ -27,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import FeatureDictionary, Trigonometric, as_feature_matrix, carry_sum, matrix_blocks, require_finite
-from .dictionary import row_blocks, wave_sums
+from .dictionary import no_overflow, row_blocks, wave_sums
 from .errors import REQUIRED, ConfigError, DataError, NumericalError, json_object, list_of, number, optional, read, text
 from . import moments as design
 from .moments import DesignMoments
@@ -115,7 +114,7 @@ SUBEXP_KEYS = {"beta_h": (number, REQUIRED), "B_h": (number, REQUIRED)}
 Y_SUBEXP_KEYS = {"b_y": (number, REQUIRED), "B_y": (number, REQUIRED)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureStats:
     """Per-feature sample statistics feeding the bound formulas.
 
@@ -153,7 +152,7 @@ class FeatureStats:
         return self.train_mean_sq <= 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceRadius:
     """Radii beta (risk units) and thresholds tau (coefficient units)."""
 
@@ -570,23 +569,11 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     return FeatureStats(n_train=n, k_test=data.k_test, has_test_labels=has_test_labels, **out)
 
 
-@contextmanager
-def _no_overflow(side: str, rows: slice):
-    """One row block's sums with overflow raised: one DataError naming the
-    block, instead of a numpy warning and an infinite statistic."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        what = "the powers of their feature values or labels overflow the float range"
-        raise DataError(f"{side} rows {rows.start}..{rows.stop - 1}: {what}") from None
-
-
 def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels) -> tuple[dict, np.ndarray | None]:
     """``compute_stats``' column sums from the row blocks of the training
     rows and of the test block, and, with ``anchors``, each feature's
     product on its anchor row (else None). An overflow in a block is a
-    DataError (``_no_overflow``)."""
+    DataError (``no_overflow``)."""
     sums, own = {}, None
 
     def add(name, values):
@@ -597,7 +584,7 @@ def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels)
         cols = np.arange(anchors.size)
     for rows, t in train():
         require_finite(t)
-        with _no_overflow("training", rows):
+        with no_overflow("training", rows):
             y = data.y[rows, None]
             ty = t * y
             t2 = t**2
@@ -616,7 +603,7 @@ def _row_block_sums(train, test, data: Dataset, reads, anchors, has_test_labels)
             add("train_mean_ty", ty)
     for rows, t in matrix_blocks(test):
         require_finite(t)
-        with _no_overflow("test", rows):
+        with no_overflow("test", rows):
             if "train_mean_t4" in reads:
                 add("test_sum_t4", t**4)
             if "train_mean_t4y4" in reads and has_test_labels:

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, data, dictionary, experiments, moments, selector
-from .errors import DIM_CAP, K_TEST_CAP, LEVELS_CAP, N_SAMPLES_CAP, REPLICATES_CAP, REQUIRED, SIZE_CAP, THREADS_CAP
-from .errors import BudgetError, ConfigError, DataError, NumericalError, SlabregError, dense_gram
-from .errors import choice, count, list_of, number, optional, path, probability, read, read_kind, seed, spec_object, text
+from .errors import DIM_CAP, K_TEST_CAP, N_SAMPLES_CAP, REPLICATES_CAP, REQUIRED, SIZE_CAP, THREADS_CAP
+from .errors import BudgetError, ConfigError, DataError, SlabregError, dense_gram
+from .errors import choice, count, list_of, number, optional, path, probability, read, read_kind, seed, spec_object, spec_of, text
 
 
 def _load_config(path):
@@ -45,22 +45,6 @@ def _load_config(path):
 
 # The keys every subcommand reads, from its flags or its config file.
 COMMON_KEYS = {"seed": (seed, 0), "threads": (count(THREADS_CAP), 1), "out": (text, ".")}
-# The keys of fit, transduce and bounds, with each spec read as a JSON object
-# (from_spec and from_json_dict read its keys).
-DATA_KEYS = {
-    "train": (path, REQUIRED),
-    "dictionary": (spec_object, REQUIRED),
-    "bound": (spec_object, REQUIRED),
-    "loo_index": (optional(list_of(count(SIZE_CAP, low=0))), None),
-}
-FIT_KEYS = {**DATA_KEYS, "kappa": (optional(number), None), "schedule": (choice(*selector.SCHEDULES), "GreedyMax")}
-INDUCTIVE_KEYS = {"moments": (spec_object, {"kind": "exact"})}
-COMMAND_KEYS = {
-    "fit": {**FIT_KEYS, **INDUCTIVE_KEYS},
-    "transduce": {**FIT_KEYS, "test": (path, REQUIRED)},
-    "bounds": {**DATA_KEYS, **INDUCTIVE_KEYS, "bound": (spec_object, {}), "test": (optional(path), None),
-               "variants": (optional(list_of(text)), None)},
-}
 # The keys of each kind of inductive moments.
 MOMENTS_KEYS = {
     "exact": {},
@@ -73,28 +57,39 @@ MOMENTS_KEYS = {
     },
     "file": {"path": (path, REQUIRED)},
 }
+# The keys of fit, transduce and bounds, each spec read by its own reader
+# (bounds reads its bound spec once per variant).
+DATA_KEYS = {
+    **COMMON_KEYS,
+    "train": (path, REQUIRED),
+    "dictionary": (spec_of(dictionary.from_spec), REQUIRED),
+    "loo_index": (optional(list_of(count(SIZE_CAP, low=0))), None),
+}
+FIT_KEYS = {
+    **DATA_KEYS,
+    "bound": (spec_of(bounds.BoundSpec.from_json_dict), REQUIRED),
+    "kappa": (optional(number), None),
+    "schedule": (choice(*selector.SCHEDULES), "GreedyMax"),
+}
+_read_moments = partial(read_kind, tables=MOMENTS_KEYS, where="moments.", default="exact")
+INDUCTIVE_KEYS = {"moments": (spec_of(_read_moments), ("exact", {}))}
+COMMAND_KEYS = {
+    "fit": {**FIT_KEYS, **INDUCTIVE_KEYS},
+    "transduce": {**FIT_KEYS, "test": (path, REQUIRED)},
+    "bounds": {**DATA_KEYS, **INDUCTIVE_KEYS, "bound": (spec_object, {}), "test": (optional(path), None),
+               "variants": (optional(list_of(text)), None)},
+}
 
 
 def _resolve(args):
     """The config file with every flag given on the command line laid over it,
-    each under its own name, and the keys every subcommand reads resolved;
-    --json only shapes stdout."""
+    each under its own name; --json only shapes stdout."""
     flags = vars(args)
     config = _load_config(flags["config"])
     for key, value in flags.items():
         if value is not None and key not in ("command", "func", "config", "json"):
             config[key] = value
-    config.update(read(config, COMMON_KEYS))
     return config
-
-
-def _check_keys(config, *tables):
-    """Reject a config key that none of the command's tables declares: an
-    ignored key would still be echoed into the artifacts."""
-    unknown = sorted(set(config).difference(*tables))
-    if unknown:
-        known = ", ".join(sorted(set().union(*tables)))
-        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}; this command reads {known}")
 
 
 def _echoed(config):
@@ -116,10 +111,10 @@ def _write(path: Path, payload: bytes):
     path.write_bytes(payload)
 
 
-def _inductive_moments(values, family, seed):
+def _inductive_moments(values):
     """The design moments of the config's ``moments``, for ``bounds.sample_geometry``
     to build when the fit is inductive."""
-    kind, spec = values["moments"]
+    (kind, spec), family, seed = values["moments"], values["dictionary"], values["seed"]
     if kind == "exact":
         return moments.exact_moments(family)
     if kind == "monte_carlo":
@@ -167,30 +162,26 @@ def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
 
 
 def _data_config(args):
-    """The resolved config of fit, transduce or bounds, its values, and the
-    dictionary it names, all read before any data file is."""
+    """The resolved config of fit, transduce or bounds, echoing the seed it
+    resolves, and its values, specs included, read before any data file."""
     config = _resolve(args)
     values = read(config, COMMAND_KEYS[args.command])
-    _check_keys(config, COMMON_KEYS, COMMAND_KEYS[args.command])
-    family = dictionary.from_spec(values["dictionary"])
-    values["loo_index"] = _loo_arguments(values["loo_index"], family)
-    if "moments" in values:
-        values["moments"] = read_kind(values["moments"], MOMENTS_KEYS, "moments.", "exact")
-        if values["moments"][0] != "exact":
-            dense_gram(family.m, f"dictionary m with moments.kind {values['moments'][0]!r}")
-    return config, values, family
+    config["seed"] = values["seed"]
+    values["loo_index"] = _loo_arguments(values["loo_index"], values["dictionary"])
+    if "moments" in values and values["moments"][0] != "exact":
+        dense_gram(values["dictionary"].m, f"dictionary m with moments.kind {values['moments'][0]!r}")
+    return config, values
 
 
 def cmd_fit(args) -> int:
     """``fit`` and ``transduce``: one pipeline, which branches only on the
     geometry, that is on whether a test block joins the training rows."""
-    config, values, family = _data_config(args)
-    transductive = args.command == "transduce"
-    spec = bounds.BoundSpec.from_json_dict(values["bound"])
+    config, values = _data_config(args)
+    family, spec, transductive = values["dictionary"], values["bound"], args.command == "transduce"
     if spec.transductive != transductive:
         raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
     x, y = data.load_labeled_csv(values["train"])
-    out = Path(config["out"])
+    out = Path(values["out"])
     if transductive:
         x_test = data.load_unlabeled_csv(values["test"])
         if x_test.shape[0] == 0:
@@ -201,7 +192,7 @@ def cmd_fit(args) -> int:
         ds = _with_test_block(x, y, x_test)
     else:
         ds = data.Dataset(x=x, y=y)
-    design_moments = partial(_inductive_moments, values, family, config["seed"])
+    design_moments = partial(_inductive_moments, values)
     features, mom = bounds.sample_geometry(family, ds, transductive, design_moments)
     model = selector.run_selection(
         ds,
@@ -211,7 +202,7 @@ def cmd_fit(args) -> int:
         kappa=values["kappa"],
         schedule=values["schedule"],
         loo_index=values["loo_index"],
-        seed=config["seed"],
+        seed=values["seed"],
         features=features,
     )
     payload = model.to_json_dict()
@@ -225,8 +216,8 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _bounds_table(config, values, family):
-    bound = values["bound"]
+def _bounds_table(values):
+    family, bound = values["dictionary"], values["bound"]
     variants = values["variants"] or [bounds.BoundSpec.from_json_dict(bound).variant]
     specs = [bounds.BoundSpec.from_json_dict({**bound, "variant": name}) for name in variants]
     transductive = any(s.transductive for s in specs)
@@ -238,7 +229,7 @@ def _bounds_table(config, values, family):
     else:
         ds = data.Dataset(x=x, y=y)
     # spec.transductive -> (features, moments), once per geometry the variants use
-    design_moments = partial(_inductive_moments, values, family, config["seed"])
+    design_moments = partial(_inductive_moments, values)
     geometries = {
         kind: bounds.sample_geometry(family, ds, kind, design_moments)
         for kind in dict.fromkeys(spec.transductive for spec in specs)
@@ -272,8 +263,8 @@ def _bounds_table(config, values, family):
 
 
 def cmd_bounds(args) -> int:
-    config, values, family = _data_config(args)
-    rows = _bounds_table(config, values, family)
+    config, values = _data_config(args)
+    rows = _bounds_table(values)
     if args.json:
         sys.stdout.write(_json_bytes({"config": _echoed(config), "rows": rows}).decode())
         return 0
@@ -284,80 +275,59 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-EXPERIMENT_KINDS = ("rate-sobolev", "rate-besov", "coverage", "transductive")
 RATE_KEYS = {
+    **COMMON_KEYS,
+    "model": (optional(spec_object), None),
     "grid": (list_of(count(SIZE_CAP), least=1), [64, 128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096]),
     "replicates": (count(REPLICATES_CAP), 20),
     "sigma_scale": (number, 1.0),
     "budget_seconds": (optional(number), None),
 }
-# The defaults of the studies that have no grid, for the keys the config
-# omits, and the kinds of those keys.
-STUDY_DEFAULTS = {
-    "coverage": {"N": 128, "m": 64, "variant": "IndExact", "epsilon": 0.25, "replicates": 500, "k_test": None},
-    "transductive": {"N": 64, "m": 32, "variant": "TrBasicBounded", "epsilon": 0.1, "replicates": 100, "k_test": 1},
+# The keys of each kind of experiment; a truth (``model``) is read by
+# ``experiments.truth``.
+EXPERIMENT_KEYS = {
+    "rate-sobolev": RATE_KEYS,
+    "rate-besov": RATE_KEYS,
+    "coverage": {
+        **COMMON_KEYS,
+        "model": (optional(spec_object), None),
+        "N": (count(SIZE_CAP), 128),
+        "m": (count(SIZE_CAP), 64),
+        "variant": (text, "IndExact"),
+        "epsilon": (probability, 0.25),
+        "replicates": (count(REPLICATES_CAP), 500),
+        "k_test": (optional(count(K_TEST_CAP, low=0)), None),
+    },
+    "transductive": {
+        **COMMON_KEYS,
+        "model": (optional(spec_object), None),
+        "N": (count(SIZE_CAP), 64),
+        "m": (count(SIZE_CAP), 32),
+        "variant": (text, "TrBasicBounded"),
+        "epsilon": (probability, 0.1),
+        "replicates": (count(REPLICATES_CAP), 100),
+        "k_test": (optional(count(K_TEST_CAP, low=0)), 1),
+    },
 }
-STUDY_KINDS = {
-    "N": count(SIZE_CAP),
-    "m": count(SIZE_CAP),
-    "variant": text,
-    "epsilon": probability,
-    "replicates": count(REPLICATES_CAP),
-    "k_test": optional(count(K_TEST_CAP, low=0)),
-}
-# The keys of each kind of truth given by its family rather than its
-# coefficients, besides its ``noise`` (a noise spec, as in a truth given by
-# its coefficients).
-TRUTH_KEYS = {"smoothness": (number, 1.0), "scale": (number, 1.0)}
-MODEL_KEYS = {
-    "sobolev": {**TRUTH_KEYS, "size": (count(SIZE_CAP), None)},
-    "besov": {**TRUTH_KEYS, "levels": (count(LEVELS_CAP), 11), "seed": (seed, 0)},
-}
-
-
-def _experiment_model(config, size) -> experiments.SyntheticModel:
-    """The config's truth; a sobolev truth whose config gives no ``size``
-    has ``size`` coefficients."""
-    spec = read(config, {"model": (optional(spec_object), None)})["model"]
-    if spec is None:
-        return experiments.sobolev_model(size=size)
-    if "coefficients" in spec:
-        return experiments.SyntheticModel.from_spec(spec)
-    kind, values = read_kind(spec, MODEL_KEYS, "model.", "sobolev")
-    noise = experiments.NoiseSpec.from_spec(spec["noise"]) if "noise" in spec else None
-    if kind == "sobolev":
-        size = size if values["size"] is None else values["size"]
-        return experiments.sobolev_model(values["smoothness"], size, values["scale"], noise)
-    return experiments.besov_spike_model(**values, noise=noise)
 
 
 def cmd_experiment(args) -> int:
     config = _resolve(args)
-    kind = read(config, {"kind": (choice(*EXPERIMENT_KINDS), REQUIRED)})["kind"]
-    rate = kind in ("rate-sobolev", "rate-besov")
-    _check_keys(config, COMMON_KEYS, ("kind", "model"), RATE_KEYS if rate else STUDY_KINDS)
-    threads, seed = config["threads"], config["seed"]
+    kind, values = read_kind(config, EXPERIMENT_KEYS, "")
+    config["seed"] = seed = values.pop("seed")
+    threads, out, spec = values.pop("threads"), Path(values.pop("out")), values.pop("model")
     started = time.monotonic()
-    if rate:
-        values = read(config, RATE_KEYS)
+    if kind in ("rate-sobolev", "rate-besov"):
         config["grid"] = grid = values.pop("grid")
         if kind == "rate-besov" and "model" not in config:
-            config["model"] = {"kind": "besov", "levels": max(grid).bit_length() - 1}
-        model = _experiment_model(config, max(grid))
+            config["model"] = spec = {"kind": "besov", "levels": max(grid).bit_length() - 1}
+        model = experiments.truth(spec, max(grid))
         report = experiments.rate_experiment(model, grid, seed=seed, threads=threads, **values)
         report.kind = kind
     else:
-        defaults = STUDY_DEFAULTS[kind]
-        values = read(config, {key: (STUDY_KINDS[key], default) for key, default in defaults.items()})
+        model = experiments.truth(spec, max(values["N"], values["m"]))
         study = experiments.coverage_study if kind == "coverage" else experiments.transductive_experiment
-        report = study(
-            model=_experiment_model(config, max(values["N"], values["m"])),
-            n_train=values.pop("N"),
-            seed=seed,
-            threads=threads,
-            **values,
-        )
-    out = Path(config["out"])
+        report = study(model=model, n_train=values.pop("N"), seed=seed, threads=threads, **values)
     payload = report.to_json_dict()
     payload["config_resolved"] = _echoed(config)
     payload["tool_version"] = __version__
@@ -404,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--variant", {"dest": "variants", "metavar": "VARIANT", "action": "append",
                        "help": "repeatable; adds a beta/tau column per variant"}, ("bounds",)),
         ("--json", {"action": "store_true", "help": "machine-readable stdout"}, ("bounds",)),
-        ("--kind", {"choices": EXPERIMENT_KINDS}, ("experiment",)),
+        ("--kind", {"choices": tuple(EXPERIMENT_KEYS)}, ("experiment",)),
     ]
     for name, (func, text) in commands.items():
         command = sub.add_parser(name, help=text)

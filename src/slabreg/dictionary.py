@@ -6,13 +6,15 @@ data-dependent kinds (Gaussian kernels centered on sample points, kernel
 PCA eigen-features) are built as exchangeable functions of the design
 points: permuting the input sample yields the same ordered family.
 
-Serialized form is a JSON object {kind, m, parameters} (plus an optional
-seed recorded by callers); kernel PCA persists its eigenvalues and
-eigenvectors so a saved dictionary evaluates identically later.
+Serialized form is a JSON object {kind, m, parameters}; kernel PCA persists
+its eigenvalues and eigenvectors so a saved dictionary evaluates identically
+later.
 """
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
 from math import sqrt
 from typing import Iterator
 
@@ -68,13 +70,18 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Coordinates are summed in order starting from zero, one (n, p) layer at
     a time, so each entry has the bits of the scalar loop ``s += d * d``
-    with ``d = a_ik - b_jk``.
+    with ``d = a_ik - b_jk``. Finite points whose distances overflow are a
+    DataError.
     """
     out = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = np.subtract.outer(a[:, k], b[:, k])
-        diff *= diff
-        out += diff
+    try:
+        with np.errstate(over="raise"):
+            for k in range(a.shape[1]):
+                diff = np.subtract.outer(a[:, k], b[:, k])
+                diff *= diff
+                out += diff
+    except FloatingPointError:
+        raise DataError("the squared distances between points overflow the float range") from None
     return out
 
 
@@ -128,6 +135,18 @@ def carry_sum(total, block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
+@contextmanager
+def no_overflow(side: str, rows: slice):
+    """One row block's sums with overflow raised: one DataError naming the
+    block, instead of a numpy warning and an infinite sum."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        what = "the powers of their feature values or labels overflow the float range"
+        raise DataError(f"{side} rows {rows.start}..{rows.stop - 1}: {what}") from None
+
+
 def matrix_blocks(matrix: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     return row_blocks(*matrix.shape, matrix.flags.c_contiguous, matrix.__getitem__)
 
@@ -168,13 +187,8 @@ class FeatureDictionary:
         return {"kind": self.kind, "m": self.m, "parameters": self.parameters()}
 
     def __eq__(self, other):
-        return isinstance(other, FeatureDictionary) and _spec_equal(self.spec(), other.spec())
-
-
-def _spec_equal(a, b) -> bool:
-    import json
-
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        same = isinstance(other, FeatureDictionary)
+        return same and json.dumps(self.spec(), sort_keys=True) == json.dumps(other.spec(), sort_keys=True)
 
 
 class Trigonometric(FeatureDictionary):
@@ -429,15 +443,16 @@ class MultiscaleGaussian(FeatureDictionary):
     Index order is scale-major (ascending scale), centers ascending in the
     lexicographic order of their coordinates, so indexation does not depend
     on the order the sample was presented in. ``center_origin`` maps each
-    sorted center back to its position in the input list, and
-    ``center_train_indices`` tiles that map over scales for leave-one-out
-    bookkeeping when the centers are the training points.
+    sorted center back to its position in the input list (a given map, as
+    a spec stores it, refers to the listed order and is composed with the
+    sort), and ``center_train_indices`` tiles that map over scales for
+    leave-one-out bookkeeping when the centers are the training points.
     """
 
     kind = "MultiscaleGaussian"
     rowwise = True
 
-    def __init__(self, centers, scales):
+    def __init__(self, centers, scales, center_origin=None):
         centers = as_points(centers)
         if centers.shape[0] == 0:
             raise ConfigError("gaussian dictionary needs at least one center")
@@ -445,8 +460,10 @@ class MultiscaleGaussian(FeatureDictionary):
         if scales.size == 0 or np.any(scales <= 0) or not np.all(np.isfinite(scales)):
             raise ConfigError("gaussian dictionary needs positive finite scales")
         order = np.lexsort(centers.T[::-1])
+        if center_origin is not None and sorted(center_origin) != list(range(order.size)):
+            raise ConfigError(f"dictionary center_origin must be a permutation of range({order.size})")
         self.centers = centers[order]
-        self.center_origin = order
+        self.center_origin = order if center_origin is None else np.asarray(center_origin)[order]
         self.scales = np.sort(scales, kind="stable")
 
     @property
@@ -619,21 +636,6 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _restore_center_origin(family: MultiscaleGaussian, origin) -> MultiscaleGaussian:
-    """Give a rebuilt Gaussian family the stored ``center_origin``.
-
-    The spec lists the centers already sorted, so the constructor's sort is
-    the identity and its own map would forget the training positions. The
-    stored map refers to the listed order; composing it with the sort keeps
-    it right for centers listed in any order.
-    """
-    n = family.centers.shape[0]
-    if sorted(origin) != list(range(n)):
-        raise ConfigError(f"dictionary center_origin must be a permutation of range({n})")
-    family.center_origin = np.asarray(origin)[family.center_origin]
-    return family
-
-
 def _origin(value, name: str) -> list:
     if not isinstance(value, list) or any(type(i) is not int for i in value):
         raise ConfigError(f"{name} must be a permutation of range(n), got {value!r}")
@@ -642,24 +644,29 @@ def _origin(value, name: str) -> list:
 
 # The keys of each kernel of KernelPCA.
 KERNEL_KEYS = {"gaussian": {"gamma": (number, REQUIRED)}, "linear": {}, "explicit": {"matrix": (as_floats, REQUIRED)}}
-# The keys of each dictionary kind, read from its spec's parameters (and m
-# from the spec itself).
+
+
+def _parameters(**table):
+    """The (kind, default) of a dictionary spec's ``parameters``: an object
+    read through ``table``, required unless the table is empty."""
+    return (lambda value, name: read(value, table, "dictionary parameters."), REQUIRED if table else {})
+
+
+# The keys of each dictionary kind's spec: its ``m``, which the Trigonometric
+# family takes and ``spec()`` restates for every other kind, and its
+# ``parameters``.
+RESTATED_M = (count(SIZE_CAP), None)
 DICTIONARY_KEYS = {
-    "Trigonometric": {"m": (count(SIZE_CAP), REQUIRED)},
-    "Haar": {"levels": (count(LEVELS_CAP, low=0), REQUIRED)},
-    "MultiscaleGaussian": {
-        "centers": (as_floats, REQUIRED),
-        "center_origin": (optional(_origin), None),
-        "scales": (as_floats, REQUIRED),
-    },
-    "KernelPCA": {
-        "points": (as_floats, REQUIRED),
-        "kernel": (json_object, REQUIRED),
-        "top": (count(SIZE_CAP), REQUIRED),
-        "eigenvalues": (optional(as_floats), None),
-        "eigenvectors": (optional(as_floats), None),
-    },
-    "ExplicitMatrix": {"values": (as_floats, REQUIRED)},
+    "Trigonometric": {"m": (count(SIZE_CAP), REQUIRED), "parameters": _parameters()},
+    "Haar": {"m": RESTATED_M, "parameters": _parameters(levels=(count(LEVELS_CAP, low=0), REQUIRED))},
+    "MultiscaleGaussian": {"m": RESTATED_M, "parameters": _parameters(
+        centers=(as_floats, REQUIRED), center_origin=(optional(_origin), None), scales=(as_floats, REQUIRED),
+    )},
+    "KernelPCA": {"m": RESTATED_M, "parameters": _parameters(
+        points=(as_floats, REQUIRED), kernel=(json_object, REQUIRED), top=(count(SIZE_CAP), REQUIRED),
+        eigenvalues=(optional(as_floats), None), eigenvectors=(optional(as_floats), None),
+    )},
+    "ExplicitMatrix": {"m": RESTATED_M, "parameters": _parameters(values=(as_floats, REQUIRED))},
 }
 DICTIONARY_CLASSES = {
     cls.kind: cls for cls in (Trigonometric, Haar, MultiscaleGaussian, KernelPCA, ExplicitMatrix)
@@ -667,9 +674,12 @@ DICTIONARY_CLASSES = {
 
 
 def from_spec(spec: dict) -> FeatureDictionary:
-    """Rebuild a dictionary from its serialized {kind, m, parameters} form."""
-    parameters = read(spec, {"parameters": (json_object, {})}, "dictionary ")["parameters"]
-    kind, p = read_kind({**parameters, **spec}, DICTIONARY_KEYS, "dictionary ")
-    origin = p.pop("center_origin", None)
-    family = DICTIONARY_CLASSES[kind](**p)
-    return family if origin is None else _restore_center_origin(family, origin)
+    """Rebuild a dictionary from its serialized {kind, m, parameters} form;
+    a restated ``m`` must be the family's."""
+    kind, values = read_kind(spec, DICTIONARY_KEYS, "dictionary ")
+    if kind == "Trigonometric":
+        return Trigonometric(values["m"])
+    family = DICTIONARY_CLASSES[kind](**values["parameters"])
+    if values["m"] not in (None, family.m):
+        raise ConfigError(f"dictionary m must be {family.m}, the size of its {kind} family, got {values['m']}")
+    return family

@@ -4,10 +4,11 @@ of config values.
 Exit codes: 2 configuration, 3 data, 4 numerical, 5 budget.
 
 A config value is checked once, where it is read: ``read(obj, table, where)``
-reads a JSON object through a table of ``key -> (kind, default)``, and a kind
-is a function ``kind(value, name)`` that returns the checked value or raises
-a ConfigError naming the key. The caps below bound every size a config can
-name, and are checked before anything of that size is allocated.
+reads a JSON object through a table of ``key -> (kind, default)``, which
+declares every key the object may hold, and a kind is a function
+``kind(value, name)`` that returns the checked value or raises a ConfigError
+naming the key. The caps below bound every size a config can name, and are
+checked before anything of that size is allocated.
 """
 
 import json
@@ -62,9 +63,15 @@ class BudgetError(SlabregError):
 def read(obj, table: dict, where: str = "") -> dict:
     """``{key: kind(obj[key], where + key)}`` for every key of ``table``, a
     JSON object; an absent key takes its default, or is a ConfigError when
-    that default is REQUIRED."""
+    that default is REQUIRED. The one check of a config object's keys: a key
+    the table does not declare is a ConfigError naming it and its place, for
+    an ignored key would still be echoed into the artifacts."""
     place = where.rstrip(". ") or "config"
-    json_object(obj, place)
+    unknown = sorted(set(json_object(obj, place)).difference(table))
+    if unknown:
+        at, reader = (f" in {place}", place) if where else ("", "this command")
+        known = ", ".join(sorted(table)) or "no keys"
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}{at}; {reader} reads {known}")
     values = {}
     for key, (kind, default) in table.items():
         if key in obj:
@@ -77,10 +84,14 @@ def read(obj, table: dict, where: str = "") -> dict:
 
 
 def read_kind(obj, tables: dict, where: str, default=REQUIRED) -> tuple:
-    """``obj``'s ``kind``, one of ``tables``' keys, and ``obj`` read through
-    that kind's table."""
-    kind = read(obj, {"kind": (choice(*tables), default)}, where)["kind"]
-    return kind, read(obj, tables[kind], where)
+    """``obj``'s ``kind``, one of ``tables``' keys, and the rest of ``obj``
+    read through that kind's table."""
+    kinds = {"kind": (choice(*tables), default)}
+    given = {"kind": obj["kind"]} if "kind" in json_object(obj, where.rstrip(". ") or "config") else {}
+    kind = read(given, kinds, where)["kind"]
+    values = read(obj, {**kinds, **tables[kind]}, where)
+    del values["kind"]
+    return kind, values
 
 
 def json_number(value, field: str, kind=float):
@@ -177,6 +188,11 @@ def spec_object(value, name: str) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name} spec is not valid JSON: {exc}") from None
     return json_object(value, f"{name} spec")
+
+
+def spec_of(read_spec):
+    """The kind of a spec object (``spec_object``) read by ``read_spec``."""
+    return lambda value, name: read_spec(spec_object(value, name))
 
 
 def list_of(kind, least: int = 0):

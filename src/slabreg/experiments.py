@@ -20,7 +20,8 @@ import numpy as np
 from .bounds import VARIANT_TABLE, BoundSpec, sample_geometry, slab_setup
 from .data import Dataset
 from .dictionary import ORTHONORMAL_KINDS, Haar, Trigonometric, carry_sum, matrix_blocks
-from .errors import REQUIRED, ConfigError, list_of, number, optional, read, text
+from .errors import LEVELS_CAP, REQUIRED, SIZE_CAP, ConfigError, count, list_of, number, optional, read, read_kind, text
+from .errors import seed as seed_kind
 from .moments import exact_moments
 from .selector import SelectionModel, clip_coefficients, run_selection
 
@@ -80,7 +81,7 @@ class NoiseSpec:
         return cls(**read(obj, NOISE_KEYS, "noise."))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticModel:
     """Regression truth Y = f(X) + noise with f a finite expansion.
 
@@ -144,16 +145,40 @@ class SyntheticModel:
 
     @classmethod
     def from_spec(cls, obj):
-        return cls(**read(obj, MODEL_KEYS, "model."), noise=NoiseSpec.from_spec(obj.get("noise", {})))
+        return cls(**read(obj, MODEL_KEYS, "model."))
 
 
-# The keys of a truth given by its coefficients, besides its ``noise``, a
-# noise spec whose errors name ``noise`` as a key of its own.
+def _noise(value, name):  # a noise spec's errors name ``noise`` as a key of its own
+    return NoiseSpec.from_spec(value)
+
+
+# The keys of a truth given by its coefficients, and of each truth given by
+# its family (whose noise defaults to the family's, uniform 0.05).
 MODEL_KEYS = {
     "coefficients": (list_of(number), REQUIRED),
     "basis": (text, "Trigonometric"),
     "regularity": (optional(number), None),
+    "noise": (_noise, NoiseSpec()),
 }
+FAMILY_KEYS = {"smoothness": (number, 1.0), "scale": (number, 1.0)}
+TRUTH_KEYS = {
+    "sobolev": {**FAMILY_KEYS, "size": (count(SIZE_CAP), None), "noise": (_noise, None)},
+    "besov": {**FAMILY_KEYS, "levels": (count(LEVELS_CAP), 11), "seed": (seed_kind, 0), "noise": (_noise, None)},
+}
+
+
+def truth(spec: dict | None, size: int) -> SyntheticModel:
+    """The truth a ``model`` spec names: one given by its coefficients, or a
+    ``sobolev`` (the default) or ``besov`` family; a sobolev truth whose
+    spec gives no ``size`` has ``size`` coefficients."""
+    if spec is None:
+        return sobolev_model(size=size)
+    if "coefficients" in spec:
+        return SyntheticModel.from_spec(spec)
+    kind, values = read_kind(spec, TRUTH_KEYS, "model.", "sobolev")
+    if kind == "besov":
+        return besov_spike_model(**values)
+    return sobolev_model(**{**values, "size": values["size"] or size})
 
 
 def sobolev_model(

@@ -22,14 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import open_csv
-from .dictionary import (
-    FeatureDictionary,
-    ORTHONORMAL_KINDS,
-    as_feature_matrix,
-    carry_sum,
-    matrix_blocks,
-    validate_feature_matrix,
-)
+from .dictionary import ORTHONORMAL_KINDS, FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks
+from .dictionary import no_overflow, validate_feature_matrix
 from .errors import ConfigError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-12
@@ -196,8 +190,9 @@ class EmpiricalTestMoments(DesignMoments):
         carried as compute_stats carries its sums, so no temporary is as
         large as the block."""
         total = None
-        for _, t in matrix_blocks(self.block):
-            total = carry_sum(total, t**2)
+        for rows, t in matrix_blocks(self.block):
+            with no_overflow("test", rows):
+                total = carry_sum(total, t**2)
         return total
 
     @cached_property

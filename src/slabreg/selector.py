@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,14 +56,7 @@ class IterationRecord:
     update: float
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "feature": self.feature,
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "delta": self.delta,
-            "update": self.update,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -77,11 +70,12 @@ class IterationRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionModel:
     """Fitted coefficients plus the full projection trace and run metadata.
     ``slabs`` are the slabs the fit projected onto, in memory only: never
-    compared or serialized, and None on a model read back from JSON."""
+    serialized, and None on a model read back from JSON. Models compare and
+    hash by identity, like every record that holds arrays."""
 
     coefficients: np.ndarray
     trace: tuple
@@ -94,7 +88,7 @@ class SelectionModel:
     orthonormal_design: bool = False
     clip_bound: float | None = None
     seed: int | None = None
-    slabs: Slabs | None = field(default=None, compare=False, repr=False)
+    slabs: Slabs | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))

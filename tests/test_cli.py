@@ -721,6 +721,48 @@ def test_feature_square_overflow_exits_3_with_one_error_line(tmp_path, train_csv
     assert not out.exists()
 
 
+def _one_error_line(argv, capsys):
+    """The exit code and stderr lines of one run, which must warn nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_test_block_square_overflow_exits_3_with_one_error_line(tmp_path, capsys):
+    # A finite test-row feature value whose square is past the float range:
+    # one data error naming the test rows, not a numerical error about the Gram.
+    x = np.random.default_rng(3).uniform(size=(8, 1))
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    data.write_labeled_csv(train, x[:4], np.sin(2 * np.pi * x[:4, 0]))
+    data.write_unlabeled_csv(test, x[4:])
+    values = np.random.default_rng(4).uniform(-1, 1, (8, 3))
+    values[5, 1] = 1e308
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": str(train),
+        "test": str(test),
+        "dictionary": {"kind": "ExplicitMatrix", "parameters": {"values": values.tolist()}},
+        "bound": json.loads(TRB),
+    }))
+    out = tmp_path / "run"
+    code, lines = _one_error_line(["transduce", "--config", config, "--out", out], capsys)
+    assert code == 3
+    assert lines == ["data error: test rows 0..3: the powers of their feature values or labels overflow the float range"]
+    assert not out.exists()
+
+
+def test_gaussian_center_distance_overflow_exits_3_with_one_error_line(tmp_path, train_csv, test_csv, capsys):
+    dictionary_spec = {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.5], [1e308]], "scales": [4.0]}}
+    out = tmp_path / "run"
+    argv = ["transduce", "--train", train_csv, "--test", test_csv, "--dictionary", json.dumps(dictionary_spec)]
+    code, lines = _one_error_line(argv + ["--bound", TRB, "--out", out], capsys)
+    assert code == 3
+    assert lines == ["data error: the squared distances between points overflow the float range"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "y_subexp,code", [({"b_y": 0.5, "B_y": 1e308}, 0), ({"b_y": 1e-100, "B_y": 2.0}, 4)], ids=["big-B_y", "small-b_y"]
 )

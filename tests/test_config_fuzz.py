@@ -2,9 +2,9 @@
 per subcommand, a leaf or a spec holding others, is replaced by each of a few
 malformed or extreme values, and
 every run through ``cli.main`` must end with a documented exit code, one
-error line and no traceback; a run with a mutated bound spec, and every
-mutation of the explicit-matrix fit, must also emit no numpy RuntimeWarning.
-The caps keep every run small."""
+error line, no traceback and no numpy RuntimeWarning; and a key no table
+declares, added to any object of those configs, must be one config error
+before any data file is read. The caps keep every run small."""
 
 import json
 import math
@@ -15,8 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from slabreg import data
+from slabreg import data, experiments, moments
 from slabreg.cli import main
+from slabreg.errors import DataError
 
 MUTATIONS = [None, "x", True, [], {}, -1, 0, 0.5, 1e308, math.nan, math.inf]
 LABELS = {2: "config", 3: "data", 4: "numerical", 5: "budget"}
@@ -155,9 +156,8 @@ def _cases(configs):
             yield name, _mutated(config, path, value), path, value
 
 
-def _failure(command, path, out, capsys, quiet=False):
-    """Why one run through ``main`` breaks the gate, or None; with ``quiet``
-    a numpy RuntimeWarning breaks it too."""
+def _failure(command, path, out, capsys):
+    """Why one run through ``main`` breaks the gate, or None."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -166,7 +166,7 @@ def _failure(command, path, out, capsys, quiet=False):
         return f"raised {type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
     noisy = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    if quiet and noisy:
+    if noisy:
         return f"exit {code} after RuntimeWarning {noisy}"
     if code not in LABELS and code != 0 or "Traceback" in err:
         return f"exit {code}: {err}"
@@ -195,10 +195,60 @@ def test_every_mutated_value_ends_in_a_documented_exit(tmp_path, configs, capsys
     failures = []
     for name, config, where, value in _cases(configs):
         path.write_text(json.dumps(config))
-        quiet = where[0] == "bound" or name == "fit-explicit-gram-file"
-        failure = _failure(_command(name), path, out, capsys, quiet=quiet)
+        failure = _failure(_command(name), path, out, capsys)
         if failure is not None:
             failures.append(f"{name} {'.'.join(map(str, where))} = {value!r}: {failure}")
     assert failures == []
     # CPU time, the work the caps bound: a preempted run takes longer on the wall clock alone.
     assert time.process_time() - started < 10.0
+
+
+UNDECLARED = "undeclared"
+# The place an unknown-key error names, by the key of the object's spec.
+PLACES = {
+    "dictionary": "dictionary",
+    "parameters": "dictionary parameters",
+    "kernel": "dictionary kernel",
+    "bound": "bound",
+    "subexp": "bound subexp",
+    "y_subexp": "bound y_subexp",
+    "moments": "moments",
+    "model": "model",
+    "noise": "noise",
+}
+
+
+def _objects(obj, path=()):
+    """The path of every JSON object in ``obj``, the whole of ``obj`` included."""
+    if isinstance(obj, dict):
+        yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _objects(value, path + (key,))
+
+
+def test_an_undeclared_key_in_any_object_is_one_config_error_before_any_data(tmp_path, configs, monkeypatch, capsys):
+    # Every object is read through a table that declares its keys, at every
+    # depth, before any data file is read or any replicate runs.
+    def never(*args, **kwargs):
+        raise DataError("a data file was read or a replicate ran")
+
+    for module, name in [(data, "load_labeled_csv"), (data, "load_unlabeled_csv"), (moments, "load_gram_csv"),
+                         (experiments, "generate")]:
+        monkeypatch.setattr(module, name, never)
+    path, out = tmp_path / "config.json", tmp_path / "run"
+    failures, places = [], set()
+    for name, config in configs.items():
+        for where in _objects(config):
+            path.write_text(json.dumps(_mutated(config, where + (UNDECLARED,), 1)))
+            code = main([_command(name), "--config", str(path), "--out", str(out)])
+            lines = capsys.readouterr().err.splitlines()
+            # the object's own key: a subexp pair sits at an index of its list
+            place = PLACES[next(key for key in reversed(where) if isinstance(key, str))] if where else None
+            places.add(place)
+            expected = f"config error: unknown config key {UNDECLARED!r}"
+            expected += f" in {place}; {place} reads " if place else "; this command reads "
+            if code != 2 or len(lines) != 1 or not lines[0].startswith(expected) or out.exists():
+                failures.append(f"{name} {'.'.join(map(str, where))}: exit {code}: {lines}")
+    assert failures == []
+    assert places == {None, *PLACES.values()}

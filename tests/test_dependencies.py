@@ -1,6 +1,7 @@
 """Lint checks: the program runs on the standard library and numpy alone, its
 modules keep out of each other's private names, each input has one
-spelling, and every CLI flag reaches the resolved config."""
+spelling, config keys are checked by one reader, and every CLI flag reaches
+the resolved config."""
 
 import argparse
 import ast
@@ -287,3 +288,45 @@ def test_every_flag_reaches_the_resolved_config_under_its_own_name(command):
     # --json shapes stdout only and is never echoed
     if any(a.dest == "json" for a in parser._actions):
         assert "json" not in cli._resolve(cli.build_parser().parse_args([command, "--json"]))
+
+
+def test_no_keys_table_name_is_defined_in_two_modules():
+    # Each table of config keys has one home, so one name reads one table.
+    homes = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_KEYS"):
+                    homes.setdefault(target.id, set()).add(path.name)
+    assert homes and {name: files for name, files in homes.items() if len(files) > 1} == {}
+
+
+# Set methods that compare one collection of keys with another.
+KEY_COMPARISONS = {"difference", "issubset", "issuperset", "symmetric_difference", "isdisjoint", "intersection"}
+
+
+def _keys_of(node):
+    """Whether ``node`` is ``set(obj)`` or ``obj.keys()``: an object's keys."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "set" or getattr(node.func, "attr", None) == "keys"
+    )
+
+
+def test_only_the_reader_compares_config_keys_with_a_table():
+    # errors.read alone checks an object's keys against its table; no second
+    # gate, like a top-level key check in the CLI, exists beside it.
+    assert "_check_keys" not in {
+        node.name for node in ast.walk(ast.parse((Path(slabreg.__file__).parent / "cli.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    reader = _function("errors", "read")
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in KEY_COMPARISONS and _keys_of(node.func.value)
+        or isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Sub, ast.BitXor, ast.BitAnd))
+        and (_keys_of(node.left) or _keys_of(node.right))
+    ]
+    assert sites and all(name == "errors.py" and reader.lineno <= line <= reader.end_lineno for name, line in sites), sites

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,33 @@ def test_unknown_dictionary_kind_error_lists_the_kinds():
         "dictionary kind must be one of Trigonometric, Haar, MultiscaleGaussian, KernelPCA, ExplicitMatrix, "
         "got 'GaussianKernel'"
     )
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"kind": "Haar", "levels": 2}, "unknown config key 'levels' in dictionary; dictionary reads kind, m, parameters"),
+        ({"kind": "Haar", "m": 99, "parameters": {"levels": 2}}, "dictionary m must be 8, the size of its Haar family, got 99"),
+        ({"kind": "Trigonometric", "m": 4, "parameters": {"levels": 2}}, "unknown config key 'levels' in dictionary parameters"),
+        ({"kind": "Trigonometric", "m": 4, "parameters": {"m": 4}}, "unknown config key 'm' in dictionary parameters"),
+        ({"kind": "Haar"}, "missing key 'parameters' in dictionary"),
+    ],
+    ids=["top-level-parameter", "restated-m", "trig-levels", "trig-m-in-parameters", "no-parameters"],
+)
+def test_each_dictionary_parameter_has_one_place(spec, message):
+    # kind and m at the top of the spec, the kind's parameters in ``parameters``
+    with pytest.raises(ConfigError) as caught:
+        fd.from_spec(spec)
+    assert str(caught.value).startswith(message)
+
+
+def test_squared_distances_past_the_float_range_are_one_data_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="squared distances between points overflow"):
+            fd.squared_distances(np.array([[0.0], [1.0]]), np.array([[1e308]]))
+        with pytest.raises(DataError, match="squared distances between points overflow"):
+            fd.KernelPCA([[0.1], [1e308]], {"kind": "gaussian", "gamma": 2.0}, top=1)
 
 
 def test_gaussian_spec_roundtrip_keeps_center_origin():

@@ -738,3 +738,37 @@ def test_transductive_experiment_events_match_reference(spec, k_test, mixed, mon
     for row in report.rows:
         data = ex.generate(model, n, k_test, seed=row["seed"])
         assert row["coverage_event"] is reference_coverage_event(spec, model, family, data)
+
+
+@pytest.mark.parametrize(
+    "spec,size,noise",
+    [
+        (None, 16, ex.NoiseSpec("uniform", 0.05)),
+        ({"kind": "sobolev"}, 16, ex.NoiseSpec("uniform", 0.05)),
+        ({"size": 8, "noise": {"kind": "rademacher", "scale": 0.5}}, 8, ex.NoiseSpec("rademacher", 0.5)),
+        ({"kind": "besov", "levels": 3}, 8, ex.NoiseSpec("uniform", 0.05)),
+        ({"coefficients": [1.0, 0.5]}, 2, ex.NoiseSpec()),
+    ],
+    ids=["default", "sobolev", "sobolev-sized", "besov", "coefficients"],
+)
+def test_truth_reads_every_model_spec_with_its_noise_default(spec, size, noise):
+    # a sobolev truth without a size has the size given; a family truth's
+    # noise defaults to uniform 0.05, a coefficient truth's to none
+    model = ex.truth(spec, 16)
+    assert model.size == size and model.noise == noise
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"coefficients": [1.0], "kind": "sobolev"}, "unknown config key 'kind' in model; model reads basis, coefficients"),
+        ({"kind": "besov", "size": 8}, "unknown config key 'size' in model"),
+        ({"noise": {"kind": "uniform", "scal": 0.5}}, "unknown config key 'scal' in noise; noise reads kind, scale"),
+        ({"noise": None}, "noise must be a JSON object, got None"),
+        ({"coefficients": [1.0], "noise": None}, "noise must be a JSON object, got None"),
+    ],
+)
+def test_truth_rejects_a_key_its_kind_does_not_read(spec, message):
+    with pytest.raises(ConfigError) as caught:
+        ex.truth(spec, 8)
+    assert str(caught.value).startswith(message)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slabreg import bounds, selector
+from slabreg import bounds, experiments, selector
 from slabreg.data import Dataset
 from slabreg.dictionary import STATS_BLOCK_CELLS, ExplicitMatrix, Haar, KernelPCA, Trigonometric
 from slabreg.errors import ConfigError, DataError, NumericalError
@@ -788,3 +788,20 @@ def test_rowwise_fit_checks_the_sample_once_outside_evaluate(transductive, monke
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=2.0) if transductive else bounds.BoundSpec("IndVarFirstOrder", 0.1)
     selector.run_selection(ds, family, mom, spec, features=features)
     assert outside == [x.shape[0]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: selector.SelectionModel(np.ones(3), (), "IndExact", 0.1, 0.0, "GreedyMax"),
+        lambda: experiments.SyntheticModel(np.array([1.0, 0.5])),
+        lambda: bounds.ConfidenceRadius(np.ones(3), np.ones(3)),
+        lambda: bounds.FeatureStats(2, 0, False, np.ones(3), np.zeros(3)),
+    ],
+    ids=["SelectionModel", "SyntheticModel", "ConfidenceRadius", "FeatureStats"],
+)
+def test_records_that_hold_arrays_compare_and_hash_by_identity(build):
+    # A field-wise == would compare arrays, whose truth value is ambiguous.
+    a, b = build(), build()
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
