@@ -137,14 +137,25 @@ def _loo_arguments(loo_index, family):
     return None
 
 
-def _with_test_block(x_train, y, x_test) -> data.Dataset:
-    """Training rows stacked over a test block of k N rows, k >= 1."""
-    if x_test.shape[1] != x_train.shape[1]:
-        raise DataError(f"train has dimension {x_train.shape[1]}, test has {x_test.shape[1]}")
-    n, rows = x_train.shape[0], x_test.shape[0]
-    if n == 0 or rows == 0 or rows % n:
-        raise DataError(f"test rows ({rows}) must be a positive multiple of train rows ({n})")
-    return data.Dataset(x=np.vstack([x_train, x_test]), y=y)
+def _load_sample(values, transductive):
+    """The sample of fit, transduce or bounds and its geometry, as
+    ``(data, features, moments)`` from one ``bounds.sample_geometry`` call:
+    the training file, stacked for a transductive command over the test
+    file's block of kN rows, k >= 1. None when that test file holds no rows."""
+    x, y = data.load_labeled_csv(values["train"])
+    if transductive:
+        x_test = data.load_unlabeled_csv(values["test"])
+        n, rows = x.shape[0], x_test.shape[0]
+        if rows == 0:
+            return None
+        if x_test.shape[1] != x.shape[1]:
+            raise DataError(f"train has dimension {x.shape[1]}, test has {x_test.shape[1]}")
+        if n == 0 or rows % n:
+            raise DataError(f"test rows ({rows}) must be a positive multiple of train rows ({n})")
+        x = np.vstack([x, x_test])
+    sample = data.Dataset(x=x, y=y)
+    design_moments = partial(_inductive_moments, values)
+    return (sample, *bounds.sample_geometry(values["dictionary"], sample, transductive, design_moments))
 
 
 def _summary_text(model: selector.SelectionModel, head: int = 10) -> str:
@@ -177,26 +188,20 @@ def cmd_fit(args) -> int:
     """``fit`` and ``transduce``: one pipeline, which branches only on the
     geometry, that is on whether a test block joins the training rows."""
     config, values = _data_config(args)
-    family, spec, transductive = values["dictionary"], values["bound"], args.command == "transduce"
+    spec, transductive = values["bound"], args.command == "transduce"
     if spec.transductive != transductive:
         raise ConfigError(f"variant {spec.variant} needs the {'transduce' if spec.transductive else 'fit'} command")
-    x, y = data.load_labeled_csv(values["train"])
     out = Path(values["out"])
-    if transductive:
-        x_test = data.load_unlabeled_csv(values["test"])
-        if x_test.shape[0] == 0:
-            sys.stderr.write("warning: empty test file, writing empty predictions\n")
-            out.mkdir(parents=True, exist_ok=True)
-            data.write_predictions_csv(out / "predictions.csv", np.empty(0))
-            return 0
-        ds = _with_test_block(x, y, x_test)
-    else:
-        ds = data.Dataset(x=x, y=y)
-    design_moments = partial(_inductive_moments, values)
-    features, mom = bounds.sample_geometry(family, ds, transductive, design_moments)
+    sample = _load_sample(values, transductive)
+    if sample is None:
+        sys.stderr.write("warning: empty test file, writing empty predictions\n")
+        out.mkdir(parents=True, exist_ok=True)
+        data.write_predictions_csv(out / "predictions.csv", np.empty(0))
+        return 0
+    ds, features, mom = sample
     model = selector.run_selection(
         ds,
-        family,
+        values["dictionary"],
         mom,
         spec,
         kappa=values["kappa"],
@@ -217,30 +222,23 @@ def cmd_fit(args) -> int:
 
 
 def _bounds_table(values):
-    family, bound = values["dictionary"], values["bound"]
+    bound = values["bound"]
     variants = values["variants"] or [bounds.BoundSpec.from_json_dict(bound).variant]
     specs = [bounds.BoundSpec.from_json_dict({**bound, "variant": name}) for name in variants]
-    transductive = any(s.transductive for s in specs)
+    transductive = specs[0].transductive
+    other = next((spec.variant for spec in specs if spec.transductive != transductive), None)
+    if other is not None:
+        raise ConfigError(f"variants {variants[0]} and {other} cannot share a bounds table: one geometry per table")
     if transductive and values["test"] is None:
         raise ConfigError("transductive bound variants need a 'test' file")
-    x, y = data.load_labeled_csv(values["train"])
-    if transductive:
-        ds = _with_test_block(x, y, data.load_unlabeled_csv(values["test"]))
-    else:
-        ds = data.Dataset(x=x, y=y)
-    # spec.transductive -> (features, moments), once per geometry the variants use
-    design_moments = partial(_inductive_moments, values)
-    geometries = {
-        kind: bounds.sample_geometry(family, ds, kind, design_moments)
-        for kind in dict.fromkeys(spec.transductive for spec in specs)
-    }
-    # The statistics read the split whenever a transductive variant reads the test block.
-    features = geometries[True][0] if transductive else family
-    stats = bounds.compute_stats(features, ds, [spec.variant for spec in specs], loo_index=values["loo_index"])
-    columns = {spec.variant: bounds.compute_radius(spec, stats, geometries[spec.transductive][1]) for spec in specs}
-    mom0 = geometries[specs[0].transductive][1]
+    sample = _load_sample(values, transductive)
+    if sample is None:
+        raise DataError(f"{values['test']}: empty test file, a transductive bounds table needs test rows")
+    ds, features, mom = sample
+    stats = bounds.compute_stats(features, ds, variants, loo_index=values["loo_index"])
+    columns = {spec.variant: bounds.compute_radius(spec, stats, mom) for spec in specs}
     ahat = bounds.alpha_hat(stats)
-    ratio = bounds.normalization_ratio(stats, mom0)
+    ratio = bounds.normalization_ratio(stats, mom)
 
     def cell(value):
         value = float(value)
@@ -251,7 +249,7 @@ def _bounds_table(values):
     for k in range(stats.m):
         row = {
             "feature": k + 1,
-            "v": cell(mom0.diag[k]),
+            "v": cell(mom.diag[k]),
             "alpha_hat": cell(ahat[k]),
             "c_ratio": cell(ratio[k]),
         }

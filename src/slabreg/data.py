@@ -1,6 +1,7 @@
 """Dataset container and CSV ingestion.
 
-Labeled files carry a header ``x1,...,xd,y``; unlabeled files ``x1,...,xd``.
+Labeled files carry a header ``x1,...,xd,y``; unlabeled files ``x1,...,xd``;
+a Gram file has no header.
 Malformed numerics are hard errors with row numbers; silent coercion is how
 experiments get corrupted.
 """
@@ -83,19 +84,20 @@ def open_csv(path):
             raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _read_rows(path):
+def _read_rows(path, header: bool = True):
+    """The header (empty without one) and the nonempty rows of a CSV file,
+    with the file line of each row."""
     with open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header required") from None
+        head = next(reader, None) if header else []
+        if head is None:
+            raise DataError(f"{path}: empty file, header required")
         rows, lines = [], []
         for row in reader:
             if row:
                 rows.append(row)
                 lines.append(reader.line_num)
-    return [h.strip() for h in header], rows, lines
+    return [h.strip() for h in head], rows, lines
 
 
 def _check_header(path, header, labeled: bool):
@@ -137,6 +139,13 @@ def load_unlabeled_csv(path):
     header, rows, lines = _read_rows(path)
     d = _check_header(path, header, labeled=False)
     return _parse(path, rows, lines, d)
+
+
+def load_headerless_csv(path):
+    """Read rows of numbers without a header, each as wide as the first;
+    returns them as one array (with zero rows for a file holding none)."""
+    _, rows, lines = _read_rows(path, header=False)
+    return _parse(path, rows, lines, len(rows[0]) if rows else 0)
 
 
 def write_labeled_csv(path, x, y):

@@ -491,7 +491,8 @@ class MultiscaleGaussian(FeatureDictionary):
         out = np.empty((pts.shape[0], self.m))
         for i, g in enumerate(self.scales):
             cols = out[:, i * c : (i + 1) * c]
-            np.multiply(-0.5 * g, d2, out=cols)
+            with np.errstate(over="ignore"):  # -inf, whose exp 0.0 is exact
+                np.multiply(-0.5 * g, d2, out=cols)
             np.exp(cols, out=cols)
         return out
 
@@ -505,7 +506,9 @@ class MultiscaleGaussian(FeatureDictionary):
 
 def _kernel_matrix(kernel: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kernel["kind"] == "gaussian":
-        return np.exp(-0.5 * float(kernel["gamma"]) * squared_distances(a, b))
+        d2 = squared_distances(a, b)
+        with np.errstate(over="ignore"):  # -inf, whose exp 0.0 is exact
+            return np.exp(-0.5 * float(kernel["gamma"]) * d2)
     return a @ b.T
 
 

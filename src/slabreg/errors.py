@@ -155,6 +155,12 @@ def text(value, name: str) -> str:
     return value
 
 
+def boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise _invalid(name, "true or false", value)
+    return value
+
+
 def choice(*options: str):
     """The kind of one of ``options``."""
 

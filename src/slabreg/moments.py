@@ -15,13 +15,12 @@ forms its Gram unless something reads ``gram``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data import open_csv
+from .data import load_headerless_csv
 from .dictionary import ORTHONORMAL_KINDS, FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks
 from .dictionary import no_overflow, validate_feature_matrix
 from .errors import ConfigError, DataError, NumericalError
@@ -277,26 +276,14 @@ def empirical_test_moments(test: np.ndarray) -> EmpiricalTestMoments:
 
 
 def load_gram_csv(path) -> DesignMoments:
-    """User-supplied Gram: a headerless CSV of m rows by m columns."""
-    rows = []
-    with open_csv(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from None
-    if not rows:
+    """User-supplied Gram: a headerless CSV of m rows by m columns, read as
+    every CSV file is (``data.load_headerless_csv``)."""
+    g = load_headerless_csv(path)
+    if g.shape[0] == 0:
         raise DataError(f"{path}: empty gram file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1 or widths.pop() != len(rows):
-        raise DataError(f"{path}: gram file must be square")
-    g = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise DataError(f"{path}: gram file contains non-finite values")
-    g = _repair_psd(_symmetrize(g))
-    return DesignMoments(g, "UserSupplied")
+    if g.shape[0] != g.shape[1]:
+        raise DataError(f"{path}: gram file must be square, got {g.shape[0]} rows of {g.shape[1]} fields")
+    return DesignMoments(_repair_psd(_symmetrize(g)), "UserSupplied")
 
 
 def uniform_sampler(low: float = 0.0, high: float = 1.0, dim: int = 1):

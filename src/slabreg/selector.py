@@ -27,16 +27,18 @@ transductive one (empirical test moments); only the Gram differs, and
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundSpec, Slabs, slab_setup
+from .bounds import VARIANTS, BoundSpec, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
-from .errors import ConfigError, NumericalError
+from .errors import REQUIRED, ConfigError, NumericalError, boolean, choice, count, json_object, list_of, number
+from .errors import optional, probability, read, seed, spec_of, text
 from .moments import DesignMoments
 
 SCHEDULES = ("GreedyMax", "RoundRobin")
@@ -60,14 +62,7 @@ class IterationRecord:
 
     @classmethod
     def from_json_dict(cls, obj):
-        return cls(
-            n=int(obj["n"]),
-            feature=int(obj["feature"]),
-            gamma=float(obj["gamma"]),
-            tau=float(obj["tau"]),
-            delta=float(obj["delta"]),
-            update=float(obj["update"]),
-        )
+        return cls(**read(obj, RECORD_KEYS, "model trace "))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,22 +120,51 @@ class SelectionModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SelectionModel":
-        dictionary = None
-        if obj.get("dictionary") is not None:
-            dictionary = dictionary_from_spec(obj["dictionary"])
-        return cls(
-            coefficients=np.asarray(obj["coefficients"], dtype=float),
-            trace=tuple(IterationRecord.from_json_dict(r) for r in obj.get("trace", ())),
-            bound_variant=obj["bound_variant"],
-            epsilon=float(obj["epsilon"]),
-            kappa=float(obj["kappa"]),
-            schedule=obj["schedule"],
-            dictionary=dictionary,
-            moments_provenance=obj.get("moments_provenance", "?"),
-            orthonormal_design=bool(obj.get("orthonormal_design", False)),
-            clip_bound=obj.get("clip_bound"),
-            seed=obj.get("seed"),
-        )
+        """The model a ``to_json_dict`` object describes, read through
+        ``SAVED_MODEL_KEYS``: a missing, unknown or malformed key, or
+        coefficients, ``stopped_at`` or a trace feature that disagree with
+        the dictionary's m or the trace, is a ConfigError naming it."""
+        values = read(obj, SAVED_MODEL_KEYS, "model ")
+        stopped_at = values.pop("stopped_at")
+        del values["tool_version"], values["config"]
+        model = cls(**values)
+        if model.dictionary is not None and model.m != model.dictionary.m:
+            raise ConfigError(f"model coefficients must number {model.dictionary.m}, the dictionary's m, got {model.m}")
+        if stopped_at not in (None, model.stopped_at):
+            raise ConfigError(f"model stopped_at must be the trace length {model.stopped_at}, got {stopped_at}")
+        outside = [record.feature for record in model.trace if record.feature > model.m]
+        if outside:
+            raise ConfigError(f"model trace feature must be in 1..{model.m}, got {outside[0]}")
+        return model
+
+
+# The keys of a saved trace record and of a saved model: those that
+# ``to_json_dict`` writes, and the ``config`` the CLI echoes, which is not
+# kept. Counts are read uncapped: no count here sizes an allocation.
+RECORD_KEYS = {
+    "n": (count(sys.maxsize), REQUIRED),
+    "feature": (count(sys.maxsize), REQUIRED),
+    "gamma": (number, REQUIRED),
+    "tau": (number, REQUIRED),
+    "delta": (number, REQUIRED),
+    "update": (number, REQUIRED),
+}
+SAVED_MODEL_KEYS = {
+    "tool_version": (text, None),
+    "config": (json_object, None),
+    "dictionary": (optional(spec_of(dictionary_from_spec)), None),
+    "coefficients": (list_of(number), REQUIRED),
+    "bound_variant": (choice(*VARIANTS), REQUIRED),
+    "epsilon": (probability, REQUIRED),
+    "kappa": (number, REQUIRED),
+    "schedule": (choice(*SCHEDULES), REQUIRED),
+    "moments_provenance": (text, "?"),
+    "orthonormal_design": (boolean, False),
+    "clip_bound": (optional(number), None),
+    "seed": (optional(seed), None),
+    "stopped_at": (optional(count(sys.maxsize, low=0)), None),
+    "trace": (list_of(spec_of(IterationRecord.from_json_dict)), ()),
+}
 
 
 def _project(c, k: int, gamma: float, tau: float, v: float, trace: list):

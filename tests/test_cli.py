@@ -170,6 +170,15 @@ def test_transduce_empty_test_warns_and_writes_empty(tmp_path, train_csv, capsys
     assert (out / "predictions.csv").read_text() == "index,prediction\n"
 
 
+def test_bounds_empty_test_file_exits_3(tmp_path, train_csv, capsys):
+    # Unlike transduce, a transductive table has nothing to write without test rows.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1\n")
+    code = run_cli(["bounds", "--train", train_csv, "--test", empty, "--dictionary", TRIG5, "--bound", TRB])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {empty}: empty test file, a transductive bounds table needs test rows\n"
+
+
 @pytest.mark.parametrize(
     "dictionary_spec,bound,message",
     [('{"kind":"Nope"}', '{"variant":"Bogus","epsilon":0.1}', "dictionary kind must be one of"),
@@ -894,8 +903,6 @@ def _bounds_rows(tmp_path, config, variants, capsys):
     [
         (["IndExact", "IndVarFirstOrder"], {"epsilon": 0.1, "B": 1.5, "sigma2": 0.04}),
         (["TrBasicBounded", "TrGeneralK"], {"epsilon": 0.1, "B": 1.7, "subexp": [{"beta_h": 0.5, "B_h": 3.0}]}),
-        (["IndExact", "TrBasicBounded", "IndVarFirstOrder", "TrGeneralK"],
-         {"epsilon": 0.1, "B": 1.7, "sigma2": 0.04, "subexp": [{"beta_h": 0.5, "B_h": 3.0}]}),
     ],
 )
 def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, variants, bound, monkeypatch, capsys):
@@ -915,22 +922,37 @@ def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, v
     test_gram = _counting(monkeypatch, moments, "empirical_test_moments")
     loo = _counting(monkeypatch, cli, "_loo_arguments")
     rows = _bounds_rows(tmp_path, config, variants, capsys)
-    inductive = any(v.startswith("Ind") for v in variants)
-    transductive = any(v.startswith("Tr") for v in variants)
-    assert (len(monte_carlo), len(test_gram), len(loo)) == (int(inductive), int(transductive), 1)
-    # Each variant's columns equal those of a table built for that variant alone,
-    # and the shared columns come from the first variant's geometry. An
-    # inductive variant's table alone takes the adjoint statistics, a mixed
-    # table the feature rows: those agree to rounding.
-    tolerance = 1e-12 if inductive and transductive else 0.0
+    transductive = variants[0].startswith("Tr")
+    assert (len(monte_carlo), len(test_gram), len(loo)) == (int(not transductive), int(transductive), 1)
+    # Each variant's columns equal those of a table built for that variant
+    # alone, and so do the shared columns of the one geometry.
     for variant in variants:
         for k, row in enumerate(rows):
             for column in (f"beta[{variant}]", f"tau[{variant}]"):
-                assert row[column] == pytest.approx(single[variant][k][column], rel=tolerance, abs=tolerance)
-    first = single[variants[0]]
-    for row, alone in zip(rows, first, strict=True):
+                assert row[column] == single[variant][k][column]
+    for row, alone in zip(rows, single[variants[0]], strict=True):
         for key in ("feature", "v", "alpha_hat", "c_ratio"):
-            assert row[key] == pytest.approx(alone[key], rel=tolerance, abs=tolerance)
+            assert row[key] == alone[key]
+
+
+def test_bounds_table_mixing_geometries_is_one_config_error_before_any_data(train_csv, test_csv, monkeypatch, capsys):
+    # A table has the one geometry of its variants: an inductive variant
+    # beside a transductive one is a config error naming both, raised
+    # before any data file is read.
+    def never(*args, **kwargs):
+        raise data.DataError("a data file was read")
+
+    for name in ("load_labeled_csv", "load_unlabeled_csv"):
+        monkeypatch.setattr(data, name, never)
+    for variants in (["IndExact", "TrBasicBounded"], ["TrBasicBounded", "IndVarFirstOrder", "IndExact"]):
+        argv = ["bounds", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5,
+                "--bound", '{"epsilon":0.1,"B":1.7,"sigma2":0.04}']
+        for variant in variants:
+            argv += ["--variant", variant]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: variants {variants[0]} and {variants[1]} cannot share a bounds table: one geometry per table"
+        ]
 
 
 @pytest.mark.parametrize("labeled", [True, False])
@@ -1040,8 +1062,8 @@ def test_bounds_table_evaluates_the_dictionary_once(train_csv, test_csv, evaluat
     log = evaluations(dictionary.Trigonometric)
     code = run_cli([
         "bounds", "--train", train_csv, "--test", test_csv, "--dictionary", TRIG5,
-        "--bound", '{"epsilon":0.1,"B":1.7,"sigma2":0.04}', "--variant", "TrBasicBounded",
-        "--variant", "IndExact", "--json",
+        "--bound", '{"epsilon":0.1,"B":1.7,"subexp":[{"beta_h":0.5,"B_h":3.0}]}', "--variant", "TrBasicBounded",
+        "--variant", "TrGeneralK", "--json",
     ])
     assert code == 0
     log.pop_sample(*_sample(train_csv, test_csv))

@@ -4,7 +4,8 @@ malformed or extreme values, and
 every run through ``cli.main`` must end with a documented exit code, one
 error line, no traceback and no numpy RuntimeWarning; and a key no table
 declares, added to any object of those configs, must be one config error
-before any data file is read. The caps keep every run small."""
+before any data file is read. The caps keep every run small. A saved
+``model.json`` is fuzzed the same way through ``SelectionModel.from_json_dict``."""
 
 import json
 import math
@@ -17,7 +18,8 @@ import pytest
 
 from slabreg import data, experiments, moments
 from slabreg.cli import main
-from slabreg.errors import DataError
+from slabreg.errors import ConfigError, DataError, SlabregError
+from slabreg.selector import SelectionModel
 
 MUTATIONS = [None, "x", True, [], {}, -1, 0, 0.5, 1e308, math.nan, math.inf]
 LABELS = {2: "config", 3: "data", 4: "numerical", 5: "budget"}
@@ -252,3 +254,59 @@ def test_an_undeclared_key_in_any_object_is_one_config_error_before_any_data(tmp
                 failures.append(f"{name} {'.'.join(map(str, where))}: exit {code}: {lines}")
     assert failures == []
     assert places == {None, *PLACES.values()}
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    """The model.json of a small Gaussian fit whose trace holds three steps."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(40, 1))
+    train, config = tmp_path / "train.csv", tmp_path / "fit.json"
+    data.write_labeled_csv(train, x, np.where(x[:, 0] < 0.5, 1.0, -1.0) + rng.uniform(-0.2, 0.2, 40))
+    config.write_text(json.dumps({
+        "train": str(train),
+        "dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.75], [0.25]], "scales": [16.0]}},
+        "moments": {"kind": "monte_carlo", "n_samples": 200},
+        "bound": {"variant": "IndVarFirstOrder", "epsilon": 0.3},
+        "schedule": "RoundRobin",
+    }))
+    assert main(["fit", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    model = json.loads((tmp_path / "run" / "model.json").read_text())
+    assert len(model["trace"]) == 3 and model["dictionary"]["parameters"]["center_origin"] == [1, 0]
+    return model
+
+
+def _read_failure(obj):
+    """Why one read of a saved model breaks the gate, or None."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            SelectionModel.from_json_dict(obj)
+    except SlabregError:
+        pass
+    except Exception as exc:  # the gate: a malformed model is a SlabregError
+        return f"raised {type(exc).__name__}: {exc}"
+    noisy = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return f"RuntimeWarning {noisy}" if noisy else None
+
+
+def test_every_mutated_saved_model_reads_or_is_one_slabreg_error(saved_model):
+    started = time.process_time()
+    SelectionModel.from_json_dict(saved_model)
+    failures = []
+    for where in _paths(saved_model):
+        for value in MUTATIONS:
+            failure = _read_failure(_mutated(saved_model, where, value))
+            if failure is not None:
+                failures.append(f"{'.'.join(map(str, where))} = {value!r}: {failure}")
+    # An undeclared key is a config error naming it in every object the
+    # reader reads; the echoed ``config`` is read as a whole and not kept.
+    for where in _objects(saved_model):
+        mutated = _mutated(saved_model, where + (UNDECLARED,), 1)
+        if where[:1] == ("config",):
+            SelectionModel.from_json_dict(mutated)
+            continue
+        with pytest.raises(ConfigError, match=f"^unknown config key {UNDECLARED!r} in "):
+            SelectionModel.from_json_dict(mutated)
+    assert failures == []
+    assert time.process_time() - started < 5.0

@@ -1,7 +1,7 @@
 """Lint checks: the program runs on the standard library and numpy alone, its
 modules keep out of each other's private names, each input has one
-spelling, config keys are checked by one reader, and every CLI flag reaches
-the resolved config."""
+spelling and one way in, config keys and saved models are checked by one
+reader, and every CLI flag reaches the resolved config."""
 
 import argparse
 import ast
@@ -182,13 +182,19 @@ def test_compute_radius_is_the_one_gate_of_every_formula():
         ("sweep", [("selector", "_iterate")]),
         ("empirical_test_moments", [("bounds", "sample_geometry")]),
         ("split_features", [("bounds", "sample_geometry"), ("bounds", "compute_stats")]),
+        ("sample_geometry", [("cli", "_load_sample"), ("experiments", "_replicate")]),
+        ("load_labeled_csv", [("cli", "_load_sample")]),
+        ("load_unlabeled_csv", [("cli", "_load_sample")]),
     ],
-    ids=["sweep", "empirical_test_moments", "split_features"],
+    ids=["sweep", "empirical_test_moments", "split_features", "sample_geometry", "load_labeled_csv",
+         "load_unlabeled_csv"],
 )
 def test_one_path_from_a_sample_to_a_fit(name, owners):
     # The loop alone takes a pass's Gram products, so it alone computes a
     # residual; sample_geometry alone pairs a sample's split with its test
-    # Gram, and compute_stats splits whatever else it is given.
+    # Gram, and compute_stats splits whatever else it is given. The CLI
+    # loads every sample (fit, transduce, bounds) in one function, and a
+    # study draws each replicate's in one.
     spans = {(f"{module}.py", function): _function(module, function) for module, function in owners}
     sites = [
         (path.name, node.lineno)
@@ -236,6 +242,31 @@ def test_csv_row_loop_makes_no_numpy_call():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
     ]
     assert numpy_calls == []
+
+
+def test_only_the_data_module_parses_csv():
+    # Training, test and Gram files are parsed by one reader, so a bad number
+    # fails in the same words, naming its file line, whichever file holds it.
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "reader" and getattr(node.value, "id", None) == "csv"
+    ]
+    assert sites and {name for name, _ in sites} == {"data.py"}, sites
+
+
+def test_every_spec_and_saved_record_is_read_through_the_reader():
+    # A spec or a saved model rebuilt by a library caller is checked as a
+    # config is: every from_spec and from_json_dict reads through a table.
+    readers = [
+        (path.name, node.name, _called_names(node))
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("from_spec", "from_json_dict")
+    ]
+    assert len(readers) >= 6
+    assert [(name, function) for name, function, calls in readers if not calls & {"read", "read_kind"}] == []
 
 
 # The reader's plain kinds and the converters they replaced: outside the

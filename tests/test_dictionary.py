@@ -303,6 +303,19 @@ def test_squared_distances_past_the_float_range_are_one_data_error():
             fd.KernelPCA([[0.1], [1e308]], {"kind": "gaussian", "gamma": 2.0}, top=1)
 
 
+def test_gaussian_exponent_past_the_float_range_is_exactly_zero_without_warning():
+    # Finite squared distances times the scale overflow to -inf, whose exp
+    # 0.0 is the exact value: no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        features = fd.MultiscaleGaussian([[1e154], [0.5]], [4.0]).evaluate([[0.2]])
+        pca = fd.KernelPCA([[0.1], [1e154]], {"kind": "gaussian", "gamma": 4.0}, top=1)
+        at = pca.evaluate([[0.3], [0.1]])
+    assert features.tolist() == [[math.exp(-0.5 * 4.0 * (0.5 - 0.2) ** 2), 0.0]]
+    assert pca.eigenvalues.tolist() == [1.0] and pca.eigenvectors.tolist() == [[0.0], [1.0]]
+    assert at.tolist() == [[0.0], [0.0]]
+
+
 def test_gaussian_spec_roundtrip_keeps_center_origin():
     centers = [[0.9], [0.1], [0.5]]
     family = fd.MultiscaleGaussian(centers, [2.0])

@@ -183,6 +183,25 @@ def test_user_gram_malformed_number_names_row(tmp_path):
         dm.load_gram_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1.0,0.0\n\n0.0,abc\n", "row 3: malformed number 'abc'"),
+        ("1.0,nan\nnan,1.0\n", "row 1: non-finite value"),
+        ("1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,1.0\n", "row 3: expected 3 fields, got 2"),
+    ],
+    ids=["malformed", "nan", "short-row"],
+)
+def test_user_gram_errors_name_the_file_line_as_data_files_do(tmp_path, text, message):
+    # A Gram file is read as the training and test files are: an error names
+    # the file and the line of the first bad row, past blank lines.
+    path = tmp_path / "gram.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as raised:
+        dm.load_gram_csv(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
 def test_degenerate_diag_flagged():
     test = np.array([[0.0, 1.0], [0.0, 1.0]])
     mom = dm.empirical_test_moments(test)
