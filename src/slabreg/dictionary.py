@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from math import sqrt
+from math import ceil, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -244,10 +244,14 @@ class Trigonometric(FeatureDictionary):
         With j = qK + r and t = 2 pi x, angle addition gives
         a_j cos(jt) + b_j sin(jt) = cos(qKt) (a_j cos(rt) + b_j sin(rt))
                                    + sin(qKt) (b_j cos(rt) - a_j sin(rt)),
-        so the sums over r are two matrix products of cos(rt) and sin(rt)
-        (n x K) against the coefficients reshaped to (Q, K), weighted by
-        cos(qKt) and sin(qKt) (n x Q), the tables of ``angle_table``. Only
-        2n(K + Q) waves are computed. ``adjoint`` is its transpose.
+        so the sums over r are two matrix products of the coefficients,
+        reshaped to (Q, K), against cos(rt) and sin(rt) (K x rows), weighted
+        by cos(qKt) and sin(qKt) (Q x rows), the tables of ``angle_table``,
+        which take about 4 (sqrt K + sqrt Q) libm waves per point. The
+        points are walked in row blocks of a size fixed by the coefficients'
+        size, whose tables and products hold about ``STATS_BLOCK_CELLS``
+        cells together, so no array but the output grows with n.
+        ``adjoint`` is its transpose.
         """
         x = self.check_points(points)
         c = coefficients
@@ -256,22 +260,27 @@ class Trigonometric(FeatureDictionary):
         ab = np.zeros((2, blocks * TRIG_BLOCK))
         ab[0, 1 : 1 + c[1::2].size] = c[1::2]
         ab[1, 1 : 1 + c[2::2].size] = c[2::2]
-        ab = ab.reshape(2 * blocks, TRIG_BLOCK).T  # (K, 2Q): a blocks, then b blocks
-        cos_r, sin_r = angle_table(x, np.arange(TRIG_BLOCK))
-        cos_a, cos_b = np.split(cos_r @ ab, 2, axis=1)
-        sin_a, sin_b = np.split(sin_r @ ab, 2, axis=1)
-        del cos_r, sin_r
-        cos_q, sin_q = angle_table(x, np.arange(blocks) * TRIG_BLOCK)
-        waves = (cos_q * (cos_a + sin_b)).sum(axis=1) + (sin_q * (cos_b - sin_a)).sum(axis=1)
+        ab = ab.reshape(2 * blocks, TRIG_BLOCK)  # (2Q, K): a blocks, then b blocks
+        waves = np.empty(x.size)
+        step = max(1, STATS_BLOCK_CELLS // (2 * (TRIG_BLOCK + 3 * blocks)))
+        for a in range(0, x.size, step):
+            cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK)
+            cos_a, cos_b = np.split(ab @ cos_r, 2)
+            sin_a, sin_b = np.split(ab @ sin_r, 2)
+            cos_a += sin_b
+            cos_b -= sin_a
+            cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks)
+            waves[a : a + step] = (cos_q * cos_a).sum(axis=0) + (sin_q * cos_b).sum(axis=0)
         return c[0] + np.sqrt(2.0) * waves
 
     def adjoint(self, weights, points) -> np.ndarray:
         """sum_i w_i theta_k(x_i) for every k: the transpose of ``combine``,
-        from the same angle tables (``wave_sums``), without the (n, m)
-        feature matrix."""
+        from the same angle tables (``wave_sums``, whose one weight column
+        gives both the cosine and the sine sums), without the (n, m) feature
+        matrix."""
         x = self.check_points(points)
         cos, sin = wave_sums(x, np.asarray(weights, dtype=float)[:, None], self._m // 2)
-        return self.columns(cos[0, 0], np.sqrt(2.0) * cos[0], np.sqrt(2.0) * sin[0])
+        return self.columns(cos[0, 0], np.sqrt(2.0) * cos[0], np.sqrt(2.0) * sin)
 
     def columns(self, constant, cos, sin) -> np.ndarray:
         """The family's m entries from the constant's, ``constant``, and the
@@ -323,49 +332,75 @@ def equispaced_sum(coefficients: np.ndarray, steps: int) -> np.ndarray:
     return c[0] + np.sqrt(2.0) * np.fft.ifft(folded, norm="forward").real
 
 
-def angle_table(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi x f for every point x and frequency f, two
-    (n, len(freqs)) arrays: the tables of ``Trigonometric.combine`` and of
-    its transpose ``wave_sums``."""
-    angles = 2.0 * np.pi * np.outer(x, freqs)
-    cos = np.cos(angles)
-    return cos, np.sin(angles, out=angles)
+def angle_table(x: np.ndarray, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi x step k for k = 0..count - 1 and every point x:
+    two frequency-major (count, n) arrays, the tables of
+    ``Trigonometric.combine`` and of its transpose ``wave_sums``.
+
+    Entry k = s + bv, with b = ceil(sqrt(count)), s < b and
+    v < ceil(count / b), comes by angle addition,
+    cos(S + V) = cos S cos V - sin S sin V and
+    sin(S + V) = sin S cos V + cos S sin V, from two sub-tables of libm
+    waves: S = 2 pi x step s and V = 2 pi x step bv, each angle rounded as
+    ``evaluate`` rounds its own. So about 4 sqrt(count) libm calls per point
+    give the 2 count entries.
+
+    Each entry is within u (2.01 A + 14) of the cosine or sine of
+    A = 2 pi x step k taken exactly with the double 2 pi, u = 2^-53, for
+    libm waves within 4 ulp: the angles S and V carry two roundings each,
+    so S + V is within 2.01uA of A, and a rotation by that much moves cos
+    and sin by as much at most; each sub-table pair (cos, sin) is within
+    4 sqrt(2) u of its angle's, which the products carry at most once per
+    factor, 8 sqrt(2) u < 11.4u in all; the two products and their sum
+    round by 2u more, since |cos S cos V| + |sin S sin V| <= 1.
+    """
+    across = max(1, ceil(sqrt(count)))
+    down = -(-count // across)
+    freqs = step * np.concatenate([np.arange(across), across * np.arange(down)])
+    angles = 2.0 * np.pi * np.outer(freqs, x)
+    cos_s, cos_v = np.split(np.cos(angles), [across])
+    sin_s, sin_v = np.split(np.sin(angles, out=angles), [across])
+    cos_v, sin_v = cos_v[:, None], sin_v[:, None]
+    cos = cos_v * cos_s - sin_v * sin_s
+    sin = sin_v * cos_s + cos_v * sin_s
+    return cos.reshape(-1, x.size)[:count], sin.reshape(-1, x.size)[:count]
 
 
 def wave_sums(x: np.ndarray, weights: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i w_ip cos(2 pi j x_i) and sum_i w_ip sin(2 pi j x_i) for every
-    column p of the (n, p) ``weights`` and j = 0..top: two (p, top + 1)
-    arrays. The adjoint non-uniform DFT, by the angle addition of
+    """sum_i w_ip cos(2 pi j x_i) for every column p of the (n, p)
+    ``weights`` and j = 0..top, a (p, top + 1) array, and
+    sum_i w_i0 sin(2 pi j x_i) for the first column alone, a (top + 1,)
+    array. The adjoint non-uniform DFT, by the angle addition of
     ``combine``: with j = qK + r and t = 2 pi x,
     cos(jt) = cos(qKt) cos(rt) - sin(qKt) sin(rt) and
     sin(jt) = sin(qKt) cos(rt) + cos(qKt) sin(rt),
-    so for each block of points the sums are four products of the r tables
-    (rows x K) against the weighted q tables (rows x pQ). The points are
-    walked in row blocks of a size fixed by m and p, whose tables hold
-    about ``STATS_BLOCK_CELLS`` cells together; the (K, pQ) sums are the
-    only other arrays.
+    so for each block of points the sums are products of the weighted q
+    tables (pQ x rows) against the transposed r tables (K x rows), two for
+    the cosines and two of the first column's Q rows for the sines (the
+    only sines ``adjoint`` and ``bounds`` read). The points are walked in
+    row blocks of a size fixed by m and p, whose tables hold about
+    ``STATS_BLOCK_CELLS`` cells together; the (pQ, K) and (Q, K) sums are
+    the only other arrays.
     """
     n, p = weights.shape
     blocks = top // TRIG_BLOCK + 1
     width = p * blocks
-    cos_sums = np.zeros((TRIG_BLOCK, width))
-    sin_sums = np.zeros((TRIG_BLOCK, width))
+    cos_sums = np.zeros((width, TRIG_BLOCK))
+    sin_sums = np.zeros((blocks, TRIG_BLOCK))
     step = max(1, STATS_BLOCK_CELLS // (2 * (TRIG_BLOCK + blocks + width)))
     for a in range(0, n, step):
-        cos_r, sin_r = angle_table(x[a : a + step], np.arange(TRIG_BLOCK))
-        cos_q, sin_q = angle_table(x[a : a + step], np.arange(blocks) * TRIG_BLOCK)
-        w = weights[a : a + step, :, None]
-        w_cos = (w * cos_q[:, None, :]).reshape(-1, width)
-        w_sin = (w * sin_q[:, None, :]).reshape(-1, width)
-        cos_sums += cos_r.T @ w_cos
-        cos_sums -= sin_r.T @ w_sin
-        sin_sums += cos_r.T @ w_sin
-        sin_sums += sin_r.T @ w_cos
-    # column p * Q + q, row r holds frequency qK + r of weight p
-    return tuple(
-        sums.reshape(TRIG_BLOCK, p, blocks).transpose(1, 2, 0).reshape(p, -1)[:, : top + 1]
-        for sums in (cos_sums, sin_sums)
-    )
+        cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK)
+        cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks)
+        w = np.ascontiguousarray(weights[a : a + step].T)[:, None, :]
+        w_cos = (w * cos_q).reshape(width, -1)
+        w_sin = (w * sin_q).reshape(width, -1)
+        cos_sums += w_cos @ cos_r.T
+        cos_sums -= w_sin @ sin_r.T
+        sin_sums += w_sin[:blocks] @ cos_r.T
+        sin_sums += w_cos[:blocks] @ sin_r.T
+        del cos_r, sin_r, cos_q, sin_q, w_cos, w_sin  # before the next block's tables
+    # row p * Q + q, column r holds frequency qK + r of weight p
+    return cos_sums.reshape(p, -1)[:, : top + 1], sin_sums.reshape(-1)[: top + 1]
 
 
 class Haar(FeatureDictionary):

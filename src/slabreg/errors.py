@@ -121,6 +121,14 @@ def number(value, name: str) -> float:
     return x
 
 
+def nonnegative(value, name: str) -> float:
+    """A finite float >= 0."""
+    x = number(value, name)
+    if x < 0.0:
+        raise _invalid(name, ">= 0", x)
+    return x
+
+
 def probability(value, name: str) -> float:
     """A float in (0, 1)."""
     p = number(value, name)

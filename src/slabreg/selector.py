@@ -38,7 +38,7 @@ from .bounds import VARIANTS, BoundSpec, Slabs, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
 from .errors import REQUIRED, ConfigError, NumericalError, boolean, choice, count, json_object, list_of, number
-from .errors import optional, probability, read, seed, spec_of, text
+from .errors import nonnegative, optional, probability, read, seed, spec_of, text
 from .moments import DesignMoments
 
 SCHEDULES = ("GreedyMax", "RoundRobin")
@@ -156,32 +156,48 @@ SAVED_MODEL_KEYS = {
     "coefficients": (list_of(number), REQUIRED),
     "bound_variant": (choice(*VARIANTS), REQUIRED),
     "epsilon": (probability, REQUIRED),
-    "kappa": (number, REQUIRED),
+    "kappa": (probability, REQUIRED),
     "schedule": (choice(*SCHEDULES), REQUIRED),
     "moments_provenance": (text, "?"),
     "orthonormal_design": (boolean, False),
-    "clip_bound": (optional(number), None),
+    "clip_bound": (optional(nonnegative), None),
     "seed": (optional(seed), None),
     "stopped_at": (optional(count(sys.maxsize, low=0)), None),
     "trace": (list_of(spec_of(IterationRecord.from_json_dict)), ()),
 }
 
 
-def _project(c, k: int, gamma: float, tau: float, v: float, trace: list):
+def _project(c, k: int, gamma: float, tau: float, v: float, trace: list, center: float | None = None):
     """The projection step: soft threshold coordinate k of c in place.
 
     gamma is feature k's residual at c, computed by the caller. The
     coefficient moves by sgn(gamma) (|gamma| - tau)_+; the step's record,
     numbered on from the trace, carries the squared movement
-    v (|gamma| - tau)_+^2 and is appended to ``trace`` and returned. None
-    when c already lies in the slab.
+    v (|gamma| - tau)_+^2 and the step applied, and is appended to
+    ``trace`` and returned. None when c already lies in the slab.
+
+    Under the identity the loop reads feature k's residual off c[k] alone,
+    as center - c[k] / v, and the caller passes the ``center``: the step
+    is then raised by 1, 2, 4, ... ulp of itself until that residual is
+    inside the slab, so the loop, and a re-run from its result, sees the
+    projection land. A slab narrower than the rounding of c[k], which no
+    step lands in, keeps the plain step.
     """
     over = abs(gamma) - tau
     if over <= 0.0:
         return None
+    delta = v * over * over
+    if center is not None:
+        raised, bump = over, math.ulp(over)
+        while abs(center - (c[k] + math.copysign(raised, gamma)) / v) - tau > 0.0:
+            if raised > abs(gamma) + tau:
+                break
+            raised, bump = raised + bump, 2.0 * bump
+        else:
+            over = raised
     step = math.copysign(over, gamma)
     c[k] += step
-    record = IterationRecord(n=len(trace) + 1, feature=k + 1, gamma=gamma, tau=tau, delta=v * over * over, update=step)
+    record = IterationRecord(n=len(trace) + 1, feature=k + 1, gamma=gamma, tau=tau, delta=delta, update=step)
     trace.append(record)
     return record
 
@@ -221,7 +237,8 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
         for k, gamma in visits:
             if gamma is None:
                 gamma = float(centers[k]) - float(sweep.interaction(k)) / float(v[k])
-            record = _project(c, k, gamma, float(tau[k]), float(v[k]), trace)
+            center = float(centers[k]) if sweep.elementwise else None
+            record = _project(c, k, gamma, float(tau[k]), float(v[k]), trace, center)
             if record is not None:
                 sweep.move(k, record.update)
                 pass_best = max(pass_best, record.delta)

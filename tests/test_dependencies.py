@@ -222,6 +222,26 @@ def test_excluded_features_warn_from_one_place():
     assert len(sites) == 1 and sites[0][0] == "selector.py" and fit.lineno <= sites[0][1] <= fit.end_lineno, sites
 
 
+def test_only_the_angle_table_and_the_feature_matrix_take_libm_waves():
+    # A wave costs about 20 ns of libm, against about 1 ns for a product:
+    # the sums of the trigonometric family build their tables by angle
+    # addition (angle_table), and only evaluate, the matrix path whose bits
+    # the row walk keeps, takes one wave per cell.
+    tree = ast.parse((Path(slabreg.__file__).parent / "dictionary.py").read_text())
+    family = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Trigonometric")
+    owners = [
+        next(node for node in family.body if isinstance(node, ast.FunctionDef) and node.name == "evaluate"),
+        _function("dictionary", "angle_table"),
+    ]
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("cos", "sin") and getattr(node.value, "id", None) == "np"
+    ]
+    spans = [[line for line in sites if fn.lineno <= line <= fn.end_lineno] for fn in owners]
+    assert all(spans) and sum(map(len, spans)) == len(sites), sites
+
+
 def test_no_dictionary_kind_is_an_alias_of_another():
     # One kind name per family: no registered class subclasses another.
     classes = list(dictionary.DICTIONARY_CLASSES.values())
@@ -271,7 +291,10 @@ def test_every_spec_and_saved_record_is_read_through_the_reader():
 
 # The reader's plain kinds and the converters they replaced: outside the
 # reader's module a table may name a kind, but no code calls one.
-CONVERTERS = {"json_number", "json_field", "number", "probability", "seed", "text", "path", "json_object", "spec_object"}
+CONVERTERS = {
+    "json_number", "json_field", "number", "nonnegative", "probability", "seed", "text", "path", "json_object",
+    "spec_object",
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

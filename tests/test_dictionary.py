@@ -461,6 +461,25 @@ def test_trigonometric_adjoint_is_the_transpose_of_combine(m):
     assert np.abs(adjoint - w @ family.evaluate(x)).max() <= 1e-12 * np.abs(w).sum()
 
 
+@pytest.mark.parametrize("step", [1, 64])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 129])
+def test_angle_table_is_within_its_bound_of_the_exact_waves(step, count):
+    # Each entry within u (2.01 A + 14) of the wave at A = 2 pi x step k,
+    # taken with the double 2 pi (angle_table's bound), against long double.
+    u = 2.0**-53
+    edges = [0.0, 0.5, 1.0, 1e-170, 1.0 - 2.0**-53]
+    x = np.concatenate([edges, np.random.default_rng(count * step).uniform(size=200)])
+    cos, sin = fd.angle_table(x, step, count)
+    assert cos.shape == sin.shape == (count, x.size)
+    angle = np.longdouble(2.0 * np.pi) * np.outer(step * np.arange(count), x.astype(np.longdouble))
+    bound = u * (2.01 * angle + 14.0)
+    assert np.all(np.abs(cos - np.cos(angle)) <= bound)
+    assert np.all(np.abs(sin - np.sin(angle)) <= bound)
+    # frequency 0 and the point 0 are exact
+    assert np.all(cos[0] == 1.0) and np.all(sin[0] == 0.0)
+    assert np.all(cos[:, 0] == 1.0) and np.all(sin[:, 0] == 0.0)
+
+
 def test_trigonometric_adjoint_walks_fixed_row_blocks(peak_bytes):
     rng = np.random.default_rng(4)
     step = 1000  # more than one block's rows at m = 257 and at m = 4096

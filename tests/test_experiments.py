@@ -181,6 +181,17 @@ def test_sup_bound_of_full_sobolev_truth_stays_small_in_memory(peak_bytes):
     assert peak < 4 * 2**20
 
 
+def test_sobolev_truth_draw_walks_fixed_row_blocks(peak_bytes):
+    model = ex.sobolev_model(size=4096)
+    n = 1 << 15
+    peak = peak_bytes(lambda: ex.generate(model, n, 0, seed=1))
+    # unblocked, the (64, n) and (33, n) angle tables alone would take 50 MB
+    assert peak < 4 * 2**20
+    x = np.random.default_rng(2).uniform(size=300)
+    scale = np.abs(model.coefficients).sum() * math.sqrt(2.0)
+    assert np.abs(model.f_values(x) - model.family().evaluate(x) @ model.coefficients).max() <= 1e-13 * scale
+
+
 SUP_STEPS = 2**14 - 1
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,15 @@ def test_residual_gamma_hand_gram(project):
     centers = np.array([0.0, 0.8])
     c = np.array([1.0, 0.0])
     assert project(c, 1, centers, mom, zero_radius(2))[2] == pytest.approx(0.3, abs=1e-15)
+
+
+def test_identity_step_into_a_slab_no_step_lands_in_keeps_the_plain_step(project):
+    # At tau = 0 the slab is the center alone, which c[k] + step misses from
+    # 1.58; raising the step crosses it, so the step stays gamma.
+    mom = DesignMoments(np.eye(1), "Exact")
+    c, _, gamma = project(np.array([1.58]), 0, np.array([-0.00049]), mom, zero_radius(1))
+    assert -0.00049 - c[0] != 0.0
+    assert c[0] == 1.58 + gamma
 
 
 def test_project_feature_dead_zone(project):
@@ -157,6 +167,36 @@ def test_roundrobin_second_pass_is_noop():
     )
     np.testing.assert_array_equal(again.coefficients, model.coefficients)
     assert again.stopped_at == 0
+
+
+@pytest.mark.parametrize("schedule", selector.SCHEDULES)
+def test_warm_start_rerun_under_the_identity_records_nothing(schedule):
+    # Under the identity a RoundRobin fit is soft thresholding: each feature
+    # is projected once, onto its slab, so a re-run from its coefficients
+    # finds every feature inside, in either schedule, whatever the last bits
+    # (a strong feature's step |center| - tau rounds, and lands an ulp
+    # outside about one time in four unless the step is raised). A GreedyMax
+    # fit may stop with features left outside below kappa, but each feature
+    # it projected lies inside: a re-run never records one of them.
+    family = Trigonometric(16)
+    mom = exact_moments(family)
+    spec = bounds.BoundSpec("IndVarFirstOrder", 0.1)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(256, 1))
+        y = family.evaluate(x) @ rng.normal(0.0, 3.0, 16) + rng.normal(0.0, 0.3, 256)
+        ds = Dataset(x=x, y=y)
+        model = selector.run_selection(ds, family, mom, spec, schedule="RoundRobin")
+        features = [record.feature for record in model.trace]
+        assert len(set(features)) == len(features), seed
+        again = selector.run_selection(ds, family, mom, spec, schedule=schedule, warm_start=model.coefficients)
+        assert again.stopped_at == 0, seed
+        assert again.coefficients.tobytes() == model.coefficients.tobytes()
+        if schedule == "GreedyMax":
+            greedy = selector.run_selection(ds, family, mom, spec)
+            again = selector.run_selection(ds, family, mom, spec, warm_start=greedy.coefficients)
+            projected = {record.feature for record in greedy.trace}
+            assert not projected & {record.feature for record in again.trace}, seed
 
 
 def test_greedy_first_pick_matches_bruteforce_argmax():
@@ -383,6 +423,25 @@ def test_model_json_roundtrip_bit_stable():
     np.testing.assert_array_equal(selector.predict(again, pts), selector.predict(model, pts))
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("kappa", -1, "model kappa must be in (0, 1)"),
+        ("kappa", 0, "model kappa must be in (0, 1)"),
+        ("kappa", 1, "model kappa must be in (0, 1)"),
+        ("clip_bound", -1, "model clip_bound must be >= 0"),
+    ],
+)
+def test_saved_model_kappa_and_clip_bound_are_read_in_range(key, value, message):
+    # 0 < kappa < 1/N <= 1 for every fit, and a clip bound is >= 0
+    family = Trigonometric(6)
+    model = selector.SelectionModel(np.zeros(6), (), "IndVarFirstOrder", 0.3, 0.01, "GreedyMax", family)
+    saved = {**model.to_json_dict(), key: value}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        selector.SelectionModel.from_json_dict(saved)
+    assert selector.SelectionModel.from_json_dict({**saved, key: 0.5}).to_json_dict()[key] == 0.5
+
+
 def test_transductive_fit_shares_engine():
     rng = np.random.default_rng(37)
     n = 512
@@ -410,8 +469,21 @@ def test_variant_geometry_mismatch_is_config_error():
         selector.run_selection(ds, family, exact_moments(family), spec)
 
 
+def landed(c, k, gamma, over, tau, center):
+    """An identity projection's |step|: ``over`` raised by 1, 2, 4, ... ulp
+    until the residual center - c[k] at the moved coefficient is inside the
+    slab, or ``over`` itself when no step lands there."""
+    raised, bump = over, math.ulp(over)
+    while abs(center - (c[k] + math.copysign(raised, gamma))) - tau > 0.0:
+        if raised > abs(gamma) + tau:
+            return over
+        raised, bump = raised + bump, 2.0 * bump
+    return raised
+
+
 def reference_iterate(centers, moments, radius, kappa, schedule, active, max_iterations, warm_start=None):
-    """The projection loop as first written, one copy of the step per schedule."""
+    """The projection loop as first written, one copy of the step per
+    schedule; under the identity a step lands inside its slab (``landed``)."""
     g = moments.gram
     v = moments.diag
     tau = radius.tau
@@ -429,7 +501,10 @@ def reference_iterate(centers, moments, radius, kappa, schedule, active, max_ite
             best = int(np.argmax(delta))
             best_delta = float(delta[best])
             if best_delta > 0.0:
-                step = math.copysign(float(over[best]), float(gamma[best]))
+                size = float(over[best])
+                if moments.identity:
+                    size = landed(c, best, float(gamma[best]), size, float(tau[best]), float(centers[best]))
+                step = math.copysign(size, float(gamma[best]))
                 c[best] += step
                 trace.append(
                     selector.IterationRecord(
@@ -452,6 +527,8 @@ def reference_iterate(centers, moments, radius, kappa, schedule, active, max_ite
             over = abs(gamma) - float(tau[k])
             if over > 0.0:
                 delta = float(v[k]) * over * over
+                if moments.identity:
+                    over = landed(c, k, gamma, over, float(tau[k]), float(centers[k]))
                 step = math.copysign(over, gamma)
                 c[k] += step
                 pass_best = max(pass_best, delta)
