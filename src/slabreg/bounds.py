@@ -453,9 +453,11 @@ ADJOINT_READS = frozenset({"train_mean_sq_ysq", "train_var_ty"})
 
 def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, reads) -> dict | None:
     """The column sums of t^2, t y and (t y)^2 over a trigonometric family's
-    training rows, without its feature rows: ``wave_sums`` with the weights
-    y, 1 and y^2, the squares by the double angles 2 cos^2 a = 1 + cos 2a
-    and 2 sin^2 a = 1 - cos 2a. None when the row walk must decide instead.
+    training rows, without its feature rows: one ``wave_sums`` call, with y
+    as its first column (cosines and sines up to m // 2) and 1 and y^2 as
+    its even columns (cosines of the double angles alone), the squares by
+    2 cos^2 a = 1 + cos 2a and 2 sin^2 a = 1 - cos 2a. None when the row
+    walk must decide instead.
 
     The double angle turns a column whose squares are all tiny but not all
     zero (sines at x = 0, 1/2 or 1, on a dyadic grid, or at tiny x) into a
@@ -464,27 +466,26 @@ def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, rea
     E = eps n (3A + n + 32), with A = 2 pi x_max 2 (m // 2) the largest
     angle and eps = 2u = 2^-52. Per point, cos 2jt is taken by angle
     addition over a q and an r table entry (``wave_sums``), each within
-    u (2.01 A_e + 14) of the wave at its exact angle A_e (``angle_table``).
+    u (2.01 A_e + 16) of the wave at its exact angle A_e (``angle_table``).
     The angle parts add to 2.01uA, and so does the distance of 2t' from
     the exact angle, t' being the angle that ``evaluate`` rounds: 4.02uA in
-    all. The rest of each entry, 14u per coordinate, moves the product by
-    at most 14 sqrt(2) u per factor, and the product rounds by 2u more:
-    under 42u in all. The sums over the n points add at most (n + 6)u per
-    unit weight. So |D - 2 sum_i sin^2 t'_i| <= u n (4.02A + n + 48), and
+    all. The rest of each entry, 16u per coordinate, moves the product by
+    at most 16 sqrt(2) u per factor, and the product rounds by 2u more:
+    under 48u in all. The sums over the n points add at most (n + 6)u per
+    unit weight. So |D - 2 sum_i sin^2 t'_i| <= u n (4.02A + n + 54), and
     D > E leaves 2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least
     u / 2, which ``evaluate`` squares to a positive entry, and the column
     is active on both paths. ``compute_stats`` runs it with overflow
     raised, and walks the rows instead when a sum overflows.
     """
     n, nfreq = y.size, family.m // 2
-    # the sines are the first column's, so y comes first
-    cos, sin = wave_sums(x, np.stack([y, np.ones(n), y**2], axis=1), 2 * nfreq)
-    # cos[p, 0] is sum_i w_ip; cos[p, 2j] the double angle's sum
-    squares, ysq_squares = (family.columns(c[0], c[0] + c[::2], c[0] - c[::2]) for c in cos[[1, 2]])
+    cos, sin, doubles = wave_sums(x, np.stack([y, np.ones(n), y**2], axis=1), nfreq)
+    # doubles[p, 0] is sum_i w_ip; doubles[p, j] the double angle's sum
+    squares, ysq_squares = (family.columns(c[0], c[0] + c, c[0] - c) for c in doubles)
     largest = 2.0 * np.pi * float(x.max(initial=0.0)) * 2 * nfreq
     if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n):
         return None
-    ty = family.columns(cos[0, 0], np.sqrt(2.0) * cos[0], np.sqrt(2.0) * sin)
+    ty = family.columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
     sums = {"train_mean_sq": squares, "train_mean_ty": ty}
     # (t y)^2 = t^2 y^2: one sum, never below zero
     ysq_squares = np.maximum(ysq_squares, 0.0)

@@ -180,7 +180,14 @@ def _data_config(args):
     config["seed"] = values["seed"]
     values["loo_index"] = _loo_arguments(values["loo_index"], values["dictionary"])
     if "moments" in values and values["moments"][0] != "exact":
-        dense_gram(values["dictionary"].m, f"dictionary m with moments.kind {values['moments'][0]!r}")
+        (kind, spec), m = values["moments"], values["dictionary"].m
+        dense_gram(m, f"dictionary m with moments.kind {kind!r}")
+        # the mean of fewer than m rank-one products theta(x) theta(x)^T is singular
+        if kind == "monte_carlo" and spec["n_samples"] < m:
+            raise ConfigError(
+                f"moments.n_samples must be at least dictionary m = {m} (a Monte Carlo Gram of fewer "
+                f"points is singular), got {spec['n_samples']}"
+            )
     return config, values
 
 

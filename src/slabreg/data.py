@@ -148,25 +148,6 @@ def load_headerless_csv(path):
     return _parse(path, rows, lines, len(rows[0]) if rows else 0)
 
 
-def write_labeled_csv(path, x, y):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(1, x.shape[1] + 1)] + ["y"])
-        for row, label in zip(x, y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
-
-
-def write_unlabeled_csv(path, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(1, x.shape[1] + 1)])
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def write_predictions_csv(path, predictions):
     predictions = np.asarray(predictions, dtype=float)
     with open(path, "w", newline="") as fh:

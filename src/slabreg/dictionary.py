@@ -262,25 +262,28 @@ class Trigonometric(FeatureDictionary):
         ab[1, 1 : 1 + c[2::2].size] = c[2::2]
         ab = ab.reshape(2 * blocks, TRIG_BLOCK)  # (2Q, K): a blocks, then b blocks
         waves = np.empty(x.size)
-        step = max(1, STATS_BLOCK_CELLS // (2 * (TRIG_BLOCK + 3 * blocks)))
+        # the two tables' work, the two (2Q, rows) products and the two weighted q tables
+        cells = AngleWork.cells(TRIG_BLOCK) + AngleWork.cells(blocks) + 6 * blocks
+        step = max(1, min(x.size, STATS_BLOCK_CELLS // cells))
+        r_work, q_work = AngleWork(TRIG_BLOCK, step), AngleWork(blocks, step)
         for a in range(0, x.size, step):
-            cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK)
+            cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK, r_work)
             cos_a, cos_b = np.split(ab @ cos_r, 2)
             sin_a, sin_b = np.split(ab @ sin_r, 2)
             cos_a += sin_b
             cos_b -= sin_a
-            cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks)
+            cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks, q_work)
             waves[a : a + step] = (cos_q * cos_a).sum(axis=0) + (sin_q * cos_b).sum(axis=0)
         return c[0] + np.sqrt(2.0) * waves
 
     def adjoint(self, weights, points) -> np.ndarray:
         """sum_i w_i theta_k(x_i) for every k: the transpose of ``combine``,
-        from the same angle tables (``wave_sums``, whose one weight column
-        gives both the cosine and the sine sums), without the (n, m) feature
-        matrix."""
+        from the same angle tables (``wave_sums`` with the weights as its
+        one, first column: cosine and sine sums up to m // 2), without the
+        (n, m) feature matrix."""
         x = self.check_points(points)
-        cos, sin = wave_sums(x, np.asarray(weights, dtype=float)[:, None], self._m // 2)
-        return self.columns(cos[0, 0], np.sqrt(2.0) * cos[0], np.sqrt(2.0) * sin)
+        cos, sin, _ = wave_sums(x, np.asarray(weights, dtype=float)[:, None], self._m // 2)
+        return self.columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
 
     def columns(self, constant, cos, sin) -> np.ndarray:
         """The family's m entries from the constant's, ``constant``, and the
@@ -332,7 +335,9 @@ def equispaced_sum(coefficients: np.ndarray, steps: int) -> np.ndarray:
     return c[0] + np.sqrt(2.0) * np.fft.ifft(folded, norm="forward").real
 
 
-def angle_table(x: np.ndarray, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def angle_table(
+    x: np.ndarray, step: int, count: int, work: AngleWork | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi x step k for k = 0..count - 1 and every point x:
     two frequency-major (count, n) arrays, the tables of
     ``Trigonometric.combine`` and of its transpose ``wave_sums``.
@@ -340,67 +345,127 @@ def angle_table(x: np.ndarray, step: int, count: int) -> tuple[np.ndarray, np.nd
     Entry k = s + bv, with b = ceil(sqrt(count)), s < b and
     v < ceil(count / b), comes by angle addition,
     cos(S + V) = cos S cos V - sin S sin V and
-    sin(S + V) = sin S cos V + cos S sin V, from two sub-tables of libm
-    waves: S = 2 pi x step s and V = 2 pi x step bv, each angle rounded as
-    ``evaluate`` rounds its own. So about 4 sqrt(count) libm calls per point
-    give the 2 count entries.
+    sin(S + V) = sin S cos V + cos S sin V (one complex product
+    e^{iV} e^{iS}), from two sub-tables of libm waves: S = 2 pi x step s and
+    V = 2 pi x step bv, each taken as 2 pi (t - rint t) from its turns
+    t = x f (f = step s or step bv), rounded once. Taking the whole turns
+    off is exact and leaves libm angles in [-pi, pi], where its argument
+    reduction is cheap. So about 4 sqrt(count) libm calls per point give
+    the 2 count entries.
 
-    Each entry is within u (2.01 A + 14) of the cosine or sine of
-    A = 2 pi x step k taken exactly with the double 2 pi, u = 2^-53, for
-    libm waves within 4 ulp: the angles S and V carry two roundings each,
-    so S + V is within 2.01uA of A, and a rotation by that much moves cos
-    and sin by as much at most; each sub-table pair (cos, sin) is within
-    4 sqrt(2) u of its angle's, which the products carry at most once per
-    factor, 8 sqrt(2) u < 11.4u in all; the two products and their sum
-    round by 2u more, since |cos S cos V| + |sin S sin V| <= 1.
+    Each entry is within u (2.01 A + 16) of the cosine or sine of
+    A = P x step k, taken exactly with P the double 2 pi, u = 2^-53, for
+    libm waves within 4 ulp. A sub-table angle A_f = P x f whose turns round
+    to n = 0 is ``evaluate``'s own, two roundings: within 2.01uA_f. For
+    n >= 1, A_f > pi: t carries uA_f; the n whole turns taken off with P
+    miss n (2 pi - P) < 0.352u P n <= 0.352u (A_f + pi) of whole turns of
+    2 pi; and scaling the remainder, at most pi, rounds by 2u. That is
+    within u (1.36 A_f + 3.11), below u (2.01 A_f + 1.04) as A_f > pi. So
+    S + V is within u (2.01 A + 2.08) of A, and a rotation by that much
+    moves cos and sin by as much at most; each sub-table pair (cos, sin) is
+    within 4 sqrt(2) u of its angle's, which the product carries at most
+    once per factor, 8 sqrt(2) u < 11.4u in all; each part of the product
+    rounds by 2u more, since |cos S cos V| + |sin S sin V| <= 1.
+
+    ``work``, an ``AngleWork`` for ``count`` entries at ``x.size`` points or
+    more, holds the arrays the tables are made in and returned as (views,
+    valid until its next use); without one they are fresh.
     """
-    across = max(1, ceil(sqrt(count)))
-    down = -(-count // across)
+    work = AngleWork(count, x.size) if work is None else work
+    n, across, down = x.size, work.across, work.down
+    waves, (cos, sin) = work.waves[:, :n], work.tables[:, :, :n]
     freqs = step * np.concatenate([np.arange(across), across * np.arange(down)])
-    angles = 2.0 * np.pi * np.outer(freqs, x)
-    cos_s, cos_v = np.split(np.cos(angles), [across])
-    sin_s, sin_v = np.split(np.sin(angles, out=angles), [across])
-    cos_v, sin_v = cos_v[:, None], sin_v[:, None]
-    cos = cos_v * cos_s - sin_v * sin_s
-    sin = sin_v * cos_s + cos_v * sin_s
-    return cos.reshape(-1, x.size)[:count], sin.reshape(-1, x.size)[:count]
+    angles = np.multiply.outer(freqs, x, out=waves.real)
+    angles -= np.rint(angles)
+    angles *= 2.0 * np.pi
+    np.sin(angles, out=waves.imag)
+    np.cos(angles, out=angles)
+    # e^{i(S + V)} = e^{iV} e^{iS}: one complex product per entry, one V at a time
+    for v in range(down):
+        entries = slice(v * across, min((v + 1) * across, count))
+        products = waves[across + v] * waves[: entries.stop - entries.start]
+        np.copyto(cos[entries], products.real)
+        np.copyto(sin[entries], products.imag)
+    return cos, sin
 
 
-def wave_sums(x: np.ndarray, weights: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i w_ip cos(2 pi j x_i) for every column p of the (n, p)
-    ``weights`` and j = 0..top, a (p, top + 1) array, and
-    sum_i w_i0 sin(2 pi j x_i) for the first column alone, a (top + 1,)
-    array. The adjoint non-uniform DFT, by the angle addition of
-    ``combine``: with j = qK + r and t = 2 pi x,
-    cos(jt) = cos(qKt) cos(rt) - sin(qKt) sin(rt) and
-    sin(jt) = sin(qKt) cos(rt) + cos(qKt) sin(rt),
+class AngleWork:
+    """The arrays ``angle_table`` makes its ``count`` entries in, for up to
+    ``rows`` points: the sub-tables' complex waves and the cos and sin
+    tables. A walk over row blocks makes one per table and allocates no
+    table per block: a fresh block's tables would be faulted in page by
+    page again once the allocator has handed the last block's back to the
+    system."""
+
+    def __init__(self, count: int, rows: int):
+        self.across, self.down = _sub_tables(count)
+        self.waves = np.empty((self.across + self.down, rows), dtype=complex)
+        self.tables = np.empty((2, count, rows))
+
+    @staticmethod
+    def cells(count: int) -> int:
+        """The float cells per point of the work for ``count`` entries."""
+        across, down = _sub_tables(count)
+        return 2 * (across + down) + 2 * count
+
+
+def _sub_tables(count: int) -> tuple[int, int]:
+    """The sub-table sizes of ``angle_table``: b = ceil(sqrt(count)) and ceil(count / b)."""
+    across = max(1, ceil(sqrt(count)))
+    return across, -(-count // across)
+
+
+def wave_sums(x: np.ndarray, weights: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adjoint non-uniform DFT of the (n, p) ``weights``, as
+    ``(cos, sin, doubles)``: for the first column, sum_i w_i0 cos(2 pi j x_i)
+    in ``cos[j]`` and sum_i w_i0 sin(2 pi j x_i) in ``sin[j]``, j = 0..top;
+    for each further, "even" column p, only the cosines of the double
+    angles, sum_i w_ip cos(4 pi j x_i) in ``doubles[p - 1, j]``. These are
+    all the sums that ``adjoint`` and ``bounds`` read.
+
+    By the angle addition of ``combine``: with f = qK + r and t = 2 pi x,
+    cos(ft) = cos(qKt) cos(rt) - sin(qKt) sin(rt) and
+    sin(ft) = sin(qKt) cos(rt) + cos(qKt) sin(rt),
     so for each block of points the sums are products of the weighted q
-    tables (pQ x rows) against the transposed r tables (K x rows), two for
-    the cosines and two of the first column's Q rows for the sines (the
-    only sines ``adjoint`` and ``bounds`` read). The points are walked in
-    row blocks of a size fixed by m and p, whose tables hold about
-    ``STATS_BLOCK_CELLS`` cells together; the (pQ, K) and (Q, K) sums are
-    the only other arrays.
+    tables (rows) against the transposed r tables (K x rows): four of the
+    first column's q blocks up to top against all K frequencies r, and two
+    of the even columns' q blocks up to 2 top against the even r alone
+    (f = 2j is even, and K is). The points are walked in row blocks of a
+    size fixed by m and p, whose tables and weighted tables hold about
+    ``STATS_BLOCK_CELLS`` cells together; the sums are the only other
+    arrays.
     """
     n, p = weights.shape
-    blocks = top // TRIG_BLOCK + 1
-    width = p * blocks
-    cos_sums = np.zeros((width, TRIG_BLOCK))
-    sin_sums = np.zeros((blocks, TRIG_BLOCK))
-    step = max(1, STATS_BLOCK_CELLS // (2 * (TRIG_BLOCK + blocks + width)))
+    first = top // TRIG_BLOCK + 1
+    blocks = (2 * top if p > 1 else top) // TRIG_BLOCK + 1
+    even = (p - 1) * blocks
+    cos_sums = np.zeros((first, TRIG_BLOCK))
+    sin_sums = np.zeros((first, TRIG_BLOCK))
+    double_sums = np.zeros((even, TRIG_BLOCK // 2))
+    cells = AngleWork.cells(TRIG_BLOCK) + AngleWork.cells(blocks) + 2 * (first + even)
+    step = max(1, min(n, STATS_BLOCK_CELLS // cells))
+    r_work, q_work = AngleWork(TRIG_BLOCK, step), AngleWork(blocks, step)
+    # the weighted q tables: the first column's blocks up to top, then the even ones'
+    weighted = np.empty((2, first + even, step))
     for a in range(0, n, step):
-        cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK)
-        cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks)
-        w = np.ascontiguousarray(weights[a : a + step].T)[:, None, :]
-        w_cos = (w * cos_q).reshape(width, -1)
-        w_sin = (w * sin_q).reshape(width, -1)
-        cos_sums += w_cos @ cos_r.T
-        cos_sums -= w_sin @ sin_r.T
-        sin_sums += w_sin[:blocks] @ cos_r.T
-        sin_sums += w_cos[:blocks] @ sin_r.T
-        del cos_r, sin_r, cos_q, sin_q, w_cos, w_sin  # before the next block's tables
-    # row p * Q + q, column r holds frequency qK + r of weight p
-    return cos_sums.reshape(p, -1)[:, : top + 1], sin_sums.reshape(-1)[: top + 1]
+        rows = min(step, n - a)
+        cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK, r_work)
+        cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks, q_work)
+        w = weights[a : a + step].T[:, None, :]
+        w_cos, w_sin = weighted[:, :, :rows]
+        for out, table in ((w_cos, cos_q), (w_sin, sin_q)):
+            np.multiply(w[0], table[:first], out=out[:first])
+            np.multiply(w[1:], table, out=out[first:].reshape(p - 1, blocks, rows))
+        cos_sums += w_cos[:first] @ cos_r.T
+        cos_sums -= w_sin[:first] @ sin_r.T
+        sin_sums += w_sin[:first] @ cos_r.T
+        sin_sums += w_cos[:first] @ sin_r.T
+        double_sums += w_cos[first:] @ cos_r[::2].T
+        double_sums -= w_sin[first:] @ sin_r[::2].T
+    # row q, column r holds frequency qK + r; row (p - 1) Q + q, column r
+    # the double angle 2j = qK + 2r of even column p
+    doubles = double_sums.reshape(p - 1, blocks * TRIG_BLOCK // 2)[:, : top + 1]
+    return cos_sums.reshape(-1)[: top + 1], sin_sums.reshape(-1)[: top + 1], doubles
 
 
 class Haar(FeatureDictionary):

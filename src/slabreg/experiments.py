@@ -611,6 +611,3 @@ def _chain_holds(fit: SelectionModel, test_feats: np.ndarray, hidden: np.ndarray
         r2 = r2_next
     return True
 
-
-def binomial_slack(p: float, n: int, z: float = 3.0) -> float:
-    return z * sqrt(p * (1.0 - p) / n)

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -6,6 +7,29 @@ import pytest
 
 from slabreg import selector
 from slabreg.dictionary import as_points
+
+
+def write_labeled_csv(path, x, y):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(1, x.shape[1] + 1)] + ["y"])
+        for row, label in zip(x, y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
+
+
+def write_unlabeled_csv(path, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(1, x.shape[1] + 1)])
+        for row in x:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def binomial_slack(p: float, n: int, z: float = 3.0) -> float:
+    return z * math.sqrt(p * (1.0 - p) / n)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import binomial_slack, write_labeled_csv
 from slabreg import bounds, data, experiments as ex, selector
 from slabreg.cli import main as cli_main
 from slabreg.dictionary import MultiscaleGaussian, Trigonometric
@@ -166,7 +167,7 @@ def test_c10_oracle_inequality_on_covered_replicates(sobolev_rate_run):
             below_zero += 1
             worst = max(worst, row["mse"] / oracle)
     eps = max(float(row["N"]) ** -2 for row in rep.rows)
-    assert covered / len(rep.rows) >= 1.0 - eps - ex.binomial_slack(eps, len(rep.rows))
+    assert covered / len(rep.rows) >= 1.0 - eps - binomial_slack(eps, len(rep.rows))
     # the inequality is not vacuous: some oracle beats the zero model
     assert below_zero >= 1
     elapsed = time.monotonic() - start
@@ -229,7 +230,7 @@ def test_c8_determinism_across_threads(tmp_path):
     x = rng.uniform(size=(12, 1))
     y = np.cos(2 * np.pi * x[:, 0]) + rng.uniform(-0.1, 0.1, 12)
     train = tmp_path / "train.csv"
-    data.write_labeled_csv(train, x, y)
+    write_labeled_csv(train, x, y)
     fit_blobs = []
     for name, threads in (("f1", 1), ("f4", 4)):
         out = tmp_path / name
@@ -302,7 +303,7 @@ def test_c13_inductive_chain_in_a_dense_geometry():
                     covered += 1
                     chained += ex._chain_holds(fit, theta, f)
             cell = f"{spec.variant}/{schedule}"
-            assert covered / replicates >= 1 - eps - ex.binomial_slack(1 - eps, replicates), cell
+            assert covered / replicates >= 1 - eps - binomial_slack(1 - eps, replicates), cell
             assert chained == covered, cell
             assert steps / replicates >= 1.0, cell
             details.append(f"{cell} coverage {covered / replicates:.3f}, steps {steps / replicates:.1f}")

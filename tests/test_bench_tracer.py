@@ -47,17 +47,18 @@ import json
 import sys
 from pathlib import Path
 
-sys.path[:0] = ["bench", "src"]
+sys.path[:0] = ["bench", "src", "tests"]
 import numpy as np
 import run
-from slabreg import cli, data
+from conftest import write_labeled_csv, write_unlabeled_csv
+from slabreg import cli
 from tracer import Tracer
 
 work = Path(sys.argv[1])
 rng = np.random.default_rng(0)
 x = rng.uniform(size=(256, 1))
-data.write_labeled_csv(work / "train.csv", x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.1, 0.1, 256))
-data.write_unlabeled_csv(work / "test.csv", rng.uniform(size=(256, 1)))
+write_labeled_csv(work / "train.csv", x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.1, 0.1, 256))
+write_unlabeled_csv(work / "test.csv", rng.uniform(size=(256, 1)))
 (work / "rate.json").write_text(json.dumps({"grid": [256, 320, 384, 448], "replicates": 1}))
 sample = ["--train", work / "train.csv", "--dictionary", '{"kind": "Trigonometric", "m": 16}']
 commands = {

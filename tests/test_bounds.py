@@ -792,6 +792,42 @@ def test_adjoint_stats_match_the_row_block_walk(m, n, evaluations):
     assert log.rows == []  # no feature row was evaluated
 
 
+# Sizes at which m // 2, the last frequency of the first weight column, and
+# 2 (m // 2), the last double angle of the even ones, fall in different
+# 64-frequency q blocks, or at the edge of one.
+BLOCK_EDGE_SIZES = [1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 4096]
+
+
+@pytest.mark.parametrize("m", BLOCK_EDGE_SIZES)
+def test_adjoint_sums_match_the_row_walk_at_the_frequency_block_edges(m, evaluations):
+    n = 300
+    rng = np.random.default_rng(m)
+    x = rng.uniform(size=(n, 1))
+    ds = Dataset(x=x, y=3.0 * rng.normal(size=n))
+    family = fd.Trigonometric(m)
+    features = family.evaluate(x)
+    w = rng.normal(size=n)
+    assert np.abs(family.adjoint(w, x[:, 0]) - w @ features).max() <= 1e-12 * np.abs(w).sum()
+    log = evaluations(fd.Trigonometric)
+    for variants in ADJOINT_VARIANTS:
+        got = bounds.compute_stats(family, ds, variants)
+        assert_stats_close(got, bounds.compute_stats(features, ds, variants), ds.y, variants)
+    assert log.rows == []  # no feature row was evaluated
+
+
+def test_adjoint_stats_peak_under_one_and_a_half_mb(peak_bytes, evaluations):
+    # N = m = 4096, the size of fit-trig-4096: the row blocks' tables hold
+    # about 1 MB together, and no array grows with N or m beyond the sums
+    n = m = 4096
+    rng = np.random.default_rng(5)
+    ds = Dataset(x=rng.uniform(size=(n, 1)), y=rng.normal(size=n))
+    family = fd.Trigonometric(m)
+    log = evaluations(fd.Trigonometric)
+    peak = peak_bytes(lambda: bounds.compute_stats(family, ds, ("IndVarFirstOrder",)))
+    assert log.rows == []
+    assert peak < 1.5 * 2**20
+
+
 def adversarial_points(kind, n, rng):
     """Points on which some column's squares are all tiny but not all zero
     (or all zero), so that the double angle cancels."""

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import write_labeled_csv, write_unlabeled_csv
 from slabreg import bounds, data, dictionary, experiments, selector
 from slabreg.cli import main
 from slabreg.dictionary import from_spec as dict_from_spec
@@ -28,7 +29,7 @@ def train_csv(tmp_path):
     x = rng.uniform(size=(10, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 10)
     path = tmp_path / "train.csv"
-    data.write_labeled_csv(path, x, y)
+    write_labeled_csv(path, x, y)
     return path
 
 
@@ -36,7 +37,7 @@ def train_csv(tmp_path):
 def test_csv(tmp_path):
     rng = np.random.default_rng(1)
     path = tmp_path / "test.csv"
-    data.write_unlabeled_csv(path, rng.uniform(size=(10, 1)))
+    write_unlabeled_csv(path, rng.uniform(size=(10, 1)))
     return path
 
 
@@ -160,6 +161,29 @@ def test_dense_gram_past_its_cap_exits_2_before_allocating(tmp_path, train_csv, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("n_samples", [1, 4])
+def test_monte_carlo_gram_from_fewer_points_than_features_exits_2(tmp_path, n_samples, capsys):
+    # m = 5: a Gram averaged over fewer than 5 points is singular; the train
+    # file is no CSV (a data error, exit 3, once read), so the config is
+    # rejected before any data file is read
+    train = tmp_path / "train.csv"
+    train.write_text("x1,y\nnot,numbers\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"moments": {"kind": "monte_carlo", "n_samples": n_samples}}))
+    codes = []
+    for command in ("fit", "bounds"):
+        argv = [command, "--config", config, "--train", train, "--dictionary", TRIG5,
+                "--bound", IND, "--out", tmp_path / "run"]
+        codes.append(run_cli(argv))
+    assert codes == [2, 2]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "config error: moments.n_samples must be at least dictionary m = 5 (a Monte Carlo Gram of fewer "
+        f"points is singular), got {n_samples}"
+    ] * 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_transduce_empty_test_warns_and_writes_empty(tmp_path, train_csv, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("x1\n")
@@ -198,7 +222,7 @@ def test_transduce_empty_test_file_reads_the_whole_config_first(tmp_path, train_
 def test_transduce_infers_k_from_row_counts(tmp_path, train_csv):
     rng = np.random.default_rng(5)
     test2 = tmp_path / "test2.csv"
-    data.write_unlabeled_csv(test2, rng.uniform(size=(20, 1)))
+    write_unlabeled_csv(test2, rng.uniform(size=(20, 1)))
     out = tmp_path / "run"
     spec = '{"variant":"TrGeneralK","epsilon":0.1,"subexp":[{"beta_h":1.0,"B_h":3.0}]}'
     code = run_cli(["transduce", "--train", train_csv, "--test", test2, "--dictionary", TRIG5, "--bound", spec, "--out", out])
@@ -531,11 +555,11 @@ def test_csv_roundtrip_identity(tmp_path):
     x = rng.uniform(size=(7, 2))
     y = rng.normal(size=7)
     path = tmp_path / "round.csv"
-    data.write_labeled_csv(path, x, y)
+    write_labeled_csv(path, x, y)
     x2, y2 = data.load_labeled_csv(path)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
-    data.write_labeled_csv(tmp_path / "again.csv", x2, y2)
+    write_labeled_csv(tmp_path / "again.csv", x2, y2)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
@@ -604,7 +628,7 @@ def test_fit_ind_svm_with_train_point_centers(tmp_path):
     x = rng.uniform(size=(24, 1))
     y = np.exp(-2.0 * (x[:, 0] - 0.5) ** 2) + rng.normal(0, 0.05, 24)
     train = tmp_path / "train.csv"
-    data.write_labeled_csv(train, x, y)
+    write_labeled_csv(train, x, y)
     out = tmp_path / "svm"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -627,7 +651,7 @@ def test_reloaded_gaussian_model_keeps_its_leave_one_out_anchors(tmp_path):
     rng = np.random.default_rng(9)
     x = rng.uniform(size=(12, 1))
     train = tmp_path / "train.csv"
-    data.write_labeled_csv(train, x, np.sin(3.0 * x[:, 0]) + rng.normal(0, 0.05, 12))
+    write_labeled_csv(train, x, np.sin(3.0 * x[:, 0]) + rng.normal(0, 0.05, 12))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "train": str(train),
@@ -648,7 +672,7 @@ def test_fit_explicit_matrix_dictionary(tmp_path):
     x = rng.uniform(size=(12, 1))
     y = rng.normal(size=12)
     train = tmp_path / "train.csv"
-    data.write_labeled_csv(train, x, y)
+    write_labeled_csv(train, x, y)
     feats = rng.normal(size=(12, 3))
     gram = np.eye(3)
     gram_path = tmp_path / "gram.csv"
@@ -744,8 +768,8 @@ def test_test_block_square_overflow_exits_3_with_one_error_line(tmp_path, capsys
     # one data error naming the test rows, not a numerical error about the Gram.
     x = np.random.default_rng(3).uniform(size=(8, 1))
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
-    data.write_labeled_csv(train, x[:4], np.sin(2 * np.pi * x[:4, 0]))
-    data.write_unlabeled_csv(test, x[4:])
+    write_labeled_csv(train, x[:4], np.sin(2 * np.pi * x[:4, 0]))
+    write_unlabeled_csv(test, x[4:])
     values = np.random.default_rng(4).uniform(-1, 1, (8, 3))
     values[5, 1] = 1e308
     config = tmp_path / "config.json"
@@ -847,7 +871,7 @@ def test_bounds_transductive_table(tmp_path, train_csv, test_csv, capsys):
 @pytest.mark.parametrize("command", ["bounds", "transduce"])
 def test_test_file_dimension_mismatch_exits_3(tmp_path, train_csv, command, capsys):
     wide = tmp_path / "wide.csv"
-    data.write_unlabeled_csv(wide, np.full((10, 2), 0.5))
+    write_unlabeled_csv(wide, np.full((10, 2), 0.5))
     code = run_cli([
         command, "--train", train_csv, "--test", wide, "--dictionary", '{"kind":"Trigonometric","m":4}',
         "--bound", TRB, "--out", tmp_path / "out",
@@ -870,7 +894,7 @@ def test_empty_train_file_with_test_block_exits_3(tmp_path, test_csv, command, c
 
 def test_bounds_test_rows_not_a_multiple_exits_3(tmp_path, train_csv, capsys):
     odd = tmp_path / "odd.csv"
-    data.write_unlabeled_csv(odd, np.full((15, 1), 0.5))
+    write_unlabeled_csv(odd, np.full((15, 1), 0.5))
     code = run_cli(["bounds", "--train", train_csv, "--test", odd, "--dictionary", TRIG5, "--bound", TRB])
     assert code == 3
     assert "test rows (15) must be a positive multiple of train rows (10)" in capsys.readouterr().err
@@ -1074,8 +1098,8 @@ def _transduce_inputs(tmp_path, n, k_test, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=((k_test + 1) * n, 1))
     y = np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, size=x.shape[0])
-    data.write_labeled_csv(tmp_path / "train.csv", x[:n], y[:n])
-    data.write_unlabeled_csv(tmp_path / "test.csv", x[n:])
+    write_labeled_csv(tmp_path / "train.csv", x[:n], y[:n])
+    write_unlabeled_csv(tmp_path / "test.csv", x[n:])
     return ["transduce", "--train", tmp_path / "train.csv", "--test", tmp_path / "test.csv"]
 
 
@@ -1266,7 +1290,7 @@ def test_inductive_bounds_table_streams_the_dictionary_with_the_same_rows(tmp_pa
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(150, 1))
     train = tmp_path / "train.csv"
-    data.write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 150))
+    write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 150))
     config = {
         "train": str(train),
         "dictionary": {"kind": "Trigonometric", "m": 2048},
@@ -1403,7 +1427,7 @@ def test_config_loo_index_overrides_a_gaussian_familys_own_map(tmp_path, capsys)
     # The family's map of its centers to training rows is used only when the config gives none.
     x = np.random.default_rng(12).uniform(size=(12, 1))
     train = tmp_path / "train.csv"
-    data.write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]))
+    write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]))
     config = {
         "train": str(train),
         "dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": x.tolist(), "scales": [5.0, 50.0]}},

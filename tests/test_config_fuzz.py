@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import write_labeled_csv, write_unlabeled_csv
 from slabreg import data, experiments, moments
 from slabreg.cli import main
 from slabreg.errors import ConfigError, DataError, SlabregError
@@ -33,8 +34,8 @@ def configs(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(10, 1))
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
-    data.write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 10))
-    data.write_unlabeled_csv(test, rng.uniform(size=(10, 1)))
+    write_labeled_csv(train, x, np.sin(2 * np.pi * x[:, 0]) + rng.uniform(-0.2, 0.2, 10))
+    write_unlabeled_csv(test, rng.uniform(size=(10, 1)))
     gram3, gram5 = tmp_path / "gram3.csv", tmp_path / "gram5.csv"
     np.savetxt(gram3, [[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.5]], delimiter=",")
     np.savetxt(gram5, 0.9 * np.eye(5) + 0.1, delimiter=",")
@@ -262,7 +263,7 @@ def saved_model(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(40, 1))
     train, config = tmp_path / "train.csv", tmp_path / "fit.json"
-    data.write_labeled_csv(train, x, np.where(x[:, 0] < 0.5, 1.0, -1.0) + rng.uniform(-0.2, 0.2, 40))
+    write_labeled_csv(train, x, np.where(x[:, 0] < 0.5, 1.0, -1.0) + rng.uniform(-0.2, 0.2, 40))
     config.write_text(json.dumps({
         "train": str(train),
         "dictionary": {"kind": "MultiscaleGaussian", "parameters": {"centers": [[0.75], [0.25]], "scales": [16.0]}},

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import binomial_slack
 from slabreg import bounds, dictionary as fd, experiments as ex
 from slabreg.errors import ConfigError, DataError
 from slabreg.moments import empirical_test_moments
@@ -256,7 +257,7 @@ def test_auto_bound_spec_computes_sup_bound_only_when_read(variant, calls, monke
 def test_coverage_binomial_slack():
     model = small_sobolev(noise=ex.NoiseSpec("gaussian", 0.3))
     report = ex.coverage_study("IndExact", model, n_train=64, m=16, epsilon=0.25, replicates=100, seed=5)
-    slack = ex.binomial_slack(0.25, 100)
+    slack = binomial_slack(0.25, 100)
     assert report.coverage >= 0.75 - slack
     assert 0.0 <= report.coverage <= 1.0
 
@@ -265,7 +266,7 @@ def test_coverage_two_run_concordance():
     model = small_sobolev(noise=ex.NoiseSpec("gaussian", 0.3))
     a = ex.coverage_study("IndExact", model, 64, 16, 0.25, replicates=100, seed=7)
     b = ex.coverage_study("IndExact", model, 64, 16, 0.25, replicates=500, seed=7)
-    noise = ex.binomial_slack(max(a.coverage, 1 - 1e-9), 100) + ex.binomial_slack(
+    noise = binomial_slack(max(a.coverage, 1 - 1e-9), 100) + binomial_slack(
         max(b.coverage, 1 - 1e-9), 500
     )
     assert abs(a.coverage - b.coverage) <= max(noise, 0.06)
@@ -276,7 +277,7 @@ def test_coverage_transductive_variant():
     report = ex.coverage_study(
         "TrBasicBounded", model, n_train=64, m=16, epsilon=0.25, replicates=100, seed=3
     )
-    assert report.coverage >= 0.75 - ex.binomial_slack(0.25, 100)
+    assert report.coverage >= 0.75 - binomial_slack(0.25, 100)
 
 
 def test_coverage_rejects_unbounded_noise_for_bounded_variant():
@@ -546,8 +547,8 @@ def test_transductive_chain_fraction_high():
     report = ex.transductive_experiment(
         model, n_train=64, k_test=1, m=16, variant="TrBasicBounded", epsilon=0.1, replicates=100, seed=2
     )
-    assert report.extras["chain_fraction"] >= 0.9 - ex.binomial_slack(0.9, 100)
-    assert report.coverage >= 0.9 - ex.binomial_slack(0.9, 100)
+    assert report.extras["chain_fraction"] >= 0.9 - binomial_slack(0.9, 100)
+    assert report.coverage >= 0.9 - binomial_slack(0.9, 100)
 
 
 def test_chain_check_rejects_a_delta_above_the_hidden_risk_drop():
@@ -644,7 +645,7 @@ def test_transductive_coverage_500_replicates():
     report = ex.coverage_study(
         "TrBasicBounded", model, n_train=64, m=16, epsilon=0.25, replicates=500, seed=12
     )
-    assert report.coverage >= 0.75 - ex.binomial_slack(0.25, 500)
+    assert report.coverage >= 0.75 - binomial_slack(0.25, 500)
 
 
 def test_clipping_never_increases_exact_excess_risk():
