@@ -463,27 +463,26 @@ def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, rea
     zero (sines at x = 0, 1/2 or 1, on a dyadic grid, or at tiny x) into a
     cancellation that may end at 0.0, where the row walk finds a positive
     sum. So every column's sum of squares D must exceed
-    E = eps n (3A + n + 32), with A = 2 pi x_max 2 (m // 2) the largest
-    angle and eps = 2u = 2^-52. Per point, cos 2jt is taken by angle
-    addition over a q and an r table entry (``wave_sums``), each within
-    u (2.01 A_e + 16) of the wave at its exact angle A_e (``angle_table``).
-    The angle parts add to 2.01uA, and so does the distance of 2t' from
-    the exact angle, t' being the angle that ``evaluate`` rounds: 4.02uA in
-    all. The rest of each entry, 16u per coordinate, moves the product by
-    at most 16 sqrt(2) u per factor, and the product rounds by 2u more:
-    under 48u in all. The sums over the n points add at most (n + 6)u per
-    unit weight. So |D - 2 sum_i sin^2 t'_i| <= u n (4.02A + n + 54), and
-    D > E leaves 2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least
-    u / 2, which ``evaluate`` squares to a positive entry, and the column
-    is active on both paths. ``compute_stats`` runs it with overflow
-    raised, and walks the rows instead when a sum overflows.
+    E = eps n (3A + n + 32) + n e, with A = 2 pi x_max 2 (m // 2) the
+    largest angle, eps = 2u = 2^-52 and e the error per unit weight of the
+    sums (``wave_sums``). D = n - sum_i cos 2t_i, t_i = 2 pi j x_i, is
+    within n e + 2un of its value at the exact angles; ``evaluate`` rounds
+    t_i to t'_i = fl(P fl(x_i j)), within 2.01u t_i of P x_i j and so
+    within 2.37u t_i of t_i, and 2 sin^2 has a slope of at most 2. So
+    |D - 2 sum_i sin^2 t'_i| <= n e + u n (2.37A + 2.01), and D > E leaves
+    2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least u / 2, which
+    ``evaluate`` squares to a positive entry, and the column is active on
+    both paths. ``compute_stats`` runs it with overflow raised, and walks
+    the rows instead when a sum overflows or is not finite.
     """
     n, nfreq = y.size, family.m // 2
-    cos, sin, doubles = wave_sums(x, np.stack([y, np.ones(n), y**2], axis=1), nfreq)
+    cos, sin, doubles, error = wave_sums(x, [y, np.broadcast_to(1.0, n), y**2], nfreq)
+    if not all(np.isfinite(sums).all() for sums in (cos, sin, doubles)):
+        return None
     # doubles[p, 0] is sum_i w_ip; doubles[p, j] the double angle's sum
     squares, ysq_squares = (family.columns(c[0], c[0] + c, c[0] - c) for c in doubles)
     largest = 2.0 * np.pi * float(x.max(initial=0.0)) * 2 * nfreq
-    if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n):
+    if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n + n * error):
         return None
     ty = family.columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
     sums = {"train_mean_sq": squares, "train_mean_ty": ty}
@@ -621,7 +620,8 @@ def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments)
     """The radii of the variant's row of ``VARIANT_TABLE``, behind the one
     gate of every formula, which checks in order: the same m in statistics
     and moments, the statistics the row reads, its geometry, its constants.
-    A radius past the float range is a NumericalError."""
+    A radius past the float range, or not finite for an active feature (a
+    degenerate one's infinity is deliberate), is a NumericalError."""
     entry = VARIANT_TABLE[spec.variant]
     if stats.m != moments.m:
         raise ConfigError(f"dictionary has {stats.m} features but moments cover {moments.m}")
@@ -638,9 +638,13 @@ def compute_radius(spec: BoundSpec, stats: FeatureStats, moments: DesignMoments)
             raise ConfigError(f"{spec.variant} needs the bound constant {name!r}")
     try:
         with np.errstate(over="raise"):
-            return entry.radius(stats, moments, spec)
+            radius = entry.radius(stats, moments, spec)
     except (OverflowError, FloatingPointError):  # finite constants whose radius is past the float range
         raise NumericalError(f"{spec.variant} radius overflows with bound constants {spec.to_json_dict()}") from None
+    bad = np.flatnonzero(~moments.degenerate & ~stats.train_degenerate & ~np.isfinite(radius.beta))
+    if bad.size:
+        raise NumericalError(f"{spec.variant} radius is not finite for {bad.size} active feature(s) (first index {bad[0] + 1})")
+    return radius
 
 
 def alpha_hat(stats: FeatureStats) -> np.ndarray:

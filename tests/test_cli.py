@@ -763,6 +763,43 @@ def _one_error_line(argv, capsys):
     return code, capsys.readouterr().err.splitlines()
 
 
+def test_trigonometric_sums_that_overflow_exit_3_with_one_error_line(tmp_path, capsys):
+    # N = m = 4096: labels whose squares are finite but whose sums overflow
+    # leave the gridded sums for the row walk, which names the row block.
+    rng = np.random.default_rng(9)
+    train = tmp_path / "train.csv"
+    write_labeled_csv(train, rng.uniform(size=(4096, 1)), 1e153 * rng.normal(size=4096))
+    dictionary_spec = json.dumps({"kind": "Trigonometric", "m": 4096})
+    bound = json.dumps({"variant": "IndVarFirstOrder", "epsilon": 0.1})
+    out = tmp_path / "run"
+    code, lines = _one_error_line(
+        ["fit", "--train", train, "--dictionary", dictionary_spec, "--bound", bound, "--out", out], capsys
+    )
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("data error: training rows "), lines
+    assert lines[0].endswith(": the powers of their feature values or labels overflow the float range")
+    assert not out.exists()
+
+
+def test_nonfinite_radius_exits_4_with_one_error_line(tmp_path, train_csv, monkeypatch, capsys):
+    # A formula that returns inf for an active feature: one numerical error
+    # naming the variant, and no artifacts.
+    entry = bounds.VARIANT_TABLE["IndExact"]
+
+    def radius(stats, moments, spec):
+        out = entry.radius(stats, moments, spec)
+        return type(out)(np.where(np.arange(out.beta.size) == 1, np.inf, out.beta), out.tau, out.observables)
+
+    argv = ["fit", "--train", train_csv, "--dictionary", TRIG5, "--bound", IND, "--out", tmp_path / "valid"]
+    assert run_cli(argv) == 0
+    monkeypatch.setitem(bounds.VARIANT_TABLE, "IndExact", entry._replace(radius=radius))
+    out = tmp_path / "run"
+    code, lines = _one_error_line([*argv[:-1], out], capsys)
+    assert code == 4
+    assert lines == ["numerical error: IndExact radius is not finite for 1 active feature(s) (first index 2)"]
+    assert not out.exists()
+
+
 def test_test_block_square_overflow_exits_3_with_one_error_line(tmp_path, capsys):
     # A finite test-row feature value whose square is past the float range:
     # one data error naming the test rows, not a numerical error about the Gram.

@@ -222,24 +222,20 @@ def test_excluded_features_warn_from_one_place():
     assert len(sites) == 1 and sites[0][0] == "selector.py" and fit.lineno <= sites[0][1] <= fit.end_lineno, sites
 
 
-def test_only_the_angle_table_and_the_feature_matrix_take_libm_waves():
+def test_only_the_feature_matrix_takes_libm_waves():
     # A wave costs about 20 ns of libm, against about 1 ns for a product:
-    # the sums of the trigonometric family build their tables by angle
-    # addition (angle_table), and only evaluate, the matrix path whose bits
-    # the row walk keeps, takes one wave per cell.
+    # the sums of the trigonometric family take their waves from one FFT
+    # (Gridding), and only evaluate, the matrix path whose bits the row walk
+    # keeps, takes one wave per cell.
     tree = ast.parse((Path(slabreg.__file__).parent / "dictionary.py").read_text())
     family = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Trigonometric")
-    owners = [
-        next(node for node in family.body if isinstance(node, ast.FunctionDef) and node.name == "evaluate"),
-        _function("dictionary", "angle_table"),
-    ]
+    evaluate = next(node for node in family.body if isinstance(node, ast.FunctionDef) and node.name == "evaluate")
     sites = [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ("cos", "sin") and getattr(node.value, "id", None) == "np"
     ]
-    spans = [[line for line in sites if fn.lineno <= line <= fn.end_lineno] for fn in owners]
-    assert all(spans) and sum(map(len, spans)) == len(sites), sites
+    assert sites and all(evaluate.lineno <= line <= evaluate.end_lineno for line in sites), sites
 
 
 def test_no_dictionary_kind_is_an_alias_of_another():

@@ -461,23 +461,61 @@ def test_trigonometric_adjoint_is_the_transpose_of_combine(m):
     assert np.abs(adjoint - w @ family.evaluate(x)).max() <= 1e-12 * np.abs(w).sum()
 
 
-@pytest.mark.parametrize("step", [1, 64])
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 129])
-def test_angle_table_is_within_its_bound_of_the_exact_waves(step, count):
-    # Each entry within u (2.01 A + 14) of the wave at A = 2 pi x step k,
-    # taken with the double 2 pi (angle_table's bound), against long double.
-    u = 2.0**-53
-    edges = [0.0, 0.5, 1.0, 1e-170, 1.0 - 2.0**-53]
-    x = np.concatenate([edges, np.random.default_rng(count * step).uniform(size=200)])
-    cos, sin = fd.angle_table(x, step, count)
-    assert cos.shape == sin.shape == (count, x.size)
-    angle = np.longdouble(2.0 * np.pi) * np.outer(step * np.arange(count), x.astype(np.longdouble))
-    bound = u * (2.01 * angle + 14.0)
-    assert np.all(np.abs(cos - np.cos(angle)) <= bound)
-    assert np.all(np.abs(sin - np.sin(angle)) <= bound)
-    # frequency 0 and the point 0 are exact
-    assert np.all(cos[0] == 1.0) and np.all(sin[0] == 0.0)
-    assert np.all(cos[:, 0] == 1.0) and np.all(sin[:, 0] == 0.0)
+U, P = 2.0**-53, 2.0 * np.pi
+GRIDDED_SIZES = [1, 2, 3, 4, 5, 64, 65, 129, 257, 4096]
+
+
+def gridded_case(m):
+    """Points (0, 1/2, 1, 1e-170, 1 - 2^-53 and 200 uniform ones), the
+    angles P x j of frequencies j = 1..m // 2 in long double, P the double
+    2 pi, and the per-unit-weight bound of Gridding's docstring at n points."""
+    rng = np.random.default_rng(m)
+    x = np.concatenate([[0.0, 0.5, 1.0, 1e-170, 1.0 - 2.0**-53], rng.uniform(size=200)])
+    freqs = np.arange(1, m // 2 + 1)
+    angle = np.longdouble(P) * np.multiply.outer(freqs, x.astype(np.longdouble))
+    bound = (lambda n: fd.Gridding.of(m // 2).bound(n)) if m > 1 else (lambda n: 0.0)
+    return rng, x, freqs, angle, bound
+
+
+@pytest.mark.parametrize("m", GRIDDED_SIZES)
+def test_gridded_adjoint_is_within_its_bound_of_the_exact_waves(m):
+    # Every entry against long-double sums of the waves at A = P x j: within
+    # (sqrt 2 (error(n) + 0.36u A) + 3u) sum |w|; frequency 0 is sum w.
+    rng, x, freqs, angle, bound = gridded_case(m)
+    w = rng.normal(size=x.size)
+    adjoint = fd.Trigonometric(m).adjoint(w, x)
+    assert adjoint.shape == (m,) and adjoint[0] == w.sum()
+    root2 = np.sqrt(np.longdouble(2.0))
+    cos, sin = root2 * (np.cos(angle) @ w), root2 * (np.sin(angle) @ w)
+    allowed = (np.sqrt(2.0) * (bound(x.size) + 0.36 * U * P * freqs * x.max()) + 3.0 * U) * np.abs(w).sum()
+    assert np.all(np.abs(adjoint[1::2] - cos) <= allowed)
+    assert np.all(np.abs(adjoint[2::2] - sin[: (m - 1) // 2]) <= allowed[: (m - 1) // 2])
+
+
+@pytest.mark.parametrize("m", GRIDDED_SIZES)
+def test_gridded_combine_is_within_its_bound_of_the_exact_waves(m):
+    # Every value against the long-double sum at A = P x j: within
+    # (sqrt 2 error(1) + 2u) sum |c| + sqrt 2 0.36u P x sum_j j (|a_j| + |b_j|).
+    rng, x, freqs, angle, bound = gridded_case(m)
+    c = rng.normal(size=m)
+    a, b = c[1::2], c[2::2]
+    waves = a.astype(np.longdouble) @ np.cos(angle) + b.astype(np.longdouble) @ np.sin(angle[: b.size])
+    exact = c[0] + np.sqrt(np.longdouble(2.0)) * waves
+    amplitudes = np.abs(a) + np.append(np.abs(b), np.zeros(a.size - b.size))
+    drift = np.sqrt(2.0) * 0.36 * U * P * x * (freqs @ amplitudes)
+    allowed = (np.sqrt(2.0) * bound(1) + 2.0 * U) * np.abs(c).sum() + drift
+    assert np.all(np.abs(fd.Trigonometric(m).combine(c, x) - exact) <= allowed)
+
+
+def test_combine_at_two_to_the_fifteen_points_peaks_under_four_mb(peak_bytes):
+    # 4096 coefficients at 2^15 points: the grid of 2^13 cells and the row
+    # blocks' kernels, where the feature matrix would take 1 GB
+    rng = np.random.default_rng(7)
+    c, x = rng.normal(size=4096), rng.uniform(size=1 << 15)
+    family = fd.Trigonometric(c.size)
+    peak = peak_bytes(lambda: family.combine(c, x))
+    assert peak < 4 * 2**20
+    assert np.abs(family.combine(c, x[:500]) - family.evaluate(x[:500]) @ c).max() <= 1e-12 * np.abs(c).sum()
 
 
 def test_trigonometric_adjoint_walks_fixed_row_blocks(peak_bytes):

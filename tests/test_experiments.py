@@ -226,11 +226,11 @@ def test_equispaced_sum_matches_exact_angles_and_combine(size):
     assert np.max(np.abs(np.append(values, values[0]) - angles)) <= 1e-12 * scale
 
 
-def test_sup_bound_reads_no_angle_table(monkeypatch):
+def test_sup_bound_reads_no_gridding(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the sup bound evaluates the truth through its angle tables")
+        raise AssertionError("the sup bound evaluates the truth through its Gaussian gridding")
 
-    monkeypatch.setattr(fd, "angle_table", refuse)
+    monkeypatch.setattr(fd.Gridding, "of", refuse)
     monkeypatch.setattr(fd.Trigonometric, "combine", refuse)
     assert np.isfinite(ex.sobolev_model(size=4096).sup_bound())
 
