@@ -25,9 +25,10 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .dictionary import FeatureDictionary, Trigonometric, as_feature_matrix, carry_sum, matrix_blocks, require_finite
-from .dictionary import no_overflow, row_blocks, wave_sums
-from .errors import REQUIRED, ConfigError, DataError, NumericalError, json_object, list_of, number, optional, read, text
+from .dictionary import FeatureDictionary, as_feature_matrix, carry_sum, matrix_blocks, no_overflow, require_finite
+from .dictionary import row_blocks
+from .errors import GRAM_BYTES_CAP, REQUIRED, ConfigError, NumericalError, dense_block, json_object, list_of, number
+from .errors import optional, read, text
 from . import moments as design
 from .moments import DesignMoments
 
@@ -418,6 +419,9 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
         return features
     n = data.n_train
     if isinstance(features, FeatureDictionary) and features.rowwise:
+        if data.k_test and with_test:
+            kn, cap = data.x.shape[0] - n, f"a kN x m test block must take at most {GRAM_BYTES_CAP / 2**30:g} GiB"
+            dense_block(kn, features.m, f"{cap}; with kN = {kn} and dictionary m = {features.m} it")
         # Points are checked whole, so an error names the row in the sample.
         points = features.check_points(data.x)
         test = features.evaluate(points[n:]) if data.k_test and with_test else np.empty((0, features.m))
@@ -446,53 +450,9 @@ def sample_geometry(
     return family, design_moments()
 
 
-# The reads beyond the first moments that a trigonometric family's adjoint
-# sums give on a sample without a test block (_trigonometric_sums).
+# The reads beyond the first moments that a family's ``column_sums`` give on
+# a sample without a test block.
 ADJOINT_READS = frozenset({"train_mean_sq_ysq", "train_var_ty"})
-
-
-def _trigonometric_sums(family: Trigonometric, x: np.ndarray, y: np.ndarray, reads) -> dict | None:
-    """The column sums of t^2, t y and (t y)^2 over a trigonometric family's
-    training rows, without its feature rows: one ``wave_sums`` call, with y
-    as its first column (cosines and sines up to m // 2) and 1 and y^2 as
-    its even columns (cosines of the double angles alone), the squares by
-    2 cos^2 a = 1 + cos 2a and 2 sin^2 a = 1 - cos 2a. None when the row
-    walk must decide instead.
-
-    The double angle turns a column whose squares are all tiny but not all
-    zero (sines at x = 0, 1/2 or 1, on a dyadic grid, or at tiny x) into a
-    cancellation that may end at 0.0, where the row walk finds a positive
-    sum. So every column's sum of squares D must exceed
-    E = eps n (3A + n + 32) + n e, with A = 2 pi x_max 2 (m // 2) the
-    largest angle, eps = 2u = 2^-52 and e the error per unit weight of the
-    sums (``wave_sums``). D = n - sum_i cos 2t_i, t_i = 2 pi j x_i, is
-    within n e + 2un of its value at the exact angles; ``evaluate`` rounds
-    t_i to t'_i = fl(P fl(x_i j)), within 2.01u t_i of P x_i j and so
-    within 2.37u t_i of t_i, and 2 sin^2 has a slope of at most 2. So
-    |D - 2 sum_i sin^2 t'_i| <= n e + u n (2.37A + 2.01), and D > E leaves
-    2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least u / 2, which
-    ``evaluate`` squares to a positive entry, and the column is active on
-    both paths. ``compute_stats`` runs it with overflow raised, and walks
-    the rows instead when a sum overflows or is not finite.
-    """
-    n, nfreq = y.size, family.m // 2
-    cos, sin, doubles, error = wave_sums(x, [y, np.broadcast_to(1.0, n), y**2], nfreq)
-    if not all(np.isfinite(sums).all() for sums in (cos, sin, doubles)):
-        return None
-    # doubles[p, 0] is sum_i w_ip; doubles[p, j] the double angle's sum
-    squares, ysq_squares = (family.columns(c[0], c[0] + c, c[0] - c) for c in doubles)
-    largest = 2.0 * np.pi * float(x.max(initial=0.0)) * 2 * nfreq
-    if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n + n * error):
-        return None
-    ty = family.columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
-    sums = {"train_mean_sq": squares, "train_mean_ty": ty}
-    # (t y)^2 = t^2 y^2: one sum, never below zero
-    ysq_squares = np.maximum(ysq_squares, 0.0)
-    if "train_mean_sq_ysq" in reads:
-        sums["train_mean_sq_ysq"] = ysq_squares
-    if "train_var_ty" in reads:
-        sums["train_mean_ty2"] = ysq_squares
-    return sums
 
 
 def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) -> FeatureStats:
@@ -523,17 +483,14 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
     when the hidden test labels are known). Statistics no given variant
     reads are None; the default computes them all.
 
-    A ``Trigonometric`` family on a sample without a test block, for
-    variants that read nothing beyond ``ADJOINT_READS``, evaluates no
-    feature rows: its sums come from the transpose of ``combine``
-    (``_trigonometric_sums``), within rounding of the walk below (about
-    1e-14 of each statistic's scale at m = 4096), with the same degeneracy
-    mask. Every other case, and that one when a sum of squares is near
-    zero, walks both sides in row blocks (``row_blocks``), the test block
-    as a matrix's rows, so no temporary is as large as either of them, and
-    every statistic is bitwise that of reducing the whole matrix at once.
-    The leave-one-out sums subtract each anchor's own product, gathered from
-    the block that holds its row, from the column sums.
+    On a sample without a test block, for variants that read nothing
+    beyond ``ADJOINT_READS``, the family's ``column_sums`` give the sums
+    without its feature rows. Otherwise, or where they are None or
+    overflow, both sides are walked in row blocks (``row_blocks``), the
+    test block as a matrix's rows, so no temporary is as large as either of
+    them, and every statistic is bitwise that of reducing the whole matrix
+    at once. The leave-one-out sums subtract each anchor's own product,
+    gathered from the block that holds its row, from the column sums.
     """
     reads = set()
     for variant in variants:
@@ -550,16 +507,23 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
             raise ConfigError(f"loo_index must map each of the {m} features to a training row")
         if anchors.min(initial=0) < 0 or anchors.max(initial=0) >= n:
             raise ConfigError("loo_index entries must be valid training rows")
-    sums = own = None
-    if isinstance(features, Trigonometric) and data.k_test == 0 and reads <= ADJOINT_READS:
+    column_sums = own = None
+    if isinstance(features, FeatureDictionary) and data.k_test == 0 and reads <= ADJOINT_READS:
         # the split has checked the points; on an overflow the row walk decides
         try:
             with np.errstate(over="raise"):
-                sums = _trigonometric_sums(features, data.x[:, 0], data.y, reads)
+                column_sums = features.column_sums(data.x, data.y)
         except FloatingPointError:
-            sums = None
-    if sums is None:
+            pass
+    if column_sums is None:
         sums, own = _row_block_sums(train, test, data, reads, anchors, has_test_labels)
+    else:
+        ty, squares, ty2 = column_sums  # (theta y)^2 = theta^2 y^2, for both reads
+        sums = {"train_mean_sq": squares, "train_mean_ty": ty}
+        if "train_mean_sq_ysq" in reads:
+            sums["train_mean_sq_ysq"] = ty2
+        if "train_var_ty" in reads:
+            sums["train_mean_ty2"] = ty2
     out = {}
     if anchors is not None:
         out["train_loo_sum_ty"] = sums["train_mean_ty"] - own

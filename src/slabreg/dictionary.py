@@ -157,11 +157,10 @@ class FeatureDictionary:
     ``rowwise`` kinds compute each row of ``evaluate`` from its own point
     alone, elementwise, so evaluating any slice of the points gives that
     slice of the matrix bitwise; ``bounds.compute_stats`` evaluates them one
-    row block at a time (or, for an inductive Trigonometric fit, not at
-    all: it sums the family's adjoint instead). A kind whose rows pass
-    through a matrix product (kernel PCA: its bits may change with the
-    block size) or are tied to a stored sample (an explicit matrix) is not
-    rowwise.
+    row block at a time, or not at all where the family's ``column_sums``
+    give its statistics. A kind whose rows pass through a matrix product
+    (kernel PCA: its bits may change with the block size) or are tied to a
+    stored sample (an explicit matrix) is not rowwise.
     """
 
     kind = "?"
@@ -179,6 +178,13 @@ class FeatureDictionary:
     def evaluate(self, points) -> np.ndarray:
         """Feature matrix with entry (i, k) = theta_k(points[i])."""
         raise NotImplementedError
+
+    def column_sums(self, points, y) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The column sums sum_i theta_k(x_i) y_i, sum_i theta_k(x_i)^2 and
+        sum_i (theta_k(x_i) y_i)^2 over the (n, d) points, which ``check_points``
+        has accepted, taken without the feature rows; None, the default,
+        when ``bounds.compute_stats`` must walk the rows instead."""
+        return None
 
     def parameters(self) -> dict:
         raise NotImplementedError
@@ -198,13 +204,15 @@ class Trigonometric(FeatureDictionary):
     matrix, both ways, by one Gaussian gridding (``Gridding``): ``combine``
     is sum_k c_k theta_k(x_i) for every point, and ``adjoint``, its
     transpose, sum_i w_i theta_k(x_i) for every feature (``wave_sums``,
-    which ``bounds.compute_stats`` reads for an inductive fit). On an
-    equispaced grid the sum is a DFT, and ``sup_bound`` takes it by one
-    inverse FFT (``equispaced_sum``).
+    which ``column_sums`` also reads for the statistics of an inductive
+    fit). On an equispaced grid the sum is a DFT, and ``sup_bound`` takes it
+    by one inverse FFT (``equispaced_sum``). Every feature is at most
+    ``feature_sup`` = sqrt 2 in modulus, reached at x = 0 for m >= 2.
     """
 
     kind = "Trigonometric"
     rowwise = True
+    feature_sup = sqrt(2.0)
 
     def __init__(self, m: int):
         m = int(m)
@@ -277,9 +285,43 @@ class Trigonometric(FeatureDictionary):
         (sqrt 2 error(n) + 3u) sum |w_i| (``Gridding.bound``)."""
         x = self.check_points(points)
         cos, sin, _, _ = wave_sums(x, [np.asarray(weights, dtype=float)], self._m // 2)
-        return self.columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
+        return self._columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin)
 
-    def columns(self, constant, cos, sin) -> np.ndarray:
+    def column_sums(self, points, y):
+        """One ``wave_sums`` call, with y as its first column (cosines and
+        sines up to m // 2) and 1 and y^2 as its even columns (cosines of the
+        double angles alone), the squares by 2 cos^2 a = 1 + cos 2a and
+        2 sin^2 a = 1 - cos 2a. None when the row walk must decide instead.
+
+        The double angle turns a column whose squares are all tiny but not all
+        zero (sines at x = 0, 1/2 or 1, on a dyadic grid, or at tiny x) into a
+        cancellation that may end at 0.0, where the row walk finds a positive
+        sum. So every column's sum of squares D must exceed
+        E = eps n (3A + n + 32) + n e, with A = 2 pi x_max 2 (m // 2) the
+        largest angle, eps = 2u = 2^-52 and e the error per unit weight of the
+        sums (``wave_sums``). D = n - sum_i cos 2t_i, t_i = 2 pi j x_i, is
+        within n e + 2un of its value at the exact angles; ``evaluate`` rounds
+        t_i to t'_i = fl(P fl(x_i j)), within 2.01u t_i of P x_i j and so
+        within 2.37u t_i of t_i, and 2 sin^2 has a slope of at most 2. So
+        |D - 2 sum_i sin^2 t'_i| <= n e + u n (2.37A + 2.01), and D > E leaves
+        2 sum_i sin^2 t'_i > u n^2: some sin^2 t'_i is at least u / 2, which
+        ``evaluate`` squares to a positive entry, and the column is active on
+        both paths. A sum that is not finite is None too, and
+        ``bounds.compute_stats`` walks the rows when one overflows.
+        """
+        x, n, nfreq = points[:, 0], y.size, self._m // 2
+        cos, sin, doubles, error = wave_sums(x, [y, np.broadcast_to(1.0, n), y**2], nfreq)
+        if not all(np.isfinite(sums).all() for sums in (cos, sin, doubles)):
+            return None
+        # doubles[p, 0] is sum_i w_ip; doubles[p, j] the double angle's sum
+        squares, ysq_squares = (self._columns(c[0], c[0] + c, c[0] - c) for c in doubles)
+        largest = 2.0 * np.pi * float(x.max(initial=0.0)) * 2 * nfreq
+        if not np.all(squares > np.finfo(float).eps * (3.0 * largest + n + 32.0) * n + n * error):
+            return None
+        # (theta y)^2 = theta^2 y^2, never below zero
+        return self._columns(cos[0], np.sqrt(2.0) * cos, np.sqrt(2.0) * sin), squares, np.maximum(ysq_squares, 0.0)
+
+    def _columns(self, constant, cos, sin) -> np.ndarray:
         """The family's m entries from the constant's, ``constant``, and the
         cosines' and sines', ``cos[j]`` and ``sin[j]`` at frequency j."""
         out = np.empty(self._m)
@@ -468,7 +510,8 @@ class Haar(FeatureDictionary):
     """Constant function plus Haar wavelets at levels 0..J on [0, 1].
 
     Level j holds 2**j wavelets with disjoint dyadic supports, each of unit
-    norm under the uniform design, so m = 2**(J+1).
+    norm under the uniform design, so m = 2**(J+1); the level-J ones reach
+    the largest modulus of any feature, ``feature_sup`` = 2^{J/2}.
     """
 
     kind = "Haar"
@@ -483,6 +526,10 @@ class Haar(FeatureDictionary):
     @property
     def m(self):
         return 2 ** (self.levels + 1)
+
+    @property
+    def feature_sup(self) -> float:
+        return sqrt(self.m / 2.0)
 
     def check_points(self, points):
         return _unit_interval(points, self.kind)

@@ -25,7 +25,7 @@ N_SAMPLES_CAP = 1 << 24
 # Coordinates of a Monte Carlo design point.
 DIM_CAP = 64
 THREADS_CAP = 16
-# Bytes of a dense m x m Gram (Monte Carlo or Gram-file moments): m <= 16384.
+# Bytes of a dense m x m Gram (Monte Carlo or Gram-file moments: m <= 16384) or kN x m test block.
 GRAM_BYTES_CAP = 1 << 31
 
 # The default of a key that must be present.
@@ -225,11 +225,15 @@ def optional(kind):
     return lambda value, name: None if value is None else kind(value, name)
 
 
+def dense_block(rows: int, cols: int, what: str) -> None:
+    """Check, before a dense rows x cols float array is allocated, that its
+    rows * cols * 8 bytes are within ``GRAM_BYTES_CAP``; past it, a
+    ConfigError that ``what`` opens and the bytes close."""
+    if 8 * rows * cols > GRAM_BYTES_CAP:
+        raise ConfigError(f"{what} would take {8 * rows * cols:,} bytes")
+
+
 def dense_gram(m: int, name: str) -> None:
-    """Check, before a dense m x m float Gram is allocated, that its
-    m * m * 8 bytes are within ``GRAM_BYTES_CAP``; ``name`` is the key of m."""
-    if 8 * m * m > GRAM_BYTES_CAP:
-        raise ConfigError(
-            f"{name} must be at most {isqrt(GRAM_BYTES_CAP // 8)} (a dense m x m Gram of at most "
-            f"{GRAM_BYTES_CAP / 2**30:g} GiB), got {m}: its Gram would take {8 * m * m:,} bytes"
-        )
+    """``dense_block`` for a dense m x m Gram; ``name`` is the key of m."""
+    limit = f"at most {isqrt(GRAM_BYTES_CAP // 8)} (a dense m x m Gram of at most {GRAM_BYTES_CAP / 2**30:g} GiB)"
+    dense_block(m, m, f"{name} must be {limit}, got {m}: its Gram")

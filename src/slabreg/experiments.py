@@ -424,8 +424,7 @@ def _auto_bound_spec(variant, model, epsilon, family_m=None):
             raise ConfigError(f"{variant} needs bounded labels; the model's noise is unbounded")
 
     def subexp():
-        width = max(model.size, family_m or 0)
-        theta_ty = (sqrt(2.0) if model.basis == "Trigonometric" else sqrt(width / 2.0)) * label_bound
+        theta_ty = model.family(max(model.size, family_m or 0)).feature_sup * label_bound
         if not isfinite(theta_ty):
             raise ConfigError(f"model.coefficients must be small enough for a finite sup |theta Y|, got {theta_ty}")
         # P exp(rate |theta Y|) <= e when rate = 1 / sup|theta Y|

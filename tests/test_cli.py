@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import write_labeled_csv, write_unlabeled_csv
-from slabreg import bounds, data, dictionary, experiments, selector
+from slabreg import bounds, data, dictionary, errors, experiments, selector
 from slabreg.cli import main
 from slabreg.dictionary import from_spec as dict_from_spec
 from slabreg.errors import ConfigError, json_number
@@ -159,6 +159,30 @@ def test_dense_gram_past_its_cap_exits_2_before_allocating(tmp_path, train_csv, 
         "at most 2 GiB), got 16385: its Gram would take 2,147,745,800 bytes"
     ] * 2
     assert not (tmp_path / "run").exists()
+
+
+def test_test_block_past_the_gram_cap_exits_2_before_evaluating(tmp_path, monkeypatch, capsys):
+    # N = 17 and k = 61: a kN x m block of 1,037 x 2^18 floats is just over GRAM_BYTES_CAP
+    rng = np.random.default_rng(3)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_labeled_csv(train, rng.uniform(size=(17, 1)), rng.uniform(-1.0, 1.0, 17))
+    write_unlabeled_csv(test, rng.uniform(size=(17 * 61, 1)))
+    calls = _counting(monkeypatch, dictionary.Trigonometric, "evaluate")
+    dictionary_spec = json.dumps({"kind": "Trigonometric", "m": 1 << 18})
+    out = tmp_path / "run"
+    argv = ["transduce", "--train", train, "--test", test, "--dictionary", dictionary_spec, "--bound", TRB, "--out", out]
+    code, lines = _one_error_line(argv, capsys)
+    assert code == 2 and calls == [] and not out.exists()
+    assert lines == [
+        "config error: a kN x m test block must take at most 2 GiB; with kN = 1037 and dictionary m = 262144 it "
+        "would take 2,174,746,624 bytes"
+    ]
+
+
+def test_dense_block_cap_admits_exactly_its_bytes():
+    errors.dense_block(1024, 1 << 18, "a block")  # 2^31 bytes, the cap itself
+    with pytest.raises(ConfigError, match="^a block would take 2,149,580,800 bytes$"):
+        errors.dense_block(1025, 1 << 18, "a block")
 
 
 @pytest.mark.parametrize("n_samples", [1, 4])

@@ -238,6 +238,23 @@ def test_only_the_feature_matrix_takes_libm_waves():
     assert sites and all(evaluate.lineno <= line <= evaluate.end_lineno for line in sites), sites
 
 
+def _names(node):
+    """Every name that ``node`` reads, binds or imports, attributes included."""
+    return {
+        getattr(sub, "id", None) or getattr(sub, "attr", None) or getattr(sub, "name", None)
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_each_family_sums_and_bounds_its_own_features():
+    # The statistics ask the family for its column sums and the auto spec
+    # asks it for its sup, so neither names a family or its kernels.
+    tree = ast.parse((Path(slabreg.__file__).parent / "bounds.py").read_text())
+    assert not _names(tree) & {*dictionary.DICTIONARY_CLASSES, "wave_sums", "Gridding"}
+    assert "basis" not in _names(_function("experiments", "_auto_bound_spec"))
+
+
 def test_no_dictionary_kind_is_an_alias_of_another():
     # One kind name per family: no registered class subclasses another.
     classes = list(dictionary.DICTIONARY_CLASSES.values())

@@ -79,6 +79,25 @@ def test_haar_gram_exact_on_dyadic_midpoints():
     assert np.max(np.abs(g - np.eye(family.m))) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 64])
+def test_trigonometric_feature_sup_bounds_every_feature(m):
+    # sqrt 2 for every m: the bound of TrGeneralK's auto subexp constant
+    family = fd.Trigonometric(m)
+    grid = np.linspace(0.0, 1.0, 20001)
+    assert family.feature_sup == math.sqrt(2.0)
+    assert np.abs(family.evaluate(grid)).max() <= family.feature_sup
+    if m >= 2:
+        assert np.abs(family.evaluate([0.0])).max() == family.feature_sup
+
+
+@pytest.mark.parametrize("levels", range(7))
+def test_haar_feature_sup_is_the_largest_value_at_the_midpoints(levels):
+    # each feature is constant on the m cells of the finest level
+    family = fd.Haar(levels)
+    mids = (np.arange(family.m) + 0.5) / family.m
+    assert family.feature_sup == np.abs(family.evaluate(mids)).max() == 2.0 ** (levels / 2.0)
+
+
 def test_multiscale_center_hit_is_one():
     family = fd.MultiscaleGaussian([[0.4, -1.0]], [3.0])
     assert family.evaluate([[0.4, -1.0]])[0, 0] == 1.0
@@ -527,7 +546,8 @@ def test_trigonometric_adjoint_walks_fixed_row_blocks(peak_bytes):
     family = fd.Trigonometric(4096)
     x, w = rng.uniform(size=16 * step + 5), rng.normal(size=16 * step + 5)
     peak = peak_bytes(lambda: family.adjoint(w, x))
-    # unblocked, the (n, 64) and (n, 33) tables alone would take 25 MB
+    # the gridding's per-block arrays have a fixed size; the kernel, index
+    # and work arrays of all 16,005 points at once would take 12 MB
     assert peak < 4 * 2**20
     with pytest.raises(DataError, match="outside"):
         family.adjoint(w[:2], [0.5, 1.5])

@@ -186,7 +186,8 @@ def test_sobolev_truth_draw_walks_fixed_row_blocks(peak_bytes):
     model = ex.sobolev_model(size=4096)
     n = 1 << 15
     peak = peak_bytes(lambda: ex.generate(model, n, 0, seed=1))
-    # unblocked, the (64, n) and (33, n) angle tables alone would take 50 MB
+    # the gridding's per-block arrays have a fixed size; the kernel, index
+    # and work arrays of all 32,768 points at once would take 25 MB
     assert peak < 4 * 2**20
     x = np.random.default_rng(2).uniform(size=300)
     scale = np.abs(model.coefficients).sum() * math.sqrt(2.0)
