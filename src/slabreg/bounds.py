@@ -397,11 +397,18 @@ class FeatureBlocks(NamedTuple):
     ``train()`` reads the (N, m) training features as ``row_blocks`` pairs:
     a rowwise dictionary evaluated one row block at a time, or the row views
     of a matrix evaluated once; ``test`` is the (kN, m) test block (no rows
-    when it was left unevaluated).
+    when it was left unevaluated); ``family`` is their dictionary, or None.
     """
 
     train: Callable[[], Iterator[tuple[slice, np.ndarray]]]
     test: np.ndarray
+    family: FeatureDictionary | None
+
+
+def feature_family(features) -> FeatureDictionary | None:
+    """The dictionary ``features`` (one, its split or a feature matrix) reads; None for a matrix."""
+    family = features.family if isinstance(features, FeatureBlocks) else features
+    return family if isinstance(family, FeatureDictionary) else None
 
 
 def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBlocks:
@@ -417,22 +424,20 @@ def split_features(features, data: Dataset, with_test: bool = True) -> FeatureBl
     """
     if isinstance(features, FeatureBlocks):
         return features
-    n = data.n_train
-    if isinstance(features, FeatureDictionary) and features.rowwise:
+    family, n = feature_family(features), data.n_train
+    if family is not None and family.rowwise:
         if data.k_test and with_test:
             kn, cap = data.x.shape[0] - n, f"a kN x m test block must take at most {GRAM_BYTES_CAP / 2**30:g} GiB"
-            dense_block(kn, features.m, f"{cap}; with kN = {kn} and dictionary m = {features.m} it")
+            dense_block(kn, family.m, f"{cap}; with kN = {kn} and dictionary m = {family.m} it")
         # Points are checked whole, so an error names the row in the sample.
-        points = features.check_points(data.x)
-        test = features.evaluate(points[n:]) if data.k_test and with_test else np.empty((0, features.m))
-        read = partial(row_blocks, n, features.m, True, lambda rows: features.evaluate(points[rows]))
-        return FeatureBlocks(read, test)
-    if isinstance(features, FeatureDictionary):
-        features = features.evaluate(data.x)
-    matrix = as_feature_matrix(features)
+        points = family.check_points(data.x)
+        test = family.evaluate(points[n:]) if data.k_test and with_test else np.empty((0, family.m))
+        read = partial(row_blocks, n, family.m, True, lambda rows: family.evaluate(points[rows]))
+        return FeatureBlocks(read, test, family)
+    matrix = as_feature_matrix(features if family is None else family.evaluate(data.x))
     if matrix.shape[0] != data.x.shape[0]:
         raise ConfigError(f"feature matrix has {matrix.shape[0]} rows, dataset expects {data.x.shape[0]}")
-    return FeatureBlocks(partial(matrix_blocks, matrix[:n]), matrix[n:])
+    return FeatureBlocks(partial(matrix_blocks, matrix[:n]), matrix[n:], family)
 
 
 def sample_geometry(
@@ -497,8 +502,8 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
         if variant not in VARIANT_TABLE:
             raise ConfigError(f"unknown bound variant {variant!r}; choose from {VARIANTS}")
         reads.update(VARIANT_TABLE[variant].reads)
-    train, test = split_features(features, data, with_test=not reads.isdisjoint(FOURTH_MOMENTS))
-    n, m = data.n_train, test.shape[1]
+    split = split_features(features, data, with_test=not reads.isdisjoint(FOURTH_MOMENTS))
+    n, m = data.n_train, split.test.shape[1]
     has_test_labels = data.k_test > 0 and data.hidden_y is not None
     anchors = None
     if "train_loo_sum_ty" in reads and loo_index is not None:
@@ -508,15 +513,15 @@ def compute_stats(features, data: Dataset, variants=VARIANTS, loo_index=None) ->
         if anchors.min(initial=0) < 0 or anchors.max(initial=0) >= n:
             raise ConfigError("loo_index entries must be valid training rows")
     column_sums = own = None
-    if isinstance(features, FeatureDictionary) and data.k_test == 0 and reads <= ADJOINT_READS:
+    if split.family is not None and data.k_test == 0 and reads <= ADJOINT_READS:
         # the split has checked the points; on an overflow the row walk decides
         try:
             with np.errstate(over="raise"):
-                column_sums = features.column_sums(data.x, data.y)
+                column_sums = split.family.column_sums(data.x, data.y)
         except FloatingPointError:
             pass
     if column_sums is None:
-        sums, own = _row_block_sums(train, test, data, reads, anchors, has_test_labels)
+        sums, own = _row_block_sums(split.train, split.test, data, reads, anchors, has_test_labels)
     else:
         ty, squares, ty2 = column_sums  # (theta y)^2 = theta^2 y^2, for both reads
         sums = {"train_mean_sq": squares, "train_mean_ty": ty}

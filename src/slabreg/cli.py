@@ -127,16 +127,6 @@ def _inductive_moments(values):
     return gram
 
 
-def _loo_arguments(loo_index, family):
-    """The config's anchor map; without one, a Gaussian family's own map of
-    its centers to the training rows they came from."""
-    if loo_index is not None:
-        return np.asarray(loo_index, dtype=int)
-    if isinstance(family, dictionary.MultiscaleGaussian):
-        return family.center_train_indices
-    return None
-
-
 def _load_sample(values, transductive):
     """The sample of fit, transduce or bounds and its geometry, as
     ``(data, features, moments)`` from one ``bounds.sample_geometry`` call:
@@ -178,7 +168,8 @@ def _data_config(args):
     config = _resolve(args)
     values = read(config, COMMAND_KEYS[args.command])
     config["seed"] = values["seed"]
-    values["loo_index"] = _loo_arguments(values["loo_index"], values["dictionary"])
+    if values["loo_index"] is None:  # a family built on the training points maps its own anchors
+        values["loo_index"] = values["dictionary"].center_train_indices
     if "moments" in values and values["moments"][0] != "exact":
         (kind, spec), m = values["moments"], values["dictionary"].m
         dense_gram(m, f"dictionary m with moments.kind {kind!r}")
@@ -208,14 +199,13 @@ def cmd_fit(args) -> int:
     ds, features, mom = sample
     model = selector.run_selection(
         ds,
-        values["dictionary"],
+        features,
         mom,
         spec,
         kappa=values["kappa"],
         schedule=values["schedule"],
         loo_index=values["loo_index"],
         seed=values["seed"],
-        features=features,
     )
     payload = model.to_json_dict()
     payload["config"] = _echoed(config)
@@ -324,7 +314,7 @@ def cmd_experiment(args) -> int:
     started = time.monotonic()
     if kind in ("rate-sobolev", "rate-besov"):
         config["grid"] = grid = values.pop("grid")
-        if kind == "rate-besov" and "model" not in config:
+        if kind == "rate-besov" and spec is None:
             config["model"] = spec = {"kind": "besov", "levels": max(grid).bit_length() - 1}
         model = experiments.truth(spec, max(grid))
         report = experiments.rate_experiment(model, grid, seed=seed, threads=threads, **values)

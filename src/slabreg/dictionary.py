@@ -165,6 +165,7 @@ class FeatureDictionary:
 
     kind = "?"
     rowwise = False
+    center_train_indices = None  # the training row each feature is anchored at, for a family built on them
 
     @property
     def m(self) -> int:
@@ -178,6 +179,10 @@ class FeatureDictionary:
     def evaluate(self, points) -> np.ndarray:
         """Feature matrix with entry (i, k) = theta_k(points[i])."""
         raise NotImplementedError
+
+    def combine(self, coefficients: np.ndarray, points) -> np.ndarray:
+        """sum_k c_k theta_k at each point; by default through ``evaluate``'s matrix."""
+        return self.evaluate(points) @ coefficients
 
     def column_sums(self, points, y) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The column sums sum_i theta_k(x_i) y_i, sum_i theta_k(x_i)^2 and

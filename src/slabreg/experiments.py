@@ -368,10 +368,10 @@ def _study(model: SyntheticModel, sizes, replicates, seed, threads, setup, colum
     Every child seed is drawn first, so a bad count fails before any
     replicate runs. ``setup(n)`` gives a size's ``(family, spec, k_test)``;
     a replicate is a sample with the spec's geometry (``_replicate``) and the
-    row ``{N, replicate, seed, **columns(family, data, features, moments,
-    spec)}``. The budget is checked between sizes, and one size's replicates
-    run as a block (threaded when threads > 1), so rows never depend on
-    timing or thread count."""
+    row ``{N, replicate, seed, **columns(data, features, moments, spec)}``.
+    The budget is checked between sizes, and one size's replicates run as a
+    block (threaded when threads > 1), so rows never depend on timing or
+    thread count."""
     if replicates < 1:
         raise ConfigError(f"replicates must be at least 1, got {replicates}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
@@ -386,7 +386,7 @@ def _study(model: SyntheticModel, sizes, replicates, seed, threads, setup, colum
 
         def one(r):
             replicate = _replicate(model, family, spec, n, k_test, size_seeds[r])
-            return {"N": n, "replicate": r, "seed": size_seeds[r], **columns(family, *replicate, spec)}
+            return {"N": n, "replicate": r, "seed": size_seeds[r], **columns(*replicate, spec)}
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -444,6 +444,8 @@ def _one_size_study(kind, model, spec, n_train, m, replicates, seed, k_test, thr
     defaults to 1 for a transductive spec and 0 otherwise."""
     if k_test is None:
         k_test = 1 if spec.transductive else 0
+    if spec.transductive and k_test < 1:
+        raise ConfigError(f"k_test must be at least 1 for the transductive variant {spec.variant}, got {k_test}")
     family = model.family(m)
     rows, _ = _study(model, [n_train], replicates, seed, threads, lambda n: (family, spec, k_test), columns)
     return ExperimentReport(
@@ -490,7 +492,7 @@ def coverage_study(
         )
     spec = _study_spec(spec, variant, model, epsilon, m)
 
-    def columns(family, data, features, moments, spec):
+    def columns(data, features, moments, spec):
         slabs = slab_setup(features, data, moments, spec)
         return {"mse": None, "coverage_event": _covered(model, data, moments, spec, slabs)}
 
@@ -530,8 +532,8 @@ def rate_experiment(
         family = model.family(n if model.basis == "Trigonometric" else 2 ** int(np.log2(n)))
         return family, BoundSpec("IndExact", float(n) ** -2, B=sup, sigma2=sigma2), 0
 
-    def columns(family, data, features, moments, spec):
-        fit = clip_coefficients(run_selection(data, family, moments, spec, schedule="RoundRobin"), sup)
+    def columns(data, features, moments, spec):
+        fit = clip_coefficients(run_selection(data, features, moments, spec, schedule="RoundRobin"), sup)
         return {"mse": exact_excess_risk(model, fit.coefficients), "coverage_event": None}
 
     rows, partial = _study(model, grid, replicates, seed, threads, setup, columns, budget_seconds)
@@ -577,8 +579,8 @@ def transductive_experiment(
         raise ConfigError(f"transductive experiments need a transductive variant, got {variant}")
     spec = _study_spec(spec, variant, model, epsilon, m)
 
-    def columns(family, data, features, moments, spec):
-        fit = run_selection(data, family, moments, spec, schedule="GreedyMax", features=features)
+    def columns(data, features, moments, spec):
+        fit = run_selection(data, features, moments, spec, schedule="GreedyMax")
         hidden = data.hidden_y
         return {
             "mse": float(np.mean((hidden - moments.block @ fit.coefficients) ** 2)),

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bounds import VARIANTS, BoundSpec, Slabs, slab_setup
+from .bounds import VARIANTS, BoundSpec, Slabs, feature_family, slab_setup
 from .data import Dataset
 from .dictionary import FeatureDictionary, from_spec as dictionary_from_spec
 from .errors import REQUIRED, ConfigError, NumericalError, boolean, choice, count, json_object, list_of, number
@@ -249,7 +249,7 @@ def _iterate(centers, moments, radius, kappa, schedule, active, max_iterations, 
 
 def run_selection(
     data: Dataset,
-    dictionary: FeatureDictionary,
+    features,
     moments: DesignMoments,
     spec: BoundSpec,
     kappa: float | None = None,
@@ -258,15 +258,14 @@ def run_selection(
     warm_start=None,
     loo_index=None,
     seed: int | None = None,
-    features=None,
 ) -> SelectionModel:
     """Fit the selection model end to end.
 
     Sets up the slabs (``bounds.slab_setup``), which the model keeps, from
-    ``features``: by default the dictionary at ``data.x`` (the training rows
-    of a rowwise dictionary one row block at a time), or the features that
-    ``bounds.sample_geometry`` gives with the moments, the split of the
-    sample for a transductive fit. Then runs the projection loop.
+    ``features``: the dictionary at ``data.x`` (the training rows of a rowwise
+    dictionary one row block at a time), its split of the sample that
+    ``bounds.sample_geometry`` gives a transductive fit, or a feature matrix,
+    whose dictionary the model records. Then runs the projection loop.
     kappa defaults to 1/(2N), the midpoint of the admissible interval
     (0, 1/N). Deterministic given inputs.
     """
@@ -276,7 +275,7 @@ def run_selection(
     kappa = 1.0 / (2.0 * n) if kappa is None else float(kappa)
     if not 0.0 < kappa < 1.0 / n:
         raise ConfigError(f"kappa must lie in (0, 1/N) = (0, {1.0 / n}), got {kappa}")
-    slabs = slab_setup(dictionary if features is None else features, data, moments, spec, loo_index=loo_index)
+    slabs = slab_setup(features, data, moments, spec, loo_index=loo_index)
     dropped = np.flatnonzero(~slabs.active)
     if dropped.size:
         warnings.warn(
@@ -294,7 +293,7 @@ def run_selection(
         epsilon=spec.epsilon,
         kappa=kappa,
         schedule=schedule,
-        dictionary=dictionary,
+        dictionary=feature_family(features),
         moments_provenance=moments.provenance,
         orthonormal_design=moments.identity,
         seed=seed,
@@ -303,11 +302,10 @@ def run_selection(
 
 
 def predict(model: SelectionModel, points) -> np.ndarray:
-    """Evaluate the fitted combination sum_k c_k theta_k at the given points."""
+    """The fitted combination sum_k c_k theta_k at the given points, by the dictionary's ``combine``."""
     if model.dictionary is None:
         raise ConfigError("model carries no dictionary; predictions are unavailable")
-    feats = model.dictionary.evaluate(points)
-    return feats @ model.coefficients
+    return model.dictionary.combine(model.coefficients, points)
 
 
 def clip_coefficients(model: SelectionModel, bound: float) -> SelectionModel:

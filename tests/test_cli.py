@@ -991,7 +991,7 @@ def _bounds_rows(tmp_path, config, variants, capsys):
     ],
 )
 def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, variants, bound, monkeypatch, capsys):
-    from slabreg import cli, moments
+    from slabreg import moments
 
     config = {
         "train": str(train_csv),
@@ -1005,10 +1005,10 @@ def test_bounds_table_builds_each_geometry_once(tmp_path, train_csv, test_csv, v
         single[variant] = _bounds_rows(tmp_path, config, [variant], capsys)
     monte_carlo = _counting(monkeypatch, moments, "monte_carlo_moments")
     test_gram = _counting(monkeypatch, moments, "empirical_test_moments")
-    loo = _counting(monkeypatch, cli, "_loo_arguments")
+    stats = _counting(monkeypatch, bounds, "compute_stats")
     rows = _bounds_rows(tmp_path, config, variants, capsys)
     transductive = variants[0].startswith("Tr")
-    assert (len(monte_carlo), len(test_gram), len(loo)) == (int(not transductive), int(transductive), 1)
+    assert (len(monte_carlo), len(test_gram), len(stats)) == (int(not transductive), int(transductive), 1)
     # Each variant's columns equal those of a table built for that variant
     # alone, and so do the shared columns of the one geometry.
     for variant in variants:
@@ -1417,6 +1417,33 @@ def test_rate_besov_default_truth_spans_the_largest_grid_size(tmp_path):
     truth = experiments.besov_spike_model(levels=6)
     assert report["config"]["model"] == json.loads(json.dumps(truth.to_spec()))
     assert report["kind"] == "rate-besov" and len(report["rows"]) == 8
+
+
+def test_rate_besov_null_model_is_the_default_spike_truth(tmp_path):
+    # null means the default, as for every optional key: the Besov spike
+    # truth, not the Sobolev one a null truth means elsewhere
+    reports = []
+    for extra in ({}, {"model": None}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "rate-besov", "grid": [32, 48, 64, 96], "replicates": 2, **extra}))
+        out = tmp_path / f"run{len(reports)}"
+        assert run_cli(["experiment", "--config", path, "--out", out]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    default, null = reports
+    assert null["config_resolved"]["model"] == default["config_resolved"]["model"] == {"kind": "besov", "levels": 6}
+    assert null["config"]["model"] == default["config"]["model"]
+    assert null["rows"] == default["rows"]
+
+
+@pytest.mark.parametrize("kind", ["coverage", "transductive"])
+def test_transductive_study_without_a_test_block_exits_2_naming_k_test(tmp_path, monkeypatch, kind, capsys):
+    monkeypatch.setattr(experiments, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": kind, "variant": "TrBasicBounded", "k_test": 0, "replicates": 100}))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "run"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: k_test must be at least 1 for the transductive variant TrBasicBounded, got 0\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["fit", "transduce", "bounds"])

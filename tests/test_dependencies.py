@@ -248,11 +248,28 @@ def _names(node):
 
 
 def test_each_family_sums_and_bounds_its_own_features():
-    # The statistics ask the family for its column sums and the auto spec
-    # asks it for its sup, so neither names a family or its kernels.
-    tree = ast.parse((Path(slabreg.__file__).parent / "bounds.py").read_text())
-    assert not _names(tree) & {*dictionary.DICTIONARY_CLASSES, "wave_sums", "Gridding"}
+    # The statistics ask the family for its column sums, the auto spec asks
+    # it for its sup, a prediction for its combination and the CLI for its
+    # anchor map, so none of them names a family or its kernels.
+    for module in ("bounds", "selector", "moments", "cli"):
+        tree = ast.parse((Path(slabreg.__file__).parent / f"{module}.py").read_text())
+        assert not _names(tree) & {*dictionary.DICTIONARY_CLASSES, "wave_sums", "Gridding"}, module
     assert "basis" not in _names(_function("experiments", "_auto_bound_spec"))
+
+
+def test_a_fit_takes_its_dictionary_once_with_its_features():
+    # run_selection reads the dictionary it records off its one features
+    # argument, so no caller passes a dictionary and its features apart.
+    fit = _function("selector", "run_selection")
+    params = [arg.arg for arg in (*fit.args.args, *fit.args.kwonlyargs)]
+    assert params[:4] == ["data", "features", "moments", "spec"] and "dictionary" not in params
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and any(keyword.arg == "features" for keyword in node.keywords)
+    ]
+    assert sites == []
 
 
 def test_no_dictionary_kind_is_an_alias_of_another():

@@ -333,6 +333,15 @@ def test_transductive_experiment_rejects_an_inductive_variant_before_any_replica
         )
 
 
+@pytest.mark.parametrize("study", [ex.coverage_study, ex.transductive_experiment], ids=["coverage", "transductive"])
+def test_transductive_study_without_a_test_block_is_one_config_error_before_any_replicate(study, monkeypatch):
+    monkeypatch.setattr(ex, "generate", lambda *args, **kwargs: pytest.fail("a replicate ran"))
+    with pytest.raises(ConfigError, match="k_test must be at least 1 for the transductive variant TrVariance, got 0"):
+        study(
+            model=small_sobolev(), variant="TrVariance", n_train=64, m=8, epsilon=0.1, replicates=100, seed=4, k_test=0
+        )
+
+
 def test_coverage_and_transductive_studies_share_their_replicates():
     # B = 0 and epsilon = 0.9 mix covered and uncovered replicates
     model = small_sobolev(noise=ex.NoiseSpec("uniform", 0.3))
@@ -560,7 +569,7 @@ def test_chain_check_rejects_a_delta_above_the_hidden_risk_drop():
     family = model.family(8)
     features, mom = bounds.sample_geometry(family, data, True, None)
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=2.75)
-    fit = run_selection(data, family, mom, spec, features=features)
+    fit = run_selection(data, features, mom, spec)
     assert fit.trace and ex._chain_holds(fit, mom.block, data.hidden_y)
     first = fit.trace[0]
     test = mom.block[:, first.feature - 1]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slabreg import bounds, experiments, selector
 from slabreg.data import Dataset
-from slabreg.dictionary import STATS_BLOCK_CELLS, ExplicitMatrix, Haar, KernelPCA, Trigonometric
+from slabreg.dictionary import STATS_BLOCK_CELLS, ExplicitMatrix, Haar, KernelPCA, MultiscaleGaussian, Trigonometric
 from slabreg.errors import ConfigError, DataError, NumericalError
 from slabreg.moments import DesignMoments, empirical_test_moments, exact_moments
 
@@ -309,7 +309,7 @@ def test_an_excluded_feature_warns_once_from_the_fit():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         features, mom = bounds.sample_geometry(family, ds, True, None)
-        model = selector.run_selection(ds, family, mom, bounds.BoundSpec("TrBasicBounded", 0.1, B=3.0), features=features)
+        model = selector.run_selection(ds, features, mom, bounds.BoundSpec("TrBasicBounded", 0.1, B=3.0))
     assert [str(w.message) for w in caught] == [
         "excluding 1 degenerate feature(s) from selection (first index 3): zero design or training second moment"
     ]
@@ -367,7 +367,58 @@ def test_predict_direct_sum_oracle():
     assert selector.predict(model, [[x]])[0] == pytest.approx(expected, abs=1e-12)
 
 
-def make_model(c, orthonormal=True):
+@pytest.mark.parametrize("family", [Trigonometric(1024), Haar(9)], ids=["Trigonometric", "Haar"])
+def test_predict_sums_an_orthonormal_family_without_its_feature_matrix(family, peak_bytes):
+    # The family's combine takes the sum: no 2^14 x 1024 matrix (128 MB),
+    # and the values of the matrix product within rounding.
+    rng = np.random.default_rng(37)
+    c = rng.normal(size=family.m)
+    points = rng.uniform(size=(2**14, 1))
+    got = []
+    peak = peak_bytes(lambda: got.append(selector.predict(make_model(c, dictionary=family), points)))
+    assert peak < 4 * 2**20
+    head = points[:512]
+    assert np.abs(got[0][:512] - family.evaluate(head) @ c).max() <= 1e-12 * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("kind", ["MultiscaleGaussian", "KernelPCA", "ExplicitMatrix"])
+def test_predict_through_the_feature_matrix_keeps_its_bits(kind):
+    rng = np.random.default_rng(41)
+    x = rng.uniform(size=(30, 1))
+    if kind == "MultiscaleGaussian":
+        family = MultiscaleGaussian(x[:10], [1.0, 20.0])
+    elif kind == "KernelPCA":
+        family = KernelPCA(x[:20], {"kind": "gaussian", "gamma": 30.0}, top=6)
+    else:
+        family = ExplicitMatrix(rng.normal(size=(30, 5)))
+    c = rng.normal(size=family.m)
+    assert selector.predict(make_model(c, dictionary=family), x).tobytes() == (family.evaluate(x) @ c).tobytes()
+
+
+@pytest.mark.parametrize("transductive", [False, True])
+def test_a_fit_records_the_family_its_features_are_of(transductive):
+    # The dictionary is named once, by the features: a fit given the
+    # family, or the split of a sample, records that family and predicts
+    # its combination; a fit given a matrix records none.
+    rng = np.random.default_rng(43)
+    n = 256
+    x = rng.uniform(size=((2 if transductive else 1) * n, 1))
+    ds = Dataset(x=x, y=np.where(x[:n, 0] < 0.5, 1.0, -1.0) + rng.normal(0.0, 0.1, n))
+    family = Haar(3)
+    features, mom = bounds.sample_geometry(family, ds, transductive, lambda: exact_moments(family))
+    spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=1.5) if transductive else bounds.BoundSpec("IndVarFirstOrder", 0.1)
+    model = selector.run_selection(ds, features, mom, spec)
+    assert model.dictionary is family and model.selected.size
+    again = selector.SelectionModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    assert again.dictionary == family and again.m == family.m
+    points = np.array([[0.3], [0.7]])
+    np.testing.assert_allclose(selector.predict(model, points), family.evaluate(points) @ model.coefficients, atol=1e-15)
+    matrix = selector.run_selection(ds, family.evaluate(x), mom, spec)
+    assert matrix.dictionary is None
+    np.testing.assert_allclose(matrix.coefficients, model.coefficients, rtol=0.0, atol=1e-12)
+
+
+def make_model(c, orthonormal=True, dictionary=None):
     return selector.SelectionModel(
         coefficients=np.asarray(c, dtype=float),
         trace=(),
@@ -376,6 +427,7 @@ def make_model(c, orthonormal=True):
         kappa=0.01,
         schedule="GreedyMax",
         orthonormal_design=orthonormal,
+        dictionary=dictionary,
     )
 
 
@@ -823,7 +875,7 @@ def test_fit_evaluates_rowwise_dictionaries_per_block_and_others_once(kind, eval
     log = evaluations(type(family))
     model = selector.run_selection(ds, family, mom, spec)
     monkeypatch.undo()
-    reference = selector.run_selection(ds, family, mom, spec, features=features)
+    reference = selector.run_selection(ds, features, mom, spec)
     if kind == "Trigonometric":
         # an inductive trigonometric fit evaluates no feature row: its
         # statistics are the adjoint sums, within rounding of the matrix's
@@ -863,7 +915,7 @@ def test_rowwise_fit_checks_the_sample_once_outside_evaluate(transductive, monke
     monkeypatch.setattr(Trigonometric, "evaluate", evaluated)
     features, mom = bounds.sample_geometry(family, ds, transductive, lambda: exact_moments(family))
     spec = bounds.BoundSpec("TrBasicBounded", 0.1, B=2.0) if transductive else bounds.BoundSpec("IndVarFirstOrder", 0.1)
-    selector.run_selection(ds, family, mom, spec, features=features)
+    selector.run_selection(ds, features, mom, spec)
     assert outside == [x.shape[0]]
 
 
