@@ -2,8 +2,9 @@
 
 Subcommands: fit, transduce, bounds, experiment. Shared flags: --config PATH,
 --seed U64, --threads N, --out DIR; ``bounds`` also takes --json. Flag values
-override config-file values and the fully resolved configuration is echoed
-into every artifact.
+override config-file values. ``model.json`` and the ``bounds --json`` table
+echo the config file with its flags and the resolved seed; an experiment's
+``report.json`` echoes its config with every default filled in.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical error, 5 budget.
 """
 
@@ -307,27 +308,25 @@ EXPERIMENT_KEYS = {
 
 
 def cmd_experiment(args) -> int:
-    config = _resolve(args)
-    kind, values = read_kind(config, EXPERIMENT_KEYS, "")
-    config["seed"] = seed = values.pop("seed")
-    threads, out, spec = values.pop("threads"), Path(values.pop("out")), values.pop("model")
+    """The report echoes the config once, as read: every key of the kind's
+    table, each default filled in, and the truth by its spec."""
+    kind, values = read_kind(_resolve(args), EXPERIMENT_KEYS, "")
+    if kind == "rate-besov" and values["model"] is None:
+        values["model"] = {"kind": "besov", "levels": max(values["grid"]).bit_length() - 1}
+    config = _echoed({"kind": kind, **values})
+    seed, threads, out, spec = (values.pop(key) for key in ("seed", "threads", "out", "model"))
     started = time.monotonic()
     if kind in ("rate-sobolev", "rate-besov"):
-        config["grid"] = grid = values.pop("grid")
-        if kind == "rate-besov" and spec is None:
-            config["model"] = spec = {"kind": "besov", "levels": max(grid).bit_length() - 1}
+        grid = values.pop("grid")
         model = experiments.truth(spec, max(grid))
         report = experiments.rate_experiment(model, grid, seed=seed, threads=threads, **values)
-        report.kind = kind
     else:
         model = experiments.truth(spec, max(values["N"], values["m"]))
         study = experiments.coverage_study if kind == "coverage" else experiments.transductive_experiment
         report = study(model=model, n_train=values.pop("N"), seed=seed, threads=threads, **values)
-    payload = report.to_json_dict()
-    payload["config_resolved"] = _echoed(config)
-    payload["tool_version"] = __version__
-    _write(out / "report.json", _json_bytes(payload))
-    _write(out / "report.csv", report.csv_text().encode())
+    payload = {**report.to_json_dict(), "config": config, "tool_version": __version__}
+    _write(Path(out, "report.json"), _json_bytes(payload))
+    _write(Path(out, "report.csv"), report.csv_text().encode())
     sys.stderr.write(
         f"{kind}: {len(report.rows)} rows in {time.monotonic() - started:.1f}s"
         f"{' (partial)' if report.partial else ''}\n"

@@ -11,7 +11,6 @@ config) at any thread count.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
@@ -73,9 +72,6 @@ class NoiseSpec:
             return self.scale * (2.0 * rng.integers(0, 2, size=n) - 1.0)
         return np.zeros(n)
 
-    def to_spec(self):
-        return {"kind": self.kind, "scale": self.scale}
-
     @classmethod
     def from_spec(cls, obj):
         return cls(**read(obj, NOISE_KEYS, "noise."))
@@ -86,14 +82,12 @@ class SyntheticModel:
     """Regression truth Y = f(X) + noise with f a finite expansion.
 
     ``coefficients[k-1]`` multiplies the k-th member of the orthonormal
-    family named by ``basis``; the design is uniform on [0, 1]. ``regularity``
-    is a reporting tag (smoothness index), not used by any computation.
+    family named by ``basis``; the design is uniform on [0, 1].
     """
 
     coefficients: np.ndarray
     basis: str = "Trigonometric"
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    regularity: float | None = None
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float)
@@ -135,17 +129,11 @@ class SyntheticModel:
         nb = self.noise.bound
         return None if nb is None else self.sup_bound() + nb
 
-    def to_spec(self):
-        return {
-            "coefficients": self.coefficients.tolist(),
-            "basis": self.basis,
-            "noise": self.noise.to_spec(),
-            "regularity": self.regularity,
-        }
-
     @classmethod
     def from_spec(cls, obj):
-        return cls(**read(obj, MODEL_KEYS, "model."))
+        values = read(obj, MODEL_KEYS, "model.")
+        del values["regularity"]  # a reporting tag, which only the config echo carries
+        return cls(**values)
 
 
 def _noise(value, name):  # a noise spec's errors name ``noise`` as a key of its own
@@ -200,7 +188,6 @@ def sobolev_model(
         coefficients=coefs,
         basis="Trigonometric",
         noise=noise if noise is not None else NoiseSpec("uniform", 0.05),
-        regularity=smoothness,
     )
 
 
@@ -233,7 +220,6 @@ def besov_spike_model(
         coefficients=coefs,
         basis="Haar",
         noise=noise if noise is not None else NoiseSpec("uniform", 0.05),
-        regularity=smoothness,
     )
 
 
@@ -263,11 +249,11 @@ def exact_excess_risk(model: SyntheticModel, coefficients) -> float:
 
 @dataclass
 class ExperimentReport:
-    """Flat replicate rows plus the aggregates the experiment defines; no
-    timing, so identical (config, seed) runs produce identical bytes."""
+    """Flat replicate rows plus the aggregates the experiment defines: its
+    results alone, for its inputs are the caller's to record (the CLI
+    echoes its resolved config). No timing, so identical (config, seed)
+    runs produce identical bytes."""
 
-    kind: str
-    config: dict
     rows: list
     medians: dict | None = None
     slope: float | None = None
@@ -277,12 +263,7 @@ class ExperimentReport:
     partial: bool = False
 
     def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "config": self.config,
-            "rows": self.rows,
-            "partial": self.partial,
-        }
+        out = {"rows": self.rows, "partial": self.partial}
         if self.medians is not None:
             out["medians"] = {str(k): v for k, v in sorted(self.medians.items())}
         if self.slope is not None:
@@ -389,6 +370,8 @@ def _study(model: SyntheticModel, sizes, replicates, seed, threads, setup, colum
             return {"N": n, "replicate": r, "seed": size_seeds[r], **columns(*replicate, spec)}
 
         if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only threaded studies pay its import
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 rows.extend(pool.map(one, range(replicates)))
         else:
@@ -438,31 +421,17 @@ def _auto_bound_spec(variant, model, epsilon, family_m=None):
     return BoundSpec(variant, epsilon, **{name: derive[name]() for name in entry.constants})
 
 
-def _one_size_study(kind, model, spec, n_train, m, replicates, seed, k_test, threads, columns) -> ExperimentReport:
+def _one_size_study(model, spec, n_train, m, replicates, seed, k_test, threads, columns) -> ExperimentReport:
     """A coverage or transductive study: ``_study`` at the one size N with
-    the family of m members, reported with the eight-key config; k_test
-    defaults to 1 for a transductive spec and 0 otherwise."""
+    the family of m members; k_test defaults to 1 for a transductive spec
+    and 0 otherwise."""
     if k_test is None:
         k_test = 1 if spec.transductive else 0
     if spec.transductive and k_test < 1:
         raise ConfigError(f"k_test must be at least 1 for the transductive variant {spec.variant}, got {k_test}")
     family = model.family(m)
     rows, _ = _study(model, [n_train], replicates, seed, threads, lambda n: (family, spec, k_test), columns)
-    return ExperimentReport(
-        kind=kind,
-        config={
-            "variant": spec.variant,
-            "model": model.to_spec(),
-            "N": n_train,
-            "m": m,
-            "epsilon": spec.epsilon,
-            "replicates": replicates,
-            "seed": seed,
-            "k_test": k_test,
-        },
-        rows=rows,
-        coverage=float(np.mean([row["coverage_event"] for row in rows])),
-    )
+    return ExperimentReport(rows=rows, coverage=float(np.mean([row["coverage_event"] for row in rows])))
 
 
 def coverage_study(
@@ -496,7 +465,7 @@ def coverage_study(
         slabs = slab_setup(features, data, moments, spec)
         return {"mse": None, "coverage_event": _covered(model, data, moments, spec, slabs)}
 
-    return _one_size_study("coverage", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
+    return _one_size_study(model, spec, n_train, m, replicates, seed, k_test, threads, columns)
 
 
 def rate_experiment(
@@ -541,14 +510,6 @@ def rate_experiment(
     medians = {n: float(np.median([row["mse"] for row in rows if row["N"] == n])) for n in done}
     slope, stderr = _ols_loglog(done, list(medians.values())) if len(done) >= 3 else (None, None)
     return ExperimentReport(
-        kind="rate",
-        config={
-            "model": model.to_spec(),
-            "grid": grid,
-            "replicates": replicates,
-            "seed": seed,
-            "sigma_scale": sigma_scale,
-        },
         rows=rows,
         medians=medians or None,
         slope=slope,
@@ -590,7 +551,7 @@ def transductive_experiment(
             "steps": fit.stopped_at,
         }
 
-    report = _one_size_study("transductive", model, spec, n_train, m, replicates, seed, k_test, threads, columns)
+    report = _one_size_study(model, spec, n_train, m, replicates, seed, k_test, threads, columns)
     rows = report.rows
     report.extras = {
         "chain_fraction": float(np.mean([row["chain_ok"] for row in rows])),

@@ -171,7 +171,8 @@ class EmpiricalTestMoments(DesignMoments):
     block T itself (not a copy): ``diag`` is the columns' squared norms over
     kN, and the products go through T, so the m x m ``gram`` is built only
     if something reads it (the projection loop does not). ``identity``
-    reads the Gram only once every diagonal entry is exactly 1.0."""
+    reads the Gram only once every diagonal entry is exactly 1.0 and the
+    block has at least m rows, so that Gram is no larger than the block."""
 
     def __init__(self, block: np.ndarray):
         object.__setattr__(self, "block", block)
@@ -197,6 +198,11 @@ class EmpiricalTestMoments(DesignMoments):
     @cached_property
     def diag(self) -> np.ndarray:
         return self.sum_squares / self.block.shape[0]
+
+    @cached_property
+    def identity(self) -> bool:
+        # a block of fewer than m rows has rank below m: no identity Gram
+        return self.block.shape[0] >= self.m and super().identity
 
     @cached_property
     def gram(self) -> np.ndarray:

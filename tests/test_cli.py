@@ -12,9 +12,9 @@ import pytest
 
 from conftest import write_labeled_csv, write_unlabeled_csv
 from slabreg import bounds, data, dictionary, errors, experiments, selector
-from slabreg.cli import main
+from slabreg.cli import EXPERIMENT_KEYS, main
 from slabreg.dictionary import from_spec as dict_from_spec
-from slabreg.errors import ConfigError, json_number
+from slabreg.errors import ConfigError, json_number, read_kind
 from slabreg.moments import empirical_test_moments, exact_moments
 
 
@@ -338,7 +338,7 @@ def test_experiment_coverage_report_fields(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["coverage"] <= 1.0
-    assert report["config_resolved"]["kind"] == "coverage"
+    assert report["config"]["kind"] == "coverage"
     csv_lines = (out / "report.csv").read_text().splitlines()
     assert csv_lines[0] == "N,replicate,mse,coverage_event,seed"
     assert len(csv_lines) == 101
@@ -389,6 +389,11 @@ def _rate_sobolev_direct():
     return experiments.rate_experiment(model, [64, 128, 256, 512], replicates=2, seed=0, threads=2, sigma_scale=1.0)
 
 
+def _rate_besov_direct():
+    model = experiments.besov_spike_model(smoothness=1.5, levels=6)
+    return experiments.rate_experiment(model, [32, 48, 64, 96], replicates=2, seed=0)
+
+
 def _coverage_direct():
     model = experiments.sobolev_model(smoothness=1.0, size=128, noise=experiments.NoiseSpec("gaussian", 0.3))
     return experiments.coverage_study("IndExact", model, 128, 64, 0.25, replicates=100, seed=0, threads=2)
@@ -413,6 +418,11 @@ STUDY_CONFIGS = {
             "threads": 2,
         },
         _rate_sobolev_direct,
+    ),
+    "rate-besov": (
+        {"kind": "rate-besov", "model": {"kind": "besov", "levels": 6, "smoothness": 1.5}, "grid": [32, 48, 64, 96],
+         "replicates": 2},
+        _rate_besov_direct,
     ),
     "coverage": (
         {
@@ -448,7 +458,10 @@ STUDY_CONFIGS = {
 
 @pytest.mark.parametrize("study", sorted(STUDY_CONFIGS))
 def test_experiment_config_reproduces_library_study(tmp_path, study):
-    """The README's study configs run the same computation as the library calls."""
+    """The README's study configs, and a rate-besov one, run the same
+    computation as the library calls; each report echoes its config once,
+    as read: the kind's table with its defaults, less the execution details,
+    and the truth by its spec, not its coefficients."""
     config, direct = STUDY_CONFIGS[study]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -456,9 +469,13 @@ def test_experiment_config_reproduces_library_study(tmp_path, study):
     assert run_cli(["experiment", "--config", path, "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
     expected = json.loads(json.dumps(direct().to_json_dict()))
-    assert report["rows"] == expected["rows"]
-    # the study's own config holds the truth and noise, which coverage rows alone may not reveal
-    assert report["config"] == expected["config"]
+    assert report.keys() == {*expected, "config", "tool_version"}
+    # every result, the rows and each aggregate, is the library's
+    assert {key: report[key] for key in expected} == expected
+    kind, values = read_kind(config, EXPERIMENT_KEYS, "")
+    read = {"kind": kind, **{key: value for key, value in values.items() if key not in ("threads", "out")}}
+    assert report["config"] == json.loads(json.dumps(read))
+    assert "coefficients" not in json.dumps(report["config"])
 
 
 @pytest.mark.parametrize(
@@ -469,8 +486,15 @@ def test_experiment_config_reproduces_library_study(tmp_path, study):
         ("transductive", {}, 64),
     ],
 )
-def test_experiment_truth_size_defaults_to_study_size(tmp_path, kind, sizes, truth_size):
+def test_experiment_truth_size_defaults_to_study_size(tmp_path, monkeypatch, kind, sizes, truth_size):
     """Without a `size`, a coverage or transductive truth has max(N, m) coefficients."""
+    sizes_run = []
+
+    def record(*args, **kwargs):
+        sizes_run.append(kwargs["model"].size)
+        return experiments.ExperimentReport(rows=[])
+
+    monkeypatch.setattr(experiments, STUDY_DEFAULTS[kind][0], record)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "kind": kind,
@@ -479,10 +503,8 @@ def test_experiment_truth_size_defaults_to_study_size(tmp_path, kind, sizes, tru
         "epsilon": 0.25,
         "model": {"kind": "sobolev", "noise": {"kind": "uniform", "scale": 0.2}},
     }))
-    out = tmp_path / "run"
-    assert run_cli(["experiment", "--config", config, "--out", out]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert len(report["config"]["model"]["coefficients"]) == truth_size
+    assert run_cli(["experiment", "--config", config, "--out", tmp_path / "run"]) == 0
+    assert sizes_run == [truth_size]
 
 
 def test_experiment_budget_exceeded_exits_5(tmp_path, capsys, monkeypatch):
@@ -562,7 +584,7 @@ def test_experiment_study_defaults(tmp_path, monkeypatch, kind):
 
     def record(*args, **kwargs):
         calls.append(signature.bind(*args, **kwargs).arguments)
-        return experiments.ExperimentReport(kind=kind, config={}, rows=[])
+        return experiments.ExperimentReport(rows=[])
 
     monkeypatch.setattr(experiments, name, record)
     config = tmp_path / "config.json"
@@ -1413,10 +1435,10 @@ def test_rate_besov_default_truth_spans_the_largest_grid_size(tmp_path):
     assert run_cli(["experiment", "--config", path, "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
     # 96 has 7 bits, so the spike truth has 6 levels and 64 Haar coefficients
-    assert report["config_resolved"]["model"] == {"kind": "besov", "levels": 6}
-    truth = experiments.besov_spike_model(levels=6)
-    assert report["config"]["model"] == json.loads(json.dumps(truth.to_spec()))
-    assert report["kind"] == "rate-besov" and len(report["rows"]) == 8
+    assert report["config"]["kind"] == "rate-besov"
+    assert report["config"]["model"] == {"kind": "besov", "levels": 6}
+    direct = experiments.rate_experiment(experiments.besov_spike_model(levels=6), [32, 48, 64, 96], replicates=2)
+    assert report["rows"] == json.loads(json.dumps(direct.rows)) and len(report["rows"]) == 8
 
 
 def test_rate_besov_null_model_is_the_default_spike_truth(tmp_path):
@@ -1430,8 +1452,7 @@ def test_rate_besov_null_model_is_the_default_spike_truth(tmp_path):
         assert run_cli(["experiment", "--config", path, "--out", out]) == 0
         reports.append(json.loads((out / "report.json").read_text()))
     default, null = reports
-    assert null["config_resolved"]["model"] == default["config_resolved"]["model"] == {"kind": "besov", "levels": 6}
-    assert null["config"]["model"] == default["config"]["model"]
+    assert null["config"]["model"] == default["config"]["model"] == {"kind": "besov", "levels": 6}
     assert null["rows"] == default["rows"]
 
 

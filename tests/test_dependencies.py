@@ -39,6 +39,12 @@ def test_import_loads_no_numpy_fft():
     assert not _loaded_by_import("numpy.fft")
 
 
+def test_import_loads_no_thread_pool():
+    # only a threaded experiment runs a pool, so its module (with logging,
+    # queue and traceback behind it) is imported where the pool starts
+    assert not _loaded_by_import("concurrent.futures")
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_imports_only_stdlib_and_numpy(path):
     tops = set()

@@ -352,7 +352,9 @@ def test_coverage_and_transductive_studies_share_their_replicates():
     assert 0.0 < coverage.coverage < 1.0
     events = [[(row["seed"], row["coverage_event"]) for row in report.rows] for report in (coverage, transductive)]
     assert events[0] == events[1]
-    assert coverage.config == transductive.config
+    # both studies ran the same N and replicate numbers (the reports hold results alone)
+    replicates = [[(row["N"], row["replicate"]) for row in report.rows] for report in (coverage, transductive)]
+    assert replicates[0] == replicates[1] == [(32, r) for r in range(100)]
 
 
 def reference_per_feature_excess(model, centers):
@@ -602,13 +604,6 @@ def test_report_json_excludes_runtime():
     report = ex.coverage_study("IndExact", model, 32, 4, 0.25, replicates=100, seed=1)
     payload = report.to_json_dict()
     assert "runtime" not in str(payload)
-
-
-def test_model_spec_roundtrip():
-    model = ex.besov_spike_model(smoothness=1.5, levels=5, scale=0.7, seed=9)
-    again = ex.SyntheticModel.from_spec(model.to_spec())
-    np.testing.assert_array_equal(again.coefficients, model.coefficients)
-    assert again.basis == model.basis and again.noise == model.noise
 
 
 def test_inductive_per_step_risk_decrease_via_exact_oracle():

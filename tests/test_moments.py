@@ -277,6 +277,23 @@ def test_identity_structure_of_user_gram_file(tmp_path):
         assert dm.load_gram_csv(path).identity is identity
 
 
+def test_a_test_block_of_fewer_rows_than_features_is_no_identity_without_its_gram(peak_bytes):
+    # every diagonal entry of a +-1 block is exactly 1.0, but a block of
+    # fewer than m rows has rank below m, so no m x m Gram need be built
+    block = np.where(np.random.default_rng(31).random((4, 2000)) < 0.5, -1.0, 1.0)
+    mom = dm.empirical_test_moments(block)
+    assert not np.any(mom.diag != 1.0)
+    identity = []
+    peak = peak_bytes(lambda: identity.append(mom.identity))
+    assert peak < 2**20  # the Gram is 32 MB
+    assert identity == [False] and "gram" not in vars(mom)
+    # with at least m rows the Gram is read: a Hadamard block's is the identity
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+    assert dm.empirical_test_moments(hadamard).identity
+    assert not dm.empirical_test_moments(np.ones((4, 2))).identity
+    assert not dm.empirical_test_moments(hadamard[:3]).identity
+
+
 def _test_blocks():
     """Test blocks of every layout: (name, block); the 300 x 260 ones are
     large enough for BLAS to block the product."""
